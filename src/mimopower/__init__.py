@@ -19,7 +19,6 @@ from .maxmin import BisectionConfig, MaxMinResult, auto_upper_bound, solve_max_m
 from .mc_oracle import McConfig, estimate_sinr_terms, mrt_precoder, sample_channel_pair
 from .power_assoc import (
     AssociationMap,
-    PowerMinProblem,
     PowerMinResult,
     association_rule_check,
     build_lp,

@@ -22,9 +22,8 @@ import numpy as np
 from .channel import (
     ChannelStats,
     NetworkScenario,
+    channel_stats,
     dbm_to_watt,
-    estimation_quality,
-    large_scale_fading,
     load_scenario,
     sample_user_positions,
     scenario_to_json_dict,
@@ -190,52 +189,81 @@ def check_solution_invariants(
             raise HarnessInvariantError(f"association rule violated: {report.violations[:5]}")
 
 
-def _drop_powermin(
-    stats: ChannelStats, scenario: NetworkScenario, target_se: float
-) -> DropMetrics:
-    targets = QosTargets.uniform(target_se, scenario.num_users, scenario)
-    opt = solve_power_min(stats, targets, scenario)
-    snr = solve_max_snr(stats, targets, scenario)
-    if snr.feasible and not opt.feasible:
-        raise HarnessInvariantError("max-SNR feasible but joint optimization infeasible")
-    if opt.feasible:
-        check_solution_invariants(stats, targets, scenario, opt, check_association=True)
-    if snr.feasible:
-        check_solution_invariants(stats, targets, scenario, snr)
-        if opt.objective > snr.objective * (1.0 + 1e-9):
-            raise HarnessInvariantError("optimal objective exceeds the max-SNR objective")
-    return DropMetrics(
-        num_antennas=scenario.num_antennas,
-        drop_index=-1,
-        feasible_opt=opt.feasible,
-        feasible_maxsnr=snr.feasible,
-        total_power_opt=opt.objective if opt.feasible else None,
-        total_power_maxsnr=snr.objective if snr.feasible else None,
-        joint_tx_user_fraction=opt.association.joint_fraction if opt.feasible else None,
-    )
+def iter_drops(base: NetworkScenario, seed: int, num_drops: int):
+    """Yield (d, scenario, stats) per drop: fresh user positions and shadowing
+    from a stream seeded by (seed, d), every other field taken from ``base``."""
+    for d in range(num_drops):
+        rng = np.random.default_rng([seed, d])
+        positions = sample_user_positions(
+            base.num_users, base.bs_positions, rng, MIN_BS_USER_DIST_KM
+        )
+        scn0 = base.with_users(positions)
+        yield d, scn0, channel_stats(scn0, rng)
 
 
-def _drop_maxmin(stats: ChannelStats, scenario: NetworkScenario, delta: float):
-    cfg = BisectionConfig(delta=delta)
-    mm_opt = solve_max_min(stats, scenario, cfg=cfg, association="optimal")
-    mm_snr = solve_max_min(stats, scenario, cfg=cfg, association="max-snr")
-    if mm_opt.xi_lower < mm_snr.xi_lower - delta - 1e-12:
-        raise HarnessInvariantError("joint max-min level fell below the max-SNR level")
-    for mm in (mm_opt, mm_snr):
-        if mm.last_feasible is not None:
-            se = se_mrt_all(stats, mm.allocation, scenario)
-            if np.any(se < mm.xi_lower - 1e-9):
-                raise HarnessInvariantError("achieved SE fell below the max-min lower bound")
-    metrics = DropMetrics(
-        num_antennas=scenario.num_antennas,
-        drop_index=-1,
-        feasible_opt=True,
-        feasible_maxsnr=True,
-        maxmin_xi=mm_opt.xi_lower,
-        maxmin_xi_maxsnr=mm_snr.xi_lower,
-        joint_tx_user_fraction=mm_opt.association.joint_fraction,
-    )
-    return metrics, mm_opt, mm_snr
+def solve_cell(
+    stats: ChannelStats,
+    scenario: NetworkScenario,
+    mode: str,
+    drop_index: int,
+    target_se: float,
+    delta: float,
+) -> tuple:
+    """Solve one (drop, antenna count) cell with both association methods
+    and check every per-cell invariant.
+
+    Returns (metrics, joint result, max-SNR result): PowerMinResults in
+    powermin mode, MaxMinResults in maxmin mode. A failed check raises
+    HarnessInvariantError naming the cell.
+    """
+    m = scenario.num_antennas
+    try:
+        if mode == "powermin":
+            targets = QosTargets.uniform(target_se, scenario.num_users, scenario)
+            opt = solve_power_min(stats, targets, scenario)
+            snr = solve_max_snr(stats, targets, scenario)
+            if snr.feasible and not opt.feasible:
+                raise HarnessInvariantError("max-SNR feasible but joint optimization infeasible")
+            if opt.feasible:
+                check_solution_invariants(stats, targets, scenario, opt, check_association=True)
+            if snr.feasible:
+                check_solution_invariants(stats, targets, scenario, snr)
+                if opt.objective > snr.objective * (1.0 + 1e-9):
+                    raise HarnessInvariantError("optimal objective exceeds the max-SNR objective")
+            metrics = DropMetrics(
+                num_antennas=m,
+                drop_index=drop_index,
+                feasible_opt=opt.feasible,
+                feasible_maxsnr=snr.feasible,
+                total_power_opt=opt.objective if opt.feasible else None,
+                total_power_maxsnr=snr.objective if snr.feasible else None,
+                joint_tx_user_fraction=opt.association.joint_fraction if opt.feasible else None,
+            )
+        elif mode == "maxmin":
+            cfg = BisectionConfig(delta=delta)
+            opt = solve_max_min(stats, scenario, cfg=cfg, association="optimal")
+            snr = solve_max_min(stats, scenario, cfg=cfg, association="max-snr")
+            if opt.xi_lower < snr.xi_lower - delta - 1e-12:
+                raise HarnessInvariantError("joint max-min level fell below the max-SNR level")
+            for mm in (opt, snr):
+                if mm.last_feasible is not None:
+                    se = se_mrt_all(stats, mm.allocation, scenario)
+                    if np.any(se < mm.xi_lower - 1e-9):
+                        raise HarnessInvariantError("achieved SE fell below the max-min lower bound")
+            metrics = DropMetrics(
+                num_antennas=m,
+                drop_index=drop_index,
+                feasible_opt=True,
+                feasible_maxsnr=True,
+                maxmin_xi=opt.xi_lower,
+                maxmin_xi_maxsnr=snr.xi_lower,
+                joint_tx_user_fraction=opt.association.joint_fraction,
+            )
+        else:
+            raise ValueError(f"unknown mode {mode!r}")
+    except HarnessInvariantError as e:
+        raise HarnessInvariantError(f"drop {drop_index}, M={m}, {mode}: {e}") from e
+    return metrics, opt, snr
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -247,31 +275,21 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         base = default_scenario(spec.antenna_counts[0], spec.num_users, rng_seed=spec.rng_seed)
     drops: dict[int, list[DropMetrics]] = {m: [] for m in spec.antenna_counts}
     traces = []
-    for d in range(spec.num_drops):
-        rng = np.random.default_rng([spec.rng_seed, d])
-        positions = sample_user_positions(
-            base.num_users, base.bs_positions, rng, MIN_BS_USER_DIST_KM
-        )
-        scn0 = base.with_users(positions)
-        beta = large_scale_fading(scn0, rng)
-        stats = ChannelStats(beta=beta, gamma=estimation_quality(scn0, beta))
+    for d, scn0, stats in iter_drops(base, spec.rng_seed, spec.num_drops):
         for m in spec.antenna_counts:
-            scn = scn0.with_antennas(m)
-            if spec.mode == "powermin":
-                metrics = _drop_powermin(stats, scn, spec.target_se)
-            else:
-                metrics, mm_opt, mm_snr = _drop_maxmin(stats, scn, spec.delta)
-                if spec.collect_traces:
-                    traces.append(
-                        {
-                            "num_antennas": m,
-                            "drop": d,
-                            "optimal": [p.to_json_dict() for p in mm_opt.trace],
-                            "max_snr": [p.to_json_dict() for p in mm_snr.trace],
-                        }
-                    )
-            metrics.drop_index = d
+            metrics, opt, snr = solve_cell(
+                stats, scn0.with_antennas(m), spec.mode, d, spec.target_se, spec.delta
+            )
             drops[m].append(metrics)
+            if spec.mode == "maxmin" and spec.collect_traces:
+                traces.append(
+                    {
+                        "num_antennas": m,
+                        "drop": d,
+                        "optimal": [p.to_json_dict() for p in opt.trace],
+                        "max_snr": [p.to_json_dict() for p in snr.trace],
+                    }
+                )
     config = {
         "spec": {
             "antenna_counts": list(spec.antenna_counts),
@@ -354,36 +372,29 @@ def emit_results(result: SweepResult, out_dir) -> tuple:
     return tuple(paths)
 
 
+def _bisection_record(mm) -> dict:
+    return {
+        "xi_lower": mm.xi_lower,
+        "xi_upper": mm.xi_upper,
+        "iterations": mm.iterations,
+        "solution": mm.last_feasible.to_json_dict() if mm.last_feasible else {"status": "zero-level"},
+        "trace": [p.to_json_dict() for p in mm.trace],
+    }
+
+
 def run_drop(scenario: NetworkScenario, mode: str = "powermin", target_se: float = DEFAULT_TARGET_SE, delta: float = 0.01) -> dict:
-    """Solve a single drop on the scenario as given; returns the full JSON record."""
-    beta = large_scale_fading(scenario)
-    stats = ChannelStats(beta=beta, gamma=estimation_quality(scenario, beta))
+    """Solve a single drop on the scenario as given, with the sweep's checks;
+    returns the full JSON record. In maxmin mode the top level holds the
+    joint bisection and ``max_snr`` the max-SNR one."""
+    _, opt, snr = solve_cell(channel_stats(scenario), scenario, mode, 0, target_se, delta)
     if mode == "powermin":
-        targets = QosTargets.uniform(target_se, scenario.num_users, scenario)
-        opt = solve_power_min(stats, targets, scenario)
-        snr = solve_max_snr(stats, targets, scenario)
-        if opt.feasible:
-            check_solution_invariants(stats, targets, scenario, opt, check_association=True)
         return {
             "mode": mode,
             "target_se": target_se,
             "optimal": opt.to_json_dict(),
             "max_snr": snr.to_json_dict(),
         }
-    if mode == "maxmin":
-        cfg = BisectionConfig(delta=delta)
-        mm = solve_max_min(stats, scenario, cfg=cfg)
-        record = mm.last_feasible.to_json_dict() if mm.last_feasible else {"status": "zero-level"}
-        return {
-            "mode": mode,
-            "delta": delta,
-            "xi_lower": mm.xi_lower,
-            "xi_upper": mm.xi_upper,
-            "iterations": mm.iterations,
-            "solution": record,
-            "trace": [p.to_json_dict() for p in mm.trace],
-        }
-    raise ValueError(f"unknown mode {mode!r}")
+    return {"mode": mode, "delta": delta, **_bisection_record(opt), "max_snr": _bisection_record(snr)}
 
 
 # --- closed-form validation ------------------------------------------------
@@ -424,8 +435,7 @@ def random_validation_scenario(index: int, rng_seed: int = 0):
         shadow_std_db=4.0,
         rng_seed=int(rng.integers(0, 2**31)),
     )
-    beta = large_scale_fading(scenario, rng)
-    stats = ChannelStats(beta=beta, gamma=estimation_quality(scenario, beta))
+    stats = channel_stats(scenario, rng)
     alloc = PowerAllocation(rng.uniform(0.05, 2.0, size=(L, K)))
     user = int(rng.integers(0, K))
     return scenario, stats, alloc, user

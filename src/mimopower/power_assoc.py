@@ -12,6 +12,11 @@ and the last L rows cap each BS at its peak power. The optimal duals
 (lambda per QoS row, mu per power row) yield the association rule: user t
 is served only by BSs attaining min_i (1 + sum_k lambda_k beta[i,k] + mu_i)
 / b_t[i], where the minimum equals lambda_t.
+
+An (L, K) bool mask restricts the association: ``build_lp(..., allowed)``
+deletes the columns of the disallowed (BS, user) pairs, which fixes those
+powers at zero and keeps the remaining columns in user-major order. The
+max-SNR baseline is the mask with one True per user, at its strongest BS.
 """
 
 from __future__ import annotations
@@ -30,55 +35,39 @@ from .se import PowerAllocation, QosTargets
 SERVING_THRESHOLD_SCALE = 1e-6
 
 
-@dataclass(frozen=True)
-class PowerMinProblem:
-    """LP ingredients: c_mat[k] = c_k and b_mat[k] = b_k (both over BS index)."""
-
-    c_mat: np.ndarray  # (K, L)
-    b_mat: np.ndarray  # (K, L); zero rows where xi_hat == 0
-    pmax: np.ndarray  # (L,)
-    sigma2_dl: float
-
-    @classmethod
-    def from_stats(
-        cls, stats: ChannelStats, targets: QosTargets, scenario: NetworkScenario
-    ) -> "PowerMinProblem":
-        if np.any(targets.xi_hat < 0.0):
-            raise ValueError("SINR thresholds must be nonnegative")
-        m_gamma = scenario.num_antennas * stats.gamma.T  # (K, L)
-        with np.errstate(divide="ignore"):
-            b_mat = np.where(targets.xi_hat[:, None] > 0.0, m_gamma / targets.xi_hat[:, None], 0.0)
-        return cls(
-            c_mat=stats.beta.T.copy(),
-            b_mat=b_mat,
-            pmax=scenario.pmax.copy(),
-            sigma2_dl=scenario.noise_dl,
-        )
+def _b_mat(stats: ChannelStats, targets: QosTargets, scenario: NetworkScenario) -> np.ndarray:
+    """(K, L) matrix whose row k is b_k; zero rows where xi_hat == 0."""
+    if np.any(targets.xi_hat < 0.0):
+        raise ValueError("SINR thresholds must be nonnegative")
+    m_gamma = scenario.num_antennas * stats.gamma.T  # (K, L)
+    with np.errstate(divide="ignore"):
+        return np.where(targets.xi_hat[:, None] > 0.0, m_gamma / targets.xi_hat[:, None], 0.0)
 
 
-def build_lp(stats: ChannelStats, targets: QosTargets, scenario: NetworkScenario) -> LinearProgram:
-    """The K + L row LP over L*K user-major power variables.
+def build_lp(
+    stats: ChannelStats,
+    targets: QosTargets,
+    scenario: NetworkScenario,
+    allowed: np.ndarray | None = None,
+) -> LinearProgram:
+    """The K + L row LP over the user-major power variables.
 
     Users with a zero SINR threshold get an all-zero (vacuous) QoS row so the
-    row layout stays fixed.
+    row layout stays fixed. ``allowed`` is an optional (L, K) bool mask:
+    the columns of disallowed (BS, user) pairs are deleted, and the rest keep
+    their user-major order.
     """
-    prob = PowerMinProblem.from_stats(stats, targets, scenario)
-    L = prob.pmax.size
-    K = prob.c_mat.shape[0]
-    n = L * K
-    a = np.zeros((K + L, n))
-    b = np.zeros(K + L)
-    for k in range(K):
-        if targets.xi_hat[k] <= 0.0:
-            continue  # vacuous constraint: 0 <= 0
-        row = np.tile(prob.c_mat[k], K)
-        row[k * L : (k + 1) * L] -= prob.b_mat[k]
-        a[k] = row
-        b[k] = -prob.sigma2_dl
-    for i in range(L):
-        a[K + i, i::L] = 1.0
-        b[K + i] = prob.pmax[i]
-    return LinearProgram(c=np.ones(n), a_ub=a, b_ub=b)
+    L, K = stats.beta.shape
+    active = targets.xi_hat > 0.0
+    # qos[k, t, i] = beta[i, k] - [t == k] * b_k[i], the coefficient of rho[i, t] in row k
+    qos = np.broadcast_to(stats.beta.T[:, None, :], (K, K, L)).copy()
+    qos[np.arange(K), np.arange(K)] -= _b_mat(stats, targets, scenario)
+    qos[~active] = 0.0  # vacuous constraint: 0 <= 0
+    a = np.vstack([qos.reshape(K, K * L), np.tile(np.eye(L), K)])
+    b = np.concatenate([np.where(active, -scenario.noise_dl, 0.0), scenario.pmax])
+    if allowed is not None:
+        a = a[:, np.asarray(allowed, dtype=bool).T.ravel()]
+    return LinearProgram(c=np.ones(a.shape[1]), a_ub=a, b_ub=b)
 
 
 @dataclass(frozen=True)
@@ -172,24 +161,13 @@ def solve_max_snr(
     at zero, so its feasible set is a subset of the optimal one.
     """
     L, K = stats.beta.shape
-    best = max_snr_assignment(stats.beta)
-    prob = PowerMinProblem.from_stats(stats, targets, scenario)
-    a = np.zeros((K + L, K))
-    b = np.zeros(K + L)
-    for k in range(K):
-        if targets.xi_hat[k] <= 0.0:
-            continue
-        a[k] = prob.c_mat[k, best]
-        a[k, k] -= prob.b_mat[k, best[k]]
-        b[k] = -prob.sigma2_dl
-    for i in range(L):
-        a[K + i, best == i] = 1.0
-        b[K + i] = prob.pmax[i]
-    sol = lp_solve(LinearProgram(c=np.ones(K), a_ub=a, b_ub=b))
+    allowed = np.zeros((L, K), dtype=bool)
+    allowed[max_snr_assignment(stats.beta), np.arange(K)] = True
+    sol = lp_solve(build_lp(stats, targets, scenario, allowed))
     if sol.status != LpStatus.OPTIMAL:
         return PowerMinResult(status=sol.status, lp_solution=sol)
     rho = np.zeros((L, K))
-    rho[best, np.arange(K)] = sol.x
+    rho.T[allowed.T] = sol.x
     return _result_from_lp(sol, rho, scenario)
 
 
@@ -223,8 +201,8 @@ def association_rule_check(
     b_t[i], and that minimum must equal lambda_t. Users with a zero SINR
     threshold pass vacuously.
     """
-    prob = PowerMinProblem.from_stats(stats, targets, scenario)
-    L, K = stats.beta.shape
+    b_mat = _b_mat(stats, targets, scenario)
+    K = stats.beta.shape[1]
     lam = np.asarray(qos_duals, dtype=float)
     mu = np.asarray(power_duals, dtype=float)
     price = 1.0 + stats.beta @ lam + mu  # per BS: 1 + sum_k lambda_k beta[i,k] + mu_i
@@ -234,7 +212,7 @@ def association_rule_check(
     for t in range(K):
         if targets.xi_hat[t] <= 0.0:
             continue
-        ratio = price / prob.b_mat[t]
+        ratio = price / b_mat[t]
         rmin = float(ratio.min())
         for i in np.flatnonzero(alloc.rho[:, t] > thr):
             gap = (ratio[i] - rmin) / rmin

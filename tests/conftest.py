@@ -4,7 +4,7 @@ import hypothesis
 import numpy as np
 import pytest
 
-from mimopower.channel import ChannelStats, estimation_quality, large_scale_fading
+from mimopower.channel import ChannelStats, channel_stats, estimation_quality
 from mimopower.harness import default_scenario
 
 hypothesis.settings.register_profile("default", max_examples=25, deadline=None)
@@ -19,16 +19,13 @@ def small_scenario():
 
 @pytest.fixture(scope="session")
 def small_stats(small_scenario):
-    beta = large_scale_fading(small_scenario)
-    return ChannelStats(beta=beta, gamma=estimation_quality(small_scenario, beta))
+    return channel_stats(small_scenario)
 
 
 def random_drop(seed, num_antennas=100, num_users=8):
     """Fresh (scenario, stats) pair on the default layout."""
     scn = default_scenario(num_antennas=num_antennas, num_users=num_users, rng_seed=seed)
-    rng = np.random.default_rng(seed)
-    beta = large_scale_fading(scn, rng)
-    return scn, ChannelStats(beta=beta, gamma=estimation_quality(scn, beta))
+    return scn, channel_stats(scn, np.random.default_rng(seed))
 
 
 def single_cell(num_antennas=100, beta=2e-13, gamma=None, num_users=1, pmax=40.0, rng_seed=0):

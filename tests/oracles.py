@@ -5,6 +5,9 @@ The LP oracle enumerates every basic feasible point of
 rows and zeroes all but |S| variables, so it suffices to solve the small
 |S| x |S| systems over all (row subset, support) pairs. This stays
 completely independent of the simplex implementation under test.
+
+power_min_lp_rows writes the power-min LP row by row, the loop-form
+reference for the broadcasting builder.
 """
 
 from itertools import combinations
@@ -59,3 +62,21 @@ def random_feasible_lp(rng, max_vars=12, max_rows=4):
     b = a @ x0 + margin
     c = np.abs(rng.normal(size=n))
     return a, b, c
+
+
+def power_min_lp_rows(beta, gamma, xi_hat, num_antennas, noise_dl, pmax):
+    """(a_ub, b_ub) of the power-min LP written row by row from the model:
+    QoS row k has beta[i, k] at column t*L + i, minus b_k[i] when t == k."""
+    L, K = beta.shape
+    a = np.zeros((K + L, K * L))
+    b = np.zeros(K + L)
+    for k in range(K):
+        if xi_hat[k] > 0.0:
+            for t in range(K):
+                a[k, t * L : (t + 1) * L] = beta[:, k]
+            a[k, k * L : (k + 1) * L] -= num_antennas * gamma[:, k] / xi_hat[k]
+            b[k] = -noise_dl
+    for i in range(L):
+        a[K + i, i::L] = 1.0
+        b[K + i] = pmax[i]
+    return a, b

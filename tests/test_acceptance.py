@@ -11,10 +11,10 @@ import pytest
 from conftest import single_cell
 from oracles import brute_force_lp_min, random_feasible_lp
 
-from mimopower.channel import ChannelStats, estimation_quality, large_scale_fading, sample_user_positions
 from mimopower.harness import (
     SweepSpec,
     default_scenario,
+    iter_drops,
     run_sweep,
     validate_closed_form,
 )
@@ -34,23 +34,12 @@ def report(num, desc, passed, detail=""):
     assert passed, line
 
 
-def iter_default_drops(num_drops, seed, num_users=20):
-    """Replicates the sweep's drop sampling for direct per-drop checks."""
-    base = default_scenario(ANTENNAS[0], num_users, rng_seed=seed)
-    for d in range(num_drops):
-        rng = np.random.default_rng([seed, d])
-        pos = sample_user_positions(base.num_users, base.bs_positions, rng, 0.01)
-        scn0 = base.with_users(pos)
-        beta = large_scale_fading(scn0, rng)
-        stats = ChannelStats(beta=beta, gamma=estimation_quality(scn0, beta))
-        yield d, scn0, stats
-
-
 @pytest.fixture(scope="module")
 def drops_200():
     """200 default drops solved at every antenna count with full diagnostics."""
     records = []
-    for d, scn0, stats in iter_default_drops(200, seed=11):
+    base = default_scenario(ANTENNAS[0], 20, rng_seed=11)
+    for d, scn0, stats in iter_drops(base, 11, 200):
         for m in ANTENNAS:
             scn = scn0.with_antennas(m)
             targets = QosTargets.uniform(1.0, scn.num_users, scn)
@@ -252,7 +241,8 @@ def test_power_trend_nonincreasing_in_antennas(powermin_500):
 
 def test_criterion_8_bisection_contract():
     mismatches = []
-    for d, scn0, stats in iter_default_drops(50, seed=23):
+    base = default_scenario(ANTENNAS[0], 20, rng_seed=23)
+    for d, scn0, stats in iter_drops(base, 23, 50):
         scn = scn0.with_antennas(100)
         res = solve_max_min(stats, scn)
         bound = auto_upper_bound(stats, scn, np.ones(scn.num_users))

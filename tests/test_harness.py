@@ -3,17 +3,22 @@ import json
 import numpy as np
 import pytest
 
-from mimopower import cli
+from mimopower import cli, harness
 from mimopower.channel import dbm_to_watt, save_scenario
 from mimopower.harness import (
     DropMetrics,
+    HarnessInvariantError,
     SweepSpec,
     default_scenario,
     emit_results,
+    iter_drops,
     pilot_power_from_energy,
     run_drop,
     run_sweep,
 )
+from mimopower.lp import LpStatus
+from mimopower.power_assoc import PowerMinResult, solve_max_snr, solve_power_min
+from mimopower.se import QosTargets
 
 
 class TestDefaults:
@@ -95,6 +100,25 @@ class TestSweeps:
         t2 = run_sweep(spec).table
         assert t1 == t2
 
+    def test_iter_drops_are_the_sweeps_drops(self):
+        spec = SweepSpec(antenna_counts=(60, 120), num_drops=4, rng_seed=6, num_users=8)
+        result = run_sweep(spec)
+        base = default_scenario(spec.antenna_counts[0], spec.num_users, rng_seed=spec.rng_seed)
+        for d, scn0, stats in iter_drops(base, spec.rng_seed, spec.num_drops):
+            for m in spec.antenna_counts:
+                scn = scn0.with_antennas(m)
+                res = solve_power_min(stats, QosTargets.uniform(spec.target_se, 8, scn), scn)
+                assert res.objective == result.drops[m][d].total_power_opt
+
+    def test_invariant_error_names_its_cell(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise HarnessInvariantError("injected")
+
+        monkeypatch.setattr(harness, "check_solution_invariants", broken)
+        spec = SweepSpec(antenna_counts=(100,), num_drops=1, rng_seed=3, num_users=6, target_se=0.5)
+        with pytest.raises(HarnessInvariantError, match=r"^drop 0, M=100, powermin: injected$"):
+            run_sweep(spec)
+
     def test_scenario_file_template(self, tmp_path, small_scenario):
         path = tmp_path / "scn.json"
         save_scenario(small_scenario, path)
@@ -157,10 +181,21 @@ class TestRunDrop:
             assert rho.shape == (4, 6)
             assert np.all(rho >= 0)
 
+    def test_powermin_checks_feasible_set_inclusion(self, small_scenario, small_stats, monkeypatch):
+        targets = QosTargets.uniform(0.5, small_scenario.num_users, small_scenario)
+        assert solve_max_snr(small_stats, targets, small_scenario).feasible
+        monkeypatch.setattr(
+            harness, "solve_power_min", lambda *args: PowerMinResult(status=LpStatus.INFEASIBLE)
+        )
+        with pytest.raises(HarnessInvariantError, match="max-SNR feasible"):
+            run_drop(small_scenario, mode="powermin", target_se=0.5)
+
     def test_maxmin_record(self, small_scenario):
         rec = run_drop(small_scenario, mode="maxmin", delta=0.2)
-        assert rec["xi_upper"] - rec["xi_lower"] <= 0.2
-        assert rec["iterations"] == len(rec["trace"])
+        for bisection in (rec, rec["max_snr"]):
+            assert bisection["xi_upper"] - bisection["xi_lower"] <= 0.2
+            assert bisection["iterations"] == len(bisection["trace"])
+        assert rec["xi_lower"] >= rec["max_snr"]["xi_lower"] - 0.2
 
     def test_unknown_mode(self, small_scenario):
         with pytest.raises(ValueError):

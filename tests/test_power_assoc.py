@@ -3,12 +3,13 @@ import json
 import numpy as np
 import pytest
 from conftest import random_drop, single_cell
+from oracles import power_min_lp_rows
 
 from mimopower.channel import ChannelStats
 from mimopower.lp import LpStatus
 from mimopower.power_assoc import (
     AssociationMap,
-    PowerMinProblem,
+    _b_mat,
     association_rule_check,
     build_lp,
     max_snr_assignment,
@@ -41,12 +42,43 @@ class TestBuildLp:
 
     def test_b_vector_ties_to_estimation_quality(self, small_scenario, small_stats):
         targets = targets_for(small_scenario, 1.3)
-        prob = PowerMinProblem.from_stats(small_stats, targets, small_scenario)
+        b_mat = _b_mat(small_stats, targets, small_scenario)
         np.testing.assert_allclose(
-            prob.b_mat * targets.xi_hat[:, None],
+            b_mat * targets.xi_hat[:, None],
             small_scenario.num_antennas * small_stats.gamma.T,
             rtol=1e-15,
         )
+
+    def test_negative_threshold_rejected(self, small_scenario, small_stats):
+        good = targets_for(small_scenario)
+        xi_hat = good.xi_hat.copy()
+        xi_hat[2] = -0.1
+        bad = QosTargets(xi=good.xi, xi_hat=xi_hat, weights=good.weights)
+        alloc = PowerAllocation(np.ones((4, 6)))
+        with pytest.raises(ValueError, match="nonnegative"):
+            build_lp(small_stats, bad, small_scenario)
+        with pytest.raises(ValueError, match="nonnegative"):
+            association_rule_check(small_stats, bad, small_scenario, alloc, np.ones(6), np.zeros(4))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rows_and_mask_match_references(self, seed):
+        scn, stats = random_drop(seed, num_antennas=80, num_users=7)
+        rng = np.random.default_rng(seed)
+        xi = rng.uniform(0.2, 2.0, scn.num_users)
+        xi[rng.random(scn.num_users) < 0.3] = 0.0  # some zero-target users
+        targets = QosTargets.from_se(xi, scn.coherence_length, scn.pilot_length)
+        full = build_lp(stats, targets, scn)
+        a_ref, b_ref = power_min_lp_rows(
+            stats.beta, stats.gamma, targets.xi_hat, scn.num_antennas, scn.noise_dl, scn.pmax
+        )
+        assert np.array_equal(full.a_ub, a_ref) and np.array_equal(full.b_ub, b_ref)
+        one_hot = np.zeros(stats.beta.shape, dtype=bool)
+        one_hot[max_snr_assignment(stats.beta), np.arange(scn.num_users)] = True
+        for mask in (one_hot, rng.random(stats.beta.shape) < 0.5, np.ones_like(one_hot)):
+            lp = build_lp(stats, targets, scn, allowed=mask)
+            assert np.array_equal(lp.a_ub, full.a_ub[:, mask.T.ravel()])
+            assert np.array_equal(lp.b_ub, full.b_ub)
+            assert np.array_equal(lp.c, full.c[mask.T.ravel()])
 
     def test_zero_thresholds_give_zero_optimum(self, small_scenario, small_stats):
         targets = QosTargets.from_se(
