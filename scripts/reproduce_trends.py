@@ -6,16 +6,16 @@ Runs two Monte-Carlo sweeps over shared user drops:
     probability, optimal vs. max-SNR association), and
   * weighted max-min SE (achievable level, joint-transmission fraction).
 
-Outputs land in <out>/powermin/ and <out>/maxmin/ as results.csv plus a
-config.json sidecar; rerunning with the same seed reproduces them byte for
-byte.
+Each sweep is ``mimopower powermin`` / ``mimopower maxmin``; outputs land in
+<out>/powermin/ and <out>/maxmin/ as results.csv plus a config.json sidecar,
+and rerunning with the same seed reproduces them byte for byte.
 """
 
 import argparse
 import sys
 import time
 
-from mimopower.harness import SweepSpec, emit_results, run_sweep
+from mimopower import cli
 
 
 def main(argv=None) -> int:
@@ -23,27 +23,20 @@ def main(argv=None) -> int:
     ap.add_argument("--drops", type=int, default=500)
     ap.add_argument("--seed", type=int, default=17)
     ap.add_argument("--antennas", default="50,100,150,200")
-    ap.add_argument("--target-se", type=float, default=1.0)
+    ap.add_argument("--target-se", type=float, default=1.0, help="powermin SE target (bit/symbol)")
     ap.add_argument("--out", default="results")
     args = ap.parse_args(argv)
-    antennas = tuple(int(tok) for tok in args.antennas.split(","))
 
+    codes = []
     for mode in ("powermin", "maxmin"):
-        spec = SweepSpec(
-            antenna_counts=antennas,
-            mode=mode,
-            target_se=args.target_se,
-            num_drops=args.drops,
-            rng_seed=args.seed,
-        )
+        sweep = [mode, "--drops", str(args.drops), "--seed", str(args.seed)]
+        sweep += ["--antennas", args.antennas, "--out", f"{args.out}/{mode}"]
+        if mode == "powermin":
+            sweep += ["--target-se", repr(args.target_se)]
         t0 = time.time()
-        result = run_sweep(spec)
-        print(f"{mode}: {args.drops} drops x {len(antennas)} antenna counts in {time.time() - t0:.1f} s")
-        for path in emit_results(result, f"{args.out}/{mode}"):
-            print(f"  wrote {path}")
-        for m, name, value in result.table:
-            print(f"  M={m:4d} {name} = {value}")
-    return 0
+        codes.append(cli.main(sweep))
+        print(f"{mode}: {args.drops} drops in {time.time() - t0:.1f} s")
+    return next((code for code in codes if code), cli.EXIT_OK)
 
 
 if __name__ == "__main__":

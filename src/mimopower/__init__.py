@@ -15,8 +15,8 @@ from .harness import SweepSpec, default_scenario, emit_results, run_drop, run_sw
 from .lp import LinearProgram, LpSolution, LpStatus
 from .lp import solve as lp_solve
 from .lp import verify as lp_verify
-from .maxmin import BisectionConfig, MaxMinResult, auto_upper_bound, solve_max_min
-from .mc_oracle import McConfig, estimate_sinr_terms, mrt_precoder, sample_channel_pair
+from .maxmin import MaxMinResult, auto_upper_bound, solve_max_min
+from .mc_oracle import McConfig, estimate_sinr_terms
 from .power_assoc import (
     AssociationMap,
     PowerMinResult,
@@ -29,7 +29,6 @@ from .se import (
     PowerAllocation,
     QosTargets,
     qos_to_threshold,
-    se_mrt,
     se_mrt_all,
     sinr_mrt,
     sinr_mrt_all,

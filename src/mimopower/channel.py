@@ -26,10 +26,6 @@ def dbm_to_watt(dbm):
     return 10.0 ** (np.asarray(dbm, dtype=float) / 10.0) * 1e-3
 
 
-def watt_to_dbm(watt):
-    return 10.0 * np.log10(np.asarray(watt, dtype=float) / 1e-3)
-
-
 def path_loss_db(distance_km):
     """Average channel gain in dB (negative) at the given distance in km."""
     d = np.asarray(distance_km, dtype=float)

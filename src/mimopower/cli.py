@@ -13,6 +13,7 @@ a way that still produced output), 1 on errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -23,6 +24,7 @@ from .harness import (
     SweepSpec,
     default_scenario,
     emit_results,
+    results_csv,
     run_drop,
     run_sweep,
     validate_closed_form,
@@ -77,6 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("drop", help="solve one drop, print full JSON result")
     _add_common(p)
+    # Unset, --scenario keeps the file's rng_seed and the default drop uses 0.
+    p.set_defaults(seed=None)
     p.add_argument("--mode", choices=("powermin", "maxmin"), default="powermin")
     p.add_argument("--target-se", type=float, default=DEFAULT_TARGET_SE)
     p.add_argument("--delta", type=float, default=0.01)
@@ -101,9 +105,7 @@ def _cmd_sweep(args, mode: str) -> int:
         for path in emit_results(result, args.out):
             print(f"wrote {path}")
     else:
-        print("num_antennas,metric,value")
-        for m, name, value in result.table:
-            print(f"{m},{name},{value!r}")
+        sys.stdout.write(results_csv(result.table))
     if mode == "powermin" and not result.any_feasible:
         print("warning: every drop was infeasible", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -132,9 +134,11 @@ def _cmd_drop(args) -> int:
         scenario = load_scenario(args.scenario)
         if args.antennas is not None:
             scenario = scenario.with_antennas(_parse_antennas(args.antennas)[0])
+        if args.seed is not None:
+            scenario = dataclasses.replace(scenario, rng_seed=args.seed)
     else:
         scenario = default_scenario(
-            _parse_antennas(args.antennas)[0], args.users, rng_seed=args.seed
+            _parse_antennas(args.antennas)[0], args.users, rng_seed=args.seed or 0
         )
     record = run_drop(scenario, mode=args.mode, target_se=args.target_se, delta=args.delta)
     text = json.dumps(record, indent=2, sort_keys=True)

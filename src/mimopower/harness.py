@@ -28,7 +28,7 @@ from .channel import (
     sample_user_positions,
     scenario_to_json_dict,
 )
-from .maxmin import BisectionConfig, solve_max_min
+from .maxmin import solve_max_min
 from .mc_oracle import McConfig, estimate_sinr_terms
 from .power_assoc import PowerMinResult, association_rule_check, solve_max_snr, solve_power_min
 from .se import PowerAllocation, QosTargets, se_mrt_all, sinr_mrt_all
@@ -47,62 +47,31 @@ class HarnessInvariantError(RuntimeError):
     """A per-drop consistency check failed; indicates a solver or model bug."""
 
 
-def pilot_power_from_energy(
-    energy_j: float,
-    pilot_length: int,
-    bandwidth_hz: float = DEFAULT_BANDWIDTH_HZ,
-    convention: str = "sequence",
-) -> float:
-    """Per-symbol pilot power in W from a pilot energy figure.
+def default_scenario(num_antennas: int, num_users: int = 20, rng_seed: int = 0) -> NetworkScenario:
+    """Reference deployment with freshly sampled user positions.
 
-    ``convention`` selects whether ``energy_j`` is the energy of the whole
-    sequence (default) or of a single pilot symbol; the two readings differ
-    by a factor pilot_length.
+    Other deployments come in as scenario JSON (``channel.load_scenario``).
     """
-    symbol_duration = 1.0 / bandwidth_hz
-    if convention == "sequence":
-        return energy_j / (pilot_length * symbol_duration)
-    if convention == "symbol":
-        return energy_j / symbol_duration
-    raise ValueError(f"unknown pilot energy convention {convention!r}")
-
-
-def default_scenario(
-    num_antennas: int,
-    num_users: int = 20,
-    rng_seed: int = 0,
-    *,
-    side_km: float = 1.0,
-    pilot_energy_j: float = DEFAULT_PILOT_ENERGY_J,
-    pilot_energy_convention: str = "sequence",
-    bandwidth_hz: float = DEFAULT_BANDWIDTH_HZ,
-    coherence_length: int = DEFAULT_COHERENCE_LENGTH,
-    pilot_length: int | None = None,
-    pmax_w: float = DEFAULT_PMAX_W,
-    noise_dbm: float = DEFAULT_NOISE_DBM,
-    shadow_std_db: float = DEFAULT_SHADOW_STD_DB,
-) -> NetworkScenario:
-    """Reference deployment with freshly sampled user positions."""
-    if pilot_length is None:
-        pilot_length = num_users
-    bs = np.array([[0.0, 0.0], [side_km, 0.0], [0.0, side_km], [side_km, side_km]])
+    pilot_length = num_users  # one orthogonal pilot symbol per user
+    bs = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     rng = np.random.default_rng(rng_seed)
     users = sample_user_positions(num_users, bs, rng, MIN_BS_USER_DIST_KM)
-    noise_w = float(dbm_to_watt(noise_dbm))
-    p = pilot_power_from_energy(pilot_energy_j, pilot_length, bandwidth_hz, pilot_energy_convention)
+    noise_w = float(dbm_to_watt(DEFAULT_NOISE_DBM))
+    # DEFAULT_PILOT_ENERGY_J is the energy of the whole pilot sequence.
+    p = DEFAULT_PILOT_ENERGY_J / (pilot_length * (1.0 / DEFAULT_BANDWIDTH_HZ))
     return NetworkScenario(
         num_bs=4,
         num_users=num_users,
         num_antennas=num_antennas,
         bs_positions=bs,
         user_positions=users,
-        coherence_length=coherence_length,
+        coherence_length=DEFAULT_COHERENCE_LENGTH,
         pilot_length=pilot_length,
         pilot_power=np.full(num_users, p),
         noise_ul=noise_w,
         noise_dl=noise_w,
-        pmax=np.full(4, pmax_w),
-        shadow_std_db=shadow_std_db,
+        pmax=np.full(4, DEFAULT_PMAX_W),
+        shadow_std_db=DEFAULT_SHADOW_STD_DB,
         rng_seed=rng_seed,
     )
 
@@ -240,9 +209,8 @@ def solve_cell(
                 joint_tx_user_fraction=opt.association.joint_fraction if opt.feasible else None,
             )
         elif mode == "maxmin":
-            cfg = BisectionConfig(delta=delta)
-            opt = solve_max_min(stats, scenario, cfg=cfg, association="optimal")
-            snr = solve_max_min(stats, scenario, cfg=cfg, association="max-snr")
+            opt = solve_max_min(stats, scenario, delta=delta, association="optimal")
+            snr = solve_max_min(stats, scenario, delta=delta, association="max-snr")
             if opt.xi_lower < snr.xi_lower - delta - 1e-12:
                 raise HarnessInvariantError("joint max-min level fell below the max-SNR level")
             for mm in (opt, snr):
@@ -348,16 +316,22 @@ def aggregate_table(spec: SweepSpec, drops: dict) -> list:
     return [(m, name, v) for (m, name, v) in rows if v is not None]
 
 
+def results_csv(table: list) -> str:
+    """The results.csv text of a result table: a header, then one
+    ``num_antennas,metric,value`` row per entry, values in repr form."""
+    lines = ["num_antennas,metric,value"]
+    for m, name, value in table:
+        lines.append(f"{m},{name},{value!r}")
+    return "\n".join(lines) + "\n"
+
+
 def emit_results(result: SweepResult, out_dir) -> tuple:
     """Write results.csv (one row per antenna-count/metric) plus a config.json
     sidecar carrying the sweep spec, base scenario and seed; returns the paths."""
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "results.csv")
-    lines = ["num_antennas,metric,value"]
-    for m, name, value in result.table:
-        lines.append(f"{m},{name},{value!r}")
     with open(csv_path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(results_csv(result.table))
     json_path = os.path.join(out_dir, "config.json")
     with open(json_path, "w") as fh:
         json.dump(result.config, fh, indent=2, sort_keys=True)

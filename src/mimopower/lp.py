@@ -90,63 +90,55 @@ class LpVerification:
         )
 
 
-class _Simplex:
-    """Revised simplex over the equality system a_std z = rhs, z >= 0."""
+def _simplex(a, rhs, cost, basis, b_inv):
+    """Minimize ``cost`` over a z = rhs, z >= 0, from a feasible ``basis`` with
+    inverse ``b_inv``.
 
-    def __init__(self, a_std, rhs, tol, pivot_tol):
-        self.a = a_std
-        self.rhs = rhs
-        self.tol = tol
-        self.pivot_tol = pivot_tol
-        self.iterations = 0
-        self.max_pivots = 10_000 + 50 * sum(a_std.shape)
+    Bland's rule: the entering variable is the smallest-index column with
+    a negative reduced cost; ratio-test ties break on the smallest basic
+    variable index. Returns (status, basis, b_inv, pivots).
+    """
+    max_pivots = 10_000 + 50 * sum(a.shape)
+    enter_tol = FEAS_TOL * (1.0 + np.abs(cost))
+    in_basis = np.zeros(a.shape[1], dtype=bool)
+    in_basis[basis] = True
+    pivots = 0
+    since_refresh = 0
+    while True:
+        y = b_inv.T @ cost[basis]
+        reduced = cost - a.T @ y
+        eligible = np.flatnonzero(~in_basis & (reduced < -enter_tol))
+        if eligible.size == 0:
+            return "optimal", basis, b_inv, pivots
+        j = int(eligible[0])
 
-    def run(self, cost, basis, b_inv):
-        """Minimize ``cost`` starting from a feasible ``basis`` with inverse ``b_inv``.
+        d = b_inv @ a[:, j]
+        xb = b_inv @ rhs
+        rows = np.flatnonzero(d > PIVOT_TOL)
+        if rows.size == 0:
+            return "unbounded", basis, b_inv, pivots
+        ratios = np.maximum(xb[rows], 0.0) / d[rows]
+        theta = ratios.min()
+        ties = rows[ratios == theta]
+        leave = int(ties[np.argmin(basis[ties])])
 
-        Bland's rule: the entering variable is the smallest-index column with
-        a negative reduced cost; ratio-test ties break on the smallest basic
-        variable index. Returns (status, basis, b_inv).
-        """
-        enter_tol = self.tol * (1.0 + np.abs(cost))
-        in_basis = np.zeros(self.a.shape[1], dtype=bool)
-        in_basis[basis] = True
-        since_refresh = 0
-        while True:
-            y = b_inv.T @ cost[basis]
-            reduced = cost - self.a.T @ y
-            eligible = np.flatnonzero(~in_basis & (reduced < -enter_tol))
-            if eligible.size == 0:
-                return "optimal", basis, b_inv
-            j = int(eligible[0])
+        in_basis[basis[leave]] = False
+        in_basis[j] = True
+        basis[leave] = j
+        piv_row = b_inv[leave] / d[leave]
+        b_inv = b_inv - np.outer(d, piv_row)
+        b_inv[leave] = piv_row
 
-            d = b_inv @ self.a[:, j]
-            xb = b_inv @ self.rhs
-            rows = np.flatnonzero(d > self.pivot_tol)
-            if rows.size == 0:
-                return "unbounded", basis, b_inv
-            ratios = np.maximum(xb[rows], 0.0) / d[rows]
-            theta = ratios.min()
-            ties = rows[ratios == theta]
-            leave = int(ties[np.argmin(basis[ties])])
-
-            in_basis[basis[leave]] = False
-            in_basis[j] = True
-            basis[leave] = j
-            piv_row = b_inv[leave] / d[leave]
-            b_inv = b_inv - np.outer(d, piv_row)
-            b_inv[leave] = piv_row
-
-            self.iterations += 1
-            since_refresh += 1
-            if since_refresh >= _REFRESH_EVERY:
-                b_inv = np.linalg.inv(self.a[:, basis])
-                since_refresh = 0
-            if self.iterations > self.max_pivots:
-                raise RuntimeError("simplex pivot limit exceeded (numerical cycling?)")
+        pivots += 1
+        since_refresh += 1
+        if since_refresh >= _REFRESH_EVERY:
+            b_inv = np.linalg.inv(a[:, basis])
+            since_refresh = 0
+        if pivots > max_pivots:
+            raise RuntimeError("simplex pivot limit exceeded (numerical cycling?)")
 
 
-def solve(lp: LinearProgram, *, tol: float = FEAS_TOL, pivot_tol: float = PIVOT_TOL) -> LpSolution:
+def solve(lp: LinearProgram) -> LpSolution:
     """Solve the LP, returning the primal vertex, exact basis duals and status.
 
     Infeasible problems carry a Farkas-style certificate: a row combination
@@ -184,14 +176,13 @@ def solve(lp: LinearProgram, *, tol: float = FEAS_TOL, pivot_tol: float = PIVOT_
     if n_art:
         cost1 = np.zeros(n + m + n_art)
         cost1[n + m :] = 1.0
-        core1 = _Simplex(a_std, b_w, tol, pivot_tol)
-        status, basis, b_inv = core1.run(cost1, basis, b_inv)
-        total_iters += core1.iterations
+        status, basis, b_inv, pivots = _simplex(a_std, b_w, cost1, basis, b_inv)
+        total_iters += pivots
         if status != "optimal":
             raise RuntimeError("phase-1 simplex cannot be unbounded")
         xb = b_inv @ b_w
         infeas = float(cost1[basis] @ xb)
-        if infeas > tol * (1.0 + float(np.abs(b_w).max(initial=0.0))):
+        if infeas > FEAS_TOL * (1.0 + float(np.abs(b_w).max(initial=0.0))):
             y1 = b_inv.T @ cost1[basis]
             cert = np.maximum(-(sign * y1) / scale, 0.0)
             return LpSolution(
@@ -200,15 +191,14 @@ def solve(lp: LinearProgram, *, tol: float = FEAS_TOL, pivot_tol: float = PIVOT_
                 infeasibility_certificate=cert,
             )
         a_std, b_w, basis, b_inv, keep_rows = _purge_artificials(
-            a_std, b_w, basis, b_inv, n + m, pivot_tol
+            a_std, b_w, basis, b_inv, n + m
         )
 
     # Phase 2 on structural + slack columns only.
     a2 = a_std[:, : n + m]
     cost2 = np.concatenate([lp.c, np.zeros(m)])
-    core2 = _Simplex(a2, b_w, tol, pivot_tol)
-    status, basis, b_inv = core2.run(cost2, basis, b_inv)
-    total_iters += core2.iterations
+    status, basis, b_inv, pivots = _simplex(a2, b_w, cost2, basis, b_inv)
+    total_iters += pivots
     if status == "unbounded":
         return LpSolution(status=LpStatus.UNBOUNDED, iterations=total_iters)
 
@@ -231,16 +221,16 @@ def solve(lp: LinearProgram, *, tol: float = FEAS_TOL, pivot_tol: float = PIVOT_
     )
 
 
-def _refined_solve(mat, rhs, steps=2):
+def _refined_solve(mat, rhs):
     if rhs.size == 0:
         return np.zeros(0)
     x = np.linalg.solve(mat, rhs)
-    for _ in range(steps):
+    for _ in range(2):
         x = x + np.linalg.solve(mat, rhs - mat @ x)
     return x
 
 
-def _purge_artificials(a_std, b_w, basis, b_inv, n_real, pivot_tol):
+def _purge_artificials(a_std, b_w, basis, b_inv, n_real):
     """Pivot zero-valued artificial variables out of the phase-1 basis.
 
     If an artificial cannot be exchanged for a real column, its tableau row
@@ -256,7 +246,7 @@ def _purge_artificials(a_std, b_w, basis, b_inv, n_real, pivot_tol):
         vals = b_inv[pos] @ a_std[:, :n_real]
         in_basis = np.zeros(n_real, dtype=bool)
         in_basis[basis[basis < n_real]] = True
-        cand = np.flatnonzero(~in_basis & (np.abs(vals) > pivot_tol))
+        cand = np.flatnonzero(~in_basis & (np.abs(vals) > PIVOT_TOL))
         if cand.size:
             j = int(cand[0])
             d = b_inv @ a_std[:, j]

@@ -18,21 +18,6 @@ from .power_assoc import AssociationMap, PowerMinResult, solve_max_snr, solve_po
 from .se import PowerAllocation, QosTargets, spectral_efficiency
 
 
-@dataclass(frozen=True)
-class BisectionConfig:
-    """Line-search accuracy ``delta`` in bit/symbol; bounds auto-size when unset."""
-
-    xi_upper_init: float | None = None
-    delta: float = 0.01
-    max_iters: int | None = None
-
-    def __post_init__(self):
-        if self.delta <= 0.0:
-            raise ValueError("delta must be positive")
-        if self.max_iters is not None and self.max_iters < 0:
-            raise ValueError("max_iters must be nonnegative")
-
-
 def expected_iterations(xi_range: float, delta: float) -> int:
     """Bisection count: smallest n with range / 2^n <= delta."""
     if xi_range <= delta:
@@ -86,10 +71,11 @@ def solve_max_min(
     stats: ChannelStats,
     scenario: NetworkScenario,
     weights=None,
-    cfg: BisectionConfig | None = None,
+    delta: float = 0.01,
     association: str = "optimal",
 ) -> MaxMinResult:
-    """Maximize the minimum weighted SE over users.
+    """Maximize the minimum weighted SE over users, to accuracy ``delta`` in
+    bit/symbol.
 
     ``association`` selects the feasibility subproblem: "optimal" uses the
     joint power/association LP, "max-snr" restricts each user to its
@@ -99,7 +85,8 @@ def solve_max_min(
     if weights is None:
         weights = np.ones(scenario.num_users)
     weights = np.asarray(weights, dtype=float)
-    cfg = cfg or BisectionConfig()
+    if delta <= 0.0:
+        raise ValueError("delta must be positive")
     if association == "optimal":
         probe_solver = solve_power_min
     elif association == "max-snr":
@@ -107,8 +94,8 @@ def solve_max_min(
     else:
         raise ValueError(f"unknown association mode {association!r}")
 
-    upper0 = cfg.xi_upper_init if cfg.xi_upper_init is not None else auto_upper_bound(stats, scenario, weights)
-    max_iters = cfg.max_iters if cfg.max_iters is not None else expected_iterations(upper0, cfg.delta)
+    upper0 = auto_upper_bound(stats, scenario, weights)
+    num_iters = expected_iterations(upper0, delta)
 
     lower = 0.0
     width = upper0
@@ -116,8 +103,9 @@ def solve_max_min(
     trace: list[ProbeRecord] = []
     it = 0
     # Width halves exactly each iteration, so the count matches
-    # expected_iterations(upper0, delta) whenever max_iters allows it.
-    while width > cfg.delta and it < max_iters:
+    # expected_iterations(upper0, delta); the cap keeps the two equal where
+    # log2 rounds.
+    while width > delta and it < num_iters:
         candidate = lower + width / 2.0
         targets = QosTargets.from_se(
             weights * candidate, scenario.coherence_length, scenario.pilot_length, weights=weights

@@ -41,42 +41,6 @@ class McConfig:
             raise ValueError("batch_size must be >= 1")
 
 
-def _complex_normal(rng, variance, shape):
-    """CN(0, variance) with independent real/imag parts of half variance each."""
-    g = rng.standard_normal((2,) + shape)
-    return np.sqrt(np.asarray(variance) / 2.0) * (g[0] + 1j * g[1])
-
-
-def sample_channel_pair(stats: ChannelStats, scenario: NetworkScenario, rng, size=None):
-    """Draw (true channels, estimated channels) for every BS-user pair.
-
-    The estimate hhat ~ CN(0, gamma I_M) and the independent error
-    e ~ CN(0, (beta - gamma) I_M) are drawn first; the true channel is
-    h = hhat - e. Returns arrays of shape (L, K, M), or (size, L, K, M).
-    """
-    L, K = stats.beta.shape
-    M = scenario.num_antennas
-    shape = (L, K, M) if size is None else (int(size), L, K, M)
-    var_axes = (..., None) if size is None else (None, ..., None)
-    gamma = stats.gamma[var_axes]
-    err_var = stats.error_variance[var_axes]
-    hhat = _complex_normal(rng, gamma, shape)
-    err = _complex_normal(rng, err_var, shape)
-    return hhat - err, hhat
-
-
-def mrt_precoder(hhat, gamma, num_antennas):
-    """MRT direction normalized by the average estimate norm sqrt(M * gamma).
-
-    The normalization is statistical, so a single realization does not have
-    unit norm; an all-zero estimate simply maps to an all-zero precoder.
-    """
-    gamma = np.asarray(gamma, dtype=float)
-    if np.any(gamma <= 0.0):
-        raise ValueError("gamma must be strictly positive")
-    return np.asarray(hhat) / np.sqrt(num_antennas * gamma)
-
-
 @dataclass
 class SinrEstimate:
     """Monte-Carlo estimate of one user's SINR with per-term statistics.

@@ -33,6 +33,8 @@ from .se import PowerAllocation, QosTargets
 # rho[i, t] > SERVING_THRESHOLD_SCALE * pmax[i] counts BS i as serving user t;
 # nonbasic simplex variables are exact zeros, the margin only guards dust.
 SERVING_THRESHOLD_SCALE = 1e-6
+# Relative tolerance of association_rule_check's dual-ratio comparisons.
+ASSOCIATION_RULE_TOL = 1e-6
 
 
 def _b_mat(stats: ChannelStats, targets: QosTargets, scenario: NetworkScenario) -> np.ndarray:
@@ -192,14 +194,13 @@ def association_rule_check(
     alloc: PowerAllocation,
     qos_duals: np.ndarray,
     power_duals: np.ndarray,
-    tol: float = 1e-6,
 ) -> AssociationCheck:
     """Check each served user against the dual association rule.
 
     For user t, every BS with positive power must attain (within relative
-    ``tol``) the minimum over i of (1 + sum_k lambda_k beta[i,k] + mu_i) /
-    b_t[i], and that minimum must equal lambda_t. Users with a zero SINR
-    threshold pass vacuously.
+    ASSOCIATION_RULE_TOL) the minimum over i of
+    (1 + sum_k lambda_k beta[i,k] + mu_i) / b_t[i], and that minimum must
+    equal lambda_t. Users with a zero SINR threshold pass vacuously.
     """
     b_mat = _b_mat(stats, targets, scenario)
     K = stats.beta.shape[1]
@@ -217,10 +218,10 @@ def association_rule_check(
         for i in np.flatnonzero(alloc.rho[:, t] > thr):
             gap = (ratio[i] - rmin) / rmin
             max_gap = max(max_gap, gap)
-            if gap > tol:
+            if gap > ASSOCIATION_RULE_TOL:
                 violations.append((t, int(i), gap))
         lam_gap = abs(rmin - lam[t]) / max(lam[t], rmin)
         max_gap = max(max_gap, lam_gap)
-        if lam_gap > tol:
+        if lam_gap > ASSOCIATION_RULE_TOL:
             violations.append((t, -1, lam_gap))
     return AssociationCheck(passed=not violations, max_rel_gap=max_gap, violations=violations)

@@ -126,14 +126,6 @@ def sinr_mrt_all(stats: ChannelStats, alloc: PowerAllocation, scenario: NetworkS
     return num / den
 
 
-def se_mrt(stats: ChannelStats, alloc: PowerAllocation, scenario: NetworkScenario, user: int) -> float:
-    return float(
-        spectral_efficiency(
-            sinr_mrt(stats, alloc, scenario, user), scenario.coherence_length, scenario.pilot_length
-        )
-    )
-
-
 def se_mrt_all(stats: ChannelStats, alloc: PowerAllocation, scenario: NetworkScenario) -> np.ndarray:
     return spectral_efficiency(
         sinr_mrt_all(stats, alloc, scenario), scenario.coherence_length, scenario.pilot_length

@@ -20,8 +20,8 @@ from mimopower.harness import (
 )
 from mimopower.lp import LinearProgram, LpStatus, solve, verify
 from mimopower.maxmin import auto_upper_bound, expected_iterations, solve_max_min
-from mimopower.power_assoc import association_rule_check, solve_max_snr, solve_power_min
-from mimopower.se import QosTargets, se_mrt_all, sinr_mrt_all
+from mimopower.power_assoc import solve_power_min
+from mimopower.se import QosTargets
 
 ANTENNAS = (50, 100, 150, 200)
 
@@ -36,38 +36,17 @@ def report(num, desc, passed, detail=""):
 
 @pytest.fixture(scope="module")
 def drops_200():
-    """200 default drops solved at every antenna count with full diagnostics."""
-    records = []
-    base = default_scenario(ANTENNAS[0], 20, rng_seed=11)
-    for d, scn0, stats in iter_drops(base, 11, 200):
-        for m in ANTENNAS:
-            scn = scn0.with_antennas(m)
-            targets = QosTargets.uniform(1.0, scn.num_users, scn)
-            opt = solve_power_min(stats, targets, scn)
-            snr = solve_max_snr(stats, targets, scn)
-            rec = {
-                "drop": d,
-                "m": m,
-                "feasible_opt": opt.feasible,
-                "feasible_snr": snr.feasible,
-            }
-            if opt.feasible:
-                check = association_rule_check(
-                    stats, targets, scn, opt.allocation, opt.qos_duals, opt.power_duals
-                )
-                se = se_mrt_all(stats, opt.allocation, scn)
-                sinr = sinr_mrt_all(stats, opt.allocation, scn)
-                rec.update(
-                    {
-                        "assoc_ok": check.passed,
-                        "assoc_gap": check.max_rel_gap,
-                        "qos_margin": float((se - targets.xi).min()),
-                        "binding_resid": float(np.abs(sinr / targets.xi_hat - 1.0).max()),
-                        "cap_excess": float((opt.allocation.per_bs_power() - scn.pmax).max()),
-                    }
-                )
-            records.append(rec)
-    return records
+    """200 default drops at every antenna count through the sweep pipeline.
+
+    harness.solve_cell checks every cell for criteria 4-6 (association rule,
+    SE margin, binding QoS rows, power caps, feasible-set inclusion) and
+    raises HarnessInvariantError naming the first cell that fails.
+    """
+    return run_sweep(SweepSpec(ANTENNAS, "powermin", 1.0, 200, rng_seed=11, num_users=20))
+
+
+def feasible_cells(result):
+    return sum(d.feasible_opt for cell in result.drops.values() for d in cell)
 
 
 @pytest.fixture(scope="module")
@@ -144,39 +123,32 @@ def test_criterion_3_analytic_single_user():
 
 
 def test_criterion_4_association_rule_on_sweep(drops_200):
-    feasible = [r for r in drops_200 if r["feasible_opt"]]
-    violations = [r for r in feasible if not r["assoc_ok"]]
-    worst = max((r["assoc_gap"] for r in feasible), default=0.0)
+    feasible = feasible_cells(drops_200)
     report(
         4,
         "association rule holds on every feasible drop of a 200-drop sweep",
-        len(violations) == 0 and len(feasible) > 0,
-        f"{len(feasible)} feasible solves, worst rel gap {worst:.2e}",
+        feasible > 0,
+        f"{feasible} feasible solves",
     )
 
 
 def test_criterion_5_qos_attainment(drops_200):
-    feasible = [r for r in drops_200 if r["feasible_opt"]]
-    min_margin = min(r["qos_margin"] for r in feasible)
-    worst_binding = max(r["binding_resid"] for r in feasible)
-    worst_cap = max(r["cap_excess"] for r in feasible)
+    feasible = feasible_cells(drops_200)
     report(
         5,
         "every feasible drop meets its SE targets with binding QoS rows",
-        min_margin >= -1e-6 and worst_binding <= 1e-8 and worst_cap <= 1e-9,
-        f"min margin {min_margin:.2e}, binding {worst_binding:.2e}, cap excess {worst_cap:.2e}",
+        feasible > 0,
+        f"{feasible} feasible solves",
     )
 
 
 def test_criterion_6_feasible_set_inclusion(drops_200, powermin_500):
-    bad = [r for r in drops_200 if r["feasible_snr"] and not r["feasible_opt"]]
-    for cell in powermin_500.drops.values():
-        bad.extend(d for d in cell if d.feasible_maxsnr and not d.feasible_opt)
+    feasible = feasible_cells(drops_200) + feasible_cells(powermin_500)
     report(
         6,
         "no drop anywhere has max-SNR feasible but joint optimization infeasible",
-        len(bad) == 0,
-        f"checked {len(drops_200)} + {sum(len(c) for c in powermin_500.drops.values())} solves",
+        feasible > 0,
+        f"{feasible} feasible solves",
     )
 
 

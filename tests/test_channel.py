@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -51,7 +52,8 @@ class TestLargeScaleFading:
         assert np.array_equal(b1, b2)
 
     def test_zero_shadowing_matches_pure_path_loss(self):
-        scn = default_scenario(32, num_users=3, rng_seed=5, shadow_std_db=0.0)
+        scn = default_scenario(32, num_users=3, rng_seed=5)
+        scn = dataclasses.replace(scn, shadow_std_db=0.0)
         beta = large_scale_fading(scn)
         d = np.linalg.norm(
             scn.bs_positions[:, None, :] - scn.user_positions[None, :, :], axis=2

@@ -1,4 +1,6 @@
 import json
+import os
+import runpy
 
 import numpy as np
 import pytest
@@ -6,13 +8,13 @@ import pytest
 from mimopower import cli, harness
 from mimopower.channel import dbm_to_watt, save_scenario
 from mimopower.harness import (
+    DEFAULT_TARGET_SE,
     DropMetrics,
     HarnessInvariantError,
     SweepSpec,
     default_scenario,
     emit_results,
     iter_drops,
-    pilot_power_from_energy,
     run_drop,
     run_sweep,
 )
@@ -36,14 +38,6 @@ class TestDefaults:
             scn.bs_positions[:, None, :] - scn.user_positions[None, :, :], axis=2
         )
         assert d.min() >= 0.01
-
-    def test_pilot_energy_conventions(self):
-        # sequence-total energy: 2e-7 J over 20 symbols of 50 ns -> 0.2 W
-        assert pilot_power_from_energy(2e-7, 20) == pytest.approx(0.2, rel=1e-12)
-        # per-symbol reading differs by exactly the pilot length
-        assert pilot_power_from_energy(2e-7, 20, convention="symbol") == pytest.approx(4.0)
-        with pytest.raises(ValueError):
-            pilot_power_from_energy(2e-7, 20, convention="per-frame")
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -271,3 +265,29 @@ class TestCli:
         code = cli.main(["drop", "--scenario", str(tmp_path / "missing.json")])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    def test_drop_seed_replaces_scenario_file_seed(self, tmp_path, small_scenario, capsys):
+        path = tmp_path / "scn.json"
+        save_scenario(small_scenario, path)
+
+        def drop_record(*seed_args):
+            cli.main(["drop", "--scenario", str(path), *seed_args])
+            return capsys.readouterr().out
+
+        assert drop_record("--seed", "1") != drop_record("--seed", "2")
+        assert drop_record() == drop_record("--seed", str(small_scenario.rng_seed))
+
+    def test_reproduce_trends_runs_both_sweeps(self, tmp_path, capsys):
+        script = os.path.join(os.path.dirname(__file__), "..", "scripts", "reproduce_trends.py")
+        main = runpy.run_path(script)["main"]
+        out = tmp_path / "trends"
+        # the CLI's --antennas parser skips the empty token
+        argv = ["--drops", "2", "--antennas", "50,,60", "--target-se", "0.5", "--out", str(out)]
+        assert main(argv) == 0
+        # --target-se only sets the powermin sweep; maxmin records the default
+        for mode, target_se in (("powermin", 0.5), ("maxmin", DEFAULT_TARGET_SE)):
+            spec = json.loads((out / mode / "config.json").read_text())["spec"]
+            assert spec["antenna_counts"] == [50, 60] and spec["num_drops"] == 2
+            assert spec["target_se"] == target_se
+            csv = (out / mode / "results.csv").read_text()
+            assert csv.startswith("num_antennas,metric,value\n")

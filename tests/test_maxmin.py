@@ -5,12 +5,7 @@ import pytest
 from conftest import random_drop, single_cell
 
 from mimopower.channel import ChannelStats
-from mimopower.maxmin import (
-    BisectionConfig,
-    auto_upper_bound,
-    expected_iterations,
-    solve_max_min,
-)
+from mimopower.maxmin import auto_upper_bound, expected_iterations, solve_max_min
 from mimopower.se import qos_to_threshold, se_mrt_all, spectral_efficiency
 
 
@@ -41,7 +36,7 @@ class TestAutoUpperBound:
         bound = auto_upper_bound(stats, scn, np.ones(1))
         assert bound == pytest.approx(xi_star, rel=5e-3)
         assert bound > xi_star  # still a strict upper bound
-        res = solve_max_min(stats, scn, cfg=BisectionConfig(delta=1e-6))
+        res = solve_max_min(stats, scn, delta=1e-6)
         assert res.xi_lower <= xi_star <= res.xi_upper
 
 
@@ -77,7 +72,7 @@ class TestBisection:
 
     def test_single_user_power_constraint_binds(self):
         scn, stats = single_cell(num_antennas=64, beta=2e-13)
-        res = solve_max_min(stats, scn, cfg=BisectionConfig(delta=0.01))
+        res = solve_max_min(stats, scn, delta=0.01)
         m, beta, gamma = 64, stats.beta[0, 0], stats.gamma[0, 0]
         sinr_full = m * 40.0 * gamma / (40.0 * beta + scn.noise_dl)
         xi_star = float(
@@ -97,16 +92,6 @@ class TestBisection:
         assert res.allocation.rho[0, 0] <= 40.0 + 1e-9
         assert rho_needed(res.xi_upper) > 40.0
 
-    def test_explicit_upper_and_iteration_cap(self):
-        scn, stats = random_drop(13, num_antennas=100, num_users=6)
-        res = solve_max_min(stats, scn, cfg=BisectionConfig(xi_upper_init=2.0, delta=0.5))
-        assert res.iterations == expected_iterations(2.0, 0.5) == 2
-        capped = solve_max_min(
-            stats, scn, cfg=BisectionConfig(xi_upper_init=2.0, delta=0.5, max_iters=1)
-        )
-        assert capped.iterations == 1
-        assert capped.xi_upper - capped.xi_lower == pytest.approx(1.0)
-
     def test_max_snr_probe_mode(self):
         scn, stats = random_drop(14, num_antennas=100, num_users=6)
         opt = solve_max_min(stats, scn, association="optimal")
@@ -117,17 +102,15 @@ class TestBisection:
 
     def test_trace_is_json_lines_ready(self):
         scn, stats = random_drop(15, num_antennas=64, num_users=4)
-        res = solve_max_min(stats, scn, cfg=BisectionConfig(xi_upper_init=1.0, delta=0.2))
+        res = solve_max_min(stats, scn, delta=0.2)
         lines = [json.dumps(p.to_json_dict()) for p in res.trace]
         assert len(lines) == res.iterations
         parsed = json.loads(lines[0])
         assert {"iteration", "candidate", "feasible", "lower", "upper"} <= parsed.keys()
 
-    def test_config_validation(self):
+    def test_config_validation(self, small_scenario, small_stats):
         with pytest.raises(ValueError):
-            BisectionConfig(delta=0.0)
-        with pytest.raises(ValueError):
-            BisectionConfig(max_iters=-1)
+            solve_max_min(small_stats, small_scenario, delta=0.0)
 
     def test_expected_iterations_formula(self):
         assert expected_iterations(1.0, 2.0) == 0

@@ -1,74 +1,9 @@
 import numpy as np
 import pytest
 
-from mimopower.channel import ChannelStats
-from mimopower.harness import default_scenario, random_validation_scenario
-from mimopower.mc_oracle import McConfig, estimate_sinr_terms, mrt_precoder, sample_channel_pair
+from mimopower.harness import random_validation_scenario
+from mimopower.mc_oracle import McConfig, estimate_sinr_terms
 from mimopower.se import PowerAllocation, sinr_mrt
-
-
-@pytest.fixture(scope="module")
-def tiny_setup():
-    scn = default_scenario(8, num_users=1, rng_seed=2)
-    scn = scn.__class__(
-        **{
-            **scn.__dict__,
-            "num_bs": 1,
-            "bs_positions": np.array([[0.0, 0.0]]),
-            "pmax": np.array([40.0]),
-        }
-    )
-    stats = ChannelStats(beta=np.array([[4e-13]]), gamma=np.array([[2.5e-13]]))
-    return scn, stats
-
-
-class TestChannelSampling:
-    def test_estimate_norm_matches_gamma(self, tiny_setup):
-        scn, stats = tiny_setup
-        rng = np.random.default_rng(0)
-        _, hhat = sample_channel_pair(stats, scn, rng, size=100_000)
-        mean_norm = np.mean(np.sum(np.abs(hhat[:, 0, 0, :]) ** 2, axis=1)) / scn.num_antennas
-        assert mean_norm == pytest.approx(stats.gamma[0, 0], rel=0.02)
-
-    def test_error_norm_matches_error_variance(self, tiny_setup):
-        scn, stats = tiny_setup
-        rng = np.random.default_rng(1)
-        h, hhat = sample_channel_pair(stats, scn, rng, size=100_000)
-        err = hhat - h
-        mean_norm = np.mean(np.sum(np.abs(err[:, 0, 0, :]) ** 2, axis=1)) / scn.num_antennas
-        assert mean_norm == pytest.approx(stats.error_variance[0, 0], rel=0.02)
-
-    def test_perfect_csi_limit_has_no_error(self, tiny_setup):
-        scn, _ = tiny_setup
-        stats = ChannelStats(beta=np.array([[4e-13]]), gamma=np.array([[4e-13]]))
-        h, hhat = sample_channel_pair(stats, scn, np.random.default_rng(3), size=100)
-        np.testing.assert_array_equal(h, hhat)
-
-    def test_fixed_seed_reproduces_draws(self, tiny_setup):
-        scn, stats = tiny_setup
-        h1, e1 = sample_channel_pair(stats, scn, np.random.default_rng(42), size=10)
-        h2, e2 = sample_channel_pair(stats, scn, np.random.default_rng(42), size=10)
-        assert np.array_equal(h1, h2) and np.array_equal(e1, e2)
-
-
-class TestPrecoder:
-    def test_zero_estimate_maps_to_zero(self):
-        w = mrt_precoder(np.zeros(8, dtype=complex), 0.5, 8)
-        np.testing.assert_array_equal(w, np.zeros(8))
-
-    def test_average_norm_is_one(self, tiny_setup):
-        scn, stats = tiny_setup
-        rng = np.random.default_rng(4)
-        _, hhat = sample_channel_pair(stats, scn, rng, size=50_000)
-        w = mrt_precoder(hhat[:, 0, 0, :], stats.gamma[0, 0], scn.num_antennas)
-        norms = np.sum(np.abs(w) ** 2, axis=1)
-        assert norms.mean() == pytest.approx(1.0, rel=0.02)
-        # statistical, not per-realization, normalization
-        assert np.abs(norms - 1.0).max() > 0.05
-
-    def test_rejects_nonpositive_gamma(self):
-        with pytest.raises(ValueError):
-            mrt_precoder(np.ones(4, dtype=complex), 0.0, 4)
 
 
 class TestSinrEstimate:

@@ -9,7 +9,6 @@ from mimopower.se import (
     PowerAllocation,
     QosTargets,
     qos_to_threshold,
-    se_mrt,
     se_mrt_all,
     sinr_mrt,
     sinr_mrt_all,
@@ -68,7 +67,7 @@ class TestSinr:
     def test_zero_power_gives_zero(self, small_scenario, small_stats):
         alloc = PowerAllocation.zeros(4, 6)
         assert sinr_mrt(small_stats, alloc, small_scenario, 0) == 0.0
-        assert se_mrt(small_stats, alloc, small_scenario, 0) == 0.0
+        assert se_mrt_all(small_stats, alloc, small_scenario)[0] == 0.0
 
     def test_single_cell_formula(self):
         scn, stats, alloc = self._single()
@@ -97,8 +96,8 @@ class TestSinr:
             k = int(rng.integers(0, 6))
             bumped = alloc.rho.copy()
             bumped[:, k] *= 1.0 + rng.uniform(0.01, 0.5)
-            before = se_mrt(small_stats, alloc, small_scenario, k)
-            after = se_mrt(small_stats, PowerAllocation(bumped), small_scenario, k)
+            before = se_mrt_all(small_stats, alloc, small_scenario)[k]
+            after = se_mrt_all(small_stats, PowerAllocation(bumped), small_scenario)[k]
             assert after > before
 
     def test_directional_bump_follows_gain_condition(self, small_scenario, small_stats):
