@@ -22,6 +22,7 @@ from .power_assoc import (
     PowerMinResult,
     association_rule_check,
     build_lp,
+    max_snr_mask,
     solve_max_snr,
     solve_power_min,
 )

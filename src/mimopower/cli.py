@@ -20,6 +20,7 @@ import sys
 
 from .channel import load_scenario
 from .harness import (
+    DEFAULT_NUM_USERS,
     DEFAULT_TARGET_SE,
     SweepSpec,
     default_scenario,
@@ -29,6 +30,7 @@ from .harness import (
     run_sweep,
     validate_closed_form,
 )
+from .maxmin import DEFAULT_DELTA
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -42,6 +44,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         "--antennas", default=None, help="comma-separated antenna counts (default 50,100,150,200)"
     )
     p.add_argument("--out", metavar="DIR", help="output directory for results.csv + config.json")
+    p.add_argument("--users", type=int, default=DEFAULT_NUM_USERS)
 
 
 def _parse_antennas(text: str | None) -> tuple:
@@ -62,13 +65,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--drops", type=int, default=200)
     p.add_argument("--target-se", type=float, default=DEFAULT_TARGET_SE, help="per-user SE target (bit/symbol)")
-    p.add_argument("--users", type=int, default=20)
 
     p = sub.add_parser("maxmin", help="max-min SE sweep")
     _add_common(p)
     p.add_argument("--drops", type=int, default=200)
-    p.add_argument("--delta", type=float, default=0.01, help="bisection accuracy (bit/symbol)")
-    p.add_argument("--users", type=int, default=20)
+    p.add_argument("--delta", type=float, default=DEFAULT_DELTA, help="bisection accuracy (bit/symbol)")
     p.add_argument("--trace", action="store_true", help="also write per-iteration traces.jsonl")
 
     p = sub.add_parser("validate", help="Monte-Carlo oracle vs. closed form")
@@ -83,8 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(seed=None)
     p.add_argument("--mode", choices=("powermin", "maxmin"), default="powermin")
     p.add_argument("--target-se", type=float, default=DEFAULT_TARGET_SE)
-    p.add_argument("--delta", type=float, default=0.01)
-    p.add_argument("--users", type=int, default=20)
+    p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
     return parser
 
 
@@ -97,7 +97,7 @@ def _cmd_sweep(args, mode: str) -> int:
         rng_seed=args.seed,
         scenario_path=args.scenario,
         num_users=args.users,
-        delta=getattr(args, "delta", 0.01),
+        delta=getattr(args, "delta", DEFAULT_DELTA),
         collect_traces=bool(getattr(args, "trace", False)),
     )
     result = run_sweep(spec)

@@ -28,9 +28,9 @@ from .channel import (
     sample_user_positions,
     scenario_to_json_dict,
 )
-from .maxmin import solve_max_min
+from .maxmin import DEFAULT_DELTA, solve_max_min
 from .mc_oracle import McConfig, estimate_sinr_terms
-from .power_assoc import PowerMinResult, association_rule_check, solve_max_snr, solve_power_min
+from .power_assoc import PowerMinResult, association_rule_check, max_snr_mask, solve_power_min
 from .se import PowerAllocation, QosTargets, se_mrt_all, sinr_mrt_all
 
 DEFAULT_BANDWIDTH_HZ = 20e6
@@ -40,6 +40,7 @@ DEFAULT_PMAX_W = 40.0
 DEFAULT_SHADOW_STD_DB = 7.0
 DEFAULT_COHERENCE_LENGTH = 200
 DEFAULT_TARGET_SE = 1.0
+DEFAULT_NUM_USERS = 20
 MIN_BS_USER_DIST_KM = 0.01
 
 
@@ -47,7 +48,9 @@ class HarnessInvariantError(RuntimeError):
     """A per-drop consistency check failed; indicates a solver or model bug."""
 
 
-def default_scenario(num_antennas: int, num_users: int = 20, rng_seed: int = 0) -> NetworkScenario:
+def default_scenario(
+    num_antennas: int, num_users: int = DEFAULT_NUM_USERS, rng_seed: int = 0
+) -> NetworkScenario:
     """Reference deployment with freshly sampled user positions.
 
     Other deployments come in as scenario JSON (``channel.load_scenario``).
@@ -86,8 +89,8 @@ class SweepSpec:
     num_drops: int = 200
     rng_seed: int = 0
     scenario_path: str | None = None
-    num_users: int = 20
-    delta: float = 0.01
+    num_users: int = DEFAULT_NUM_USERS
+    delta: float = DEFAULT_DELTA
     collect_traces: bool = False
 
     def __post_init__(self):
@@ -133,7 +136,6 @@ def check_solution_invariants(
     targets: QosTargets,
     scenario: NetworkScenario,
     result: PowerMinResult,
-    check_association: bool = False,
 ) -> None:
     """Re-assert the optimality contracts on a feasible solve (raises on failure)."""
     alloc = result.allocation
@@ -150,12 +152,9 @@ def check_solution_invariants(
         raise HarnessInvariantError(
             f"an active QoS constraint is not binding (rel. residual {binding.max():.3e})"
         )
-    if check_association:
-        report = association_rule_check(
-            stats, targets, scenario, alloc, result.qos_duals, result.power_duals
-        )
-        if not report.passed:
-            raise HarnessInvariantError(f"association rule violated: {report.violations[:5]}")
+    report = association_rule_check(stats, targets, scenario, result)
+    if not report.passed:
+        raise HarnessInvariantError(f"association rule violated: {report.violations[:5]}")
 
 
 def iter_drops(base: NetworkScenario, seed: int, num_drops: int):
@@ -190,15 +189,14 @@ def solve_cell(
         if mode == "powermin":
             targets = QosTargets.uniform(target_se, scenario.num_users, scenario)
             opt = solve_power_min(stats, targets, scenario)
-            snr = solve_max_snr(stats, targets, scenario)
+            snr = solve_power_min(stats, targets, scenario, max_snr_mask(stats.beta))
             if snr.feasible and not opt.feasible:
                 raise HarnessInvariantError("max-SNR feasible but joint optimization infeasible")
-            if opt.feasible:
-                check_solution_invariants(stats, targets, scenario, opt, check_association=True)
-            if snr.feasible:
-                check_solution_invariants(stats, targets, scenario, snr)
-                if opt.objective > snr.objective * (1.0 + 1e-9):
-                    raise HarnessInvariantError("optimal objective exceeds the max-SNR objective")
+            for res in (opt, snr):
+                if res.feasible:
+                    check_solution_invariants(stats, targets, scenario, res)
+            if snr.feasible and opt.objective > snr.objective * (1.0 + 1e-9):
+                raise HarnessInvariantError("optimal objective exceeds the max-SNR objective")
             metrics = DropMetrics(
                 num_antennas=m,
                 drop_index=drop_index,
@@ -209,8 +207,8 @@ def solve_cell(
                 joint_tx_user_fraction=opt.association.joint_fraction if opt.feasible else None,
             )
         elif mode == "maxmin":
-            opt = solve_max_min(stats, scenario, delta=delta, association="optimal")
-            snr = solve_max_min(stats, scenario, delta=delta, association="max-snr")
+            opt = solve_max_min(stats, scenario, delta=delta)
+            snr = solve_max_min(stats, scenario, delta=delta, allowed=max_snr_mask(stats.beta))
             if opt.xi_lower < snr.xi_lower - delta - 1e-12:
                 raise HarnessInvariantError("joint max-min level fell below the max-SNR level")
             for mm in (opt, snr):
@@ -356,7 +354,7 @@ def _bisection_record(mm) -> dict:
     }
 
 
-def run_drop(scenario: NetworkScenario, mode: str = "powermin", target_se: float = DEFAULT_TARGET_SE, delta: float = 0.01) -> dict:
+def run_drop(scenario: NetworkScenario, mode: str = "powermin", target_se: float = DEFAULT_TARGET_SE, delta: float = DEFAULT_DELTA) -> dict:
     """Solve a single drop on the scenario as given, with the sweep's checks;
     returns the full JSON record. In maxmin mode the top level holds the
     joint bisection and ``max_snr`` the max-SNR one."""

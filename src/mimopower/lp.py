@@ -40,7 +40,7 @@ class LinearProgram:
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.c, dtype=float))
         a = np.asarray(self.a_ub, dtype=float)
-        if a.size == 0:
+        if a.size == 0 and a.ndim != 2:
             a = a.reshape(0, c.size)
         b = np.atleast_1d(np.asarray(self.b_ub, dtype=float)) if np.size(self.b_ub) else np.zeros(0)
         object.__setattr__(self, "c", c)
@@ -147,6 +147,14 @@ def solve(lp: LinearProgram) -> LpSolution:
     bit-identical outputs.
     """
     m, n = lp.num_rows, lp.num_vars
+    if n == 0:
+        # x = [] is the only point: feasible iff no row reads 0 <= b with b < 0.
+        bad = np.flatnonzero(lp.b_ub < 0.0)
+        if bad.size:
+            cert = np.zeros(m)
+            cert[bad[0]] = 1.0
+            return LpSolution(status=LpStatus.INFEASIBLE, infeasibility_certificate=cert)
+        return LpSolution(status=LpStatus.OPTIMAL, x=np.zeros(0), objective=0.0, duals=np.zeros(m))
 
     # Row equilibration by the largest |entry|; all-zero rows keep scale 1.
     scale = np.abs(lp.a_ub).max(axis=1, initial=0.0) if m else np.zeros(0)

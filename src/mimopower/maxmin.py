@@ -3,7 +3,8 @@
 Feasibility of a candidate level xi (targets xi_k = w_k * xi) is monotone,
 so a bisection over [0, xi_upper] converges linearly; the returned
 allocation is the solution of the last feasible probe, whose candidate is
-exactly the final lower bound.
+exactly the final lower bound. Every probe is ``solve_power_min`` under one
+association mask (joint by default, or e.g. the max-SNR mask).
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelStats, NetworkScenario
-from .power_assoc import AssociationMap, PowerMinResult, solve_max_snr, solve_power_min
+from .power_assoc import AssociationMap, PowerMinResult, solve_power_min
 from .se import PowerAllocation, QosTargets, spectral_efficiency
+
+DEFAULT_DELTA = 0.01  # bisection accuracy in bit/symbol
 
 
 def expected_iterations(xi_range: float, delta: float) -> int:
@@ -71,28 +74,22 @@ def solve_max_min(
     stats: ChannelStats,
     scenario: NetworkScenario,
     weights=None,
-    delta: float = 0.01,
-    association: str = "optimal",
+    delta: float = DEFAULT_DELTA,
+    allowed=None,
 ) -> MaxMinResult:
     """Maximize the minimum weighted SE over users, to accuracy ``delta`` in
     bit/symbol.
 
-    ``association`` selects the feasibility subproblem: "optimal" uses the
-    joint power/association LP, "max-snr" restricts each user to its
-    strongest BS. A zero level is feasible by construction (zero powers), so
-    the loop always terminates with a valid interval.
+    ``allowed`` is the (L, K) association mask of every feasibility probe
+    (see ``solve_power_min``); None allows every BS. A zero level is
+    feasible by construction (zero powers), so the loop always terminates
+    with a valid interval.
     """
     if weights is None:
         weights = np.ones(scenario.num_users)
     weights = np.asarray(weights, dtype=float)
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    if association == "optimal":
-        probe_solver = solve_power_min
-    elif association == "max-snr":
-        probe_solver = solve_max_snr
-    else:
-        raise ValueError(f"unknown association mode {association!r}")
 
     upper0 = auto_upper_bound(stats, scenario, weights)
     num_iters = expected_iterations(upper0, delta)
@@ -110,7 +107,7 @@ def solve_max_min(
         targets = QosTargets.from_se(
             weights * candidate, scenario.coherence_length, scenario.pilot_length, weights=weights
         )
-        res = probe_solver(stats, targets, scenario)
+        res = solve_power_min(stats, targets, scenario, allowed)
         if res.feasible:
             lower = candidate
             best = res

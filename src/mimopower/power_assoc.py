@@ -13,10 +13,10 @@ and the last L rows cap each BS at its peak power. The optimal duals
 is served only by BSs attaining min_i (1 + sum_k lambda_k beta[i,k] + mu_i)
 / b_t[i], where the minimum equals lambda_t.
 
-An (L, K) bool mask restricts the association: ``build_lp(..., allowed)``
-deletes the columns of the disallowed (BS, user) pairs, which fixes those
-powers at zero and keeps the remaining columns in user-major order. The
-max-SNR baseline is the mask with one True per user, at its strongest BS.
+Association is an (L, K) bool mask ``allowed`` of the (BS, user) pairs that
+may carry power; ``build_lp`` deletes the other columns. No mask is the joint
+optimum, and the max-SNR baseline is the one-hot ``max_snr_mask``. The rule
+holds for any mask, with the minimum taken over the BSs it allows.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelStats, NetworkScenario
-from .lp import LinearProgram, LpSolution, LpStatus
+from .lp import LinearProgram, LpStatus
 from .lp import solve as lp_solve
 from .se import PowerAllocation, QosTargets
 
@@ -57,7 +57,7 @@ def build_lp(
     Users with a zero SINR threshold get an all-zero (vacuous) QoS row so the
     row layout stays fixed. ``allowed`` is an optional (L, K) bool mask:
     the columns of disallowed (BS, user) pairs are deleted, and the rest keep
-    their user-major order.
+    their user-major order. A mask of any other shape raises ValueError.
     """
     L, K = stats.beta.shape
     active = targets.xi_hat > 0.0
@@ -68,6 +68,8 @@ def build_lp(
     a = np.vstack([qos.reshape(K, K * L), np.tile(np.eye(L), K)])
     b = np.concatenate([np.where(active, -scenario.noise_dl, 0.0), scenario.pmax])
     if allowed is not None:
+        if np.shape(allowed) != (L, K):
+            raise ValueError(f"allowed must be an (L, K) = {(L, K)} mask, got {np.shape(allowed)}")
         a = a[:, np.asarray(allowed, dtype=bool).T.ravel()]
     return LinearProgram(c=np.ones(a.shape[1]), a_ub=a, b_ub=b)
 
@@ -98,12 +100,12 @@ class PowerMinResult:
     """Outcome of one power-minimization solve; infeasibility is a status, not an error."""
 
     status: LpStatus
+    allowed: np.ndarray  # the (L, K) bool mask the solve was restricted to
     allocation: PowerAllocation | None = None
     association: AssociationMap | None = None
     qos_duals: np.ndarray | None = None  # lambda, one per user
     power_duals: np.ndarray | None = None  # mu, one per BS
     objective: float | None = None
-    lp_solution: LpSolution | None = None
 
     @property
     def feasible(self) -> bool:
@@ -124,53 +126,44 @@ class PowerMinResult:
         return out
 
 
-def _result_from_lp(sol: LpSolution, rho: np.ndarray, scenario: NetworkScenario) -> PowerMinResult:
-    K = scenario.num_users
+def solve_power_min(
+    stats: ChannelStats, targets: QosTargets, scenario: NetworkScenario, allowed=None
+) -> PowerMinResult:
+    """Minimum-power allocation and association for fixed SE targets, each
+    user drawing power only from the BSs the (L, K) mask ``allowed`` grants
+    it; None allows every BS, the jointly optimal association."""
+    if allowed is not None:
+        allowed = np.asarray(allowed, dtype=bool)
+    sol = lp_solve(build_lp(stats, targets, scenario, allowed))
+    mask = np.ones(stats.beta.shape, dtype=bool) if allowed is None else allowed
+    if sol.status != LpStatus.OPTIMAL:
+        return PowerMinResult(status=sol.status, allowed=mask)
+    rho = np.zeros(mask.shape)
+    rho.T[mask.T] = sol.x
     alloc = PowerAllocation(rho)
+    K = scenario.num_users
     return PowerMinResult(
         status=sol.status,
+        allowed=mask,
         allocation=alloc,
         association=AssociationMap.from_allocation(alloc, scenario.pmax),
         qos_duals=sol.duals[:K].copy(),
         power_duals=sol.duals[K:].copy(),
         objective=sol.objective,
-        lp_solution=sol,
     )
 
 
-def solve_power_min(
-    stats: ChannelStats, targets: QosTargets, scenario: NetworkScenario
-) -> PowerMinResult:
-    """Jointly optimal power allocation and association for fixed SE targets."""
-    sol = lp_solve(build_lp(stats, targets, scenario))
-    if sol.status != LpStatus.OPTIMAL:
-        return PowerMinResult(status=sol.status, lp_solution=sol)
-    rho = sol.x.reshape(scenario.num_users, scenario.num_bs).T
-    return _result_from_lp(sol, rho, scenario)
-
-
-def max_snr_assignment(beta: np.ndarray) -> np.ndarray:
-    """Strongest-average-signal BS per user; ties resolve to the lowest index."""
-    return np.argmax(beta, axis=0)
+def max_snr_mask(beta: np.ndarray) -> np.ndarray:
+    """(L, K) mask of each user's strongest-average-signal BS; ties go to the lowest index."""
+    return np.arange(beta.shape[0])[:, None] == np.argmax(beta, axis=0)
 
 
 def solve_max_snr(
     stats: ChannelStats, targets: QosTargets, scenario: NetworkScenario
 ) -> PowerMinResult:
-    """Baseline: each user may only buy power from its strongest BS.
-
-    Same cost and rows as the optimal problem with all other variables fixed
-    at zero, so its feasible set is a subset of the optimal one.
-    """
-    L, K = stats.beta.shape
-    allowed = np.zeros((L, K), dtype=bool)
-    allowed[max_snr_assignment(stats.beta), np.arange(K)] = True
-    sol = lp_solve(build_lp(stats, targets, scenario, allowed))
-    if sol.status != LpStatus.OPTIMAL:
-        return PowerMinResult(status=sol.status, lp_solution=sol)
-    rho = np.zeros((L, K))
-    rho.T[allowed.T] = sol.x
-    return _result_from_lp(sol, rho, scenario)
+    """Baseline: each user may only buy power from its strongest BS, so its
+    feasible set is a subset of the joint problem's."""
+    return solve_power_min(stats, targets, scenario, max_snr_mask(stats.beta))
 
 
 @dataclass
@@ -191,37 +184,33 @@ def association_rule_check(
     stats: ChannelStats,
     targets: QosTargets,
     scenario: NetworkScenario,
-    alloc: PowerAllocation,
-    qos_duals: np.ndarray,
-    power_duals: np.ndarray,
+    result: PowerMinResult,
 ) -> AssociationCheck:
-    """Check each served user against the dual association rule.
+    """Check each served user of a feasible solve against the dual association rule.
 
     For user t, every BS with positive power must attain (within relative
-    ASSOCIATION_RULE_TOL) the minimum over i of
-    (1 + sum_k lambda_k beta[i,k] + mu_i) / b_t[i], and that minimum must
-    equal lambda_t. Users with a zero SINR threshold pass vacuously.
+    ASSOCIATION_RULE_TOL) the minimum of (1 + sum_k lambda_k beta[i,k] + mu_i)
+    / b_t[i] over the BSs i that ``result.allowed`` grants t, and that
+    minimum must equal lambda_t. Users with a zero SINR threshold pass
+    vacuously.
     """
     b_mat = _b_mat(stats, targets, scenario)
-    K = stats.beta.shape[1]
-    lam = np.asarray(qos_duals, dtype=float)
-    mu = np.asarray(power_duals, dtype=float)
-    price = 1.0 + stats.beta @ lam + mu  # per BS: 1 + sum_k lambda_k beta[i,k] + mu_i
-    thr = SERVING_THRESHOLD_SCALE * scenario.pmax
+    lam = result.qos_duals
+    price = 1.0 + stats.beta @ lam + result.power_duals  # per BS
+    active = targets.xi_hat > 0.0
+    # Inactive users have b_t = 0: their ratios are inf and masked out below.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(result.allowed, price[:, None] / b_mat.T, np.inf)  # (L, K)
+        rmin = ratio.min(axis=0)
+        gap = (ratio - rmin) / rmin
+        lam_gap = np.abs(rmin - lam) / np.maximum(lam, rmin)
+    serving = active & (result.allocation.rho > SERVING_THRESHOLD_SCALE * scenario.pmax[:, None])
+    max_gap = max(gap.max(where=serving, initial=0.0), lam_gap.max(where=active, initial=0.0))
+    bad_bs = serving & (gap > ASSOCIATION_RULE_TOL)
+    bad_lam = active & (lam_gap > ASSOCIATION_RULE_TOL)
     violations = []
-    max_gap = 0.0
-    for t in range(K):
-        if targets.xi_hat[t] <= 0.0:
-            continue
-        ratio = price / b_mat[t]
-        rmin = float(ratio.min())
-        for i in np.flatnonzero(alloc.rho[:, t] > thr):
-            gap = (ratio[i] - rmin) / rmin
-            max_gap = max(max_gap, gap)
-            if gap > ASSOCIATION_RULE_TOL:
-                violations.append((t, int(i), gap))
-        lam_gap = abs(rmin - lam[t]) / max(lam[t], rmin)
-        max_gap = max(max_gap, lam_gap)
-        if lam_gap > ASSOCIATION_RULE_TOL:
-            violations.append((t, -1, lam_gap))
+    for t in np.flatnonzero(bad_bs.any(axis=0) | bad_lam):
+        violations += [(int(t), int(i), float(gap[i, t])) for i in np.flatnonzero(bad_bs[:, t])]
+        if bad_lam[t]:
+            violations.append((int(t), -1, float(lam_gap[t])))
     return AssociationCheck(passed=not violations, max_rel_gap=max_gap, violations=violations)

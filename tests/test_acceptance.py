@@ -49,6 +49,12 @@ def feasible_cells(result):
     return sum(d.feasible_opt for cell in result.drops.values() for d in cell)
 
 
+def table_metric(result, name):
+    """The published results.csv value of ``name`` at each antenna count."""
+    rows = {(m, metric): value for m, metric, value in result.table}
+    return [rows[(m, name)] for m in ANTENNAS]
+
+
 @pytest.fixture(scope="module")
 def maxmin_500():
     spec = SweepSpec(
@@ -155,34 +161,28 @@ def test_criterion_6_feasible_set_inclusion(drops_200, powermin_500):
 def test_criterion_7_trend_reproduction(maxmin_500, powermin_500):
     t0 = time.perf_counter()
     # (a) single-BS association fraction in max-min mode
-    singles = {}
-    for m in ANTENNAS:
-        joint = np.mean([d.joint_tx_user_fraction for d in maxmin_500.drops[m]])
-        singles[m] = 1.0 - joint
-    ok_a = all(v >= 0.90 for v in singles.values())
+    singles = table_metric(maxmin_500, "single_bs_fraction_optimal")
+    ok_a = all(v >= 0.90 for v in singles)
     report(
         "7a",
         "single-BS association fraction >= 0.90 in max-min mode",
         ok_a,
-        ", ".join(f"M={m}: {v:.3f}" for m, v in singles.items()),
+        ", ".join(f"M={m}: {v:.3f}" for m, v in zip(ANTENNAS, singles)),
     )
     # (b) mean max-min SE nondecreasing in M
-    mean_xi = [float(np.mean([d.maxmin_xi for d in maxmin_500.drops[m]])) for m in ANTENNAS]
+    mean_xi = table_metric(maxmin_500, "mean_maxmin_se_optimal")
     ok_b = all(a <= b + 1e-12 for a, b in zip(mean_xi, mean_xi[1:]))
     report("7b", "mean max-min SE nondecreasing in antennas", ok_b,
            ", ".join(f"{v:.3f}" for v in mean_xi))
     # (c) joint association beats max-SNR by a 0-20% relative gain
-    gains = []
-    for m in ANTENNAS:
-        opt = float(np.mean([d.maxmin_xi for d in maxmin_500.drops[m]]))
-        snr = float(np.mean([d.maxmin_xi_maxsnr for d in maxmin_500.drops[m]]))
-        gains.append(opt / snr - 1.0)
+    mean_xi_snr = table_metric(maxmin_500, "mean_maxmin_se_max_snr")
+    gains = [opt / snr - 1.0 for opt, snr in zip(mean_xi, mean_xi_snr)]
     ok_c = all(0.0 < g <= 0.20 for g in gains)
     report("7c", "max-min SE gain over max-SNR inside the 0-20% band", ok_c,
            ", ".join(f"{100*g:.1f}%" for g in gains))
     # (d) bad-service probability trends
-    bad_opt = [np.mean([not d.feasible_opt for d in powermin_500.drops[m]]) for m in ANTENNAS]
-    bad_snr = [np.mean([not d.feasible_maxsnr for d in powermin_500.drops[m]]) for m in ANTENNAS]
+    bad_opt = table_metric(powermin_500, "bad_service_prob_optimal")
+    bad_snr = table_metric(powermin_500, "bad_service_prob_max_snr")
     ok_d = (
         all(a >= b - 1e-12 for a, b in zip(bad_opt, bad_opt[1:]))
         and all(a >= b - 1e-12 for a, b in zip(bad_snr, bad_snr[1:]))
@@ -197,13 +197,8 @@ def test_criterion_7_trend_reproduction(maxmin_500, powermin_500):
 def test_power_trend_nonincreasing_in_antennas(powermin_500):
     # statistical harness invariant on the same 500-drop sweep: mean optimal
     # transmit power (over drops feasible for both methods) falls with M
-    means = []
-    for m in ANTENNAS:
-        both = [
-            d for d in powermin_500.drops[m] if d.feasible_opt and d.feasible_maxsnr
-        ]
-        assert both, f"no both-feasible drops at M={m}"
-        means.append(float(np.mean([d.total_power_opt for d in both])))
+    assert all(n > 0 for n in table_metric(powermin_500, "num_both_feasible"))
+    means = table_metric(powermin_500, "mean_total_power_w_optimal")
     assert all(a >= b for a, b in zip(means, means[1:])), means
     print(
         "harness invariant: mean optimal power vs antennas "

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import runpy
@@ -178,9 +179,14 @@ class TestRunDrop:
     def test_powermin_checks_feasible_set_inclusion(self, small_scenario, small_stats, monkeypatch):
         targets = QosTargets.uniform(0.5, small_scenario.num_users, small_scenario)
         assert solve_max_snr(small_stats, targets, small_scenario).feasible
-        monkeypatch.setattr(
-            harness, "solve_power_min", lambda *args: PowerMinResult(status=LpStatus.INFEASIBLE)
-        )
+        solve = harness.solve_power_min
+
+        def joint_infeasible(stats, targets, scenario, allowed=None):
+            if allowed is not None:
+                return solve(stats, targets, scenario, allowed)
+            return PowerMinResult(LpStatus.INFEASIBLE, np.ones(stats.beta.shape, dtype=bool))
+
+        monkeypatch.setattr(harness, "solve_power_min", joint_infeasible)
         with pytest.raises(HarnessInvariantError, match="max-SNR feasible"):
             run_drop(small_scenario, mode="powermin", target_se=0.5)
 
@@ -291,3 +297,23 @@ class TestCli:
             assert spec["target_se"] == target_se
             csv = (out / mode / "results.csv").read_text()
             assert csv.startswith("num_antennas,metric,value\n")
+
+
+REFERENCE_PATH = os.path.join(os.path.dirname(__file__), "..", "perfbench", "reference.json")
+
+
+@pytest.mark.parametrize("sweep", ["powermin-sweep", "maxmin-sweep"])
+def test_sweep_outputs_match_reference_digests(sweep, tmp_path, capsys):
+    """The benchmark's reference sweeps, run through the CLI, reproduce the
+    sha256 of every output file recorded in perfbench/reference.json."""
+    with open(REFERENCE_PATH) as fh:
+        ref = json.load(fh)[sweep]
+    mode = sweep.split("-")[0]
+    argv = [mode, "--drops", str(ref["drops"]), "--antennas", "50,100,150,200"]
+    argv += ["--seed", str(ref["seed"]), "--out", str(tmp_path)]
+    argv += ["--target-se", "1.0"] if mode == "powermin" else ["--trace"]
+    assert cli.main(argv) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ref["sha256"]
+    }
+    assert digests == ref["sha256"]

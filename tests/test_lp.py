@@ -38,6 +38,18 @@ class TestContractExamples:
         np.testing.assert_array_equal(sol.x, [0.0, 0.0])
         assert verify(lp, sol).worst == 0.0
 
+    def test_rows_without_columns(self):
+        # x = [] meets 0 <= b only where b >= 0; -2.5e-13 is a QoS row's -noise
+        no_cols = np.zeros((3, 0))
+        sol = solve(LinearProgram(c=np.zeros(0), a_ub=no_cols, b_ub=[40.0, -2.5e-13, -1.0]))
+        assert sol.status == LpStatus.INFEASIBLE
+        np.testing.assert_array_equal(sol.infeasibility_certificate, [0.0, 1.0, 0.0])
+        lp = LinearProgram(c=np.zeros(0), a_ub=no_cols, b_ub=[40.0, 0.0, 1.0])
+        sol = solve(lp)
+        assert sol.status == LpStatus.OPTIMAL and sol.objective == 0.0
+        np.testing.assert_array_equal(sol.duals, np.zeros(3))
+        assert verify(lp, sol).worst == 0.0
+
 
 class TestVerify:
     def test_requires_optimal(self):

@@ -6,6 +6,7 @@ from conftest import random_drop, single_cell
 
 from mimopower.channel import ChannelStats
 from mimopower.maxmin import auto_upper_bound, expected_iterations, solve_max_min
+from mimopower.power_assoc import max_snr_mask
 from mimopower.se import qos_to_threshold, se_mrt_all, spectral_efficiency
 
 
@@ -94,11 +95,15 @@ class TestBisection:
 
     def test_max_snr_probe_mode(self):
         scn, stats = random_drop(14, num_antennas=100, num_users=6)
-        opt = solve_max_min(stats, scn, association="optimal")
-        snr = solve_max_min(stats, scn, association="max-snr")
+        opt = solve_max_min(stats, scn)
+        snr = solve_max_min(stats, scn, allowed=max_snr_mask(stats.beta))
         assert opt.xi_lower >= snr.xi_lower - 0.01 - 1e-12
-        with pytest.raises(ValueError):
-            solve_max_min(stats, scn, association="bogus")
+        assert np.array_equal(snr.last_feasible.allowed, max_snr_mask(stats.beta))
+
+    def test_all_false_mask_gives_level_zero(self, small_scenario, small_stats):
+        res = solve_max_min(small_stats, small_scenario, allowed=np.zeros((4, 6), dtype=bool))
+        assert res.xi_lower == 0.0 and res.last_feasible is None
+        assert not any(p.feasible for p in res.trace)
 
     def test_trace_is_json_lines_ready(self):
         scn, stats = random_drop(15, num_antennas=64, num_users=4)

@@ -6,17 +6,19 @@ from conftest import random_drop, single_cell
 from oracles import power_min_lp_rows
 
 from mimopower.channel import ChannelStats
+from mimopower.harness import check_solution_invariants
 from mimopower.lp import LpStatus
 from mimopower.power_assoc import (
     AssociationMap,
+    PowerMinResult,
     _b_mat,
     association_rule_check,
     build_lp,
-    max_snr_assignment,
+    max_snr_mask,
     solve_max_snr,
     solve_power_min,
 )
-from mimopower.se import PowerAllocation, QosTargets, se_mrt_all, sinr_mrt_all
+from mimopower.se import PowerAllocation, QosTargets
 
 
 def targets_for(scenario, xi=1.0):
@@ -54,11 +56,17 @@ class TestBuildLp:
         xi_hat = good.xi_hat.copy()
         xi_hat[2] = -0.1
         bad = QosTargets(xi=good.xi, xi_hat=xi_hat, weights=good.weights)
-        alloc = PowerAllocation(np.ones((4, 6)))
+        result = PowerMinResult(
+            status=LpStatus.OPTIMAL,
+            allowed=np.ones((4, 6), dtype=bool),
+            allocation=PowerAllocation(np.ones((4, 6))),
+            qos_duals=np.ones(6),
+            power_duals=np.zeros(4),
+        )
         with pytest.raises(ValueError, match="nonnegative"):
             build_lp(small_stats, bad, small_scenario)
         with pytest.raises(ValueError, match="nonnegative"):
-            association_rule_check(small_stats, bad, small_scenario, alloc, np.ones(6), np.zeros(4))
+            association_rule_check(small_stats, bad, small_scenario, result)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_rows_and_mask_match_references(self, seed):
@@ -72,13 +80,44 @@ class TestBuildLp:
             stats.beta, stats.gamma, targets.xi_hat, scn.num_antennas, scn.noise_dl, scn.pmax
         )
         assert np.array_equal(full.a_ub, a_ref) and np.array_equal(full.b_ub, b_ref)
-        one_hot = np.zeros(stats.beta.shape, dtype=bool)
-        one_hot[max_snr_assignment(stats.beta), np.arange(scn.num_users)] = True
+        one_hot = max_snr_mask(stats.beta)
         for mask in (one_hot, rng.random(stats.beta.shape) < 0.5, np.ones_like(one_hot)):
             lp = build_lp(stats, targets, scn, allowed=mask)
             assert np.array_equal(lp.a_ub, full.a_ub[:, mask.T.ravel()])
             assert np.array_equal(lp.b_ub, full.b_ub)
             assert np.array_equal(lp.c, full.c[mask.T.ravel()])
+
+    def test_mask_must_be_l_by_k(self, small_scenario, small_stats):
+        targets = targets_for(small_scenario)
+        every_user_on_bs0 = np.zeros((6, 4), dtype=bool)
+        every_user_on_bs0[:, 0] = True
+        for mask in (every_user_on_bs0, np.ones((4, 5), dtype=bool)):
+            with pytest.raises(ValueError, match=r"\(L, K\) = \(4, 6\)"):
+                build_lp(small_stats, targets, small_scenario, allowed=mask)
+            with pytest.raises(ValueError, match=r"\(L, K\) = \(4, 6\)"):
+                solve_power_min(small_stats, targets, small_scenario, mask)
+
+    def test_int_mask_equals_bool_mask(self, small_scenario, small_stats):
+        targets = targets_for(small_scenario, 0.5)
+        mask = max_snr_mask(small_stats.beta)
+        by_bool = solve_power_min(small_stats, targets, small_scenario, mask)
+        by_int = solve_power_min(small_stats, targets, small_scenario, mask.astype(int))
+        assert by_bool.feasible and by_int.allowed.dtype == bool
+        assert np.array_equal(by_int.allocation.rho, by_bool.allocation.rho)
+        assert np.array_equal(by_int.qos_duals, by_bool.qos_duals)
+
+    def test_all_false_mask(self, small_scenario, small_stats):
+        none = np.zeros((4, 6), dtype=bool)
+        targets = targets_for(small_scenario)
+        assert build_lp(small_stats, targets, small_scenario, none).num_vars == 0
+        res = solve_power_min(small_stats, targets, small_scenario, none)
+        assert res.status == LpStatus.INFEASIBLE
+        zero = QosTargets.from_se(
+            np.zeros(6), small_scenario.coherence_length, small_scenario.pilot_length
+        )
+        res = solve_power_min(small_stats, zero, small_scenario, none)
+        assert res.feasible and res.objective == 0.0
+        assert np.array_equal(res.allocation.rho, np.zeros((4, 6)))
 
     def test_zero_thresholds_give_zero_optimum(self, small_scenario, small_stats):
         targets = QosTargets.from_se(
@@ -117,9 +156,7 @@ class TestSingleUserAnalytic:
         scn, stats = single_cell(num_antennas=120, beta=3e-13)
         targets = targets_for(scn, 1.2)
         res = solve_power_min(stats, targets, scn)
-        report = association_rule_check(
-            stats, targets, scn, res.allocation, res.qos_duals, res.power_duals
-        )
+        report = association_rule_check(stats, targets, scn, res)
         assert report.passed
         assert report.max_rel_gap < 1e-12
 
@@ -151,7 +188,7 @@ class TestDegenerateSplit:
 class TestMaxSnr:
     def test_assignment_breaks_ties_low(self):
         beta = np.array([[2.0, 1.0], [2.0, 3.0]])
-        np.testing.assert_array_equal(max_snr_assignment(beta), [0, 1])
+        np.testing.assert_array_equal(max_snr_mask(beta), [[True, False], [False, True]])
 
     def test_single_bs_equals_optimal(self):
         scn, stats = single_cell(num_antennas=100, num_users=3, rng_seed=4)
@@ -170,9 +207,22 @@ class TestMaxSnr:
             if snr.feasible:
                 assert opt.feasible  # feasible-set inclusion
                 assert opt.objective <= snr.objective * (1 + 1e-9)
-                best = max_snr_assignment(stats.beta)
+                best = max_snr_mask(stats.beta)
+                assert np.array_equal(snr.allowed, best)
                 for t, s in enumerate(snr.association.serving_sets):
-                    assert set(s) <= {int(best[t])}
+                    assert set(s) <= set(np.flatnonzero(best[:, t]).tolist())
+
+    def test_rule_checked_over_the_mask(self):
+        scn, stats = random_drop(3, num_antennas=100, num_users=8)
+        targets = targets_for(scn, 1.0)
+        snr = solve_max_snr(stats, targets, scn)
+        assert snr.feasible
+        report = association_rule_check(stats, targets, scn, snr)
+        assert report.passed, report.violations
+        snr.qos_duals[2] *= 1.0 + 1e-3
+        report = association_rule_check(stats, targets, scn, snr)
+        assert not report.passed
+        assert (2, -1) in {(t, i) for t, i, _ in report.violations}
 
 
 class TestSolutionContracts:
@@ -183,20 +233,13 @@ class TestSolutionContracts:
         res = solve_power_min(stats, targets, scn)
         if not res.feasible:
             pytest.skip("infeasible drop")
-        # power caps
-        assert np.all(res.allocation.per_bs_power() <= scn.pmax + 1e-9)
-        # QoS attainment and binding
-        se = se_mrt_all(stats, res.allocation, scn)
-        assert np.all(se >= targets.xi - 1e-6)
-        sinr = sinr_mrt_all(stats, res.allocation, scn)
-        np.testing.assert_allclose(sinr, targets.xi_hat, rtol=1e-8)
-        # association rule at the dual optimum
-        report = association_rule_check(
-            stats, targets, scn, res.allocation, res.qos_duals, res.power_duals
-        )
-        assert report.passed, report.violations
-        # duals are sign-correct
-        assert np.all(res.qos_duals >= -1e-12) and np.all(res.power_duals >= -1e-12)
+        # power caps, QoS attainment and binding, association rule over the mask
+        for solved in (res, solve_max_snr(stats, targets, scn)):
+            if solved.feasible:
+                check_solution_invariants(stats, targets, scn, solved)
+                # duals are sign-correct
+                assert np.all(solved.qos_duals >= -1e-12)
+                assert np.all(solved.power_duals >= -1e-12)
 
     def test_vacuous_user_passes_rule_check(self, small_scenario, small_stats):
         xi = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
@@ -207,9 +250,7 @@ class TestSolutionContracts:
         assert res.feasible
         for t in (1, 3, 5):
             assert res.association.serving_sets[t] == ()
-        report = association_rule_check(
-            small_stats, targets, small_scenario, res.allocation, res.qos_duals, res.power_duals
-        )
+        report = association_rule_check(small_stats, targets, small_scenario, res)
         assert report.passed
 
     def test_result_record_is_json_ready(self, small_scenario, small_stats):
