@@ -28,7 +28,7 @@ from .channel import (
     sample_user_positions,
     scenario_to_json_dict,
 )
-from .maxmin import DEFAULT_DELTA, solve_max_min
+from .maxmin import DEFAULT_DELTA, FeasibilityBracket, solve_max_min
 from .mc_oracle import McConfig, estimate_sinr_terms
 from .power_assoc import PowerMinResult, association_rule_check, max_snr_mask, solve_power_min
 from .se import PowerAllocation, QosTargets, se_mrt_all, sinr_mrt_all
@@ -176,13 +176,16 @@ def solve_cell(
     drop_index: int,
     target_se: float,
     delta: float,
+    brackets: tuple = (None, None),
 ) -> tuple:
     """Solve one (drop, antenna count) cell with both association methods
     and check every per-cell invariant.
 
     Returns (metrics, joint result, max-SNR result): PowerMinResults in
     powermin mode, MaxMinResults in maxmin mode. A failed check raises
-    HarnessInvariantError naming the cell.
+    HarnessInvariantError naming the cell. ``brackets`` are the joint and
+    max-SNR ``FeasibilityBracket``s of the drop's maxmin bisections; None
+    gives a bisection a fresh one.
     """
     m = scenario.num_antennas
     try:
@@ -207,8 +210,10 @@ def solve_cell(
                 joint_tx_user_fraction=opt.association.joint_fraction if opt.feasible else None,
             )
         elif mode == "maxmin":
-            opt = solve_max_min(stats, scenario, delta=delta)
-            snr = solve_max_min(stats, scenario, delta=delta, allowed=max_snr_mask(stats.beta))
+            opt = solve_max_min(stats, scenario, delta=delta, bracket=brackets[0])
+            snr = solve_max_min(
+                stats, scenario, delta=delta, allowed=max_snr_mask(stats.beta), bracket=brackets[1]
+            )
             if opt.xi_lower < snr.xi_lower - delta - 1e-12:
                 raise HarnessInvariantError("joint max-min level fell below the max-SNR level")
             for mm in (opt, snr):
@@ -216,6 +221,9 @@ def solve_cell(
                     se = se_mrt_all(stats, mm.allocation, scenario)
                     if np.any(se < mm.xi_lower - 1e-9):
                         raise HarnessInvariantError("achieved SE fell below the max-min lower bound")
+                    # xi_lower is exactly the candidate of the last feasible probe
+                    targets = QosTargets.uniform(mm.xi_lower, scenario.num_users, scenario)
+                    check_solution_invariants(stats, targets, scenario, mm.last_feasible)
             metrics = DropMetrics(
                 num_antennas=m,
                 drop_index=drop_index,
@@ -234,7 +242,8 @@ def solve_cell(
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Run the sweep: per drop, sample users and shadowing once, then solve
-    every antenna count on the same realization."""
+    every antenna count on the same realization, the maxmin bisections of
+    one drop sharing a feasibility bracket per association mask."""
     if spec.scenario_path is not None:
         base = load_scenario(spec.scenario_path)
     else:
@@ -242,9 +251,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     drops: dict[int, list[DropMetrics]] = {m: [] for m in spec.antenna_counts}
     traces = []
     for d, scn0, stats in iter_drops(base, spec.rng_seed, spec.num_drops):
+        brackets = (FeasibilityBracket(), FeasibilityBracket())
         for m in spec.antenna_counts:
             metrics, opt, snr = solve_cell(
-                stats, scn0.with_antennas(m), spec.mode, d, spec.target_se, spec.delta
+                stats, scn0.with_antennas(m), spec.mode, d, spec.target_se, spec.delta, brackets
             )
             drops[m].append(metrics)
             if spec.mode == "maxmin" and spec.collect_traces:

@@ -5,6 +5,19 @@ so a bisection over [0, xi_upper] converges linearly; the returned
 allocation is the solution of the last feasible probe, whose candidate is
 exactly the final lower bound. Every probe is ``solve_power_min`` under one
 association mask (joint by default, or e.g. the max-SNR mask).
+
+The antenna count M and the targets enter the probe LP only through the QoS
+scale s_k = M / xi_hat_k: row k's coefficient on rho_k is beta - s_k * gamma.
+With rho >= 0, a larger s_k only loosens row k, so feasibility is monotone
+in s componentwise. A ``FeasibilityBracket`` keeps the probed s-vectors of
+one drop under one mask and answers a probe without an LP when its s
+dominates a feasible one or is dominated by an infeasible one; sharing it
+across the antenna counts of a drop skips most LPs of a sweep. Inside one
+bisection it never answers, since every candidate lies strictly inside
+(lower, upper). When the last feasible level was answered by the bracket,
+its LP is solved once at exactly that candidate for the allocation and the
+duals; the solve is deterministic, so the result is the one the probe
+itself would have returned.
 """
 
 from __future__ import annotations
@@ -60,6 +73,36 @@ class ProbeRecord:
 
 
 @dataclass
+class FeasibilityBracket:
+    """Probe outcomes of one drop under one association mask, keyed by the
+    s-vectors s = M / xi_hat.
+
+    Only the minimal feasible and the maximal infeasible s-vectors are kept;
+    with uniform weights every s has equal entries, so each list holds at
+    most one vector. Entries never contradict: a probe the stored ones
+    decide is answered, not recorded.
+    """
+
+    feasible: list = field(default_factory=list)
+    infeasible: list = field(default_factory=list)
+
+    def lookup(self, s: np.ndarray) -> bool | None:
+        """True if s dominates a feasible entry, False if an infeasible entry
+        dominates s, None if no entry decides it."""
+        if any(np.all(s >= f) for f in self.feasible):
+            return True
+        if any(np.all(s <= g) for g in self.infeasible):
+            return False
+        return None
+
+    def record(self, s: np.ndarray, feasible: bool) -> None:
+        if feasible:
+            self.feasible = [f for f in self.feasible if not np.all(f >= s)] + [s]
+        else:
+            self.infeasible = [g for g in self.infeasible if not np.all(g <= s)] + [s]
+
+
+@dataclass
 class MaxMinResult:
     xi_lower: float
     xi_upper: float
@@ -76,6 +119,7 @@ def solve_max_min(
     weights=None,
     delta: float = DEFAULT_DELTA,
     allowed=None,
+    bracket: FeasibilityBracket | None = None,
 ) -> MaxMinResult:
     """Maximize the minimum weighted SE over users, to accuracy ``delta`` in
     bit/symbol.
@@ -84,6 +128,11 @@ def solve_max_min(
     (see ``solve_power_min``); None allows every BS. A zero level is
     feasible by construction (zero powers), so the loop always terminates
     with a valid interval.
+
+    ``bracket`` holds earlier probe outcomes of the same drop and mask, at
+    any antenna count (see the module docstring), and gains this call's;
+    None starts an empty one. A re-solve at a bracket-answered final level
+    that is not OPTIMAL raises RuntimeError.
     """
     if weights is None:
         weights = np.ones(scenario.num_users)
@@ -94,9 +143,12 @@ def solve_max_min(
     upper0 = auto_upper_bound(stats, scenario, weights)
     num_iters = expected_iterations(upper0, delta)
 
+    if bracket is None:
+        bracket = FeasibilityBracket()
     lower = 0.0
     width = upper0
     best: PowerMinResult | None = None
+    best_targets: QosTargets | None = None
     trace: list[ProbeRecord] = []
     it = 0
     # Width halves exactly each iteration, so the count matches
@@ -107,22 +159,34 @@ def solve_max_min(
         targets = QosTargets.from_se(
             weights * candidate, scenario.coherence_length, scenario.pilot_length, weights=weights
         )
-        res = solve_power_min(stats, targets, scenario, allowed)
-        if res.feasible:
-            lower = candidate
-            best = res
+        s = scenario.num_antennas / targets.xi_hat
+        res = None
+        feasible = bracket.lookup(s)
+        if feasible is None:
+            res = solve_power_min(stats, targets, scenario, allowed)
+            feasible = res.feasible
+            bracket.record(s, feasible)
+        if feasible:
+            lower, best, best_targets = candidate, res, targets
         width /= 2.0
         it += 1
         trace.append(
             ProbeRecord(
                 iteration=it,
                 candidate=candidate,
-                feasible=res.feasible,
+                feasible=feasible,
                 lower=lower,
                 upper=lower + width,
             )
         )
 
+    if best is None and best_targets is not None:
+        best = solve_power_min(stats, best_targets, scenario, allowed)
+        if not best.feasible:
+            raise RuntimeError(
+                f"max-min level {lower!r} is feasible by the bracket, but its re-solve is "
+                f"{best.status.value}"
+            )
     if best is not None:
         allocation, assoc = best.allocation, best.association
     else:

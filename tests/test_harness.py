@@ -114,6 +114,15 @@ class TestSweeps:
         with pytest.raises(HarnessInvariantError, match=r"^drop 0, M=100, powermin: injected$"):
             run_sweep(spec)
 
+    def test_maxmin_invariant_error_names_its_cell(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise HarnessInvariantError("injected")
+
+        monkeypatch.setattr(harness, "check_solution_invariants", broken)
+        spec = SweepSpec(antenna_counts=(100,), mode="maxmin", num_drops=1, rng_seed=3, num_users=6)
+        with pytest.raises(HarnessInvariantError, match=r"^drop 0, M=100, maxmin: injected$"):
+            run_sweep(spec)
+
     def test_scenario_file_template(self, tmp_path, small_scenario):
         path = tmp_path / "scn.json"
         save_scenario(small_scenario, path)

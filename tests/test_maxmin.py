@@ -1,13 +1,22 @@
 import json
+import re
 
 import numpy as np
 import pytest
 from conftest import random_drop, single_cell
 
+from mimopower import power_assoc
 from mimopower.channel import ChannelStats
-from mimopower.maxmin import auto_upper_bound, expected_iterations, solve_max_min
-from mimopower.power_assoc import max_snr_mask
-from mimopower.se import qos_to_threshold, se_mrt_all, spectral_efficiency
+from mimopower.harness import DEFAULT_NUM_USERS, default_scenario, iter_drops
+from mimopower.lp import LpSolution, LpStatus
+from mimopower.maxmin import (
+    FeasibilityBracket,
+    auto_upper_bound,
+    expected_iterations,
+    solve_max_min,
+)
+from mimopower.power_assoc import max_snr_mask, solve_power_min
+from mimopower.se import QosTargets, qos_to_threshold, se_mrt_all, spectral_efficiency
 
 
 class TestAutoUpperBound:
@@ -122,3 +131,86 @@ class TestBisection:
         assert expected_iterations(1.0, 1.0) == 0
         assert expected_iterations(1.0, 0.25) == 2
         assert expected_iterations(10.0, 0.01) == 10
+
+
+def count_lp_solves(monkeypatch) -> list:
+    """Patch the LP solve behind solve_power_min; the returned list grows by
+    one entry per solve."""
+    calls = []
+    real = power_assoc.lp_solve
+
+    def counting(lp):
+        calls.append(lp)
+        return real(lp)
+
+    monkeypatch.setattr(power_assoc, "lp_solve", counting)
+    return calls
+
+
+def assert_same_result(a, b):
+    assert a.trace == b.trace
+    assert (a.xi_lower, a.xi_upper, a.iterations) == (b.xi_lower, b.xi_upper, b.iterations)
+    assert np.array_equal(a.allocation.rho, b.allocation.rho)
+    assert (a.last_feasible is None) == (b.last_feasible is None)
+    if a.last_feasible is not None:
+        assert np.array_equal(a.last_feasible.qos_duals, b.last_feasible.qos_duals)
+        assert np.array_equal(a.last_feasible.power_duals, b.last_feasible.power_duals)
+
+
+class TestFeasibilityBracket:
+    def test_componentwise_dominance(self):
+        bracket = FeasibilityBracket()
+        assert bracket.lookup(np.array([1.0, 1.0])) is None
+        bracket.record(np.array([2.0, 1.0]), True)
+        bracket.record(np.array([1.0, 0.5]), False)
+        assert bracket.lookup(np.array([2.0, 3.0])) is True
+        assert bracket.lookup(np.array([0.5, 0.5])) is False
+        assert bracket.lookup(np.array([3.0, 0.9])) is None  # dominates neither way
+        # a smaller feasible s supersedes the entries it dominates
+        bracket.record(np.array([1.5, 1.0]), True)
+        assert len(bracket.feasible) == 1 and bracket.lookup(np.array([1.5, 1.0])) is True
+
+    @pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "weighted"])
+    def test_shared_bracket_agrees_with_direct_solves(self, uniform, monkeypatch):
+        antennas = (50, 100, 150, 200)
+        k = DEFAULT_NUM_USERS
+        w = np.ones(k) if uniform else np.linspace(0.5, 2.0, k)
+        calls = count_lp_solves(monkeypatch)
+        shared_solves = probes = 0
+        base = default_scenario(antennas[0], k, rng_seed=5)
+        for _, scn0, stats in iter_drops(base, 5, 3):
+            for allowed in (None, max_snr_mask(stats.beta)):
+                bracket = FeasibilityBracket()
+                for m in antennas:
+                    scn = scn0.with_antennas(m)
+                    before = len(calls)
+                    shared = solve_max_min(stats, scn, w, allowed=allowed, bracket=bracket)
+                    shared_solves += len(calls) - before
+                    probes += shared.iterations
+                    for p in shared.trace:
+                        targets = QosTargets.from_se(
+                            w * p.candidate, scn.coherence_length, scn.pilot_length, weights=w
+                        )
+                        assert solve_power_min(stats, targets, scn, allowed).feasible == p.feasible
+                    assert_same_result(shared, solve_max_min(stats, scn, w, allowed=allowed))
+        # the shared brackets answered some probes without an LP
+        assert shared_solves < probes
+
+    def test_repeat_call_solves_one_lp(self, monkeypatch):
+        scn, stats = random_drop(21, num_antennas=100, num_users=6)
+        bracket = FeasibilityBracket()
+        first = solve_max_min(stats, scn, bracket=bracket)
+        assert first.last_feasible is not None
+        calls = count_lp_solves(monkeypatch)
+        second = solve_max_min(stats, scn, bracket=bracket)
+        assert len(calls) == 1  # only the re-solve at the final lower level
+        assert_same_result(first, second)
+
+    def test_infeasible_resolve_raises(self, monkeypatch):
+        scn, stats = random_drop(21, num_antennas=100, num_users=6)
+        bracket = FeasibilityBracket()
+        level = solve_max_min(stats, scn, bracket=bracket).xi_lower
+        monkeypatch.setattr(power_assoc, "lp_solve", lambda lp: LpSolution(LpStatus.INFEASIBLE))
+        pattern = rf"^max-min level {re.escape(repr(level))} .* infeasible$"
+        with pytest.raises(RuntimeError, match=pattern):
+            solve_max_min(stats, scn, bracket=bracket)
