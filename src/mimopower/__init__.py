@@ -18,7 +18,6 @@ from .lp import verify as lp_verify
 from .maxmin import FeasibilityBracket, MaxMinResult, auto_upper_bound, solve_max_min
 from .mc_oracle import McConfig, estimate_sinr_terms
 from .power_assoc import (
-    AssociationMap,
     PowerMinResult,
     association_rule_check,
     build_lp,

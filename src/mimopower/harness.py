@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -183,7 +183,8 @@ def solve_cell(
 
     Returns (metrics, joint result, max-SNR result): PowerMinResults in
     powermin mode, MaxMinResults in maxmin mode. A failed check raises
-    HarnessInvariantError naming the cell. ``brackets`` are the joint and
+    HarnessInvariantError, and any RuntimeError is re-raised with its type
+    and a message naming the cell. ``brackets`` are the joint and
     max-SNR ``FeasibilityBracket``s of the drop's maxmin bisections; None
     gives a bisection a fresh one.
     """
@@ -207,7 +208,7 @@ def solve_cell(
                 feasible_maxsnr=snr.feasible,
                 total_power_opt=opt.objective if opt.feasible else None,
                 total_power_maxsnr=snr.objective if snr.feasible else None,
-                joint_tx_user_fraction=opt.association.joint_fraction if opt.feasible else None,
+                joint_tx_user_fraction=opt.joint_fraction if opt.feasible else None,
             )
         elif mode == "maxmin":
             opt = solve_max_min(stats, scenario, delta=delta, bracket=brackets[0])
@@ -218,7 +219,7 @@ def solve_cell(
                 raise HarnessInvariantError("joint max-min level fell below the max-SNR level")
             for mm in (opt, snr):
                 if mm.last_feasible is not None:
-                    se = se_mrt_all(stats, mm.allocation, scenario)
+                    se = se_mrt_all(stats, mm.last_feasible.allocation, scenario)
                     if np.any(se < mm.xi_lower - 1e-9):
                         raise HarnessInvariantError("achieved SE fell below the max-min lower bound")
                     # xi_lower is exactly the candidate of the last feasible probe
@@ -231,12 +232,15 @@ def solve_cell(
                 feasible_maxsnr=True,
                 maxmin_xi=opt.xi_lower,
                 maxmin_xi_maxsnr=snr.xi_lower,
-                joint_tx_user_fraction=opt.association.joint_fraction,
+                # a level-0 bisection has no feasible solve and serves nobody
+                joint_tx_user_fraction=(
+                    opt.last_feasible.joint_fraction if opt.last_feasible is not None else 0.0
+                ),
             )
         else:
             raise ValueError(f"unknown mode {mode!r}")
-    except HarnessInvariantError as e:
-        raise HarnessInvariantError(f"drop {drop_index}, M={m}, {mode}: {e}") from e
+    except RuntimeError as e:
+        raise type(e)(f"drop {drop_index}, M={m}, {mode}: {e}") from e
     return metrics, opt, snr
 
 
@@ -262,23 +266,13 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                     {
                         "num_antennas": m,
                         "drop": d,
-                        "optimal": [p.to_json_dict() for p in opt.trace],
-                        "max_snr": [p.to_json_dict() for p in snr.trace],
+                        "optimal": [asdict(p) for p in opt.trace],
+                        "max_snr": [asdict(p) for p in snr.trace],
                     }
                 )
-    config = {
-        "spec": {
-            "antenna_counts": list(spec.antenna_counts),
-            "mode": spec.mode,
-            "target_se": spec.target_se,
-            "num_drops": spec.num_drops,
-            "rng_seed": spec.rng_seed,
-            "scenario_path": spec.scenario_path,
-            "num_users": spec.num_users,
-            "delta": spec.delta,
-        },
-        "base_scenario": scenario_to_json_dict(base),
-    }
+    # collect_traces picks the files written, not their contents
+    spec_fields = {k: v for k, v in asdict(spec).items() if k != "collect_traces"}
+    config = {"spec": spec_fields, "base_scenario": scenario_to_json_dict(base)}
     return SweepResult(
         spec=spec, drops=drops, table=aggregate_table(spec, drops), config=config, traces=traces
     )
@@ -360,7 +354,7 @@ def _bisection_record(mm) -> dict:
         "xi_upper": mm.xi_upper,
         "iterations": mm.iterations,
         "solution": mm.last_feasible.to_json_dict() if mm.last_feasible else {"status": "zero-level"},
-        "trace": [p.to_json_dict() for p in mm.trace],
+        "trace": [asdict(p) for p in mm.trace],
     }
 
 

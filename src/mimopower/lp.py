@@ -177,7 +177,6 @@ def solve(lp: LinearProgram) -> LpSolution:
     basis = n + np.arange(m)
     basis[art_rows] = n + m + np.arange(n_art)
     b_inv = np.eye(m)
-    keep_rows = np.arange(m)
     total_iters = 0
 
     # Phase 1: drive artificials to zero.
@@ -198,9 +197,7 @@ def solve(lp: LinearProgram) -> LpSolution:
                 iterations=total_iters,
                 infeasibility_certificate=cert,
             )
-        a_std, b_w, basis, b_inv, keep_rows = _purge_artificials(
-            a_std, b_w, basis, b_inv, n + m
-        )
+        basis, b_inv = _purge_artificials(a_std, basis, b_inv, n + m)
 
     # Phase 2 on structural + slack columns only.
     a2 = a_std[:, : n + m]
@@ -218,13 +215,11 @@ def solve(lp: LinearProgram) -> LpSolution:
     x_full = np.zeros(n + m)
     x_full[basis] = np.maximum(xb, 0.0)
     x = x_full[:n]
-    duals = np.zeros(m)
-    duals[keep_rows] = -(sign[keep_rows] * y_eq) / scale[keep_rows]
     return LpSolution(
         status=LpStatus.OPTIMAL,
         x=x,
         objective=float(lp.c @ x),
-        duals=duals,
+        duals=-(sign * y_eq) / scale,
         iterations=total_iters,
     )
 
@@ -238,43 +233,25 @@ def _refined_solve(mat, rhs):
     return x
 
 
-def _purge_artificials(a_std, b_w, basis, b_inv, n_real):
+def _purge_artificials(a_std, basis, b_inv, n_real):
     """Pivot zero-valued artificial variables out of the phase-1 basis.
 
-    If an artificial cannot be exchanged for a real column, its tableau row
-    certifies a linearly dependent constraint row, which is deleted; the
-    caller assigns dropped rows zero duals.
+    An exchange always exists: the artificial of row r has column e_r, so
+    b_inv[pos, r] is 1 up to rounding at its basis position, and row r's
+    slack (column +-e_r) cannot be basic beside it, which makes the slack a
+    candidate. Every row has a slack, so no row is ever redundant.
     """
-    row_ids = np.arange(a_std.shape[0])
-    pos = 0
-    while pos < basis.size:
-        if basis[pos] < n_real:
-            pos += 1
-            continue
+    for pos in np.flatnonzero(basis >= n_real):
         vals = b_inv[pos] @ a_std[:, :n_real]
         in_basis = np.zeros(n_real, dtype=bool)
         in_basis[basis[basis < n_real]] = True
-        cand = np.flatnonzero(~in_basis & (np.abs(vals) > PIVOT_TOL))
-        if cand.size:
-            j = int(cand[0])
-            d = b_inv @ a_std[:, j]
-            piv_row = b_inv[pos] / d[pos]
-            b_inv = b_inv - np.outer(d, piv_row)
-            b_inv[pos] = piv_row
-            basis[pos] = j
-            pos += 1
-            continue
-        # Redundant constraint: drop the row with the largest weight in the
-        # certifying combination, then rebuild the inverse.
-        drop_local = int(np.argmax(np.abs(b_inv[pos])))
-        keep = np.flatnonzero(np.arange(a_std.shape[0]) != drop_local)
-        a_std = a_std[keep]
-        b_w = b_w[keep]
-        row_ids = row_ids[keep]
-        basis = np.delete(basis, pos)
-        b_inv = np.linalg.inv(a_std[:, basis]) if basis.size else np.zeros((0, 0))
-        pos = 0  # basis layout changed; rescan
-    return a_std, b_w, basis, b_inv, row_ids
+        j = int(np.flatnonzero(~in_basis & (np.abs(vals) > PIVOT_TOL))[0])
+        d = b_inv @ a_std[:, j]
+        piv_row = b_inv[pos] / d[pos]
+        b_inv = b_inv - np.outer(d, piv_row)
+        b_inv[pos] = piv_row
+        basis[pos] = j
+    return basis, b_inv
 
 
 def verify(lp: LinearProgram, sol: LpSolution) -> LpVerification:

@@ -1,10 +1,12 @@
 """Weighted max-min SE optimization by bisection over feasibility LPs.
 
 Feasibility of a candidate level xi (targets xi_k = w_k * xi) is monotone,
-so a bisection over [0, xi_upper] converges linearly; the returned
-allocation is the solution of the last feasible probe, whose candidate is
-exactly the final lower bound. Every probe is ``solve_power_min`` under one
-association mask (joint by default, or e.g. the max-SNR mask).
+so a bisection over [0, xi_upper] converges linearly. Every probe is
+``solve_power_min`` under one association mask (joint by default, or e.g.
+the max-SNR mask). ``MaxMinResult.last_feasible`` is the PowerMinResult of
+the last feasible probe (allocation, duals, ``serving`` mask), whose
+candidate is exactly the final lower bound; it is None when no level above
+zero was feasible.
 
 The antenna count M and the targets enter the probe LP only through the QoS
 scale s_k = M / xi_hat_k: row k's coefficient on rho_k is beta - s_k * gamma.
@@ -28,8 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelStats, NetworkScenario
-from .power_assoc import AssociationMap, PowerMinResult, solve_power_min
-from .se import PowerAllocation, QosTargets, spectral_efficiency
+from .power_assoc import PowerMinResult, solve_power_min
+from .se import QosTargets, spectral_efficiency
 
 DEFAULT_DELTA = 0.01  # bisection accuracy in bit/symbol
 
@@ -61,15 +63,6 @@ class ProbeRecord:
     feasible: bool
     lower: float
     upper: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "candidate": self.candidate,
-            "feasible": self.feasible,
-            "lower": self.lower,
-            "upper": self.upper,
-        }
 
 
 @dataclass
@@ -106,8 +99,6 @@ class FeasibilityBracket:
 class MaxMinResult:
     xi_lower: float
     xi_upper: float
-    allocation: PowerAllocation
-    association: AssociationMap
     iterations: int
     trace: list = field(default_factory=list)
     last_feasible: PowerMinResult | None = None
@@ -125,7 +116,8 @@ def solve_max_min(
     bit/symbol.
 
     ``allowed`` is the (L, K) association mask of every feasibility probe
-    (see ``solve_power_min``); None allows every BS. A zero level is
+    (see ``solve_power_min``); None allows every BS. ``weights`` must be
+    positive (ValueError otherwise) and default to ones. A zero level is
     feasible by construction (zero powers), so the loop always terminates
     with a valid interval.
 
@@ -137,6 +129,8 @@ def solve_max_min(
     if weights is None:
         weights = np.ones(scenario.num_users)
     weights = np.asarray(weights, dtype=float)
+    if np.any(weights <= 0.0):
+        raise ValueError("weights must be strictly positive")
     if delta <= 0.0:
         raise ValueError("delta must be positive")
 
@@ -157,7 +151,7 @@ def solve_max_min(
     while width > delta and it < num_iters:
         candidate = lower + width / 2.0
         targets = QosTargets.from_se(
-            weights * candidate, scenario.coherence_length, scenario.pilot_length, weights=weights
+            weights * candidate, scenario.coherence_length, scenario.pilot_length
         )
         s = scenario.num_antennas / targets.xi_hat
         res = None
@@ -187,16 +181,9 @@ def solve_max_min(
                 f"max-min level {lower!r} is feasible by the bracket, but its re-solve is "
                 f"{best.status.value}"
             )
-    if best is not None:
-        allocation, assoc = best.allocation, best.association
-    else:
-        allocation = PowerAllocation.zeros(scenario.num_bs, scenario.num_users)
-        assoc = AssociationMap.from_allocation(allocation, scenario.pmax)
     return MaxMinResult(
         xi_lower=lower,
         xi_upper=lower + width,
-        allocation=allocation,
-        association=assoc,
         iterations=it,
         trace=trace,
         last_feasible=best,

@@ -16,7 +16,9 @@ is served only by BSs attaining min_i (1 + sum_k lambda_k beta[i,k] + mu_i)
 Association is an (L, K) bool mask ``allowed`` of the (BS, user) pairs that
 may carry power; ``build_lp`` deletes the other columns. No mask is the joint
 optimum, and the max-SNR baseline is the one-hot ``max_snr_mask``. The rule
-holds for any mask, with the minimum taken over the BSs it allows.
+holds for any mask, with the minimum taken over the BSs it allows. A solve
+reports the association it found as a second (L, K) mask, ``serving``: the
+pairs whose power exceeds SERVING_THRESHOLD_SCALE times the BS's cap.
 """
 
 from __future__ import annotations
@@ -74,27 +76,6 @@ def build_lp(
     return LinearProgram(c=np.ones(a.shape[1]), a_ub=a, b_ub=b)
 
 
-@dataclass(frozen=True)
-class AssociationMap:
-    """Serving BS sets per user, derived by thresholding the allocation."""
-
-    serving_sets: tuple
-    joint_flags: np.ndarray
-
-    @classmethod
-    def from_allocation(cls, alloc: PowerAllocation, pmax: np.ndarray) -> "AssociationMap":
-        thr = SERVING_THRESHOLD_SCALE * np.asarray(pmax, dtype=float)
-        sets = tuple(
-            tuple(np.flatnonzero(alloc.rho[:, t] > thr).tolist())
-            for t in range(alloc.rho.shape[1])
-        )
-        return cls(serving_sets=sets, joint_flags=np.array([len(s) >= 2 for s in sets]))
-
-    @property
-    def joint_fraction(self) -> float:
-        return float(self.joint_flags.mean())
-
-
 @dataclass
 class PowerMinResult:
     """Outcome of one power-minimization solve; infeasibility is a status, not an error."""
@@ -102,7 +83,7 @@ class PowerMinResult:
     status: LpStatus
     allowed: np.ndarray  # the (L, K) bool mask the solve was restricted to
     allocation: PowerAllocation | None = None
-    association: AssociationMap | None = None
+    serving: np.ndarray | None = None  # (L, K) bool: BS i serves user t
     qos_duals: np.ndarray | None = None  # lambda, one per user
     power_duals: np.ndarray | None = None  # mu, one per BS
     objective: float | None = None
@@ -110,6 +91,11 @@ class PowerMinResult:
     @property
     def feasible(self) -> bool:
         return self.status == LpStatus.OPTIMAL
+
+    @property
+    def joint_fraction(self) -> float:
+        """Share of users served by two or more BSs."""
+        return float((self.serving.sum(axis=0) >= 2).mean())
 
     def to_json_dict(self) -> dict:
         out = {"status": self.status.value}
@@ -120,7 +106,7 @@ class PowerMinResult:
                     "rho": self.allocation.rho.tolist(),
                     "lambda": self.qos_duals.tolist(),
                     "mu": self.power_duals.tolist(),
-                    "serving_sets": [list(s) for s in self.association.serving_sets],
+                    "serving_sets": [np.flatnonzero(col).tolist() for col in self.serving.T],
                 }
             )
         return out
@@ -140,13 +126,12 @@ def solve_power_min(
         return PowerMinResult(status=sol.status, allowed=mask)
     rho = np.zeros(mask.shape)
     rho.T[mask.T] = sol.x
-    alloc = PowerAllocation(rho)
     K = scenario.num_users
     return PowerMinResult(
         status=sol.status,
         allowed=mask,
-        allocation=alloc,
-        association=AssociationMap.from_allocation(alloc, scenario.pmax),
+        allocation=PowerAllocation(rho),
+        serving=rho > SERVING_THRESHOLD_SCALE * scenario.pmax[:, None],
         qos_duals=sol.duals[:K].copy(),
         power_duals=sol.duals[K:].copy(),
         objective=sol.objective,
@@ -204,7 +189,7 @@ def association_rule_check(
         rmin = ratio.min(axis=0)
         gap = (ratio - rmin) / rmin
         lam_gap = np.abs(rmin - lam) / np.maximum(lam, rmin)
-    serving = active & (result.allocation.rho > SERVING_THRESHOLD_SCALE * scenario.pmax[:, None])
+    serving = active & result.serving
     max_gap = max(gap.max(where=serving, initial=0.0), lam_gap.max(where=active, initial=0.0))
     bad_bs = serving & (gap > ASSOCIATION_RULE_TOL)
     bad_lam = active & (lam_gap > ASSOCIATION_RULE_TOL)

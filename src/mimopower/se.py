@@ -40,10 +40,6 @@ class PowerAllocation:
     def total_power(self) -> float:
         return float(self.rho.sum())
 
-    @classmethod
-    def zeros(cls, num_bs: int, num_users: int) -> "PowerAllocation":
-        return cls(np.zeros((num_bs, num_users)))
-
 
 def qos_to_threshold(xi, tau_c, tau_p):
     """SINR threshold 2^(xi * tau_c / (tau_c - tau_p)) - 1 for an SE target xi."""
@@ -73,27 +69,21 @@ def spectral_efficiency(sinr, tau_c, tau_p):
 
 @dataclass(frozen=True)
 class QosTargets:
-    """Per-user SE targets xi, their SINR thresholds xi_hat, and weights."""
+    """Per-user SE targets xi and their SINR thresholds xi_hat."""
 
     xi: np.ndarray
     xi_hat: np.ndarray
-    weights: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "xi", np.asarray(self.xi, dtype=float))
         object.__setattr__(self, "xi_hat", np.asarray(self.xi_hat, dtype=float))
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
-        if not (self.xi.shape == self.xi_hat.shape == self.weights.shape):
-            raise ValueError("xi, xi_hat and weights must have equal shapes")
-        if np.any(self.weights <= 0.0):
-            raise ValueError("weights must be strictly positive")
+        if self.xi.shape != self.xi_hat.shape:
+            raise ValueError("xi and xi_hat must have equal shapes")
 
     @classmethod
-    def from_se(cls, xi, tau_c, tau_p, weights=None) -> "QosTargets":
+    def from_se(cls, xi, tau_c, tau_p) -> "QosTargets":
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        if weights is None:
-            weights = np.ones_like(xi)
-        return cls(xi=xi, xi_hat=qos_to_threshold(xi, tau_c, tau_p), weights=weights)
+        return cls(xi=xi, xi_hat=qos_to_threshold(xi, tau_c, tau_p))
 
     @classmethod
     def uniform(cls, xi: float, num_users: int, scenario: NetworkScenario) -> "QosTargets":

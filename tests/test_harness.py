@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -6,7 +7,7 @@ import runpy
 import numpy as np
 import pytest
 
-from mimopower import cli, harness
+from mimopower import cli, harness, power_assoc
 from mimopower.channel import dbm_to_watt, save_scenario
 from mimopower.harness import (
     DEFAULT_TARGET_SE,
@@ -123,6 +124,16 @@ class TestSweeps:
         with pytest.raises(HarnessInvariantError, match=r"^drop 0, M=100, maxmin: injected$"):
             run_sweep(spec)
 
+    def test_lp_error_names_its_cell(self, monkeypatch):
+        def broken(lp):
+            raise RuntimeError("simplex pivot limit exceeded")
+
+        monkeypatch.setattr(power_assoc, "lp_solve", broken)
+        spec = SweepSpec(antenna_counts=(100,), mode="maxmin", num_drops=1, rng_seed=3, num_users=6)
+        with pytest.raises(RuntimeError, match=r"^drop 0, M=100, maxmin: simplex pivot") as info:
+            run_sweep(spec)
+        assert type(info.value) is RuntimeError
+
     def test_scenario_file_template(self, tmp_path, small_scenario):
         path = tmp_path / "scn.json"
         save_scenario(small_scenario, path)
@@ -206,6 +217,14 @@ class TestRunDrop:
             assert bisection["iterations"] == len(bisection["trace"])
         assert rec["xi_lower"] >= rec["max_snr"]["xi_lower"] - 0.2
 
+    def test_maxmin_level_zero_cell(self, small_scenario, small_stats):
+        # 1e-12 W per BS puts the SE upper bound below delta: no probe runs
+        scn = dataclasses.replace(small_scenario, pmax=np.full(4, 1e-12))
+        metrics, opt, snr = harness.solve_cell(small_stats, scn, "maxmin", 0, DEFAULT_TARGET_SE, 0.01)
+        assert opt.iterations == snr.iterations == 0
+        assert opt.last_feasible is None and snr.last_feasible is None
+        assert metrics.maxmin_xi == 0.0 and metrics.joint_tx_user_fraction == 0.0
+
     def test_unknown_mode(self, small_scenario):
         with pytest.raises(ValueError):
             run_drop(small_scenario, mode="other")
@@ -218,6 +237,18 @@ class TestCli:
         record = json.loads(out)
         assert code in (0, 2)
         assert record["mode"] == "powermin"
+
+    @pytest.mark.parametrize(
+        "mode, digest",
+        [
+            ("powermin", "8bd5d6433123f151054f62ec9a6b03885649c73085e8b49e0ec644d167d54bf6"),
+            ("maxmin", "825b0ce1a27cb0ee7b37ddd5d4ea4624a976c08dc11005f766ee008f7a596171"),
+        ],
+    )
+    def test_drop_output_digest(self, mode, digest, capsys):
+        argv = ["drop", "--seed", "1", "--users", "20", "--antennas", "100", "--mode", mode]
+        assert cli.main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_powermin_sweep_writes_outputs(self, tmp_path, capsys):
         code = cli.main(

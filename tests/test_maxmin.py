@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -75,7 +76,7 @@ class TestBisection:
     def test_returned_allocation_meets_lower_bound(self):
         scn, stats = random_drop(12, num_antennas=100, num_users=6)
         res = solve_max_min(stats, scn)
-        se = se_mrt_all(stats, res.allocation, scn)
+        se = se_mrt_all(stats, res.last_feasible.allocation, scn)
         assert np.all(se >= res.xi_lower - 1e-9)
         # with unit weights the worst user sits inside the final interval
         assert res.xi_lower - 1e-9 <= se.min() <= res.xi_upper + 1e-9
@@ -98,8 +99,9 @@ class TestBisection:
 
         # the delta-window brackets the power constraint: the lower level is
         # exactly affordable, the upper level would exceed pmax
-        assert res.allocation.rho[0, 0] == pytest.approx(rho_needed(res.xi_lower), rel=1e-9)
-        assert res.allocation.rho[0, 0] <= 40.0 + 1e-9
+        rho = res.last_feasible.allocation.rho
+        assert rho[0, 0] == pytest.approx(rho_needed(res.xi_lower), rel=1e-9)
+        assert rho[0, 0] <= 40.0 + 1e-9
         assert rho_needed(res.xi_upper) > 40.0
 
     def test_max_snr_probe_mode(self):
@@ -117,7 +119,7 @@ class TestBisection:
     def test_trace_is_json_lines_ready(self):
         scn, stats = random_drop(15, num_antennas=64, num_users=4)
         res = solve_max_min(stats, scn, delta=0.2)
-        lines = [json.dumps(p.to_json_dict()) for p in res.trace]
+        lines = [json.dumps(asdict(p)) for p in res.trace]
         assert len(lines) == res.iterations
         parsed = json.loads(lines[0])
         assert {"iteration", "candidate", "feasible", "lower", "upper"} <= parsed.keys()
@@ -125,6 +127,8 @@ class TestBisection:
     def test_config_validation(self, small_scenario, small_stats):
         with pytest.raises(ValueError):
             solve_max_min(small_stats, small_scenario, delta=0.0)
+        with pytest.raises(ValueError, match="weights"):
+            solve_max_min(small_stats, small_scenario, weights=np.zeros(6))
 
     def test_expected_iterations_formula(self):
         assert expected_iterations(1.0, 2.0) == 0
@@ -150,9 +154,9 @@ def count_lp_solves(monkeypatch) -> list:
 def assert_same_result(a, b):
     assert a.trace == b.trace
     assert (a.xi_lower, a.xi_upper, a.iterations) == (b.xi_lower, b.xi_upper, b.iterations)
-    assert np.array_equal(a.allocation.rho, b.allocation.rho)
     assert (a.last_feasible is None) == (b.last_feasible is None)
     if a.last_feasible is not None:
+        assert np.array_equal(a.last_feasible.allocation.rho, b.last_feasible.allocation.rho)
         assert np.array_equal(a.last_feasible.qos_duals, b.last_feasible.qos_duals)
         assert np.array_equal(a.last_feasible.power_duals, b.last_feasible.power_duals)
 
@@ -189,7 +193,7 @@ class TestFeasibilityBracket:
                     probes += shared.iterations
                     for p in shared.trace:
                         targets = QosTargets.from_se(
-                            w * p.candidate, scn.coherence_length, scn.pilot_length, weights=w
+                            w * p.candidate, scn.coherence_length, scn.pilot_length
                         )
                         assert solve_power_min(stats, targets, scn, allowed).feasible == p.feasible
                     assert_same_result(shared, solve_max_min(stats, scn, w, allowed=allowed))

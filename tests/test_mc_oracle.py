@@ -32,7 +32,7 @@ class TestSinrEstimate:
 
     def test_zero_allocation_gives_zero_sinr(self):
         scn, stats, _, user = random_validation_scenario(3, rng_seed=9)
-        zero = PowerAllocation.zeros(scn.num_bs, scn.num_users)
+        zero = PowerAllocation(np.zeros((scn.num_bs, scn.num_users)))
         est = estimate_sinr_terms(stats, zero, scn, user, McConfig(num_samples=2000, rng_seed=1))
         assert est.sinr == 0.0
 

@@ -5,11 +5,11 @@ import pytest
 from conftest import random_drop, single_cell
 from oracles import power_min_lp_rows
 
+from mimopower import power_assoc
 from mimopower.channel import ChannelStats
 from mimopower.harness import check_solution_invariants
-from mimopower.lp import LpStatus
+from mimopower.lp import LpSolution, LpStatus
 from mimopower.power_assoc import (
-    AssociationMap,
     PowerMinResult,
     _b_mat,
     association_rule_check,
@@ -55,7 +55,7 @@ class TestBuildLp:
         good = targets_for(small_scenario)
         xi_hat = good.xi_hat.copy()
         xi_hat[2] = -0.1
-        bad = QosTargets(xi=good.xi, xi_hat=xi_hat, weights=good.weights)
+        bad = QosTargets(xi=good.xi, xi_hat=xi_hat)
         result = PowerMinResult(
             status=LpStatus.OPTIMAL,
             allowed=np.ones((4, 6), dtype=bool),
@@ -128,7 +128,7 @@ class TestBuildLp:
         np.testing.assert_array_equal(lp.a_ub[:6], np.zeros((6, 24)))
         res = solve_power_min(small_stats, targets, small_scenario)
         assert res.feasible and res.objective == 0.0
-        assert all(len(s) == 0 for s in res.association.serving_sets)
+        assert not res.serving.any()
 
 
 class TestSingleUserAnalytic:
@@ -209,8 +209,7 @@ class TestMaxSnr:
                 assert opt.objective <= snr.objective * (1 + 1e-9)
                 best = max_snr_mask(stats.beta)
                 assert np.array_equal(snr.allowed, best)
-                for t, s in enumerate(snr.association.serving_sets):
-                    assert set(s) <= set(np.flatnonzero(best[:, t]).tolist())
+                assert not np.any(snr.serving & ~best)
 
     def test_rule_checked_over_the_mask(self):
         scn, stats = random_drop(3, num_antennas=100, num_users=8)
@@ -248,8 +247,7 @@ class TestSolutionContracts:
         )
         res = solve_power_min(small_stats, targets, small_scenario)
         assert res.feasible
-        for t in (1, 3, 5):
-            assert res.association.serving_sets[t] == ()
+        assert not res.serving[:, [1, 3, 5]].any()
         report = association_rule_check(small_stats, targets, small_scenario, res)
         assert report.passed
 
@@ -262,8 +260,14 @@ class TestSolutionContracts:
         assert len(record["lambda"]) == 6 and len(record["mu"]) == 4
         assert len(record["serving_sets"]) == 6
 
-    def test_association_map_threshold(self):
-        alloc = PowerAllocation(np.array([[1.0, 1e-9], [0.0, 0.5]]))
-        amap = AssociationMap.from_allocation(alloc, pmax=np.array([40.0, 40.0]))
-        assert amap.serving_sets == ((0,), (1,))
-        assert amap.joint_fraction == 0.0
+    def test_serving_threshold(self, monkeypatch):
+        scn, stats = random_drop(0, num_antennas=100, num_users=2)
+        # user-major powers: user 0 gets 1 W from BS 0; user 1 gets 1e-9 W
+        # from BS 0, which against its 40 W cap is dust, and real power from BSs 1, 2
+        x = np.array([1.0, 0.0, 0.0, 0.0, 1e-9, 0.5, 1e-3, 0.0])
+        sol = LpSolution(LpStatus.OPTIMAL, x=x, objective=float(x.sum()), duals=np.zeros(6))
+        monkeypatch.setattr(power_assoc, "lp_solve", lambda lp: sol)
+        res = solve_power_min(stats, targets_for(scn), scn)
+        assert np.array_equal(res.serving, [[True, False], [False, True], [False, True], [False, False]])
+        assert res.to_json_dict()["serving_sets"] == [[0], [1, 2]]
+        assert res.joint_fraction == 0.5
