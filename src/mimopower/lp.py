@@ -4,11 +4,14 @@ Problem form:  min c^T x  s.t.  A x <= b,  x >= 0.
 
 Duals follow the Lagrangian sign convention: y >= 0 multiplies (A x - b),
 so at an optimum the reduced costs satisfy c + A^T y >= 0 and strong
-duality reads c^T x + b^T y = 0. Bland's rule makes the solve both
-cycle-free and deterministic: repeated solves of the same instance are
-bit-identical, and degenerate optimal faces always resolve to the same
-vertex. Rows are equilibrated by their largest absolute entry before
-solving; duals are reported in the original scaling.
+duality reads c^T x + b^T y = 0. Bland's rule makes the solve cycle-free
+and deterministic: the same LP with the same basis hint gives bit-identical
+outputs. The reported x and duals come from a fresh factorization of the
+optimal basis read in sorted column order, so they depend on the optimal
+basis set and not on the pivot path that reached it; a hint that leads to
+the same optimal basis gives the same bits as a cold solve. Rows are
+equilibrated by their largest absolute entry before solving; duals are
+reported in the original scaling.
 """
 
 from __future__ import annotations
@@ -69,6 +72,9 @@ class LpSolution:
     iterations: int = 0
     # For infeasible problems: y >= 0 with A^T y >= 0 and b^T y < 0.
     infeasibility_certificate: np.ndarray | None = None
+    # For optimal simplex solves: the basic columns in sorted order, indexed
+    # as the ``basis`` hint of ``solve``.
+    basis: np.ndarray | None = None
 
 
 @dataclass
@@ -138,13 +144,18 @@ def _simplex(a, rhs, cost, basis, b_inv):
             raise RuntimeError("simplex pivot limit exceeded (numerical cycling?)")
 
 
-def solve(lp: LinearProgram) -> LpSolution:
+def solve(lp: LinearProgram, basis=None) -> LpSolution:
     """Solve the LP, returning the primal vertex, exact basis duals and status.
 
     Infeasible problems carry a Farkas-style certificate: a row combination
     y >= 0 with A^T y >= 0 and b^T y < 0. Unbounded problems report the
-    status only. The solve is deterministic: identical inputs give
-    bit-identical outputs.
+    status only.
+
+    ``basis`` is an optional hint: m column indices into the structural
+    columns (0..n-1) and the row slacks (n..n+m-1). When that basis matrix is
+    nonsingular and its vertex is primal feasible (no tolerance), phase 1 is
+    skipped and phase 2 starts there; otherwise the hint is ignored and the
+    solve runs cold. A hint outside that index range raises ValueError.
     """
     m, n = lp.num_rows, lp.num_vars
     if n == 0:
@@ -173,14 +184,19 @@ def solve(lp: LinearProgram) -> LpSolution:
     a_std[:, :n] = a_w
     a_std[np.arange(m), n + np.arange(m)] = sign
     a_std[art_rows, n + m + np.arange(n_art)] = 1.0
-
-    basis = n + np.arange(m)
-    basis[art_rows] = n + m + np.arange(n_art)
-    b_inv = np.eye(m)
+    a2 = a_std[:, : n + m]
     total_iters = 0
 
+    warm = None if basis is None else _feasible_basis(a2, b_w, basis)
+    if warm is not None:
+        basis, b_inv = warm
+    else:
+        basis = n + np.arange(m)
+        basis[art_rows] = n + m + np.arange(n_art)
+        b_inv = np.eye(m)
+
     # Phase 1: drive artificials to zero.
-    if n_art:
+    if warm is None and n_art:
         cost1 = np.zeros(n + m + n_art)
         cost1[n + m :] = 1.0
         status, basis, b_inv, pivots = _simplex(a_std, b_w, cost1, basis, b_inv)
@@ -200,15 +216,16 @@ def solve(lp: LinearProgram) -> LpSolution:
         basis, b_inv = _purge_artificials(a_std, basis, b_inv, n + m)
 
     # Phase 2 on structural + slack columns only.
-    a2 = a_std[:, : n + m]
     cost2 = np.concatenate([lp.c, np.zeros(m)])
     status, basis, b_inv, pivots = _simplex(a2, b_w, cost2, basis, b_inv)
     total_iters += pivots
     if status == "unbounded":
         return LpSolution(status=LpStatus.UNBOUNDED, iterations=total_iters)
 
-    # Fresh factorization plus iterative refinement: binding-row residuals at
-    # the reported vertex must sit at machine level, not at cond(B) * eps.
+    # Fresh factorization of the basis in canonical (sorted) order plus
+    # iterative refinement: binding-row residuals at the reported vertex must
+    # sit at machine level, not at cond(B) * eps.
+    basis = np.sort(basis)
     b_mat = a2[:, basis]
     xb = _refined_solve(b_mat, b_w)
     y_eq = _refined_solve(b_mat.T, cost2[basis])
@@ -221,7 +238,23 @@ def solve(lp: LinearProgram) -> LpSolution:
         objective=float(lp.c @ x),
         duals=-(sign * y_eq) / scale,
         iterations=total_iters,
+        basis=basis,
     )
+
+
+def _feasible_basis(a2, b_w, basis):
+    """(basis, inverse) of a primal-feasible hint over the structural and slack
+    columns ``a2``, or None when the hint is singular or infeasible."""
+    basis = np.array(basis, dtype=int)
+    if basis.shape != (a2.shape[0],) or np.any((basis < 0) | (basis >= a2.shape[1])):
+        raise ValueError(f"basis must hold {a2.shape[0]} column indices below {a2.shape[1]}")
+    try:
+        b_inv = np.linalg.inv(a2[:, basis])
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(b_inv @ b_w >= 0.0):
+        return None
+    return basis, b_inv
 
 
 def _refined_solve(mat, rhs):

@@ -127,6 +127,23 @@ class TestDeterminism:
         np.testing.assert_allclose(sol.x, [1.0, 0.0], atol=1e-12)
 
 
+class TestBasisHint:
+    def test_optimal_hint_skips_both_phases(self):
+        # min x1 + x2 s.t. x1 + 2 x2 >= 2, x1 <= 3: basis {x2, slack of row 1}
+        lp = LinearProgram(c=[1.0, 1.0], a_ub=[[-1.0, -2.0], [1.0, 0.0]], b_ub=[-2.0, 3.0])
+        cold = solve(lp)
+        assert cold.iterations > 0 and np.array_equal(cold.basis, [1, 3])
+        warm = solve(lp, basis=[3, 1])
+        assert warm.iterations == 0
+        assert np.array_equal(warm.x, cold.x) and np.array_equal(warm.duals, cold.duals)
+
+    def test_malformed_hint_rejected(self):
+        lp = LinearProgram(c=[1.0], a_ub=[[-1.0]], b_ub=[-1.0])
+        for hint in ([0, 1], [2], [-1]):
+            with pytest.raises(ValueError, match="basis must hold 1 column"):
+                solve(lp, basis=hint)
+
+
 class TestRobustness:
     def test_duplicated_rows(self):
         lp = LinearProgram(c=[1.0], a_ub=[[-1.0], [-1.0], [-2.0]], b_ub=[-1.0, -1.0, -2.0])

@@ -143,9 +143,9 @@ def count_lp_solves(monkeypatch) -> list:
     calls = []
     real = power_assoc.lp_solve
 
-    def counting(lp):
+    def counting(lp, basis=None):
         calls.append(lp)
-        return real(lp)
+        return real(lp, basis=basis)
 
     monkeypatch.setattr(power_assoc, "lp_solve", counting)
     return calls
@@ -214,7 +214,7 @@ class TestFeasibilityBracket:
         scn, stats = random_drop(21, num_antennas=100, num_users=6)
         bracket = FeasibilityBracket()
         level = solve_max_min(stats, scn, bracket=bracket).xi_lower
-        monkeypatch.setattr(power_assoc, "lp_solve", lambda lp: LpSolution(LpStatus.INFEASIBLE))
+        monkeypatch.setattr(power_assoc, "lp_solve", lambda lp, basis=None: LpSolution(LpStatus.INFEASIBLE))
         pattern = rf"^max-min level {re.escape(repr(level))} .* infeasible$"
         with pytest.raises(RuntimeError, match=pattern):
             solve_max_min(stats, scn, bracket=bracket)

@@ -7,11 +7,19 @@ from oracles import power_min_lp_rows
 
 from mimopower import power_assoc
 from mimopower.channel import ChannelStats
-from mimopower.harness import check_solution_invariants
+from mimopower.harness import (
+    DEFAULT_NUM_USERS,
+    check_solution_invariants,
+    default_scenario,
+    iter_drops,
+)
 from mimopower.lp import LpSolution, LpStatus
+from mimopower.lp import solve as lp_solve
+from mimopower.maxmin import solve_max_min
 from mimopower.power_assoc import (
     PowerMinResult,
     _b_mat,
+    _policy_basis,
     association_rule_check,
     build_lp,
     max_snr_mask,
@@ -266,8 +274,68 @@ class TestSolutionContracts:
         # from BS 0, which against its 40 W cap is dust, and real power from BSs 1, 2
         x = np.array([1.0, 0.0, 0.0, 0.0, 1e-9, 0.5, 1e-3, 0.0])
         sol = LpSolution(LpStatus.OPTIMAL, x=x, objective=float(x.sum()), duals=np.zeros(6))
-        monkeypatch.setattr(power_assoc, "lp_solve", lambda lp: sol)
+        monkeypatch.setattr(power_assoc, "lp_solve", lambda lp, basis=None: sol)
         res = solve_power_min(stats, targets_for(scn), scn)
         assert np.array_equal(res.serving, [[True, False], [False, True], [False, True], [False, False]])
         assert res.to_json_dict()["serving_sets"] == [[0], [1, 2]]
         assert res.joint_fraction == 0.5
+
+
+def assert_same_solution(a, b):
+    assert a.status == b.status
+    if a.status == LpStatus.OPTIMAL:
+        assert np.array_equal(a.x, b.x) and np.array_equal(a.duals, b.duals)
+        assert a.objective == b.objective and np.array_equal(a.basis, b.basis)
+    elif a.status == LpStatus.INFEASIBLE:
+        assert np.array_equal(a.infeasibility_certificate, b.infeasibility_certificate)
+
+
+class TestPolicyWarmStart:
+    def test_warm_and_cold_solves_agree(self):
+        """Every LP of three drops, joint and max-SNR, at SE 1.0 and at every
+        max-min probe level: the policy's basis hint, the cold solve's own
+        optimal basis (as given and permuted), a singular hint and a primal
+        infeasible hint all give the cold solve's bits."""
+        antennas, k = (50, 100, 150, 200), DEFAULT_NUM_USERS
+        rng = np.random.default_rng(0)
+        cold_pivots = warm_pivots = guesses = optimal = infeasible = 0
+        for _, scn0, stats in iter_drops(default_scenario(antennas[0], k, rng_seed=3), 3, 3):
+            for m in antennas:
+                scn = scn0.with_antennas(m)
+                for mask in (np.ones(stats.beta.shape, dtype=bool), max_snr_mask(stats.beta)):
+                    probes = solve_max_min(stats, scn, allowed=mask).trace
+                    for xi in [1.0] + [p.candidate for p in probes]:
+                        targets = QosTargets.uniform(xi, k, scn)
+                        lp = build_lp(stats, targets, scn, mask)
+                        guess = _policy_basis(stats, targets, scn, mask)
+                        cold, warm = lp_solve(lp), lp_solve(lp, basis=guess)
+                        assert_same_solution(cold, warm)
+                        cold_pivots += cold.iterations
+                        warm_pivots += warm.iterations
+                        guesses += guess is not None
+                        if cold.status == LpStatus.INFEASIBLE:
+                            infeasible += 1
+                            continue
+                        optimal += 1
+                        for hint in (cold.basis, rng.permutation(cold.basis)):
+                            again = lp_solve(lp, basis=hint)
+                            assert again.iterations == 0
+                            assert_same_solution(cold, again)
+                        singular = cold.basis.copy()
+                        singular[1] = singular[0]
+                        all_slacks = lp.num_vars + np.arange(lp.num_rows)  # QoS slacks < 0
+                        for hint in (singular, all_slacks):
+                            fallback = lp_solve(lp, basis=hint)
+                            assert fallback.iterations == cold.iterations
+                            assert_same_solution(cold, fallback)
+        assert optimal and infeasible and guesses
+        assert warm_pivots < cold_pivots  # the policy hints were taken
+
+    def test_no_guess_without_targets_or_allowed_bs(self, small_scenario, small_stats):
+        targets = targets_for(small_scenario)
+        mask = np.ones(small_stats.beta.shape, dtype=bool)
+        assert _policy_basis(small_stats, targets, small_scenario, mask) is not None
+        zero = QosTargets(xi=np.r_[0.0, targets.xi[1:]], xi_hat=np.r_[0.0, targets.xi_hat[1:]])
+        assert _policy_basis(small_stats, zero, small_scenario, mask) is None
+        mask[:, 0] = False
+        assert _policy_basis(small_stats, targets, small_scenario, mask) is None
