@@ -17,6 +17,7 @@ import dataclasses
 import json
 import os
 import sys
+import time
 
 from .channel import load_scenario
 from .harness import (
@@ -113,7 +114,13 @@ def _cmd_sweep(args, mode: str) -> int:
 
 
 def _cmd_validate(args) -> int:
+    start = time.perf_counter()
     records = validate_closed_form(args.scenarios, args.samples, args.seed, args.tol)
+    print(
+        f"validate: {len(records)} scenarios x {args.samples} samples "
+        f"in {time.perf_counter() - start:.1f} s",
+        file=sys.stderr,
+    )
     worst = 0.0
     for rec in records:
         worst = max(worst, rec["rel_error"])

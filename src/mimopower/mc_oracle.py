@@ -12,6 +12,8 @@ without using any closed-form simplification.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +28,12 @@ class McConfig:
 
     ``batch_size`` is part of the deterministic stream layout: draws are
     generated in fixed-size batches, each from its own generator seeded by
-    (rng_seed, batch index), so batches can be evaluated in any order (or in
-    parallel) without changing the merged estimate.
+    (rng_seed, batch index). A batch of nb draws is one (L, K+1, M, nb)
+    complex64 stream, filled one BS slab (K+1, M, nb) after the other: the
+    K beams' channel estimates, then the target user's estimation error as
+    beam K. Batches run in parallel, and their partial sums are merged in
+    batch-index order, so the estimate depends on this config alone and not
+    on the number of threads or their scheduling.
     """
 
     num_samples: int = 100_000
@@ -63,6 +69,13 @@ class SinrEstimate:
     num_samples: int
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def estimate_sinr_terms(
     stats: ChannelStats,
     alloc: PowerAllocation,
@@ -78,6 +91,9 @@ def estimate_sinr_terms(
     per-draw sample variances; the SINR standard error propagates them
     through the ratio assuming independent terms (adequate for test bands).
     """
+    # Imported here so that loading the CLI does not pay for it.
+    from concurrent.futures import ThreadPoolExecutor
+
     L, K = stats.beta.shape
     M = scenario.num_antennas
     if alloc.rho.shape != (L, K):
@@ -85,38 +101,54 @@ def estimate_sinr_terms(
     gamma_u = stats.gamma[:, user]
     err_var_u = stats.error_variance[:, user]
 
-    sum_q = np.zeros(L, dtype=complex)  # own-beam inner products
-    sum_q2 = np.zeros(L, dtype=complex)  # their complex squares
-    sum_m2 = np.zeros((L, K))  # |h^H w_t|^2
-    sum_m4 = np.zeros((L, K))  # |h^H w_t|^4
     n_total = cfg.num_samples
     n_batches = (n_total + cfg.batch_size - 1) // cfg.batch_size
     # MRT normalization: w = hhat / sqrt(M gamma), so with unit-variance raw
     # draws z (hhat = sqrt(gamma/2) z) the inner products reduce to
     # q = h^H z / sqrt(2 M); only the target user's channel needs its
-    # variances applied, which keeps the per-batch work at one RNG fill and
-    # one contraction. Draws are float32, moments accumulate in float64.
-    for b in range(n_batches):
+    # variances applied. A batch of nb draws is one (L, K+1, M, nb) stream:
+    # at each BS, the K beams' estimates, then the target user's estimation
+    # error as beam K. It is filled and contracted one BS slab (K+1, M, nb)
+    # at a time, which keeps one slab per worker thread in memory and the
+    # per-slab work at one RNG fill and one contraction. Draws are float32,
+    # moments accumulate in float64.
+    hat_scale = np.sqrt(gamma_u / 2.0).astype(np.float32)
+    err_scale = np.sqrt(err_var_u / 2.0).astype(np.float32)
+    scratch = threading.local()
+
+    def batch_sums(b: int) -> tuple:
         nb = min(cfg.batch_size, n_total - b * cfg.batch_size)
+        z = getattr(scratch, "z", None)
+        if z is None or z.shape[2] != nb:
+            z = scratch.z = np.empty((K + 1, M, nb), dtype=np.complex64)
         rng = np.random.default_rng([cfg.rng_seed, b])
-        z_hat = np.empty((L, K, M, nb), dtype=np.complex64)
-        rng.standard_normal(out=z_hat.view(np.float32), dtype=np.float32)
-        z_err = np.empty((L, M, nb), dtype=np.complex64)
-        rng.standard_normal(out=z_err.view(np.float32), dtype=np.float32)
-        h_user = (
-            np.sqrt(gamma_u / 2.0).astype(np.float32)[:, None, None] * z_hat[:, user]
-            - np.sqrt(err_var_u / 2.0).astype(np.float32)[:, None, None] * z_err
-        )
-        # q[l, t, s] = h_{l,user}(s)^H w_{l,t}(s)
-        q = np.einsum("lms,ltms->lts", h_user.conj(), z_hat, optimize=True)
-        q = q.astype(np.complex128)
-        q /= np.sqrt(2.0 * M)
-        q_abs2 = q.real**2 + q.imag**2
-        qk = q[:, user, :]
-        sum_q += qk.sum(axis=1)
-        sum_q2 += (qk * qk).sum(axis=1)
-        sum_m2 += q_abs2.sum(axis=2)
-        sum_m4 += (q_abs2 * q_abs2).sum(axis=2)
+        sum_q = np.zeros(L, dtype=complex)  # own-beam inner products
+        sum_q2 = np.zeros(L, dtype=complex)  # their complex squares
+        sum_m2 = np.zeros((L, K))  # |h^H w_t|^2
+        sum_m4 = np.zeros((L, K))  # |h^H w_t|^4
+        for i in range(L):
+            rng.standard_normal(out=z.view(np.float32), dtype=np.float32)
+            h = z[K]  # the error beam becomes conj(h_{i,user}) in place
+            h *= -err_scale[i]
+            h += hat_scale[i] * z[user]
+            np.conjugate(h, out=h)
+            # q[t, s] = h_{i,user}(s)^H w_{i,t}(s)
+            q = np.einsum("ms,tms->ts", h, z[:K]).astype(np.complex128)
+            q /= np.sqrt(2.0 * M)
+            q_abs2 = q.real**2 + q.imag**2
+            qk = q[user]
+            sum_q[i] = qk.sum()
+            sum_q2[i] = (qk * qk).sum()
+            sum_m2[i] = q_abs2.sum(axis=1)
+            sum_m4[i] = (q_abs2 * q_abs2).sum(axis=1)
+        return sum_q, sum_q2, sum_m2, sum_m4
+
+    # Batches run on a pool as wide as the usable CPUs (numpy's fill and
+    # contraction release the GIL); map() hands the partial sums back in
+    # batch order, so the merge does not depend on the pool width.
+    with ThreadPoolExecutor(max_workers=min(_usable_cpus(), n_batches)) as pool:
+        parts = zip(*pool.map(batch_sums, range(n_batches)))
+        sum_q, sum_q2, sum_m2, sum_m4 = (sum(part) for part in parts)
 
     n = float(n_total)
     a_mean = sum_q / n

@@ -302,6 +302,11 @@ class TestCli:
         assert code == 0
         assert "PASS" in out
 
+    def test_validate_reports_its_cost_on_stderr(self, capsys):
+        cli.main(["validate", "--scenarios", "1", "--samples", "1000", "--seed", "0", "--tol", "1"])
+        err = capsys.readouterr().err
+        assert err.startswith("validate: 1 scenarios x 1000 samples in ") and err.endswith(" s\n")
+
     def test_scenario_file_and_error_paths(self, tmp_path, small_scenario, capsys):
         path = tmp_path / "scn.json"
         save_scenario(small_scenario, path)

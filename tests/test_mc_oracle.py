@@ -1,9 +1,18 @@
+import dataclasses
+import time
+
 import numpy as np
 import pytest
 
+from mimopower import mc_oracle
 from mimopower.harness import random_validation_scenario
 from mimopower.mc_oracle import McConfig, estimate_sinr_terms
 from mimopower.se import PowerAllocation, sinr_mrt
+
+
+def assert_same_estimate(a, b):
+    for f in dataclasses.fields(a):
+        assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
 
 
 class TestSinrEstimate:
@@ -42,6 +51,42 @@ class TestSinrEstimate:
         e1 = estimate_sinr_terms(stats, alloc, scn, user, cfg)
         e2 = estimate_sinr_terms(stats, alloc, scn, user, cfg)
         assert e1.sinr == e2.sinr
+
+    def test_estimate_is_independent_of_pool_width(self, monkeypatch):
+        scn, stats, alloc, user = random_validation_scenario(5, rng_seed=9)
+        # Four full batches and a short one, so a worker meets a new nb.
+        cfg = McConfig(num_samples=4 * 256 + 37, rng_seed=3, batch_size=256)
+        n_batches = 5
+        # Early batches start late, so batches finish out of index order
+        # whenever more than one runs at a time.
+        default_rng = np.random.default_rng
+
+        def late_early_batches(seed):
+            time.sleep(0.02 * (n_batches - seed[1]))
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", late_early_batches)
+        # At width 1 one buffer meets every batch; at width n_batches each
+        # worker draws one batch into a buffer of its own nb.
+        estimates = []
+        for width in (1, 2, 3, n_batches):
+            monkeypatch.setattr(mc_oracle, "_usable_cpus", lambda: width)
+            estimates.append(estimate_sinr_terms(stats, alloc, scn, user, cfg))
+        for est in estimates[1:]:
+            assert_same_estimate(est, estimates[0])
+
+    def test_single_batch(self, monkeypatch):
+        # Splitting these samples into batches would draw each from its own
+        # (seed, batch) generator, a different draw; so the check is that a
+        # pool of one is deterministic and counts every sample.
+        scn, stats, alloc, user = random_validation_scenario(6, rng_seed=9)
+        cfg = McConfig(num_samples=300, rng_seed=4)  # below batch_size: a pool of one
+        estimates = []
+        for width in (1, 4):
+            monkeypatch.setattr(mc_oracle, "_usable_cpus", lambda: width)
+            estimates.append(estimate_sinr_terms(stats, alloc, scn, user, cfg))
+        assert_same_estimate(estimates[0], estimates[1])
+        assert estimates[0].num_samples == 300
 
     def test_matches_closed_form_smoke(self):
         scn, stats, alloc, user = random_validation_scenario(0, rng_seed=3)
