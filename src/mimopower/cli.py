@@ -6,8 +6,8 @@ Subcommands:
   validate  -- Monte-Carlo oracle vs. closed-form SINR cross-check
   drop      -- solve a single drop and print the full JSON result
 
-Exit codes: 0 success, 2 when nothing was feasible (or validation failed in
-a way that still produced output), 1 on errors.
+Exit codes: 0 success, 2 when nothing was feasible, 1 on errors or a
+failed validation.
 """
 
 from __future__ import annotations

@@ -426,9 +426,13 @@ def validate_closed_form(
     """Compare the sampling oracle against the closed-form SINR.
 
     Returns one record per scenario with both values and the relative error;
-    a record passes when the error is within ``rel_tol``.
+    a record passes when the error is within ``rel_tol``. Zero scenarios
+    raise ValueError: a run that checks nothing must not read as a pass.
     """
     from .se import sinr_mrt
+
+    if num_scenarios < 1:
+        raise ValueError(f"validation needs at least one scenario, got {num_scenarios}")
 
     records = []
     for idx in range(num_scenarios):

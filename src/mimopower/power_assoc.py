@@ -20,13 +20,11 @@ holds for any mask, with the minimum taken over the BSs it allows. A solve
 reports the association it found as a second (L, K) mask, ``serving``: the
 pairs whose power exceeds SERVING_THRESHOLD_SCALE times the BS's cap.
 
-With no binding cap (mu = 0) the rule is a standard interference function
-(Yates, 1995), so a few policy-iteration steps over single-BS assignments
-usually find the optimal basis: its serving columns plus every cap row's
-slack. ``solve_power_min`` hands that guess to the simplex as a warm start.
-The simplex still decides every solve: it discards a guess that is not a
-primal-feasible basis and solves cold, so optimality and infeasibility (the
-Farkas certificate of phase 1) are only ever proved by the simplex.
+``solve_power_min`` starts the simplex from max-SNR association within the
+mask; at that basis its duals are the rule's lambda with mu = 0, so phase 2's
+pivots are the moves to the optimal association. A guess that is not a
+primal-feasible basis is discarded for a cold solve: only the simplex proves
+optimality or infeasibility (phase 1's Farkas certificate).
 """
 
 from __future__ import annotations
@@ -45,8 +43,6 @@ from .se import PowerAllocation, QosTargets
 SERVING_THRESHOLD_SCALE = 1e-6
 # Relative tolerance of association_rule_check's dual-ratio comparisons.
 ASSOCIATION_RULE_TOL = 1e-6
-# Policy-iteration steps before _policy_basis gives up on a guess.
-_POLICY_MAX_ITERS = 8
 
 
 def _b_mat(stats: ChannelStats, targets: QosTargets, scenario: NetworkScenario) -> np.ndarray:
@@ -132,7 +128,7 @@ def solve_power_min(
         allowed = np.asarray(allowed, dtype=bool)
     lp = build_lp(stats, targets, scenario, allowed)
     mask = np.ones(stats.beta.shape, dtype=bool) if allowed is None else allowed
-    sol = lp_solve(lp, basis=_policy_basis(stats, targets, scenario, mask))
+    sol = lp_solve(lp, basis=_max_snr_basis(stats, targets, mask))
     if sol.status != LpStatus.OPTIMAL:
         return PowerMinResult(status=sol.status, allowed=mask)
     rho = np.zeros(mask.shape)
@@ -149,42 +145,15 @@ def solve_power_min(
     )
 
 
-def _policy_basis(
-    stats: ChannelStats, targets: QosTargets, scenario: NetworkScenario, mask: np.ndarray
-):
-    """Simplex basis guess from policy iteration on the association rule with
-    no binding cap (mu = 0), or None when no guess applies.
-
-    Each user starts on its allowed BS with the largest b_t[i]. Under an
-    assignment a(t) the rule's equalities lambda_t * b_t[a(t)] - sum_k
-    lambda_k beta[a(t), k] = 1 give lambda; a user then moves to the allowed
-    BS of least ratio (1 + sum_k lambda_k beta[i, k]) / b_t[i] when that
-    ratio is strictly below its current one. The basis is each user's serving
-    column in the masked user-major layout plus every cap row's slack.
-    """
+def _max_snr_basis(stats: ChannelStats, targets: QosTargets, mask: np.ndarray):
+    """Basis guess: each user's strongest (largest beta) allowed column plus
+    every cap row's slack, or None when a user has a zero target or no allowed BS."""
     if not (np.all(targets.xi_hat > 0.0) and np.all(mask.any(axis=0))):
         return None
     L, K = mask.shape
-    b_mat = _b_mat(stats, targets, scenario)  # (K, L)
-    users = np.arange(K)
-    assign = np.argmax(np.where(mask.T, b_mat, 0.0), axis=1)
-    for _ in range(_POLICY_MAX_ITERS):
-        system = np.diag(b_mat[users, assign]) - stats.beta[assign]
-        try:
-            lam = np.linalg.solve(system, np.ones(K))
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(lam > 0.0):
-            return None
-        with np.errstate(divide="ignore"):
-            ratio = np.where(mask.T, (1.0 + stats.beta @ lam)[None, :] / b_mat, np.inf)  # (K, L)
-        best = np.argmin(ratio, axis=1)
-        move = ratio[users, best] < ratio[users, assign]
-        if not move.any():
-            column = np.cumsum(mask.T).reshape(K, L) - 1  # masked user-major column of (t, i)
-            return np.concatenate([column[users, assign], mask.sum() + K + np.arange(L)])
-        assign = np.where(move, best, assign)
-    return None
+    serving = max_snr_mask(np.where(mask, stats.beta, 0.0))
+    # masked user-major layout: the structural columns are mask.T's True entries
+    return np.concatenate([np.flatnonzero(serving.T[mask.T]), mask.sum() + K + np.arange(L)])
 
 
 def max_snr_mask(beta: np.ndarray) -> np.ndarray:

@@ -307,6 +307,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("validate: 1 scenarios x 1000 samples in ") and err.endswith(" s\n")
 
+    def test_validate_failure_exits_1(self, capsys):
+        argv = ["validate", "--scenarios", "1", "--samples", "1000", "--tol", "0"]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().out.splitlines()[-1].startswith("FAIL: 1 scenarios")
+
+    def test_validate_without_scenarios_fails(self, capsys):
+        assert cli.main(["validate", "--scenarios", "0"]) == 1
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert "at least one scenario" in captured.err
+
     def test_scenario_file_and_error_paths(self, tmp_path, small_scenario, capsys):
         path = tmp_path / "scn.json"
         save_scenario(small_scenario, path)

@@ -19,7 +19,7 @@ from mimopower.maxmin import solve_max_min
 from mimopower.power_assoc import (
     PowerMinResult,
     _b_mat,
-    _policy_basis,
+    _max_snr_basis,
     association_rule_check,
     build_lp,
     max_snr_mask,
@@ -293,21 +293,26 @@ def assert_same_solution(a, b):
 class TestPolicyWarmStart:
     def test_warm_and_cold_solves_agree(self):
         """Every LP of three drops, joint and max-SNR, at SE 1.0 and at every
-        max-min probe level: the policy's basis hint, the cold solve's own
+        max-min probe level: the max-SNR basis hint, the cold solve's own
         optimal basis (as given and permuted), a singular hint and a primal
-        infeasible hint all give the cold solve's bits."""
+        infeasible hint all give the cold solve's bits. The hint puts each
+        user on its max-SNR BS, and phase 2 moves some joint optima off it."""
         antennas, k = (50, 100, 150, 200), DEFAULT_NUM_USERS
         rng = np.random.default_rng(0)
-        cold_pivots = warm_pivots = guesses = optimal = infeasible = 0
+        cold_pivots = warm_pivots = guesses = optimal = infeasible = moved = 0
         for _, scn0, stats in iter_drops(default_scenario(antennas[0], k, rng_seed=3), 3, 3):
+            best = max_snr_mask(stats.beta)
             for m in antennas:
                 scn = scn0.with_antennas(m)
-                for mask in (np.ones(stats.beta.shape, dtype=bool), max_snr_mask(stats.beta)):
+                for mask in (np.ones(stats.beta.shape, dtype=bool), best):
                     probes = solve_max_min(stats, scn, allowed=mask).trace
                     for xi in [1.0] + [p.candidate for p in probes]:
                         targets = QosTargets.uniform(xi, k, scn)
                         lp = build_lp(stats, targets, scn, mask)
-                        guess = _policy_basis(stats, targets, scn, mask)
+                        guess = _max_snr_basis(stats, targets, mask)
+                        # (user, BS) of each structural column of the guess
+                        pairs = np.argwhere(mask.T)[guess[:k]]
+                        assert np.array_equal(pairs, np.argwhere(best.T))
                         cold, warm = lp_solve(lp), lp_solve(lp, basis=guess)
                         assert_same_solution(cold, warm)
                         cold_pivots += cold.iterations
@@ -317,6 +322,8 @@ class TestPolicyWarmStart:
                             infeasible += 1
                             continue
                         optimal += 1
+                        serving = solve_power_min(stats, targets, scn, mask).serving
+                        moved += not np.array_equal(serving, best)
                         for hint in (cold.basis, rng.permutation(cold.basis)):
                             again = lp_solve(lp, basis=hint)
                             assert again.iterations == 0
@@ -328,14 +335,19 @@ class TestPolicyWarmStart:
                             fallback = lp_solve(lp, basis=hint)
                             assert fallback.iterations == cold.iterations
                             assert_same_solution(cold, fallback)
-        assert optimal and infeasible and guesses
-        assert warm_pivots < cold_pivots  # the policy hints were taken
+        assert optimal and infeasible and guesses and moved
+        assert warm_pivots < cold_pivots  # the max-SNR hints were taken
 
     def test_no_guess_without_targets_or_allowed_bs(self, small_scenario, small_stats):
         targets = targets_for(small_scenario)
         mask = np.ones(small_stats.beta.shape, dtype=bool)
-        assert _policy_basis(small_stats, targets, small_scenario, mask) is not None
+        assert _max_snr_basis(small_stats, targets, mask) is not None
         zero = QosTargets(xi=np.r_[0.0, targets.xi[1:]], xi_hat=np.r_[0.0, targets.xi_hat[1:]])
-        assert _policy_basis(small_stats, zero, small_scenario, mask) is None
+        assert _max_snr_basis(small_stats, zero, mask) is None
+        # banning user 0's strongest BS puts it on its second strongest
+        strongest, second = np.argsort(small_stats.beta[:, 0])[[-1, -2]]
+        mask[strongest, 0] = False
+        guess = _max_snr_basis(small_stats, targets, mask)
+        assert tuple(np.argwhere(mask.T)[guess[0]]) == (0, second)
         mask[:, 0] = False
-        assert _policy_basis(small_stats, targets, small_scenario, mask) is None
+        assert _max_snr_basis(small_stats, targets, mask) is None
