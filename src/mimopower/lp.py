@@ -1,11 +1,16 @@
-"""Dense two-phase revised simplex for small minimization LPs.
+"""Dense revised simplex (dual, then primal) for small minimization LPs.
 
 Problem form:  min c^T x  s.t.  A x <= b,  x >= 0.
 
 Duals follow the Lagrangian sign convention: y >= 0 multiplies (A x - b),
 so at an optimum the reduced costs satisfy c + A^T y >= 0 and strong
-duality reads c^T x + b^T y = 0. Bland's rule makes the solve cycle-free
-and deterministic: the same LP with the same basis hint gives bit-identical
+duality reads c^T x + b^T y = 0. The all-slack basis is dual feasible for
+the costs max(c, 0), so a dual simplex from it (or from a dual-feasible
+hint) reaches a primal-feasible basis or a Farkas certificate with no
+phase 1; Bland's primal simplex then optimizes the true costs, in no pivots
+when c >= 0. Dual degeneracy can make the dual simplex cycle; its
+``max_pivots`` guard turns that into a RuntimeError. Every rule breaks its
+ties by index, so the same LP with the same basis hint gives bit-identical
 outputs. The reported x and duals come from a fresh factorization of the
 optimal basis read in sorted column order, so they depend on the optimal
 basis set and not on the pivot path that reached it; a hint that leads to
@@ -97,8 +102,8 @@ class LpVerification:
 
 
 def _simplex(a, rhs, cost, basis, b_inv):
-    """Minimize ``cost`` over a z = rhs, z >= 0, from a feasible ``basis`` with
-    inverse ``b_inv``.
+    """Minimize ``cost`` over a z = rhs, z >= 0, from a primal-feasible
+    ``basis`` with inverse ``b_inv``.
 
     Bland's rule: the entering variable is the smallest-index column with
     a negative reduced cost; ratio-test ties break on the smallest basic
@@ -109,7 +114,6 @@ def _simplex(a, rhs, cost, basis, b_inv):
     in_basis = np.zeros(a.shape[1], dtype=bool)
     in_basis[basis] = True
     pivots = 0
-    since_refresh = 0
     while True:
         y = b_inv.T @ cost[basis]
         reduced = cost - a.T @ y
@@ -128,20 +132,59 @@ def _simplex(a, rhs, cost, basis, b_inv):
         ties = rows[ratios == theta]
         leave = int(ties[np.argmin(basis[ties])])
 
-        in_basis[basis[leave]] = False
-        in_basis[j] = True
-        basis[leave] = j
-        piv_row = b_inv[leave] / d[leave]
-        b_inv = b_inv - np.outer(d, piv_row)
-        b_inv[leave] = piv_row
-
         pivots += 1
-        since_refresh += 1
-        if since_refresh >= _REFRESH_EVERY:
-            b_inv = np.linalg.inv(a[:, basis])
-            since_refresh = 0
+        b_inv = _pivot(a, basis, b_inv, in_basis, leave, j, d, pivots)
         if pivots > max_pivots:
             raise RuntimeError("simplex pivot limit exceeded (numerical cycling?)")
+
+
+def _pivot(a, basis, b_inv, in_basis, leave, j, d, pivots):
+    """Put column j (``d`` = b_inv @ a[:, j]) in place of basis[leave] and
+    return the new inverse, refactored from scratch every _REFRESH_EVERY
+    pivots."""
+    in_basis[basis[leave]] = False
+    in_basis[j] = True
+    basis[leave] = j
+    if pivots % _REFRESH_EVERY == 0:
+        return np.linalg.inv(a[:, basis])
+    piv_row = b_inv[leave] / d[leave]
+    b_inv = b_inv - np.outer(d, piv_row)
+    b_inv[leave] = piv_row
+    return b_inv
+
+
+def _dual_simplex(a, rhs, cost, basis, b_inv):
+    """Drive a dual-feasible ``basis`` (inverse ``b_inv``) of a z = rhs, z >= 0
+    to a primal-feasible one, keeping it dual feasible for ``cost``.
+
+    The leaving row has the most negative basic value, if that is below
+    -FEAS_TOL * (1 + max|rhs|); the entering column wins the dual ratio
+    test, ties going to the lowest column index. Returns
+    (basis, b_inv, pivots, row): ``row`` is None at a primal-feasible basis,
+    else the position whose row of ``b_inv`` proves a z = rhs, z >= 0 empty.
+    """
+    max_pivots = 10_000 + 50 * sum(a.shape)
+    leave_tol = FEAS_TOL * (1.0 + float(np.abs(rhs).max(initial=0.0)))
+    in_basis = np.zeros(a.shape[1], dtype=bool)
+    in_basis[basis] = True
+    pivots = 0
+    while True:
+        xb = b_inv @ rhs
+        if xb.size == 0 or xb.min() >= -leave_tol:
+            return basis, b_inv, pivots, None
+        leave = int(np.argmin(xb))
+        alpha = b_inv[leave] @ a
+        eligible = np.flatnonzero(~in_basis & (alpha < -PIVOT_TOL))
+        if eligible.size == 0:
+            return basis, b_inv, pivots, leave
+        y = b_inv.T @ cost[basis]
+        reduced = np.maximum(cost[eligible] - a[:, eligible].T @ y, 0.0)
+        j = int(eligible[np.argmin(reduced / -alpha[eligible])])
+
+        pivots += 1
+        b_inv = _pivot(a, basis, b_inv, in_basis, leave, j, b_inv @ a[:, j], pivots)
+        if pivots > max_pivots:
+            raise RuntimeError("dual simplex pivot limit exceeded (numerical cycling?)")
 
 
 def solve(lp: LinearProgram, basis=None) -> LpSolution:
@@ -152,10 +195,10 @@ def solve(lp: LinearProgram, basis=None) -> LpSolution:
     status only.
 
     ``basis`` is an optional hint: m column indices into the structural
-    columns (0..n-1) and the row slacks (n..n+m-1). When that basis matrix is
-    nonsingular and its vertex is primal feasible (no tolerance), phase 1 is
-    skipped and phase 2 starts there; otherwise the hint is ignored and the
-    solve runs cold. A hint outside that index range raises ValueError.
+    columns (0..n-1) and the row slacks (n..n+m-1). A nonsingular hint whose
+    vertex is primal feasible (no tolerance) starts the primal simplex; one
+    that is dual feasible starts the dual simplex; any other hint is ignored.
+    A hint outside that index range raises ValueError.
     """
     m, n = lp.num_rows, lp.num_vars
     if n == 0:
@@ -170,54 +213,31 @@ def solve(lp: LinearProgram, basis=None) -> LpSolution:
     # Row equilibration by the largest |entry|; all-zero rows keep scale 1.
     scale = np.abs(lp.a_ub).max(axis=1, initial=0.0) if m else np.zeros(0)
     scale = np.where(scale == 0.0, 1.0, scale)
-    a_s = lp.a_ub / scale[:, None]
     b_s = lp.b_ub / scale
 
-    sign = np.where(b_s < 0.0, -1.0, 1.0)
-    a_w = a_s * sign[:, None]
-    b_w = b_s * sign
-    art_rows = np.flatnonzero(sign < 0.0)
-    n_art = art_rows.size
-
-    # Columns: n structural, m slacks (diagonal = sign), artificials last.
-    a_std = np.zeros((m, n + m + n_art))
-    a_std[:, :n] = a_w
-    a_std[np.arange(m), n + np.arange(m)] = sign
-    a_std[art_rows, n + m + np.arange(n_art)] = 1.0
-    a2 = a_std[:, : n + m]
+    # Columns: n structural, then m row slacks.
+    a2 = np.hstack([lp.a_ub / scale[:, None], np.eye(m)])
+    cost = np.concatenate([lp.c, np.zeros(m)])
+    start = None if basis is None else _invert_hint(a2, basis)
     total_iters = 0
-
-    warm = None if basis is None else _feasible_basis(a2, b_w, basis)
-    if warm is not None:
-        basis, b_inv = warm
+    if start is not None and np.all(start[1] @ b_s >= 0.0):
+        basis, b_inv = start
     else:
-        basis = n + np.arange(m)
-        basis[art_rows] = n + m + np.arange(n_art)
-        b_inv = np.eye(m)
-
-    # Phase 1: drive artificials to zero.
-    if warm is None and n_art:
-        cost1 = np.zeros(n + m + n_art)
-        cost1[n + m :] = 1.0
-        status, basis, b_inv, pivots = _simplex(a_std, b_w, cost1, basis, b_inv)
-        total_iters += pivots
-        if status != "optimal":
-            raise RuntimeError("phase-1 simplex cannot be unbounded")
-        xb = b_inv @ b_w
-        infeas = float(cost1[basis] @ xb)
-        if infeas > FEAS_TOL * (1.0 + float(np.abs(b_w).max(initial=0.0))):
-            y1 = b_inv.T @ cost1[basis]
-            cert = np.maximum(-(sign * y1) / scale, 0.0)
+        # Dual simplex from a dual-feasible basis: the hint, or the all-slack
+        # basis, which is dual feasible for the costs max(c, 0).
+        dual_cost = cost
+        if start is None or not _dual_feasible(a2, cost, *start):
+            start, dual_cost = (n + np.arange(m), np.eye(m)), np.maximum(cost, 0.0)
+        basis, b_inv, total_iters, row = _dual_simplex(a2, b_s, dual_cost, *start)
+        if row is not None:
             return LpSolution(
                 status=LpStatus.INFEASIBLE,
                 iterations=total_iters,
-                infeasibility_certificate=cert,
+                infeasibility_certificate=np.maximum(b_inv[row], 0.0) / scale,
             )
-        basis, b_inv = _purge_artificials(a_std, basis, b_inv, n + m)
 
-    # Phase 2 on structural + slack columns only.
-    cost2 = np.concatenate([lp.c, np.zeros(m)])
-    status, basis, b_inv, pivots = _simplex(a2, b_w, cost2, basis, b_inv)
+    # Bland's primal simplex with the true costs from a primal-feasible basis.
+    status, basis, b_inv, pivots = _simplex(a2, b_s, cost, basis, b_inv)
     total_iters += pivots
     if status == "unbounded":
         return LpSolution(status=LpStatus.UNBOUNDED, iterations=total_iters)
@@ -227,8 +247,8 @@ def solve(lp: LinearProgram, basis=None) -> LpSolution:
     # sit at machine level, not at cond(B) * eps.
     basis = np.sort(basis)
     b_mat = a2[:, basis]
-    xb = _refined_solve(b_mat, b_w)
-    y_eq = _refined_solve(b_mat.T, cost2[basis])
+    xb = _refined_solve(b_mat, b_s)
+    y_eq = _refined_solve(b_mat.T, cost[basis])
     x_full = np.zeros(n + m)
     x_full[basis] = np.maximum(xb, 0.0)
     x = x_full[:n]
@@ -236,25 +256,28 @@ def solve(lp: LinearProgram, basis=None) -> LpSolution:
         status=LpStatus.OPTIMAL,
         x=x,
         objective=float(lp.c @ x),
-        duals=-(sign * y_eq) / scale,
+        duals=-y_eq / scale,
         iterations=total_iters,
         basis=basis,
     )
 
 
-def _feasible_basis(a2, b_w, basis):
-    """(basis, inverse) of a primal-feasible hint over the structural and slack
-    columns ``a2``, or None when the hint is singular or infeasible."""
+def _invert_hint(a2, basis):
+    """(basis, inverse) of a hint over the structural and slack columns
+    ``a2``, or None when the hint is singular."""
     basis = np.array(basis, dtype=int)
     if basis.shape != (a2.shape[0],) or np.any((basis < 0) | (basis >= a2.shape[1])):
         raise ValueError(f"basis must hold {a2.shape[0]} column indices below {a2.shape[1]}")
     try:
-        b_inv = np.linalg.inv(a2[:, basis])
+        return basis, np.linalg.inv(a2[:, basis])
     except np.linalg.LinAlgError:
         return None
-    if not np.all(b_inv @ b_w >= 0.0):
-        return None
-    return basis, b_inv
+
+
+def _dual_feasible(a2, cost, basis, b_inv):
+    """True when no reduced cost at ``basis`` lets the primal simplex enter."""
+    reduced = cost - a2.T @ (b_inv.T @ cost[basis])
+    return bool(np.all(reduced >= -FEAS_TOL * (1.0 + np.abs(cost))))
 
 
 def _refined_solve(mat, rhs):
@@ -264,27 +287,6 @@ def _refined_solve(mat, rhs):
     for _ in range(2):
         x = x + np.linalg.solve(mat, rhs - mat @ x)
     return x
-
-
-def _purge_artificials(a_std, basis, b_inv, n_real):
-    """Pivot zero-valued artificial variables out of the phase-1 basis.
-
-    An exchange always exists: the artificial of row r has column e_r, so
-    b_inv[pos, r] is 1 up to rounding at its basis position, and row r's
-    slack (column +-e_r) cannot be basic beside it, which makes the slack a
-    candidate. Every row has a slack, so no row is ever redundant.
-    """
-    for pos in np.flatnonzero(basis >= n_real):
-        vals = b_inv[pos] @ a_std[:, :n_real]
-        in_basis = np.zeros(n_real, dtype=bool)
-        in_basis[basis[basis < n_real]] = True
-        j = int(np.flatnonzero(~in_basis & (np.abs(vals) > PIVOT_TOL))[0])
-        d = b_inv @ a_std[:, j]
-        piv_row = b_inv[pos] / d[pos]
-        b_inv = b_inv - np.outer(d, piv_row)
-        b_inv[pos] = piv_row
-        basis[pos] = j
-    return basis, b_inv
 
 
 def verify(lp: LinearProgram, sol: LpSolution) -> LpVerification:

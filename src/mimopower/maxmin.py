@@ -18,8 +18,12 @@ across the antenna counts of a drop skips most LPs of a sweep. Inside one
 bisection it never answers, since every candidate lies strictly inside
 (lower, upper). When the last feasible level was answered by the bracket,
 its LP is solved once at exactly that candidate for the allocation and the
-duals; the solve is deterministic, so the result is the one the probe
-itself would have returned.
+duals.
+
+The bracket also carries the optimal basis of the last feasible LP it saw,
+and every probe (and that re-solve) starts the simplex there: it is usually
+primal or dual feasible for the next probe, and the result depends only on
+the optimal basis, not on where the simplex started.
 """
 
 from __future__ import annotations
@@ -73,11 +77,13 @@ class FeasibilityBracket:
     Only the minimal feasible and the maximal infeasible s-vectors are kept;
     with uniform weights every s has equal entries, so each list holds at
     most one vector. Entries never contradict: a probe the stored ones
-    decide is answered, not recorded.
+    decide is answered, not recorded. ``basis`` is the optimal basis of the
+    last feasible LP solved under the mask, the next probe's start hint.
     """
 
     feasible: list = field(default_factory=list)
     infeasible: list = field(default_factory=list)
+    basis: np.ndarray | None = None
 
     def lookup(self, s: np.ndarray) -> bool | None:
         """True if s dominates a feasible entry, False if an infeasible entry
@@ -157,7 +163,7 @@ def solve_max_min(
         res = None
         feasible = bracket.lookup(s)
         if feasible is None:
-            res = solve_power_min(stats, targets, scenario, allowed)
+            res = _probe(stats, targets, scenario, allowed, bracket)
             feasible = res.feasible
             bracket.record(s, feasible)
         if feasible:
@@ -175,7 +181,7 @@ def solve_max_min(
         )
 
     if best is None and best_targets is not None:
-        best = solve_power_min(stats, best_targets, scenario, allowed)
+        best = _probe(stats, best_targets, scenario, allowed, bracket)
         if not best.feasible:
             raise RuntimeError(
                 f"max-min level {lower!r} is feasible by the bracket, but its re-solve is "
@@ -188,3 +194,12 @@ def solve_max_min(
         trace=trace,
         last_feasible=best,
     )
+
+
+def _probe(stats, targets, scenario, allowed, bracket) -> PowerMinResult:
+    """``solve_power_min`` from the bracket's basis; a feasible result
+    hands the bracket its own basis."""
+    res = solve_power_min(stats, targets, scenario, allowed, basis=bracket.basis)
+    if res.feasible:
+        bracket.basis = res.basis
+    return res

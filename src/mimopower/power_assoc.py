@@ -20,11 +20,12 @@ holds for any mask, with the minimum taken over the BSs it allows. A solve
 reports the association it found as a second (L, K) mask, ``serving``: the
 pairs whose power exceeds SERVING_THRESHOLD_SCALE times the BS's cap.
 
-``solve_power_min`` starts the simplex from max-SNR association within the
-mask; at that basis its duals are the rule's lambda with mu = 0, so phase 2's
-pivots are the moves to the optimal association. A guess that is not a
-primal-feasible basis is discarded for a cold solve: only the simplex proves
-optimality or infeasibility (phase 1's Farkas certificate).
+``solve_power_min`` starts the simplex from a given basis, or else from
+max-SNR association within the mask; at that basis its duals are the rule's
+lambda with mu = 0, so the primal simplex's pivots are the moves to the
+optimal association. A guess that exceeds a cap starts the dual simplex
+instead. A guess never decides anything: only the simplex proves optimality
+or infeasibility (the dual simplex's Farkas certificate).
 """
 
 from __future__ import annotations
@@ -93,6 +94,7 @@ class PowerMinResult:
     qos_duals: np.ndarray | None = None  # lambda, one per user
     power_duals: np.ndarray | None = None  # mu, one per BS
     objective: float | None = None
+    basis: np.ndarray | None = None  # the LP's optimal basis, sorted (see lp.solve)
 
     @property
     def feasible(self) -> bool:
@@ -119,16 +121,26 @@ class PowerMinResult:
 
 
 def solve_power_min(
-    stats: ChannelStats, targets: QosTargets, scenario: NetworkScenario, allowed=None
+    stats: ChannelStats,
+    targets: QosTargets,
+    scenario: NetworkScenario,
+    allowed=None,
+    basis=None,
 ) -> PowerMinResult:
     """Minimum-power allocation and association for fixed SE targets, each
     user drawing power only from the BSs the (L, K) mask ``allowed`` grants
-    it; None allows every BS, the jointly optimal association."""
+    it; None allows every BS, the jointly optimal association.
+
+    ``basis`` is the simplex's start hint (see ``lp.solve``), such as the
+    ``basis`` of an earlier result under the same mask; None starts from
+    max-SNR association."""
     if allowed is not None:
         allowed = np.asarray(allowed, dtype=bool)
     lp = build_lp(stats, targets, scenario, allowed)
     mask = np.ones(stats.beta.shape, dtype=bool) if allowed is None else allowed
-    sol = lp_solve(lp, basis=_max_snr_basis(stats, targets, mask))
+    if basis is None:
+        basis = _max_snr_basis(stats, targets, mask)
+    sol = lp_solve(lp, basis=basis)
     if sol.status != LpStatus.OPTIMAL:
         return PowerMinResult(status=sol.status, allowed=mask)
     rho = np.zeros(mask.shape)
@@ -142,6 +154,7 @@ def solve_power_min(
         qos_duals=sol.duals[:K].copy(),
         power_duals=sol.duals[K:].copy(),
         objective=sol.objective,
+        basis=sol.basis,
     )
 
 

@@ -8,6 +8,9 @@ completely independent of the simplex implementation under test.
 
 power_min_lp_rows writes the power-min LP row by row, the loop-form
 reference for the broadcasting builder.
+
+assert_farkas_certificate checks an infeasibility proof from the LP data
+alone.
 """
 
 from itertools import combinations
@@ -80,3 +83,13 @@ def power_min_lp_rows(beta, gamma, xi_hat, num_antennas, noise_dl, pmax):
         a[K + i, i::L] = 1.0
         b[K + i] = pmax[i]
     return a, b
+
+
+def assert_farkas_certificate(a_ub, b_ub, y, rtol=1e-12):
+    """y proves {x >= 0, A x <= b} empty: y >= 0, A^T y >= 0 up to rtol
+    times |A|^T y column by column, and b^T y < 0."""
+    a = np.asarray(a_ub, dtype=float)
+    assert y is not None and y.shape == (a.shape[0],)
+    assert np.all(y >= 0.0)
+    assert np.all(a.T @ y >= -rtol * (np.abs(a).T @ y))
+    assert float(np.asarray(b_ub, dtype=float) @ y) < 0.0

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mimopower.lp import LinearProgram, LpStatus, format_lp, solve, verify
-from oracles import brute_force_lp_min, random_feasible_lp
+from oracles import assert_farkas_certificate, brute_force_lp_min, random_feasible_lp
 
 
 class TestContractExamples:
@@ -28,15 +28,17 @@ class TestContractExamples:
         assert sol.x is None
 
     def test_unbounded_reported(self):
-        sol = solve(LinearProgram(c=[-1.0], a_ub=np.zeros((0, 1)), b_ub=[]))
-        assert sol.status == LpStatus.UNBOUNDED
+        for c in ([-1.0], [1.0, -2.0, 0.0]):
+            sol = solve(LinearProgram(c=c, a_ub=np.zeros((0, len(c))), b_ub=[]))
+            assert sol.status == LpStatus.UNBOUNDED
 
     def test_zero_lp(self):
-        lp = LinearProgram(c=[0.0, 0.0], a_ub=np.zeros((0, 2)), b_ub=[])
-        sol = solve(lp)
-        assert sol.status == LpStatus.OPTIMAL
-        np.testing.assert_array_equal(sol.x, [0.0, 0.0])
-        assert verify(lp, sol).worst == 0.0
+        for c, hint in (([0.0, 0.0], None), ([1.0, 2.0], [])):
+            lp = LinearProgram(c=c, a_ub=np.zeros((0, 2)), b_ub=[])
+            sol = solve(lp, basis=hint)
+            assert sol.status == LpStatus.OPTIMAL and sol.iterations == 0
+            np.testing.assert_array_equal(sol.x, [0.0, 0.0])
+            assert sol.duals.size == 0 and verify(lp, sol).worst == 0.0
 
     def test_rows_without_columns(self):
         # x = [] meets 0 <= b only where b >= 0; -2.5e-13 is a QoS row's -noise
@@ -136,6 +138,48 @@ class TestBasisHint:
         warm = solve(lp, basis=[3, 1])
         assert warm.iterations == 0
         assert np.array_equal(warm.x, cold.x) and np.array_equal(warm.duals, cold.duals)
+
+    def test_dual_feasible_hint_starts_the_dual_simplex(self):
+        # min 2x1 + x2 + 2x3 over covering rows A x >= b. The optimal basis at
+        # b = (2, 1, 1), {x1, x2, slack of row 3}, stays dual feasible at
+        # b = (4, 2, 3) (its reduced costs do not involve b), but its vertex
+        # there has a negative slack.
+        a = -np.array([[3.0, 3.0, 1.0], [2.0, 1.0, 1.0], [2.0, 2.0, 3.0]])
+        lp = LinearProgram(c=[2.0, 1.0, 2.0], a_ub=a, b_ub=[-4.0, -2.0, -3.0])
+        hint = solve(LinearProgram(c=lp.c, a_ub=a, b_ub=[-2.0, -1.0, -1.0])).basis
+        assert np.array_equal(hint, [0, 1, 5])
+        b_mat = np.hstack([a, np.eye(3)])[:, hint]
+        assert np.linalg.solve(b_mat, lp.b_ub).min() < 0.0
+        cold, warm = solve(lp), solve(lp, basis=hint)
+        assert warm.status == LpStatus.OPTIMAL and warm.iterations < cold.iterations
+        np.testing.assert_allclose(warm.x, [0.5, 1.0, 0.0], rtol=1e-12)
+        assert np.array_equal(warm.x, cold.x) and np.array_equal(warm.duals, cold.duals)
+        assert np.array_equal(warm.basis, cold.basis) and warm.objective == cold.objective
+
+    def test_infeasible_lp_from_dual_feasible_hint(self):
+        # the covering rows above plus the cap x1 + x2 + x3 <= cap: the
+        # optimum under a loose cap keeps the cap's slack basic, and that
+        # basis is dual feasible, not primal feasible, under a cap of 0.5
+        a = np.array([[-3.0, -3.0, -1.0], [-2.0, -1.0, -1.0], [-2.0, -2.0, -3.0], [1.0, 1.0, 1.0]])
+        b = np.array([-4.0, -2.0, -3.0, 10.0])
+        hint = solve(LinearProgram(c=[2.0, 1.0, 2.0], a_ub=a, b_ub=b)).basis
+        assert 6 in hint
+        b[3] = 0.5
+        lp = LinearProgram(c=[2.0, 1.0, 2.0], a_ub=a, b_ub=b)
+        for sol in (solve(lp, basis=hint), solve(lp)):
+            assert sol.status == LpStatus.INFEASIBLE
+            assert_farkas_certificate(a, b, sol.infeasibility_certificate)
+
+    def test_negative_costs_run_both_phases(self):
+        # min -x1 s.t. x1 + x2 <= 2, x2 >= 1: the dual phase on max(c, 0)
+        # = 0 finds x2 = 1, then the primal phase raises x1 to the cap
+        lp = LinearProgram(c=[-1.0, 0.0], a_ub=[[1.0, 1.0], [0.0, -1.0]], b_ub=[2.0, -1.0])
+        sol = solve(lp)
+        assert sol.status == LpStatus.OPTIMAL and sol.iterations == 2
+        np.testing.assert_allclose(sol.x, [1.0, 1.0], rtol=1e-12)
+        np.testing.assert_allclose(sol.duals, [1.0, 1.0], rtol=1e-12)
+        assert sol.objective == pytest.approx(-1.0, rel=1e-12)
+        assert verify(lp, sol).worst <= 1e-12
 
     def test_malformed_hint_rejected(self):
         lp = LinearProgram(c=[1.0], a_ub=[[-1.0]], b_ub=[-1.0])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from conftest import random_drop, single_cell
 
-from mimopower import power_assoc
+from mimopower import maxmin, power_assoc
 from mimopower.channel import ChannelStats
 from mimopower.harness import DEFAULT_NUM_USERS, default_scenario, iter_drops
 from mimopower.lp import LpSolution, LpStatus
@@ -199,6 +199,51 @@ class TestFeasibilityBracket:
                     assert_same_result(shared, solve_max_min(stats, scn, w, allowed=allowed))
         # the shared brackets answered some probes without an LP
         assert shared_solves < probes
+
+    def test_carried_basis_hints_match_cold_solves(self, monkeypatch):
+        """Every probe LP of three drops, joint and max-SNR, with a bracket
+        shared across antenna counts: started from the bracket's basis, it
+        gives the bits of a cold ``solve_power_min`` (max-SNR start) when
+        optimal and its status when infeasible, in fewer pivots in total."""
+        pivots = []
+        real_lp, real_probe = power_assoc.lp_solve, maxmin.solve_power_min
+
+        def counting(lp, basis=None):
+            sol = real_lp(lp, basis=basis)
+            pivots.append(sol.iterations)
+            return sol
+
+        probes = []
+
+        def recording(*args, basis=None):
+            res = real_probe(*args, basis=basis)
+            probes.append((args, basis, res, pivots[-1]))
+            return res
+
+        monkeypatch.setattr(power_assoc, "lp_solve", counting)
+        monkeypatch.setattr(maxmin, "solve_power_min", recording)
+        k = DEFAULT_NUM_USERS
+        for _, scn0, stats in iter_drops(default_scenario(50, k, rng_seed=8), 8, 3):
+            for allowed in (None, max_snr_mask(stats.beta)):
+                bracket = FeasibilityBracket()
+                for m in (50, 100, 150, 200):
+                    solve_max_min(stats, scn0.with_antennas(m), allowed=allowed, bracket=bracket)
+        hinted_pivots = cold_pivots = hinted = infeasible = 0
+        for args, basis, res, used in probes:
+            cold = real_probe(*args)
+            hinted_pivots += used
+            cold_pivots += pivots[-1]
+            hinted += basis is not None
+            assert res.status == cold.status
+            if not cold.feasible:
+                infeasible += 1
+                continue
+            assert np.array_equal(res.allocation.rho, cold.allocation.rho)
+            assert np.array_equal(res.qos_duals, cold.qos_duals)
+            assert np.array_equal(res.power_duals, cold.power_duals)
+            assert res.objective == cold.objective and np.array_equal(res.basis, cold.basis)
+        assert hinted and infeasible
+        assert hinted_pivots < cold_pivots
 
     def test_repeat_call_solves_one_lp(self, monkeypatch):
         scn, stats = random_drop(21, num_antennas=100, num_users=6)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 from conftest import random_drop, single_cell
-from oracles import power_min_lp_rows
+from oracles import assert_farkas_certificate, power_min_lp_rows
 
 from mimopower import power_assoc
 from mimopower.channel import ChannelStats
@@ -15,7 +15,7 @@ from mimopower.harness import (
 )
 from mimopower.lp import LpSolution, LpStatus
 from mimopower.lp import solve as lp_solve
-from mimopower.maxmin import solve_max_min
+from mimopower.maxmin import FeasibilityBracket, solve_max_min
 from mimopower.power_assoc import (
     PowerMinResult,
     _b_mat,
@@ -281,31 +281,37 @@ class TestSolutionContracts:
         assert res.joint_fraction == 0.5
 
 
-def assert_same_solution(a, b):
+def assert_same_solution(lp, a, b):
+    """Bit-equal optima; infeasible solves need only valid certificates,
+    which depend on where the dual simplex started."""
     assert a.status == b.status
     if a.status == LpStatus.OPTIMAL:
         assert np.array_equal(a.x, b.x) and np.array_equal(a.duals, b.duals)
         assert a.objective == b.objective and np.array_equal(a.basis, b.basis)
     elif a.status == LpStatus.INFEASIBLE:
-        assert np.array_equal(a.infeasibility_certificate, b.infeasibility_certificate)
+        for sol in (a, b):
+            assert_farkas_certificate(lp.a_ub, lp.b_ub, sol.infeasibility_certificate)
 
 
 class TestPolicyWarmStart:
     def test_warm_and_cold_solves_agree(self):
         """Every LP of three drops, joint and max-SNR, at SE 1.0 and at every
-        max-min probe level: the max-SNR basis hint, the cold solve's own
-        optimal basis (as given and permuted), a singular hint and a primal
-        infeasible hint all give the cold solve's bits. The hint puts each
-        user on its max-SNR BS, and phase 2 moves some joint optima off it."""
+        max-min probe level: the max-SNR basis hint, the basis a shared
+        feasibility bracket carries, the cold solve's own optimal basis (as
+        given and permuted), a singular hint and a primal-infeasible hint all
+        give the cold solve's bits. The hint puts each user on its max-SNR
+        BS, and the simplex moves some joint optima off it."""
         antennas, k = (50, 100, 150, 200), DEFAULT_NUM_USERS
         rng = np.random.default_rng(0)
-        cold_pivots = warm_pivots = guesses = optimal = infeasible = moved = 0
+        cold_pivots = warm_pivots = guesses = carried = optimal = infeasible = moved = 0
         for _, scn0, stats in iter_drops(default_scenario(antennas[0], k, rng_seed=3), 3, 3):
             best = max_snr_mask(stats.beta)
+            masks = (np.ones(stats.beta.shape, dtype=bool), best)
+            brackets = (FeasibilityBracket(), FeasibilityBracket())
             for m in antennas:
                 scn = scn0.with_antennas(m)
-                for mask in (np.ones(stats.beta.shape, dtype=bool), best):
-                    probes = solve_max_min(stats, scn, allowed=mask).trace
+                for mask, bracket in zip(masks, brackets):
+                    probes = solve_max_min(stats, scn, allowed=mask, bracket=bracket).trace
                     for xi in [1.0] + [p.candidate for p in probes]:
                         targets = QosTargets.uniform(xi, k, scn)
                         lp = build_lp(stats, targets, scn, mask)
@@ -314,10 +320,12 @@ class TestPolicyWarmStart:
                         pairs = np.argwhere(mask.T)[guess[:k]]
                         assert np.array_equal(pairs, np.argwhere(best.T))
                         cold, warm = lp_solve(lp), lp_solve(lp, basis=guess)
-                        assert_same_solution(cold, warm)
+                        assert_same_solution(lp, cold, warm)
+                        assert_same_solution(lp, cold, lp_solve(lp, basis=bracket.basis))
                         cold_pivots += cold.iterations
                         warm_pivots += warm.iterations
                         guesses += guess is not None
+                        carried += bracket.basis is not None
                         if cold.status == LpStatus.INFEASIBLE:
                             infeasible += 1
                             continue
@@ -327,15 +335,15 @@ class TestPolicyWarmStart:
                         for hint in (cold.basis, rng.permutation(cold.basis)):
                             again = lp_solve(lp, basis=hint)
                             assert again.iterations == 0
-                            assert_same_solution(cold, again)
+                            assert_same_solution(lp, cold, again)
                         singular = cold.basis.copy()
                         singular[1] = singular[0]
                         all_slacks = lp.num_vars + np.arange(lp.num_rows)  # QoS slacks < 0
                         for hint in (singular, all_slacks):
                             fallback = lp_solve(lp, basis=hint)
                             assert fallback.iterations == cold.iterations
-                            assert_same_solution(cold, fallback)
-        assert optimal and infeasible and guesses and moved
+                            assert_same_solution(lp, cold, fallback)
+        assert optimal and infeasible and guesses and carried and moved
         assert warm_pivots < cold_pivots  # the max-SNR hints were taken
 
     def test_no_guess_without_targets_or_allowed_bs(self, small_scenario, small_stats):
