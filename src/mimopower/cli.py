@@ -45,7 +45,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         "--antennas", default=None, help="comma-separated antenna counts (default 50,100,150,200)"
     )
     p.add_argument("--out", metavar="DIR", help="output directory for results.csv + config.json")
-    p.add_argument("--users", type=int, default=DEFAULT_NUM_USERS)
+    p.add_argument("--users", type=int, help=f"users per drop (default {DEFAULT_NUM_USERS})")
 
 
 def _parse_antennas(text: str | None) -> tuple:
@@ -56,6 +56,15 @@ def _parse_antennas(text: str | None) -> tuple:
     if not counts:
         raise SystemExit("error: --antennas must list at least one count")
     return counts
+
+
+def _num_users(args) -> int:
+    """--users, or the default; a --scenario file sets its own user count."""
+    if args.users is None:
+        return DEFAULT_NUM_USERS
+    if args.scenario:
+        raise ValueError("--users cannot be combined with --scenario, whose file sets the users")
+    return args.users
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,7 +106,7 @@ def _cmd_sweep(args, mode: str) -> int:
         num_drops=args.drops,
         rng_seed=args.seed,
         scenario_path=args.scenario,
-        num_users=args.users,
+        num_users=_num_users(args),
         delta=getattr(args, "delta", DEFAULT_DELTA),
         collect_traces=bool(getattr(args, "trace", False)),
     )
@@ -137,16 +146,18 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_drop(args) -> int:
+    num_users = _num_users(args)
+    counts = _parse_antennas(args.antennas)
+    if args.antennas is not None and len(counts) > 1:
+        raise ValueError(f"drop solves one antenna count, got --antennas {args.antennas}")
     if args.scenario:
         scenario = load_scenario(args.scenario)
         if args.antennas is not None:
-            scenario = scenario.with_antennas(_parse_antennas(args.antennas)[0])
+            scenario = scenario.with_antennas(counts[0])
         if args.seed is not None:
             scenario = dataclasses.replace(scenario, rng_seed=args.seed)
     else:
-        scenario = default_scenario(
-            _parse_antennas(args.antennas)[0], args.users, rng_seed=args.seed or 0
-        )
+        scenario = default_scenario(counts[0], num_users, rng_seed=args.seed or 0)
     record = run_drop(scenario, mode=args.mode, target_se=args.target_se, delta=args.delta)
     text = json.dumps(record, indent=2, sort_keys=True)
     if args.out:

@@ -8,14 +8,15 @@ sequences of 2e-7 J total energy (0.2 W per symbol at 20 MHz).
 
 Per-drop randomness comes from a stream seeded by (sweep seed, drop index),
 so results are independent of evaluation order; antenna sweeps reuse the
-same drops, which makes the monotone-in-M trends hold drop by drop.
+same drops, which makes the monotone-in-M trends hold drop by drop. A cell's
+two results, joint and max-SNR, are its only record: every output reads them.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .channel import (
 from .maxmin import DEFAULT_DELTA, FeasibilityBracket, solve_max_min
 from .mc_oracle import McConfig, estimate_sinr_terms
 from .power_assoc import PowerMinResult, association_rule_check, max_snr_mask, solve_power_min
-from .se import PowerAllocation, QosTargets, se_mrt_all, sinr_mrt_all
+from .se import PowerAllocation, QosTargets, se_mrt_all, sinr_mrt_all, spectral_efficiency
 
 DEFAULT_BANDWIDTH_HZ = 20e6
 DEFAULT_PILOT_ENERGY_J = 2e-7
@@ -104,31 +105,20 @@ class SweepSpec:
 
 
 @dataclass
-class DropMetrics:
-    """Metrics of one (drop, antenna count) cell; absent values stay None."""
-
-    num_antennas: int
-    drop_index: int
-    feasible_opt: bool = False
-    feasible_maxsnr: bool = False
-    total_power_opt: float | None = None
-    total_power_maxsnr: float | None = None
-    maxmin_xi: float | None = None
-    maxmin_xi_maxsnr: float | None = None
-    joint_tx_user_fraction: float | None = None
-
-
-@dataclass
 class SweepResult:
+    """A sweep's cells and table. ``drops`` maps each antenna count to its
+    cells' (joint, max-SNR) results in drop order (``solve_cell``'s pairs);
+    the table, traces.jsonl and the exit code are all read from them."""
+
     spec: SweepSpec
-    drops: dict  # num_antennas -> list[DropMetrics], ordered by drop index
+    drops: dict
     table: list  # (num_antennas, metric, value) rows
     config: dict
-    traces: list = field(default_factory=list)
 
     @property
     def any_feasible(self) -> bool:
-        return any(m.feasible_opt for drops in self.drops.values() for m in drops)
+        """Whether some joint power-min solve was feasible (powermin sweeps)."""
+        return any(opt.feasible for cells in self.drops.values() for opt, _ in cells)
 
 
 def check_solution_invariants(
@@ -142,10 +132,10 @@ def check_solution_invariants(
     cap = alloc.per_bs_power() - scenario.pmax
     if np.any(cap > 1e-9):
         raise HarnessInvariantError(f"per-BS power cap violated by {cap.max():.3e} W")
-    se = se_mrt_all(stats, alloc, scenario)
+    sinr = sinr_mrt_all(stats, alloc, scenario)
+    se = spectral_efficiency(sinr, scenario.coherence_length, scenario.pilot_length)
     if np.any(se < targets.xi - 1e-6):
         raise HarnessInvariantError("achieved SE fell below its target")
-    sinr = sinr_mrt_all(stats, alloc, scenario)
     active = targets.xi_hat > 0.0
     binding = np.abs(sinr[active] / targets.xi_hat[active] - 1.0)
     if binding.size and binding.max() > 1e-8:
@@ -181,14 +171,13 @@ def solve_cell(
     """Solve one (drop, antenna count) cell with both association methods
     and check every per-cell invariant.
 
-    Returns (metrics, joint result, max-SNR result): PowerMinResults in
-    powermin mode, MaxMinResults in maxmin mode. A failed check raises
+    Returns (joint result, max-SNR result): PowerMinResults in powermin
+    mode, MaxMinResults in maxmin mode. A failed check raises
     HarnessInvariantError, and any RuntimeError is re-raised with its type
     and a message naming the cell. ``brackets`` are the joint and
     max-SNR ``FeasibilityBracket``s of the drop's maxmin bisections; None
     gives a bisection a fresh one.
     """
-    m = scenario.num_antennas
     try:
         if mode == "powermin":
             targets = QosTargets.uniform(target_se, scenario.num_users, scenario)
@@ -201,15 +190,6 @@ def solve_cell(
                     check_solution_invariants(stats, targets, scenario, res)
             if snr.feasible and opt.objective > snr.objective * (1.0 + 1e-9):
                 raise HarnessInvariantError("optimal objective exceeds the max-SNR objective")
-            metrics = DropMetrics(
-                num_antennas=m,
-                drop_index=drop_index,
-                feasible_opt=opt.feasible,
-                feasible_maxsnr=snr.feasible,
-                total_power_opt=opt.objective if opt.feasible else None,
-                total_power_maxsnr=snr.objective if snr.feasible else None,
-                joint_tx_user_fraction=opt.joint_fraction if opt.feasible else None,
-            )
         elif mode == "maxmin":
             opt = solve_max_min(stats, scenario, delta=delta, bracket=brackets[0])
             snr = solve_max_min(
@@ -225,23 +205,11 @@ def solve_cell(
                     # xi_lower is exactly the candidate of the last feasible probe
                     targets = QosTargets.uniform(mm.xi_lower, scenario.num_users, scenario)
                     check_solution_invariants(stats, targets, scenario, mm.last_feasible)
-            metrics = DropMetrics(
-                num_antennas=m,
-                drop_index=drop_index,
-                feasible_opt=True,
-                feasible_maxsnr=True,
-                maxmin_xi=opt.xi_lower,
-                maxmin_xi_maxsnr=snr.xi_lower,
-                # a level-0 bisection has no feasible solve and serves nobody
-                joint_tx_user_fraction=(
-                    opt.last_feasible.joint_fraction if opt.last_feasible is not None else 0.0
-                ),
-            )
         else:
             raise ValueError(f"unknown mode {mode!r}")
     except RuntimeError as e:
-        raise type(e)(f"drop {drop_index}, M={m}, {mode}: {e}") from e
-    return metrics, opt, snr
+        raise type(e)(f"drop {drop_index}, M={scenario.num_antennas}, {mode}: {e}") from e
+    return opt, snr
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -252,34 +220,20 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         base = load_scenario(spec.scenario_path)
     else:
         base = default_scenario(spec.antenna_counts[0], spec.num_users, rng_seed=spec.rng_seed)
-    drops: dict[int, list[DropMetrics]] = {m: [] for m in spec.antenna_counts}
-    traces = []
+    drops: dict[int, list[tuple]] = {m: [] for m in spec.antenna_counts}
     for d, scn0, stats in iter_drops(base, spec.rng_seed, spec.num_drops):
         brackets = (FeasibilityBracket(), FeasibilityBracket())
         for m in spec.antenna_counts:
-            metrics, opt, snr = solve_cell(
-                stats, scn0.with_antennas(m), spec.mode, d, spec.target_se, spec.delta, brackets
-            )
-            drops[m].append(metrics)
-            if spec.mode == "maxmin" and spec.collect_traces:
-                traces.append(
-                    {
-                        "num_antennas": m,
-                        "drop": d,
-                        "optimal": [asdict(p) for p in opt.trace],
-                        "max_snr": [asdict(p) for p in snr.trace],
-                    }
-                )
+            scn = scn0.with_antennas(m)
+            drops[m].append(solve_cell(stats, scn, spec.mode, d, spec.target_se, spec.delta, brackets))
     # collect_traces picks the files written, not their contents
     spec_fields = {k: v for k, v in asdict(spec).items() if k != "collect_traces"}
     config = {"spec": spec_fields, "base_scenario": scenario_to_json_dict(base)}
-    return SweepResult(
-        spec=spec, drops=drops, table=aggregate_table(spec, drops), config=config, traces=traces
-    )
+    return SweepResult(spec=spec, drops=drops, table=aggregate_table(spec, drops), config=config)
 
 
 def _mean(values) -> float | None:
-    vals = [v for v in values if v is not None]
+    vals = list(values)
     return float(np.mean(vals)) if vals else None
 
 
@@ -287,32 +241,27 @@ def aggregate_table(spec: SweepSpec, drops: dict) -> list:
     """Long-format rows (num_antennas, metric, value); empty metrics are omitted.
 
     Transmit powers average only over drops where both association methods
-    are feasible, so the comparison is like for like.
+    are feasible, so the comparison is like for like. A level-0 max-min
+    cell has no feasible solve and serves nobody: its joint fraction is 0.
     """
     rows = []
     for m in spec.antenna_counts:
-        cell = drops[m]
-        n = len(cell)
+        cells = drops[m]
+        n = len(cells)
         rows.append((m, "num_drops", n))
         if spec.mode == "powermin":
-            rows.append((m, "bad_service_prob_optimal", sum(not x.feasible_opt for x in cell) / n))
-            rows.append((m, "bad_service_prob_max_snr", sum(not x.feasible_maxsnr for x in cell) / n))
-            both = [x for x in cell if x.feasible_opt and x.feasible_maxsnr]
+            rows.append((m, "bad_service_prob_optimal", sum(not o.feasible for o, _ in cells) / n))
+            rows.append((m, "bad_service_prob_max_snr", sum(not s.feasible for _, s in cells) / n))
+            both = [(o, s) for o, s in cells if o.feasible and s.feasible]
             rows.append((m, "num_both_feasible", len(both)))
-            for name, key in (
-                ("mean_total_power_w_optimal", "total_power_opt"),
-                ("mean_total_power_w_max_snr", "total_power_maxsnr"),
-            ):
-                val = _mean(getattr(x, key) for x in both)
-                if val is not None:
-                    rows.append((m, name, val))
-            frac = _mean(x.joint_tx_user_fraction for x in cell)
-            if frac is not None:
-                rows.append((m, "joint_tx_fraction_optimal", frac))
+            rows.append((m, "mean_total_power_w_optimal", _mean(o.objective for o, _ in both)))
+            rows.append((m, "mean_total_power_w_max_snr", _mean(s.objective for _, s in both)))
+            frac = _mean(o.joint_fraction for o, _ in cells if o.feasible)
+            rows.append((m, "joint_tx_fraction_optimal", frac))
         else:
-            rows.append((m, "mean_maxmin_se_optimal", _mean(x.maxmin_xi for x in cell)))
-            rows.append((m, "mean_maxmin_se_max_snr", _mean(x.maxmin_xi_maxsnr for x in cell)))
-            frac = _mean(x.joint_tx_user_fraction for x in cell)
+            rows.append((m, "mean_maxmin_se_optimal", _mean(o.xi_lower for o, _ in cells)))
+            rows.append((m, "mean_maxmin_se_max_snr", _mean(s.xi_lower for _, s in cells)))
+            frac = _mean(o.last_feasible.joint_fraction if o.last_feasible else 0.0 for o, _ in cells)
             rows.append((m, "joint_tx_fraction_optimal", frac))
             rows.append((m, "single_bs_fraction_optimal", 1.0 - frac))
     return [(m, name, v) for (m, name, v) in rows if v is not None]
@@ -339,13 +288,23 @@ def emit_results(result: SweepResult, out_dir) -> tuple:
         json.dump(result.config, fh, indent=2, sort_keys=True)
         fh.write("\n")
     paths = [csv_path, json_path]
-    if result.traces:
+    spec = result.spec
+    if spec.mode == "maxmin" and spec.collect_traces:
         trace_path = os.path.join(out_dir, "traces.jsonl")
+        # one iterator per count keeps a repeated count's cells in sweep order
+        cells = {m: iter(pairs) for m, pairs in result.drops.items()}
         with open(trace_path, "w") as fh:
-            for rec in result.traces:
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            for d in range(spec.num_drops):
+                for m in spec.antenna_counts:
+                    opt, snr = next(cells[m])
+                    rec = {"num_antennas": m, "drop": d, "optimal": _trace(opt), "max_snr": _trace(snr)}
+                    fh.write(json.dumps(rec, sort_keys=True) + "\n")
         paths.append(trace_path)
     return tuple(paths)
+
+
+def _trace(mm) -> list:
+    return [asdict(p) for p in mm.trace]
 
 
 def _bisection_record(mm) -> dict:
@@ -354,7 +313,7 @@ def _bisection_record(mm) -> dict:
         "xi_upper": mm.xi_upper,
         "iterations": mm.iterations,
         "solution": mm.last_feasible.to_json_dict() if mm.last_feasible else {"status": "zero-level"},
-        "trace": [asdict(p) for p in mm.trace],
+        "trace": _trace(mm),
     }
 
 
@@ -362,7 +321,7 @@ def run_drop(scenario: NetworkScenario, mode: str = "powermin", target_se: float
     """Solve a single drop on the scenario as given, with the sweep's checks;
     returns the full JSON record. In maxmin mode the top level holds the
     joint bisection and ``max_snr`` the max-SNR one."""
-    _, opt, snr = solve_cell(channel_stats(scenario), scenario, mode, 0, target_se, delta)
+    opt, snr = solve_cell(channel_stats(scenario), scenario, mode, 0, target_se, delta)
     if mode == "powermin":
         return {
             "mode": mode,

@@ -146,7 +146,10 @@ def _pivot(a, basis, b_inv, in_basis, leave, j, d, pivots):
     in_basis[j] = True
     basis[leave] = j
     if pivots % _REFRESH_EVERY == 0:
-        return np.linalg.inv(a[:, basis])
+        try:
+            return np.linalg.inv(a[:, basis])
+        except np.linalg.LinAlgError as e:
+            raise RuntimeError(f"singular basis at the refactor after pivot {pivots}") from e
     piv_row = b_inv[leave] / d[leave]
     b_inv = b_inv - np.outer(d, piv_row)
     b_inv[leave] = piv_row
@@ -195,10 +198,11 @@ def solve(lp: LinearProgram, basis=None) -> LpSolution:
     status only.
 
     ``basis`` is an optional hint: m column indices into the structural
-    columns (0..n-1) and the row slacks (n..n+m-1). A nonsingular hint whose
-    vertex is primal feasible (no tolerance) starts the primal simplex; one
-    that is dual feasible starts the dual simplex; any other hint is ignored.
-    A hint outside that index range raises ValueError.
+    columns (0..n-1) and the row slacks (n..n+m-1). A nonsingular hint that
+    is primal feasible (no tolerance) or dual feasible starts the dual
+    simplex, which takes no pivots from a primal-feasible one; any other
+    hint is ignored. A hint outside that index range raises ValueError. A
+    basis that turns singular mid-solve raises RuntimeError.
     """
     m, n = lp.num_rows, lp.num_vars
     if n == 0:
@@ -219,22 +223,18 @@ def solve(lp: LinearProgram, basis=None) -> LpSolution:
     a2 = np.hstack([lp.a_ub / scale[:, None], np.eye(m)])
     cost = np.concatenate([lp.c, np.zeros(m)])
     start = None if basis is None else _invert_hint(a2, basis)
-    total_iters = 0
-    if start is not None and np.all(start[1] @ b_s >= 0.0):
-        basis, b_inv = start
-    else:
-        # Dual simplex from a dual-feasible basis: the hint, or the all-slack
-        # basis, which is dual feasible for the costs max(c, 0).
-        dual_cost = cost
-        if start is None or not _dual_feasible(a2, cost, *start):
-            start, dual_cost = (n + np.arange(m), np.eye(m)), np.maximum(cost, 0.0)
-        basis, b_inv, total_iters, row = _dual_simplex(a2, b_s, dual_cost, *start)
-        if row is not None:
-            return LpSolution(
-                status=LpStatus.INFEASIBLE,
-                iterations=total_iters,
-                infeasibility_certificate=np.maximum(b_inv[row], 0.0) / scale,
-            )
+    # Dual simplex from the hint when it is primal feasible (0 pivots) or dual
+    # feasible, else from the all-slack basis, dual feasible for max(c, 0).
+    dual_cost = cost
+    if start is None or not (np.all(start[1] @ b_s >= 0.0) or _dual_feasible(a2, cost, *start)):
+        start, dual_cost = (n + np.arange(m), np.eye(m)), np.maximum(cost, 0.0)
+    basis, b_inv, total_iters, row = _dual_simplex(a2, b_s, dual_cost, *start)
+    if row is not None:
+        return LpSolution(
+            status=LpStatus.INFEASIBLE,
+            iterations=total_iters,
+            infeasibility_certificate=np.maximum(b_inv[row], 0.0) / scale,
+        )
 
     # Bland's primal simplex with the true costs from a primal-feasible basis.
     status, basis, b_inv, pivots = _simplex(a2, b_s, cost, basis, b_inv)
@@ -283,9 +283,12 @@ def _dual_feasible(a2, cost, basis, b_inv):
 def _refined_solve(mat, rhs):
     if rhs.size == 0:
         return np.zeros(0)
-    x = np.linalg.solve(mat, rhs)
-    for _ in range(2):
-        x = x + np.linalg.solve(mat, rhs - mat @ x)
+    try:
+        x = np.linalg.solve(mat, rhs)
+        for _ in range(2):
+            x = x + np.linalg.solve(mat, rhs - mat @ x)
+    except np.linalg.LinAlgError as e:
+        raise RuntimeError("singular optimal basis in the final refined solve") from e
     return x
 
 

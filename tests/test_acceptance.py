@@ -46,7 +46,7 @@ def drops_200():
 
 
 def feasible_cells(result):
-    return sum(d.feasible_opt for cell in result.drops.values() for d in cell)
+    return sum(opt.feasible for cell in result.drops.values() for opt, _ in cell)
 
 
 def table_metric(result, name):

@@ -7,7 +7,7 @@ import runpy
 import numpy as np
 import pytest
 
-from mimopower import cli, harness, power_assoc
+from mimopower import cli, harness, lp, power_assoc
 from mimopower.channel import dbm_to_watt, save_scenario
 from mimopower.harness import (
     DEFAULT_TARGET_SE,
@@ -55,11 +55,11 @@ class TestSweeps:
         result = run_sweep(spec)
         assert set(result.drops) == {50, 100}
         for m, cell in result.drops.items():
-            assert [d.drop_index for d in cell] == [0, 1, 2, 3]
-            for d in cell:
-                if d.feasible_maxsnr:
-                    assert d.feasible_opt
-                    assert d.total_power_opt <= d.total_power_maxsnr * (1 + 1e-9)
+            assert len(cell) == 4
+            for opt, snr in cell:
+                if snr.feasible:
+                    assert opt.feasible
+                    assert opt.objective <= snr.objective * (1 + 1e-9)
         metrics = {(m, name) for m, name, _ in result.table}
         assert (50, "bad_service_prob_optimal") in metrics
         assert (100, "num_drops") in metrics
@@ -69,10 +69,10 @@ class TestSweeps:
         spec = SweepSpec(antenna_counts=(30, 60, 120), num_drops=6, rng_seed=5, num_users=10)
         result = run_sweep(spec)
         for a, b in ((30, 60), (60, 120)):
-            for da, db in zip(result.drops[a], result.drops[b]):
-                if da.feasible_opt:
-                    assert db.feasible_opt
-                    assert db.total_power_opt <= da.total_power_opt * (1 + 1e-9)
+            for (da, _), (db, _) in zip(result.drops[a], result.drops[b]):
+                if da.feasible:
+                    assert db.feasible
+                    assert db.objective <= da.objective * (1 + 1e-9)
 
     def test_maxmin_sweep_metrics(self):
         spec = SweepSpec(
@@ -80,12 +80,11 @@ class TestSweeps:
         )
         result = run_sweep(spec)
         for m in (50, 100):
-            for d in result.drops[m]:
-                assert d.maxmin_xi is not None and d.maxmin_xi_maxsnr is not None
-                assert d.maxmin_xi >= d.maxmin_xi_maxsnr - spec.delta - 1e-12
-                assert 0.0 <= d.joint_tx_user_fraction <= 1.0
-        for d50, d100 in zip(result.drops[50], result.drops[100]):
-            assert d100.maxmin_xi >= d50.maxmin_xi - spec.delta - 1e-12
+            for opt, snr in result.drops[m]:
+                assert opt.xi_lower >= snr.xi_lower - spec.delta - 1e-12
+                assert 0.0 <= opt.last_feasible.joint_fraction <= 1.0
+        for (d50, _), (d100, _) in zip(result.drops[50], result.drops[100]):
+            assert d100.xi_lower >= d50.xi_lower - spec.delta - 1e-12
         names = {name for _, name, _ in result.table}
         assert "mean_maxmin_se_optimal" in names and "single_bs_fraction_optimal" in names
 
@@ -103,7 +102,7 @@ class TestSweeps:
             for m in spec.antenna_counts:
                 scn = scn0.with_antennas(m)
                 res = solve_power_min(stats, QosTargets.uniform(spec.target_se, 8, scn), scn)
-                assert res.objective == result.drops[m][d].total_power_opt
+                assert res.objective == result.drops[m][d][0].objective
 
     def test_invariant_error_names_its_cell(self, monkeypatch):
         def broken(*args, **kwargs):
@@ -132,6 +131,30 @@ class TestSweeps:
         with pytest.raises(RuntimeError, match=r"^drop 0, M=100, maxmin: simplex pivot") as info:
             run_sweep(spec)
         assert type(info.value) is RuntimeError
+
+    def test_singular_refactor_names_its_cell(self, monkeypatch, small_scenario, small_stats):
+        # numpy's LinAlgError is a ValueError: it must reach the cell as a RuntimeError
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(lp, "_REFRESH_EVERY", 1)
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        with pytest.raises(RuntimeError, match=r"^drop 0, M=64, powermin: singular basis") as info:
+            harness.solve_cell(small_stats, small_scenario, "powermin", 0, 0.5, 0.01)
+        assert type(info.value) is RuntimeError
+
+    def test_level_zero_sweep_publishes_single_bs_service(self, tmp_path, small_scenario):
+        # 1e-12 W per BS puts every cell's SE upper bound below delta: no probe runs
+        path = tmp_path / "scn.json"
+        save_scenario(dataclasses.replace(small_scenario, pmax=np.full(4, 1e-12)), path)
+        spec = SweepSpec((64, 128), "maxmin", num_drops=2, rng_seed=1, scenario_path=str(path))
+        result = run_sweep(spec)
+        assert all(opt.last_feasible is None for cell in result.drops.values() for opt, _ in cell)
+        rows = {(m, name): value for m, name, value in result.table}
+        for m in spec.antenna_counts:
+            assert rows[(m, "mean_maxmin_se_optimal")] == 0.0
+            assert rows[(m, "joint_tx_fraction_optimal")] == 0.0
+            assert rows[(m, "single_bs_fraction_optimal")] == 1.0
 
     def test_scenario_file_template(self, tmp_path, small_scenario):
         path = tmp_path / "scn.json"
@@ -175,15 +198,20 @@ class TestEmit:
 
     def test_traces_written_in_maxmin_mode(self, tmp_path):
         spec = SweepSpec(
-            antenna_counts=(60,), mode="maxmin", num_drops=1, rng_seed=4, num_users=6,
+            antenna_counts=(60, 100), mode="maxmin", num_drops=2, rng_seed=4, num_users=6,
             collect_traces=True,
         )
-        paths = emit_results(run_sweep(spec), tmp_path / "tr")
-        trace_path = paths[-1]
+        result = run_sweep(spec)
+        trace_path = emit_results(result, tmp_path / "tr")[-1]
         assert trace_path.endswith("traces.jsonl")
-        lines = open(trace_path).read().strip().split("\n")
-        rec = json.loads(lines[0])
-        assert {"num_antennas", "drop", "optimal", "max_snr"} <= rec.keys()
+        recs = [json.loads(line) for line in open(trace_path)]
+        # drop-major, then antenna count
+        assert [(r["drop"], r["num_antennas"]) for r in recs] == [(0, 60), (0, 100), (1, 60), (1, 100)]
+        for rec in recs:
+            assert rec.keys() == {"num_antennas", "drop", "optimal", "max_snr"}
+            opt, snr = result.drops[rec["num_antennas"]][rec["drop"]]
+            assert rec["optimal"] == [dataclasses.asdict(p) for p in opt.trace]
+            assert rec["max_snr"] == [dataclasses.asdict(p) for p in snr.trace]
 
 
 class TestRunDrop:
@@ -219,10 +247,10 @@ class TestRunDrop:
     def test_maxmin_level_zero_cell(self, small_scenario, small_stats):
         # 1e-12 W per BS puts the SE upper bound below delta: no probe runs
         scn = dataclasses.replace(small_scenario, pmax=np.full(4, 1e-12))
-        metrics, opt, snr = harness.solve_cell(small_stats, scn, "maxmin", 0, DEFAULT_TARGET_SE, 0.01)
+        opt, snr = harness.solve_cell(small_stats, scn, "maxmin", 0, DEFAULT_TARGET_SE, 0.01)
         assert opt.iterations == snr.iterations == 0
         assert opt.last_feasible is None and snr.last_feasible is None
-        assert metrics.maxmin_xi == 0.0 and metrics.joint_tx_user_fraction == 0.0
+        assert opt.xi_lower == 0.0
 
     def test_unknown_mode(self, small_scenario):
         with pytest.raises(ValueError):
@@ -327,6 +355,21 @@ class TestCli:
         code = cli.main(["drop", "--scenario", str(tmp_path / "missing.json")])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    def test_users_with_scenario_file_rejected(self, tmp_path, small_scenario, capsys):
+        path = tmp_path / "scn.json"
+        save_scenario(small_scenario, path)
+        for command in ("powermin", "drop"):
+            out = tmp_path / command
+            argv = [command, "--scenario", str(path), "--users", "10", "--out", str(out)]
+            assert cli.main(argv) == 1
+            assert "--users" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_drop_rejects_several_antenna_counts(self, capsys):
+        assert cli.main(["drop", "--antennas", "50,100", "--users", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "one antenna count" in captured.err
 
     def test_drop_seed_replaces_scenario_file_seed(self, tmp_path, small_scenario, capsys):
         path = tmp_path / "scn.json"

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mimopower import lp as lp_module
 from mimopower.lp import LinearProgram, LpStatus, format_lp, solve, verify
 from oracles import assert_farkas_certificate, brute_force_lp_min, random_feasible_lp
 
@@ -206,6 +207,22 @@ class TestRobustness:
         sol = solve(lp)
         assert sol.status == LpStatus.OPTIMAL
         assert verify(lp, sol).worst <= 1e-9
+
+    def test_singular_factorizations_raise_runtime_error(self, monkeypatch):
+        # numpy's LinAlgError is a ValueError, which callers do not treat as a solver fault
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        lp = LinearProgram(c=[1.0], a_ub=[[-1.0]], b_ub=[-1.0])  # one dual pivot
+        with monkeypatch.context() as patch:
+            patch.setattr(lp_module, "_REFRESH_EVERY", 1)
+            patch.setattr(np.linalg, "inv", singular)
+            with pytest.raises(RuntimeError, match="refactor after pivot 1"):
+                solve(lp)
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(RuntimeError, match="refined solve") as info:
+            solve(lp)
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
     def test_rejects_nonfinite_data(self):
         with pytest.raises(ValueError):
