@@ -32,7 +32,6 @@ from .se import (
     se_mrt_all,
     sinr_mrt,
     sinr_mrt_all,
-    threshold_to_qos,
 )
 
 __version__ = "0.1.0"

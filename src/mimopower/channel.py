@@ -118,14 +118,6 @@ class ChannelStats:
         """Estimation-error variance, exactly beta - gamma."""
         return self.beta - self.gamma
 
-    @property
-    def num_bs(self) -> int:
-        return self.beta.shape[0]
-
-    @property
-    def num_users(self) -> int:
-        return self.beta.shape[1]
-
 
 def pairwise_distances_km(bs_positions, user_positions) -> np.ndarray:
     bs = np.asarray(bs_positions, dtype=float)

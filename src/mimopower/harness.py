@@ -98,6 +98,8 @@ class SweepSpec:
         object.__setattr__(self, "antenna_counts", tuple(int(m) for m in self.antenna_counts))
         if not self.antenna_counts:
             raise ValueError("antenna_counts must be nonempty")
+        if len(set(self.antenna_counts)) < len(self.antenna_counts):
+            raise ValueError(f"antenna_counts must not repeat a count, got {self.antenna_counts}")
         if self.num_drops < 1:
             raise ValueError("num_drops must be >= 1")
         if self.mode not in ("powermin", "maxmin"):
@@ -291,12 +293,10 @@ def emit_results(result: SweepResult, out_dir) -> tuple:
     spec = result.spec
     if spec.mode == "maxmin" and spec.collect_traces:
         trace_path = os.path.join(out_dir, "traces.jsonl")
-        # one iterator per count keeps a repeated count's cells in sweep order
-        cells = {m: iter(pairs) for m, pairs in result.drops.items()}
         with open(trace_path, "w") as fh:
             for d in range(spec.num_drops):
                 for m in spec.antenna_counts:
-                    opt, snr = next(cells[m])
+                    opt, snr = result.drops[m][d]
                     rec = {"num_antennas": m, "drop": d, "optimal": _trace(opt), "max_snr": _trace(snr)}
                     fh.write(json.dumps(rec, sort_keys=True) + "\n")
         paths.append(trace_path)

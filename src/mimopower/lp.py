@@ -4,19 +4,19 @@ Problem form:  min c^T x  s.t.  A x <= b,  x >= 0.
 
 Duals follow the Lagrangian sign convention: y >= 0 multiplies (A x - b),
 so at an optimum the reduced costs satisfy c + A^T y >= 0 and strong
-duality reads c^T x + b^T y = 0. The all-slack basis is dual feasible for
-the costs max(c, 0), so a dual simplex from it (or from a dual-feasible
-hint) reaches a primal-feasible basis or a Farkas certificate with no
-phase 1; Bland's primal simplex then optimizes the true costs, in no pivots
-when c >= 0. Dual degeneracy can make the dual simplex cycle; its
-``max_pivots`` guard turns that into a RuntimeError. Every rule breaks its
-ties by index, so the same LP with the same basis hint gives bit-identical
-outputs. The reported x and duals come from a fresh factorization of the
-optimal basis read in sorted column order, so they depend on the optimal
-basis set and not on the pivot path that reached it; a hint that leads to
-the same optimal basis gives the same bits as a cold solve. Rows are
-equilibrated by their largest absolute entry before solving; duals are
-reported in the original scaling.
+duality reads c^T x + b^T y = 0. A solve starts from a basis hint or the
+all-slack basis and raises each cost to its price there, which makes the
+start dual feasible (the costs are max(c, 0) at the all-slack basis). A
+dual simplex from it reaches a primal-feasible basis or a Farkas
+certificate with no phase 1; Bland's primal simplex then optimizes the true
+costs. Dual degeneracy can make the dual simplex cycle; its ``max_pivots``
+guard turns that into a RuntimeError. Every rule breaks its last ties by
+index, so the same LP with the same basis hint gives bit-identical outputs.
+The reported x and duals come from a fresh factorization of the optimal
+basis read in sorted column order, so they depend on the optimal basis set
+and not on the pivot path that reached it; a hint that leads to the same
+optimal basis gives the same bits as a cold solve. Rows are equilibrated by
+their largest absolute entry before solving; duals are in the original scaling.
 """
 
 from __future__ import annotations
@@ -162,7 +162,8 @@ def _dual_simplex(a, rhs, cost, basis, b_inv):
 
     The leaving row has the most negative basic value, if that is below
     -FEAS_TOL * (1 + max|rhs|); the entering column wins the dual ratio
-    test, ties going to the lowest column index. Returns
+    test, ties going to the largest |alpha| (a small pivot lets the inverse
+    drift), then to the lowest column index. Returns
     (basis, b_inv, pivots, row): ``row`` is None at a primal-feasible basis,
     else the position whose row of ``b_inv`` proves a z = rhs, z >= 0 empty.
     """
@@ -182,7 +183,9 @@ def _dual_simplex(a, rhs, cost, basis, b_inv):
             return basis, b_inv, pivots, leave
         y = b_inv.T @ cost[basis]
         reduced = np.maximum(cost[eligible] - a[:, eligible].T @ y, 0.0)
-        j = int(eligible[np.argmin(reduced / -alpha[eligible])])
+        ratios = reduced / -alpha[eligible]
+        ties = eligible[ratios == ratios.min()]
+        j = int(ties[np.argmin(alpha[ties])])
 
         pivots += 1
         b_inv = _pivot(a, basis, b_inv, in_basis, leave, j, b_inv @ a[:, j], pivots)
@@ -198,10 +201,9 @@ def solve(lp: LinearProgram, basis=None) -> LpSolution:
     status only.
 
     ``basis`` is an optional hint: m column indices into the structural
-    columns (0..n-1) and the row slacks (n..n+m-1). A nonsingular hint that
-    is primal feasible (no tolerance) or dual feasible starts the dual
-    simplex, which takes no pivots from a primal-feasible one; any other
-    hint is ignored. A hint outside that index range raises ValueError. A
+    columns (0..n-1) and the row slacks (n..n+m-1). The simplex starts from
+    the hint unless it is singular or inverts inaccurately, else from the
+    all-slack basis. A hint outside that index range raises ValueError. A
     basis that turns singular mid-solve raises RuntimeError.
     """
     m, n = lp.num_rows, lp.num_vars
@@ -223,12 +225,11 @@ def solve(lp: LinearProgram, basis=None) -> LpSolution:
     a2 = np.hstack([lp.a_ub / scale[:, None], np.eye(m)])
     cost = np.concatenate([lp.c, np.zeros(m)])
     start = None if basis is None else _invert_hint(a2, basis)
-    # Dual simplex from the hint when it is primal feasible (0 pivots) or dual
-    # feasible, else from the all-slack basis, dual feasible for max(c, 0).
-    dual_cost = cost
-    if start is None or not (np.all(start[1] @ b_s >= 0.0) or _dual_feasible(a2, cost, *start)):
-        start, dual_cost = (n + np.arange(m), np.eye(m)), np.maximum(cost, 0.0)
-    basis, b_inv, total_iters, row = _dual_simplex(a2, b_s, dual_cost, *start)
+    basis, b_inv = start or (n + np.arange(m), np.eye(m))
+    # Costs raised to their prices at the start basis make it dual feasible.
+    dual_cost = np.maximum(cost, a2.T @ (b_inv.T @ cost[basis]))
+    dual_cost[basis] = cost[basis]
+    basis, b_inv, total_iters, row = _dual_simplex(a2, b_s, dual_cost, basis, b_inv)
     if row is not None:
         return LpSolution(
             status=LpStatus.INFEASIBLE,
@@ -264,20 +265,17 @@ def solve(lp: LinearProgram, basis=None) -> LpSolution:
 
 def _invert_hint(a2, basis):
     """(basis, inverse) of a hint over the structural and slack columns
-    ``a2``, or None when the hint is singular."""
+    ``a2``, or None when the hint is singular or its inverse is inaccurate,
+    ||B^-1 B - I||_inf > FEAS_TOL."""
     basis = np.array(basis, dtype=int)
     if basis.shape != (a2.shape[0],) or np.any((basis < 0) | (basis >= a2.shape[1])):
         raise ValueError(f"basis must hold {a2.shape[0]} column indices below {a2.shape[1]}")
     try:
-        return basis, np.linalg.inv(a2[:, basis])
+        b_inv = np.linalg.inv(a2[:, basis])
     except np.linalg.LinAlgError:
         return None
-
-
-def _dual_feasible(a2, cost, basis, b_inv):
-    """True when no reduced cost at ``basis`` lets the primal simplex enter."""
-    reduced = cost - a2.T @ (b_inv.T @ cost[basis])
-    return bool(np.all(reduced >= -FEAS_TOL * (1.0 + np.abs(cost))))
+    accurate = np.linalg.norm(b_inv @ a2[:, basis] - np.eye(basis.size), np.inf) <= FEAS_TOL
+    return (basis, b_inv) if accurate else None
 
 
 def _refined_solve(mat, rhs):

@@ -21,9 +21,9 @@ its LP is solved once at exactly that candidate for the allocation and the
 duals.
 
 The bracket also carries the optimal basis of the last feasible LP it saw,
-and every probe (and that re-solve) starts the simplex there: it is usually
-primal or dual feasible for the next probe, and the result depends only on
-the optimal basis, not on where the simplex started.
+and every probe (and that re-solve) starts the simplex there: it is usually a
+few pivots from the next probe's optimal basis, and the result depends only
+on that basis, not on where the simplex started.
 """
 
 from __future__ import annotations

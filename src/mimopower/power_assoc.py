@@ -23,9 +23,9 @@ pairs whose power exceeds SERVING_THRESHOLD_SCALE times the BS's cap.
 ``solve_power_min`` starts the simplex from a given basis, or else from
 max-SNR association within the mask; at that basis its duals are the rule's
 lambda with mu = 0, so the primal simplex's pivots are the moves to the
-optimal association. A guess that exceeds a cap starts the dual simplex
-instead. A guess never decides anything: only the simplex proves optimality
-or infeasibility (the dual simplex's Farkas certificate).
+optimal association. From a guess that exceeds a cap, the dual simplex first
+pivots back inside the caps. A guess never decides anything: only the simplex
+proves optimality or infeasibility (the dual simplex's Farkas certificate).
 """
 
 from __future__ import annotations

@@ -37,9 +37,6 @@ class PowerAllocation:
         """Transmit power of each BS, sum_t rho[i, t]."""
         return self.rho.sum(axis=1)
 
-    def total_power(self) -> float:
-        return float(self.rho.sum())
-
 
 def qos_to_threshold(xi, tau_c, tau_p):
     """SINR threshold 2^(xi * tau_c / (tau_c - tau_p)) - 1 for an SE target xi."""
@@ -49,14 +46,6 @@ def qos_to_threshold(xi, tau_c, tau_p):
     if np.any(xi < 0.0):
         raise ValueError("SE targets must be nonnegative")
     return np.expm1(xi * (tau_c / (tau_c - tau_p)) * _LN2)
-
-
-def threshold_to_qos(xi_hat, tau_c, tau_p):
-    """Inverse of :func:`qos_to_threshold`; round-trips to ~1e-15 relative."""
-    if tau_p >= tau_c:
-        raise ValueError("tau_p must be smaller than tau_c")
-    xi_hat = np.asarray(xi_hat, dtype=float)
-    return np.log1p(xi_hat) / _LN2 * ((tau_c - tau_p) / tau_c)
 
 
 def spectral_efficiency(sinr, tau_c, tau_p):

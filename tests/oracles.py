@@ -9,6 +9,9 @@ completely independent of the simplex implementation under test.
 power_min_lp_rows writes the power-min LP row by row, the loop-form
 reference for the broadcasting builder.
 
+dinkelbach_lp writes one step LP of Dinkelbach's max-min SINR iteration,
+whose costs are zero but for the level variable's.
+
 assert_farkas_certificate checks an infeasibility proof from the LP data
 alone.
 """
@@ -16,6 +19,9 @@ alone.
 from itertools import combinations
 
 import numpy as np
+
+from mimopower.lp import LinearProgram
+from mimopower.se import PowerAllocation, sinr_mrt_all
 
 
 def brute_force_lp_min(a_ub, b_ub, c, feas_tol=1e-7):
@@ -83,6 +89,31 @@ def power_min_lp_rows(beta, gamma, xi_hat, num_antennas, noise_dl, pmax):
         a[K + i, i::L] = 1.0
         b[K + i] = pmax[i]
     return a, b
+
+
+def dinkelbach_lp(stats, scenario, x_prev=None):
+    """LinearProgram of the Dinkelbach step after the step whose optimal
+    vertex is ``x_prev`` (None for the first step, from zero powers rho):
+    maximize z subject to the per-BS caps and, for every user k,
+    z * D_k(rho) <= N_k(x) - lam * D_k(x), where N_k = M gamma_k^T x_k,
+    D_k = beta_k^T sum_t x_t + noise and lam is the least SINR under rho.
+    Variables are x user-major (column t*L + i), then z; the costs are
+    (0, ..., 0, -1)."""
+    L, K = stats.beta.shape
+    rho = np.zeros((L, K)) if x_prev is None else x_prev[:-1].reshape(K, L).T
+    noise = scenario.noise_dl
+    lam = sinr_mrt_all(stats, PowerAllocation(rho), scenario).min()
+    d_prev = rho.sum(axis=1) @ stats.beta + noise
+    # qos[k, t, i] = lam * beta[i, k] - [t == k] * M * gamma[i, k]
+    qos = np.broadcast_to(lam * stats.beta.T[:, None, :], (K, K, L)).copy()
+    qos[np.arange(K), np.arange(K)] -= scenario.num_antennas * stats.gamma.T
+    a = np.block(
+        [[qos.reshape(K, K * L), d_prev[:, None]], [np.tile(np.eye(L), K), np.zeros((L, 1))]]
+    )
+    b = np.concatenate([np.full(K, -lam * noise), scenario.pmax])
+    c = np.zeros(K * L + 1)
+    c[-1] = -1.0
+    return LinearProgram(c=c, a_ub=a, b_ub=b)
 
 
 def assert_farkas_certificate(a_ub, b_ub, y, rtol=1e-12):

@@ -47,6 +47,8 @@ class TestDefaults:
             SweepSpec(antenna_counts=(50,), num_drops=0)
         with pytest.raises(ValueError):
             SweepSpec(antenna_counts=(50,), mode="zen")
+        with pytest.raises(ValueError, match="repeat"):
+            SweepSpec(antenna_counts=(50, 100, 50))
 
 
 class TestSweeps:
@@ -306,6 +308,12 @@ class TestCli:
             ]
         )
         assert code == 2
+
+    def test_repeated_antenna_count_exits_1(self, tmp_path, capsys):
+        argv = ["maxmin", "--drops", "3", "--antennas", "50,100,50", "--out", str(tmp_path / "rep")]
+        assert cli.main(argv) == 1
+        assert "must not repeat a count" in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
 
     def test_maxmin_with_trace(self, tmp_path):
         code = cli.main(

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mimopower import lp as lp_module
+from mimopower.harness import default_scenario, iter_drops
 from mimopower.lp import LinearProgram, LpStatus, format_lp, solve, verify
-from oracles import assert_farkas_certificate, brute_force_lp_min, random_feasible_lp
+from oracles import assert_farkas_certificate, brute_force_lp_min, dinkelbach_lp, random_feasible_lp
 
 
 class TestContractExamples:
@@ -171,6 +172,35 @@ class TestBasisHint:
             assert sol.status == LpStatus.INFEASIBLE
             assert_farkas_certificate(a, b, sol.infeasibility_certificate)
 
+    def test_infeasible_and_dual_infeasible_hint_is_used(self):
+        # the covering LP above at b = (4, 2, 3): {x1, x3, slack of row 1} has
+        # a negative basic value and a negative reduced cost; the costs priced
+        # at it still let the dual simplex start there
+        a = -np.array([[3.0, 3.0, 1.0], [2.0, 1.0, 1.0], [2.0, 2.0, 3.0]])
+        lp = LinearProgram(c=[2.0, 1.0, 2.0], a_ub=a, b_ub=[-4.0, -2.0, -3.0])
+        hint = [0, 2, 3]
+        b_inv = np.linalg.inv(np.hstack([a, np.eye(3)])[:, hint])
+        assert (b_inv @ lp.b_ub).min() < 0.0
+        cost_b = np.concatenate([lp.c, np.zeros(3)])[hint]
+        assert (lp.c - a.T @ (b_inv.T @ cost_b)).min() < 0.0
+        cold, warm = solve(lp), solve(lp, basis=hint)
+        assert warm.iterations < cold.iterations
+        assert np.array_equal(warm.x, cold.x) and np.array_equal(warm.duals, cold.duals)
+        assert np.array_equal(warm.basis, cold.basis) and warm.objective == cold.objective
+
+    def test_singular_or_inaccurate_hint_starts_cold(self):
+        # the two rows are parallel up to one ulp: {x1, x2} inverts without a
+        # LinAlgError, but its inverse misses the identity by ~0.17
+        a = np.array([[-0.1, -0.3], [-0.3, -0.9000000000000001]])
+        lp = LinearProgram(c=[1.0, 1.0], a_ub=a, b_ub=[-1.0, -2.0])
+        b_mat = a / np.abs(a).max(axis=1)[:, None]
+        assert np.linalg.norm(np.linalg.inv(b_mat) @ b_mat - np.eye(2), np.inf) > 0.1
+        cold = solve(lp)
+        for hint in ([0, 1], [0, 0]):
+            warm = solve(lp, basis=hint)
+            assert warm.iterations == cold.iterations
+            assert np.array_equal(warm.x, cold.x) and np.array_equal(warm.duals, cold.duals)
+
     def test_negative_costs_run_both_phases(self):
         # min -x1 s.t. x1 + x2 <= 2, x2 >= 1: the dual phase on max(c, 0)
         # = 0 finds x2 = 1, then the primal phase raises x1 to the cap
@@ -223,6 +253,18 @@ class TestRobustness:
         with pytest.raises(RuntimeError, match="refined solve") as info:
             solve(lp)
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+    def test_zero_cost_dual_run_keeps_the_basis_regular(self):
+        # step 1 of Dinkelbach's max-min iteration at seed 17, drop 0, M=100:
+        # every cost but the level's is zero, so the dual ratio test ties on
+        # whole runs of columns; taking the lowest index on a tie accepted
+        # tiny pivots until the refactor after pivot 100 found B singular
+        _, scn0, stats = next(iter_drops(default_scenario(50, 20, rng_seed=17), 17, 1))
+        scn = scn0.with_antennas(100)
+        lp = dinkelbach_lp(stats, scn, solve(dinkelbach_lp(stats, scn)).x)
+        sol = solve(lp)
+        assert sol.status == LpStatus.OPTIMAL
+        assert verify(lp, sol).worst <= 1e-12
 
     def test_rejects_nonfinite_data(self):
         with pytest.raises(ValueError):

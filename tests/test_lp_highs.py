@@ -8,7 +8,7 @@ misjudge feasibility.
 
 import numpy as np
 import pytest
-from oracles import assert_farkas_certificate
+from oracles import assert_farkas_certificate, dinkelbach_lp
 
 from mimopower.harness import DEFAULT_NUM_USERS, default_scenario, iter_drops
 from mimopower.lp import LpStatus
@@ -59,3 +59,16 @@ def test_simplex_agrees_with_highs_on_a_sweep():
                         else:
                             assert_farkas_certificate(lp.a_ub, lp.b_ub, sol.infeasibility_certificate)
     assert seen[LpStatus.OPTIMAL] and seen[LpStatus.INFEASIBLE]
+
+
+def test_dinkelbach_step_matches_highs():
+    """Step 1 of Dinkelbach's max-min iteration at seed 17, drop 0, M=100,
+    an LP whose costs are zero but for the level's: the simplex's optimum is
+    HiGHS's to 1e-9 relative."""
+    _, scn0, stats = next(iter_drops(default_scenario(50, 20, rng_seed=17), 17, 1))
+    scn = scn0.with_antennas(100)
+    lp = dinkelbach_lp(stats, scn, lp_solve(dinkelbach_lp(stats, scn)).x)
+    status, objective = highs(lp)
+    sol = lp_solve(lp)
+    assert status == sol.status == LpStatus.OPTIMAL
+    assert sol.objective == pytest.approx(objective, rel=1e-9, abs=0.0)

@@ -13,7 +13,6 @@ from mimopower.se import (
     sinr_mrt,
     sinr_mrt_all,
     spectral_efficiency,
-    threshold_to_qos,
 )
 
 
@@ -22,7 +21,7 @@ def test_power_allocation_validation():
         PowerAllocation(np.array([[1.0, -0.1]]))
     alloc = PowerAllocation(np.array([[1.0, 2.0], [0.5, 0.0]]))
     np.testing.assert_array_equal(alloc.per_bs_power(), [3.0, 0.5])
-    assert alloc.total_power() == 3.5
+    assert alloc.rho.sum() == 3.5
 
 
 class TestThresholdConversion:
@@ -39,7 +38,7 @@ class TestThresholdConversion:
 
     @given(st.floats(0.0, 12.0))
     def test_round_trip(self, xi):
-        back = threshold_to_qos(qos_to_threshold(xi, 200, 20), 200, 20)
+        back = spectral_efficiency(qos_to_threshold(xi, 200, 20), 200, 20)
         assert back == pytest.approx(xi, rel=1e-12, abs=1e-12)
 
     def test_targets_hold_exact_thresholds(self):
@@ -143,6 +142,6 @@ class TestSpectralEfficiency:
         rng = np.random.default_rng(6)
         alloc = PowerAllocation(rng.uniform(0, 2, size=(4, 6)))
         sinr = sinr_mrt_all(small_stats, alloc, small_scenario)
-        xi = threshold_to_qos(sinr, small_scenario.coherence_length, small_scenario.pilot_length)
+        xi = spectral_efficiency(sinr, small_scenario.coherence_length, small_scenario.pilot_length)
         se = se_mrt_all(small_stats, alloc, small_scenario)
         np.testing.assert_allclose(se, xi, rtol=1e-9)
