@@ -132,11 +132,11 @@ def check_solution_invariants(
     """Re-assert the optimality contracts on a feasible solve (raises on failure)."""
     alloc = result.allocation
     cap = alloc.per_bs_power() - scenario.pmax
-    if np.any(cap > 1e-9):
+    if (cap > 1e-9).any():
         raise HarnessInvariantError(f"per-BS power cap violated by {cap.max():.3e} W")
     sinr = sinr_mrt_all(stats, alloc, scenario)
     se = spectral_efficiency(sinr, scenario.coherence_length, scenario.pilot_length)
-    if np.any(se < targets.xi - 1e-6):
+    if (se < targets.xi - 1e-6).any():
         raise HarnessInvariantError("achieved SE fell below its target")
     active = targets.xi_hat > 0.0
     binding = np.abs(sinr[active] / targets.xi_hat[active] - 1.0)
@@ -202,7 +202,7 @@ def solve_cell(
             for mm in (opt, snr):
                 if mm.last_feasible is not None:
                     se = se_mrt_all(stats, mm.last_feasible.allocation, scenario)
-                    if np.any(se < mm.xi_lower - 1e-9):
+                    if (se < mm.xi_lower - 1e-9).any():
                         raise HarnessInvariantError("achieved SE fell below the max-min lower bound")
                     # xi_lower is exactly the candidate of the last feasible probe
                     targets = QosTargets.uniform(mm.xi_lower, scenario.num_users, scenario)
@@ -304,7 +304,7 @@ def emit_results(result: SweepResult, out_dir) -> tuple:
 
 
 def _trace(mm) -> list:
-    return [asdict(p) for p in mm.trace]
+    return [dict(vars(p)) for p in mm.trace]
 
 
 def _bisection_record(mm) -> dict:

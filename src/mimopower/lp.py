@@ -56,7 +56,7 @@ class LinearProgram:
         object.__setattr__(self, "b_ub", b)
         if a.ndim != 2 or a.shape != (b.size, c.size):
             raise ValueError("a_ub must be (len(b_ub), len(c))")
-        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        if not (np.isfinite(c).all() and np.isfinite(a).all() and np.isfinite(b).all()):
             raise ValueError("LP data must be finite")
 
     @property
@@ -268,13 +268,15 @@ def _invert_hint(a2, basis):
     ``a2``, or None when the hint is singular or its inverse is inaccurate,
     ||B^-1 B - I||_inf > FEAS_TOL."""
     basis = np.array(basis, dtype=int)
-    if basis.shape != (a2.shape[0],) or np.any((basis < 0) | (basis >= a2.shape[1])):
+    if basis.shape != (a2.shape[0],) or ((basis < 0) | (basis >= a2.shape[1])).any():
         raise ValueError(f"basis must hold {a2.shape[0]} column indices below {a2.shape[1]}")
+    b_mat = a2[:, basis]
     try:
-        b_inv = np.linalg.inv(a2[:, basis])
+        b_inv = np.linalg.inv(b_mat)
     except np.linalg.LinAlgError:
         return None
-    accurate = np.linalg.norm(b_inv @ a2[:, basis] - np.eye(basis.size), np.inf) <= FEAS_TOL
+    # the inf-norm: the largest absolute row sum
+    accurate = np.abs(b_inv @ b_mat - np.eye(basis.size)).sum(axis=1).max(initial=0.0) <= FEAS_TOL
     return (basis, b_inv) if accurate else None
 
 

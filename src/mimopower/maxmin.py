@@ -23,7 +23,9 @@ duals.
 The bracket also carries the optimal basis of the last feasible LP it saw,
 and every probe (and that re-solve) starts the simplex there: it is usually a
 few pivots from the next probe's optimal basis, and the result depends only
-on that basis, not on where the simplex started.
+on that basis, not on where the simplex started. It builds every probe LP
+from one ``PowerMinTemplate`` of its drop and mask, which it makes on first
+use, so a bracket is bound to the mask of its first call.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelStats, NetworkScenario
-from .power_assoc import PowerMinResult, solve_power_min
+from .power_assoc import PowerMinResult, PowerMinTemplate
 from .se import QosTargets, spectral_efficiency
 
 DEFAULT_DELTA = 0.01  # bisection accuracy in bit/symbol
@@ -78,27 +80,41 @@ class FeasibilityBracket:
     with uniform weights every s has equal entries, so each list holds at
     most one vector. Entries never contradict: a probe the stored ones
     decide is answered, not recorded. ``basis`` is the optimal basis of the
-    last feasible LP solved under the mask, the next probe's start hint.
+    last feasible LP solved under the mask, the next probe's start hint, and
+    ``template`` builds the probe LPs.
     """
 
     feasible: list = field(default_factory=list)
     infeasible: list = field(default_factory=list)
     basis: np.ndarray | None = None
+    template: PowerMinTemplate | None = None
+
+    def template_for(self, stats: ChannelStats, allowed) -> PowerMinTemplate:
+        """The probe template of ``stats`` and the (L, K) mask ``allowed``,
+        built on the first call; a later mask that differs as a bool array
+        raises ValueError, since the entries and basis belong to the first."""
+        if self.template is None:
+            self.template = PowerMinTemplate(stats, allowed)
+            return self.template
+        mask = np.ones(stats.beta.shape, dtype=bool) if allowed is None else np.asarray(allowed, dtype=bool)
+        if not np.array_equal(self.template.mask, mask):
+            raise ValueError("a FeasibilityBracket holds the probes of one association mask")
+        return self.template
 
     def lookup(self, s: np.ndarray) -> bool | None:
         """True if s dominates a feasible entry, False if an infeasible entry
         dominates s, None if no entry decides it."""
-        if any(np.all(s >= f) for f in self.feasible):
+        if any((s >= f).all() for f in self.feasible):
             return True
-        if any(np.all(s <= g) for g in self.infeasible):
+        if any((s <= g).all() for g in self.infeasible):
             return False
         return None
 
     def record(self, s: np.ndarray, feasible: bool) -> None:
         if feasible:
-            self.feasible = [f for f in self.feasible if not np.all(f >= s)] + [s]
+            self.feasible = [f for f in self.feasible if not (f >= s).all()] + [s]
         else:
-            self.infeasible = [g for g in self.infeasible if not np.all(g <= s)] + [s]
+            self.infeasible = [g for g in self.infeasible if not (g <= s).all()] + [s]
 
 
 @dataclass
@@ -129,13 +145,14 @@ def solve_max_min(
 
     ``bracket`` holds earlier probe outcomes of the same drop and mask, at
     any antenna count (see the module docstring), and gains this call's;
-    None starts an empty one. A re-solve at a bracket-answered final level
-    that is not OPTIMAL raises RuntimeError.
+    None starts an empty one. A bracket filled under another mask raises
+    ValueError. A re-solve at a bracket-answered final level that is not
+    OPTIMAL raises RuntimeError.
     """
     if weights is None:
         weights = np.ones(scenario.num_users)
     weights = np.asarray(weights, dtype=float)
-    if np.any(weights <= 0.0):
+    if (weights <= 0.0).any():
         raise ValueError("weights must be strictly positive")
     if delta <= 0.0:
         raise ValueError("delta must be positive")
@@ -145,6 +162,7 @@ def solve_max_min(
 
     if bracket is None:
         bracket = FeasibilityBracket()
+    template = bracket.template_for(stats, allowed)
     lower = 0.0
     width = upper0
     best: PowerMinResult | None = None
@@ -163,7 +181,7 @@ def solve_max_min(
         res = None
         feasible = bracket.lookup(s)
         if feasible is None:
-            res = _probe(stats, targets, scenario, allowed, bracket)
+            res = _probe(template, targets, scenario, bracket)
             feasible = res.feasible
             bracket.record(s, feasible)
         if feasible:
@@ -181,7 +199,7 @@ def solve_max_min(
         )
 
     if best is None and best_targets is not None:
-        best = _probe(stats, best_targets, scenario, allowed, bracket)
+        best = _probe(template, best_targets, scenario, bracket)
         if not best.feasible:
             raise RuntimeError(
                 f"max-min level {lower!r} is feasible by the bracket, but its re-solve is "
@@ -196,10 +214,10 @@ def solve_max_min(
     )
 
 
-def _probe(stats, targets, scenario, allowed, bracket) -> PowerMinResult:
+def _probe(template, targets, scenario, bracket) -> PowerMinResult:
     """``solve_power_min`` from the bracket's basis; a feasible result
     hands the bracket its own basis."""
-    res = solve_power_min(stats, targets, scenario, allowed, basis=bracket.basis)
+    res = template.solve(targets, scenario, basis=bracket.basis)
     if res.feasible:
         bracket.basis = res.basis
     return res

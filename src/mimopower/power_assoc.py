@@ -14,11 +14,16 @@ is served only by BSs attaining min_i (1 + sum_k lambda_k beta[i,k] + mu_i)
 / b_t[i], where the minimum equals lambda_t.
 
 Association is an (L, K) bool mask ``allowed`` of the (BS, user) pairs that
-may carry power; ``build_lp`` deletes the other columns. No mask is the joint
+may carry power; the LP has no columns for the others. No mask is the joint
 optimum, and the max-SNR baseline is the one-hot ``max_snr_mask``. The rule
 holds for any mask, with the minimum taken over the BSs it allows. A solve
 reports the association it found as a second (L, K) mask, ``serving``: the
 pairs whose power exceeds SERVING_THRESHOLD_SCALE times the BS's cap.
+
+Only the own-power entries beta - b_k and the right-hand side depend on the
+targets and the antenna count. A ``PowerMinTemplate`` holds the rest of the
+LP for one drop and mask and writes those per solve; ``build_lp`` and
+``solve_power_min`` use a fresh one, a max-min bisection one per bracket.
 
 ``solve_power_min`` starts the simplex from a given basis, or else from
 max-SNR association within the mask; at that basis its duals are the rule's
@@ -48,11 +53,76 @@ ASSOCIATION_RULE_TOL = 1e-6
 
 def _b_mat(stats: ChannelStats, targets: QosTargets, scenario: NetworkScenario) -> np.ndarray:
     """(K, L) matrix whose row k is b_k; zero rows where xi_hat == 0."""
-    if np.any(targets.xi_hat < 0.0):
+    if (targets.xi_hat < 0.0).any():
         raise ValueError("SINR thresholds must be nonnegative")
     m_gamma = scenario.num_antennas * stats.gamma.T  # (K, L)
-    with np.errstate(divide="ignore"):
-        return np.where(targets.xi_hat[:, None] > 0.0, m_gamma / targets.xi_hat[:, None], 0.0)
+    xi_hat = targets.xi_hat[:, None]
+    return np.divide(m_gamma, xi_hat, out=np.zeros_like(m_gamma), where=xi_hat > 0.0)
+
+
+class PowerMinTemplate:
+    """The power-min LP of one drop (``stats``) and one (L, K) mask
+    ``allowed``, less the parts the targets and the scenario set.
+
+    Those are the K own-power entries beta[i, k] - b_k[i] of the QoS rows,
+    which hold beta[i, k] here, and the right-hand side. ``lp`` writes them
+    into a copy, so the template serves any targets and antenna count.
+    Users with a zero SINR threshold get an all-zero (vacuous) QoS row so
+    the row layout stays fixed. The columns of disallowed (BS, user) pairs
+    are deleted and the rest keep their user-major order; None allows every
+    pair, and a mask of any other shape raises ValueError.
+    """
+
+    def __init__(self, stats: ChannelStats, allowed=None):
+        L, K = stats.beta.shape
+        if allowed is None:
+            allowed = np.ones((L, K), dtype=bool)
+        elif np.shape(allowed) != (L, K):
+            raise ValueError(f"allowed must be an (L, K) = {(L, K)} mask, got {np.shape(allowed)}")
+        self.stats = stats
+        self.mask = np.array(allowed, dtype=bool)
+        # a[row, t, i]: row k holds beta[:, k] in every user t's block, cap row i picks i
+        a = np.empty((K + L, K, L))
+        a[:K] = stats.beta.T[:, None, :]
+        a[K:] = np.eye(L)[:, None, :]
+        self.a = a.reshape(K + L, K * L)[:, self.mask.T.ravel()]
+        # the masked columns are mask.T's True entries: column j is rho[bss[j], users[j]]
+        users, bss = np.nonzero(self.mask.T)
+        self._own = (users, np.arange(users.size))  # its own-power entry in a
+        self._b_index = (users, bss)  # and in _b_mat
+        self.c = np.ones(users.size)
+
+    def lp(self, targets: QosTargets, scenario: NetworkScenario) -> LinearProgram:
+        """The K + L row LP over the masked user-major power variables."""
+        K = self.stats.beta.shape[1]
+        active = targets.xi_hat > 0.0
+        a = self.a.copy()
+        a[self._own] -= _b_mat(self.stats, targets, scenario)[self._b_index]
+        a[:K][~active] = 0.0  # vacuous constraint: 0 <= 0
+        b = np.concatenate([np.where(active, -scenario.noise_dl, 0.0), scenario.pmax])
+        return LinearProgram(c=self.c, a_ub=a, b_ub=b)
+
+    def solve(self, targets: QosTargets, scenario: NetworkScenario, basis=None) -> PowerMinResult:
+        """``solve_power_min`` of this drop and mask."""
+        lp = self.lp(targets, scenario)
+        if basis is None:
+            basis = _max_snr_basis(self.stats, targets, self.mask)
+        sol = lp_solve(lp, basis=basis)
+        if sol.status != LpStatus.OPTIMAL:
+            return PowerMinResult(status=sol.status, allowed=self.mask)
+        rho = np.zeros(self.mask.shape)
+        rho.T[self.mask.T] = sol.x
+        K = scenario.num_users
+        return PowerMinResult(
+            status=sol.status,
+            allowed=self.mask,
+            allocation=PowerAllocation(rho),
+            serving=rho > SERVING_THRESHOLD_SCALE * scenario.pmax[:, None],
+            qos_duals=sol.duals[:K].copy(),
+            power_duals=sol.duals[K:].copy(),
+            objective=sol.objective,
+            basis=sol.basis,
+        )
 
 
 def build_lp(
@@ -61,26 +131,10 @@ def build_lp(
     scenario: NetworkScenario,
     allowed: np.ndarray | None = None,
 ) -> LinearProgram:
-    """The K + L row LP over the user-major power variables.
-
-    Users with a zero SINR threshold get an all-zero (vacuous) QoS row so the
-    row layout stays fixed. ``allowed`` is an optional (L, K) bool mask:
-    the columns of disallowed (BS, user) pairs are deleted, and the rest keep
-    their user-major order. A mask of any other shape raises ValueError.
-    """
-    L, K = stats.beta.shape
-    active = targets.xi_hat > 0.0
-    # qos[k, t, i] = beta[i, k] - [t == k] * b_k[i], the coefficient of rho[i, t] in row k
-    qos = np.broadcast_to(stats.beta.T[:, None, :], (K, K, L)).copy()
-    qos[np.arange(K), np.arange(K)] -= _b_mat(stats, targets, scenario)
-    qos[~active] = 0.0  # vacuous constraint: 0 <= 0
-    a = np.vstack([qos.reshape(K, K * L), np.tile(np.eye(L), K)])
-    b = np.concatenate([np.where(active, -scenario.noise_dl, 0.0), scenario.pmax])
-    if allowed is not None:
-        if np.shape(allowed) != (L, K):
-            raise ValueError(f"allowed must be an (L, K) = {(L, K)} mask, got {np.shape(allowed)}")
-        a = a[:, np.asarray(allowed, dtype=bool).T.ravel()]
-    return LinearProgram(c=np.ones(a.shape[1]), a_ub=a, b_ub=b)
+    """The K + L row LP over the user-major power variables of the (BS,
+    user) pairs the (L, K) mask ``allowed`` grants, every pair for None (see
+    ``PowerMinTemplate``)."""
+    return PowerMinTemplate(stats, allowed).lp(targets, scenario)
 
 
 @dataclass
@@ -134,34 +188,13 @@ def solve_power_min(
     ``basis`` is the simplex's start hint (see ``lp.solve``), such as the
     ``basis`` of an earlier result under the same mask; None starts from
     max-SNR association."""
-    if allowed is not None:
-        allowed = np.asarray(allowed, dtype=bool)
-    lp = build_lp(stats, targets, scenario, allowed)
-    mask = np.ones(stats.beta.shape, dtype=bool) if allowed is None else allowed
-    if basis is None:
-        basis = _max_snr_basis(stats, targets, mask)
-    sol = lp_solve(lp, basis=basis)
-    if sol.status != LpStatus.OPTIMAL:
-        return PowerMinResult(status=sol.status, allowed=mask)
-    rho = np.zeros(mask.shape)
-    rho.T[mask.T] = sol.x
-    K = scenario.num_users
-    return PowerMinResult(
-        status=sol.status,
-        allowed=mask,
-        allocation=PowerAllocation(rho),
-        serving=rho > SERVING_THRESHOLD_SCALE * scenario.pmax[:, None],
-        qos_duals=sol.duals[:K].copy(),
-        power_duals=sol.duals[K:].copy(),
-        objective=sol.objective,
-        basis=sol.basis,
-    )
+    return PowerMinTemplate(stats, allowed).solve(targets, scenario, basis)
 
 
 def _max_snr_basis(stats: ChannelStats, targets: QosTargets, mask: np.ndarray):
     """Basis guess: each user's strongest (largest beta) allowed column plus
     every cap row's slack, or None when a user has a zero target or no allowed BS."""
-    if not (np.all(targets.xi_hat > 0.0) and np.all(mask.any(axis=0))):
+    if not ((targets.xi_hat > 0.0).all() and mask.any(axis=0).all()):
         return None
     L, K = mask.shape
     serving = max_snr_mask(np.where(mask, stats.beta, 0.0))

@@ -30,7 +30,7 @@ class PowerAllocation:
         object.__setattr__(self, "rho", np.asarray(self.rho, dtype=float))
         if self.rho.ndim != 2:
             raise ValueError("rho must be an (L, K) matrix")
-        if np.any(self.rho < 0.0):
+        if (self.rho < 0.0).any():
             raise ValueError("rho must be nonnegative elementwise")
 
     def per_bs_power(self) -> np.ndarray:
@@ -43,7 +43,7 @@ def qos_to_threshold(xi, tau_c, tau_p):
     if tau_p >= tau_c:
         raise ValueError("tau_p must be smaller than tau_c")
     xi = np.asarray(xi, dtype=float)
-    if np.any(xi < 0.0):
+    if (xi < 0.0).any():
         raise ValueError("SE targets must be nonnegative")
     return np.expm1(xi * (tau_c / (tau_c - tau_p)) * _LN2)
 

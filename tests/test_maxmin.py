@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from conftest import random_drop, single_cell
 
-from mimopower import maxmin, power_assoc
+from mimopower import power_assoc
 from mimopower.channel import ChannelStats
 from mimopower.harness import DEFAULT_NUM_USERS, default_scenario, iter_drops
 from mimopower.lp import LpSolution, LpStatus
@@ -16,7 +16,7 @@ from mimopower.maxmin import (
     expected_iterations,
     solve_max_min,
 )
-from mimopower.power_assoc import max_snr_mask, solve_power_min
+from mimopower.power_assoc import PowerMinTemplate, max_snr_mask, solve_power_min
 from mimopower.se import QosTargets, qos_to_threshold, se_mrt_all, spectral_efficiency
 
 
@@ -206,7 +206,7 @@ class TestFeasibilityBracket:
         gives the bits of a cold ``solve_power_min`` (max-SNR start) when
         optimal and its status when infeasible, in fewer pivots in total."""
         pivots = []
-        real_lp, real_probe = power_assoc.lp_solve, maxmin.solve_power_min
+        real_lp, real_probe = power_assoc.lp_solve, PowerMinTemplate.solve
 
         def counting(lp, basis=None):
             sol = real_lp(lp, basis=basis)
@@ -215,22 +215,24 @@ class TestFeasibilityBracket:
 
         probes = []
 
-        def recording(*args, basis=None):
-            res = real_probe(*args, basis=basis)
+        def recording(template, targets, scenario, basis=None):
+            res = real_probe(template, targets, scenario, basis=basis)
+            args = (template.stats, targets, scenario, template.mask)
             probes.append((args, basis, res, pivots[-1]))
             return res
 
         monkeypatch.setattr(power_assoc, "lp_solve", counting)
-        monkeypatch.setattr(maxmin, "solve_power_min", recording)
+        monkeypatch.setattr(PowerMinTemplate, "solve", recording)
         k = DEFAULT_NUM_USERS
         for _, scn0, stats in iter_drops(default_scenario(50, k, rng_seed=8), 8, 3):
             for allowed in (None, max_snr_mask(stats.beta)):
                 bracket = FeasibilityBracket()
                 for m in (50, 100, 150, 200):
                     solve_max_min(stats, scn0.with_antennas(m), allowed=allowed, bracket=bracket)
+        monkeypatch.setattr(PowerMinTemplate, "solve", real_probe)
         hinted_pivots = cold_pivots = hinted = infeasible = 0
         for args, basis, res, used in probes:
-            cold = real_probe(*args)
+            cold = solve_power_min(*args)
             hinted_pivots += used
             cold_pivots += pivots[-1]
             hinted += basis is not None
@@ -244,6 +246,22 @@ class TestFeasibilityBracket:
             assert res.objective == cold.objective and np.array_equal(res.basis, cold.basis)
         assert hinted and infeasible
         assert hinted_pivots < cold_pivots
+
+    def test_bracket_is_bound_to_its_first_mask(self, small_scenario, small_stats):
+        mask = max_snr_mask(small_stats.beta)
+        bracket = FeasibilityBracket()
+        first = solve_max_min(small_stats, small_scenario, allowed=mask, bracket=bracket)
+        # an int copy of the mask is the same mask as a bool array
+        again = solve_max_min(small_stats, small_scenario, allowed=mask.astype(int), bracket=bracket)
+        assert_same_result(first, again)
+        for other in (None, ~mask):
+            with pytest.raises(ValueError, match="one association mask"):
+                solve_max_min(small_stats, small_scenario, allowed=other, bracket=bracket)
+        joint = FeasibilityBracket()
+        solve_max_min(small_stats, small_scenario, bracket=joint)
+        solve_max_min(small_stats, small_scenario, allowed=np.ones(mask.shape, int), bracket=joint)
+        with pytest.raises(ValueError, match="one association mask"):
+            solve_max_min(small_stats, small_scenario, allowed=mask, bracket=joint)
 
     def test_repeat_call_solves_one_lp(self, monkeypatch):
         scn, stats = random_drop(21, num_antennas=100, num_users=6)

@@ -18,6 +18,7 @@ from mimopower.lp import solve as lp_solve
 from mimopower.maxmin import FeasibilityBracket, solve_max_min
 from mimopower.power_assoc import (
     PowerMinResult,
+    PowerMinTemplate,
     _b_mat,
     _max_snr_basis,
     association_rule_check,
@@ -101,7 +102,11 @@ class TestBuildLp:
         every_user_on_bs0[:, 0] = True
         for mask in (every_user_on_bs0, np.ones((4, 5), dtype=bool)):
             with pytest.raises(ValueError, match=r"\(L, K\) = \(4, 6\)"):
+                PowerMinTemplate(small_stats, mask)
+            with pytest.raises(ValueError, match=r"\(L, K\) = \(4, 6\)"):
                 build_lp(small_stats, targets, small_scenario, allowed=mask)
+            with pytest.raises(ValueError, match=r"\(L, K\) = \(4, 6\)"):
+                solve_max_min(small_stats, small_scenario, allowed=mask)
             with pytest.raises(ValueError, match=r"\(L, K\) = \(4, 6\)"):
                 solve_power_min(small_stats, targets, small_scenario, mask)
 
@@ -126,6 +131,35 @@ class TestBuildLp:
         res = solve_power_min(small_stats, zero, small_scenario, none)
         assert res.feasible and res.objective == 0.0
         assert np.array_equal(res.allocation.rho, np.zeros((4, 6)))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_reused_template_matches_loop_oracle(self, seed):
+        """One template per mask serves every LP of a sequence of targets at
+        each antenna count, zero-target users before all-active targets: each
+        LP is the loop-form oracle's on the mask's columns, so no LP leaks
+        state (such as a zeroed row) into the next."""
+        base, stats = random_drop(seed, num_antennas=50, num_users=7)
+        rng = np.random.default_rng(seed)
+        shape = stats.beta.shape
+        masks = (None, max_snr_mask(stats.beta), rng.random(shape) < 0.5, np.zeros(shape, bool))
+        templates = [PowerMinTemplate(stats, mask) for mask in masks]
+        partly_zero = rng.uniform(0.2, 2.0, shape[1])
+        partly_zero[[0, 3, 4]] = 0.0
+        sequence = (partly_zero, rng.uniform(0.2, 2.0, shape[1]), np.zeros(shape[1]), np.ones(shape[1]))
+        for m in (50, 100, 150, 200):
+            scn = base.with_antennas(m)
+            for xi in sequence:
+                targets = QosTargets.from_se(xi, scn.coherence_length, scn.pilot_length)
+                a_ref, b_ref = power_min_lp_rows(
+                    stats.beta, stats.gamma, targets.xi_hat, m, scn.noise_dl, scn.pmax
+                )
+                for mask, template in zip(masks, templates):
+                    cols = np.ones(a_ref.shape[1], bool) if mask is None else mask.T.ravel()
+                    lp = template.lp(targets, scn)
+                    assert np.array_equal(lp.c, np.ones(cols.sum()))
+                    assert np.array_equal(lp.a_ub, a_ref[:, cols])
+                    assert np.array_equal(lp.b_ub, b_ref)
+        assert templates[-1].lp(targets, scn).num_vars == 0
 
     def test_zero_thresholds_give_zero_optimum(self, small_scenario, small_stats):
         targets = QosTargets.from_se(
