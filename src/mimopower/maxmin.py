@@ -25,7 +25,7 @@ and every probe (and that re-solve) starts the simplex there: it is usually a
 few pivots from the next probe's optimal basis, and the result depends only
 on that basis, not on where the simplex started. It builds every probe LP
 from one ``PowerMinTemplate`` of its drop and mask, which it makes on first
-use, so a bracket is bound to the mask of its first call.
+use, so a bracket is bound to the drop and mask of its first call.
 """
 
 from __future__ import annotations
@@ -90,16 +90,23 @@ class FeasibilityBracket:
     template: PowerMinTemplate | None = None
 
     def template_for(self, stats: ChannelStats, allowed) -> PowerMinTemplate:
-        """The probe template of ``stats`` and the (L, K) mask ``allowed``,
-        built on the first call; a later mask that differs as a bool array
-        raises ValueError, since the entries and basis belong to the first."""
-        if self.template is None:
+        """The probe template of the drop ``stats`` and the (L, K) mask
+        ``allowed``, built on the first call. A later call with other beta or
+        gamma, or with a mask that differs as a bool array, raises
+        ValueError: the entries, the basis and the template are the first's."""
+        template = self.template
+        if template is None:
             self.template = PowerMinTemplate(stats, allowed)
             return self.template
+        if not (
+            np.array_equal(template.stats.beta, stats.beta)
+            and np.array_equal(template.stats.gamma, stats.gamma)
+        ):
+            raise ValueError("a FeasibilityBracket holds the probes of one drop")
         mask = np.ones(stats.beta.shape, dtype=bool) if allowed is None else np.asarray(allowed, dtype=bool)
-        if not np.array_equal(self.template.mask, mask):
+        if not np.array_equal(template.mask, mask):
             raise ValueError("a FeasibilityBracket holds the probes of one association mask")
-        return self.template
+        return template
 
     def lookup(self, s: np.ndarray) -> bool | None:
         """True if s dominates a feasible entry, False if an infeasible entry
@@ -145,8 +152,8 @@ def solve_max_min(
 
     ``bracket`` holds earlier probe outcomes of the same drop and mask, at
     any antenna count (see the module docstring), and gains this call's;
-    None starts an empty one. A bracket filled under another mask raises
-    ValueError. A re-solve at a bracket-answered final level that is not
+    None starts an empty one. A bracket filled on another drop or under
+    another mask raises ValueError. A re-solve at a bracket-answered final level that is not
     OPTIMAL raises RuntimeError.
     """
     if weights is None:

@@ -247,7 +247,7 @@ class TestFeasibilityBracket:
         assert hinted and infeasible
         assert hinted_pivots < cold_pivots
 
-    def test_bracket_is_bound_to_its_first_mask(self, small_scenario, small_stats):
+    def test_bracket_is_bound_to_its_first_drop_and_mask(self, small_scenario, small_stats):
         mask = max_snr_mask(small_stats.beta)
         bracket = FeasibilityBracket()
         first = solve_max_min(small_stats, small_scenario, allowed=mask, bracket=bracket)
@@ -262,6 +262,9 @@ class TestFeasibilityBracket:
         solve_max_min(small_stats, small_scenario, allowed=np.ones(mask.shape, int), bracket=joint)
         with pytest.raises(ValueError, match="one association mask"):
             solve_max_min(small_stats, small_scenario, allowed=mask, bracket=joint)
+        other_drop = ChannelStats(beta=small_stats.beta, gamma=small_stats.gamma / 2.0)
+        with pytest.raises(ValueError, match="one drop"):
+            solve_max_min(other_drop, small_scenario, bracket=joint)
 
     def test_repeat_call_solves_one_lp(self, monkeypatch):
         scn, stats = random_drop(21, num_antennas=100, num_users=6)
