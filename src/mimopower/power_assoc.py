@@ -81,7 +81,8 @@ class PowerMinTemplate:
             raise ValueError(f"allowed must be an (L, K) = {(L, K)} mask, got {np.shape(allowed)}")
         self.stats = stats
         self.mask = np.array(allowed, dtype=bool)
-        # a[row, t, i]: row k holds beta[:, k] in every user t's block, cap row i picks i
+        # a[r, t, i] is the coefficient of rho[i, t] in row r: beta[i, r] in
+        # QoS row r < K, and 1 in cap row K + i
         a = np.empty((K + L, K, L))
         a[:K] = stats.beta.T[:, None, :]
         a[K:] = np.eye(L)[:, None, :]
