@@ -15,9 +15,10 @@ from .harness import SweepSpec, default_scenario, emit_results, run_drop, run_sw
 from .lp import LinearProgram, LpSolution, LpStatus
 from .lp import solve as lp_solve
 from .lp import verify as lp_verify
-from .maxmin import FeasibilityBracket, MaxMinResult, auto_upper_bound, solve_max_min
+from .maxmin import MaxMinResult, auto_upper_bound, solve_max_min
 from .mc_oracle import McConfig, estimate_sinr_terms
 from .power_assoc import (
+    DropLp,
     PowerMinResult,
     association_rule_check,
     build_lp,

@@ -29,9 +29,9 @@ from .channel import (
     sample_user_positions,
     scenario_to_json_dict,
 )
-from .maxmin import DEFAULT_DELTA, FeasibilityBracket, solve_max_min
+from .maxmin import DEFAULT_DELTA, solve_max_min
 from .mc_oracle import McConfig, estimate_sinr_terms
-from .power_assoc import PowerMinResult, association_rule_check, max_snr_mask, solve_power_min
+from .power_assoc import DropLp, PowerMinResult, association_rule_check, max_snr_mask
 from .se import PowerAllocation, QosTargets, se_mrt_all, sinr_mrt_all, spectral_efficiency
 
 DEFAULT_BANDWIDTH_HZ = 20e6
@@ -56,6 +56,8 @@ def default_scenario(
 
     Other deployments come in as scenario JSON (``channel.load_scenario``).
     """
+    if num_users < 1:
+        raise ValueError(f"num_users must be >= 1, got {num_users}")
     pilot_length = num_users  # one orthogonal pilot symbol per user
     bs = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     rng = np.random.default_rng(rng_seed)
@@ -161,30 +163,34 @@ def iter_drops(base: NetworkScenario, seed: int, num_drops: int):
         yield d, scn0, channel_stats(scn0, rng)
 
 
+def drop_lps(stats: ChannelStats) -> tuple:
+    """The (joint, max-SNR) ``DropLp`` pair that every cell of the drop solves."""
+    return DropLp(stats), DropLp(stats, max_snr_mask(stats.beta))
+
+
 def solve_cell(
-    stats: ChannelStats,
+    lps: tuple,
     scenario: NetworkScenario,
     mode: str,
     drop_index: int,
     target_se: float,
     delta: float,
-    brackets: tuple = (None, None),
 ) -> tuple:
-    """Solve one (drop, antenna count) cell with both association methods
-    and check every per-cell invariant.
+    """Solve one (drop, antenna count) cell with both association methods,
+    the drop's ``drop_lps`` pair, and check every per-cell invariant.
 
     Returns (joint result, max-SNR result): PowerMinResults in powermin
     mode, MaxMinResults in maxmin mode. A failed check raises
     HarnessInvariantError, and any RuntimeError is re-raised with its type
-    and a message naming the cell. ``brackets`` are the joint and
-    max-SNR ``FeasibilityBracket``s of the drop's maxmin bisections; None
-    gives a bisection a fresh one.
+    and a message naming the cell. Power-min solves start from max-SNR
+    association; maxmin bisections also use and extend the probe outcomes
+    and carried basis of the pair.
     """
+    stats = lps[0].stats
     try:
         if mode == "powermin":
             targets = QosTargets.uniform(target_se, scenario.num_users, scenario)
-            opt = solve_power_min(stats, targets, scenario)
-            snr = solve_power_min(stats, targets, scenario, max_snr_mask(stats.beta))
+            opt, snr = (lp.solve(targets, scenario) for lp in lps)
             if snr.feasible and not opt.feasible:
                 raise HarnessInvariantError("max-SNR feasible but joint optimization infeasible")
             for res in (opt, snr):
@@ -193,10 +199,7 @@ def solve_cell(
             if snr.feasible and opt.objective > snr.objective * (1.0 + 1e-9):
                 raise HarnessInvariantError("optimal objective exceeds the max-SNR objective")
         elif mode == "maxmin":
-            opt = solve_max_min(stats, scenario, delta=delta, bracket=brackets[0])
-            snr = solve_max_min(
-                stats, scenario, delta=delta, allowed=max_snr_mask(stats.beta), bracket=brackets[1]
-            )
+            opt, snr = (solve_max_min(lp, scenario, delta=delta) for lp in lps)
             if opt.xi_lower < snr.xi_lower - delta - 1e-12:
                 raise HarnessInvariantError("joint max-min level fell below the max-SNR level")
             for mm in (opt, snr):
@@ -216,18 +219,18 @@ def solve_cell(
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Run the sweep: per drop, sample users and shadowing once, then solve
-    every antenna count on the same realization, the maxmin bisections of
-    one drop sharing a feasibility bracket per association mask."""
+    every antenna count on the same realization with the drop's one
+    ``DropLp`` per association mask."""
     if spec.scenario_path is not None:
         base = load_scenario(spec.scenario_path)
     else:
         base = default_scenario(spec.antenna_counts[0], spec.num_users, rng_seed=spec.rng_seed)
     drops: dict[int, list[tuple]] = {m: [] for m in spec.antenna_counts}
     for d, scn0, stats in iter_drops(base, spec.rng_seed, spec.num_drops):
-        brackets = (FeasibilityBracket(), FeasibilityBracket())
+        lps = drop_lps(stats)
         for m in spec.antenna_counts:
             scn = scn0.with_antennas(m)
-            drops[m].append(solve_cell(stats, scn, spec.mode, d, spec.target_se, spec.delta, brackets))
+            drops[m].append(solve_cell(lps, scn, spec.mode, d, spec.target_se, spec.delta))
     # collect_traces picks the files written, not their contents
     spec_fields = {k: v for k, v in asdict(spec).items() if k != "collect_traces"}
     config = {"spec": spec_fields, "base_scenario": scenario_to_json_dict(base)}
@@ -321,7 +324,7 @@ def run_drop(scenario: NetworkScenario, mode: str = "powermin", target_se: float
     """Solve a single drop on the scenario as given, with the sweep's checks;
     returns the full JSON record. In maxmin mode the top level holds the
     joint bisection and ``max_snr`` the max-SNR one."""
-    opt, snr = solve_cell(channel_stats(scenario), scenario, mode, 0, target_se, delta)
+    opt, snr = solve_cell(drop_lps(channel_stats(scenario)), scenario, mode, 0, target_se, delta)
     if mode == "powermin":
         return {
             "mode": mode,

@@ -231,10 +231,13 @@ def solve(lp: LinearProgram, basis=None) -> LpSolution:
     dual_cost[basis] = cost[basis]
     basis, b_inv, total_iters, row = _dual_simplex(a2, b_s, dual_cost, basis, b_inv)
     if row is not None:
+        # entries at roundoff level of the row's largest are dust, not weights
+        cert = np.maximum(b_inv[row], 0.0)
+        cert[cert <= 1e-12 * cert.max()] = 0.0
         return LpSolution(
             status=LpStatus.INFEASIBLE,
             iterations=total_iters,
-            infeasibility_certificate=np.maximum(b_inv[row], 0.0) / scale,
+            infeasibility_certificate=cert / scale,
         )
 
     # Bland's primal simplex with the true costs from a primal-feasible basis.

@@ -21,9 +21,10 @@ reports the association it found as a second (L, K) mask, ``serving``: the
 pairs whose power exceeds SERVING_THRESHOLD_SCALE times the BS's cap.
 
 Only the own-power entries beta - b_k and the right-hand side depend on the
-targets and the antenna count. A ``PowerMinTemplate`` holds the rest of the
-LP for one drop and mask and writes those per solve; ``build_lp`` and
-``solve_power_min`` use a fresh one, a max-min bisection one per bracket.
+targets and the antenna count. A ``DropLp`` holds the rest of the LP for
+one drop and mask and writes those per solve, so one serves every power-min
+solve and max-min probe of a drop; ``build_lp``, ``solve_power_min`` and
+``solve_max_snr`` use a fresh one.
 
 ``solve_power_min`` starts the simplex from a given basis, or else from
 max-SNR association within the mask; at that basis its duals are the rule's
@@ -53,24 +54,33 @@ ASSOCIATION_RULE_TOL = 1e-6
 
 def _b_mat(stats: ChannelStats, targets: QosTargets, scenario: NetworkScenario) -> np.ndarray:
     """(K, L) matrix whose row k is b_k; zero rows where xi_hat == 0."""
-    if (targets.xi_hat < 0.0).any():
+    if not (targets.xi_hat >= 0.0).all():
         raise ValueError("SINR thresholds must be nonnegative")
     m_gamma = scenario.num_antennas * stats.gamma.T  # (K, L)
     xi_hat = targets.xi_hat[:, None]
     return np.divide(m_gamma, xi_hat, out=np.zeros_like(m_gamma), where=xi_hat > 0.0)
 
 
-class PowerMinTemplate:
-    """The power-min LP of one drop (``stats``) and one (L, K) mask
-    ``allowed``, less the parts the targets and the scenario set.
+class DropLp:
+    """The power-min LP of one drop (``stats``) under one (L, K) mask
+    ``allowed``, with the max-min probe outcomes and the basis they carry.
 
-    Those are the K own-power entries beta[i, k] - b_k[i] of the QoS rows,
-    which hold beta[i, k] here, and the right-hand side. ``lp`` writes them
-    into a copy, so the template serves any targets and antenna count.
-    Users with a zero SINR threshold get an all-zero (vacuous) QoS row so
-    the row layout stays fixed. The columns of disallowed (BS, user) pairs
-    are deleted and the rest keep their user-major order; None allows every
-    pair, and a mask of any other shape raises ValueError.
+    The LP is held less the parts the targets and the scenario set: the K
+    own-power entries beta[i, k] - b_k[i] of the QoS rows, which hold
+    beta[i, k] here, and the right-hand side. ``lp`` writes them into a
+    copy, so one object serves any targets and antenna count. Users with a
+    zero SINR threshold get an all-zero (vacuous) QoS row so the row layout
+    stays fixed. The columns of disallowed (BS, user) pairs are deleted and
+    the rest keep their user-major order; None allows every pair, and a
+    mask of any other shape raises ValueError.
+
+    ``feasible`` and ``infeasible`` are the max-min probe outcomes, a
+    feasibility bracket keyed by the s-vectors s = M / xi_hat (see
+    ``maxmin``). Only the minimal feasible and the maximal infeasible
+    s-vectors are kept; with uniform weights every s has equal entries, so
+    each list holds at most one vector. Entries never contradict: a probe
+    the stored ones decide is answered, not recorded. ``basis`` is the
+    optimal basis of the last feasible probe, the next probe's start hint.
     """
 
     def __init__(self, stats: ChannelStats, allowed=None):
@@ -92,6 +102,22 @@ class PowerMinTemplate:
         self._own = (users, np.arange(users.size))  # its own-power entry in a
         self._b_index = (users, bss)  # and in _b_mat
         self.c = np.ones(users.size)
+        self.feasible, self.infeasible, self.basis = [], [], None
+
+    def lookup(self, s: np.ndarray) -> bool | None:
+        """True if s dominates a feasible entry, False if an infeasible entry
+        dominates s, None if no entry decides it."""
+        if any((s >= f).all() for f in self.feasible):
+            return True
+        if any((s <= g).all() for g in self.infeasible):
+            return False
+        return None
+
+    def record(self, s: np.ndarray, feasible: bool) -> None:
+        if feasible:
+            self.feasible = [f for f in self.feasible if not (f >= s).all()] + [s]
+        else:
+            self.infeasible = [g for g in self.infeasible if not (g <= s).all()] + [s]
 
     def lp(self, targets: QosTargets, scenario: NetworkScenario) -> LinearProgram:
         """The K + L row LP over the masked user-major power variables."""
@@ -134,8 +160,8 @@ def build_lp(
 ) -> LinearProgram:
     """The K + L row LP over the user-major power variables of the (BS,
     user) pairs the (L, K) mask ``allowed`` grants, every pair for None (see
-    ``PowerMinTemplate``)."""
-    return PowerMinTemplate(stats, allowed).lp(targets, scenario)
+    ``DropLp``)."""
+    return DropLp(stats, allowed).lp(targets, scenario)
 
 
 @dataclass
@@ -189,7 +215,7 @@ def solve_power_min(
     ``basis`` is the simplex's start hint (see ``lp.solve``), such as the
     ``basis`` of an earlier result under the same mask; None starts from
     max-SNR association."""
-    return PowerMinTemplate(stats, allowed).solve(targets, scenario, basis)
+    return DropLp(stats, allowed).solve(targets, scenario, basis)
 
 
 def _max_snr_basis(stats: ChannelStats, targets: QosTargets, mask: np.ndarray):

@@ -43,7 +43,7 @@ def qos_to_threshold(xi, tau_c, tau_p):
     if tau_p >= tau_c:
         raise ValueError("tau_p must be smaller than tau_c")
     xi = np.asarray(xi, dtype=float)
-    if (xi < 0.0).any():
+    if not (xi >= 0.0).all():
         raise ValueError("SE targets must be nonnegative")
     return np.expm1(xi * (tau_c / (tau_c - tau_p)) * _LN2)
 

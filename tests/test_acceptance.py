@@ -20,7 +20,7 @@ from mimopower.harness import (
 )
 from mimopower.lp import LinearProgram, LpStatus, solve, verify
 from mimopower.maxmin import auto_upper_bound, expected_iterations, solve_max_min
-from mimopower.power_assoc import solve_power_min
+from mimopower.power_assoc import DropLp, solve_power_min
 from mimopower.se import QosTargets
 
 ANTENNAS = (50, 100, 150, 200)
@@ -211,7 +211,7 @@ def test_criterion_8_bisection_contract():
     base = default_scenario(ANTENNAS[0], 20, rng_seed=23)
     for d, scn0, stats in iter_drops(base, 23, 50):
         scn = scn0.with_antennas(100)
-        res = solve_max_min(stats, scn)
+        res = solve_max_min(DropLp(stats), scn)
         bound = auto_upper_bound(stats, scn, np.ones(scn.num_users))
         expected = expected_iterations(bound, 0.01)
         lowers = [p.lower for p in res.trace]

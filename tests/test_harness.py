@@ -20,7 +20,13 @@ from mimopower.harness import (
     run_sweep,
 )
 from mimopower.lp import LpStatus
-from mimopower.power_assoc import PowerMinResult, solve_max_snr, solve_power_min
+from mimopower.power_assoc import (
+    DropLp,
+    PowerMinResult,
+    max_snr_mask,
+    solve_max_snr,
+    solve_power_min,
+)
 from mimopower.se import QosTargets
 
 
@@ -97,14 +103,40 @@ class TestSweeps:
         assert t1 == t2
 
     def test_iter_drops_are_the_sweeps_drops(self):
+        """Each joint and max-SNR cell has the bits of a fresh solve_power_min
+        of its drop, so a DropLp reused across antenna counts leaks no state."""
         spec = SweepSpec(antenna_counts=(60, 120), num_drops=4, rng_seed=6, num_users=8)
         result = run_sweep(spec)
         base = default_scenario(spec.antenna_counts[0], spec.num_users, rng_seed=spec.rng_seed)
+        feasible = 0
         for d, scn0, stats in iter_drops(base, spec.rng_seed, spec.num_drops):
             for m in spec.antenna_counts:
                 scn = scn0.with_antennas(m)
-                res = solve_power_min(stats, QosTargets.uniform(spec.target_se, 8, scn), scn)
-                assert res.objective == result.drops[m][d][0].objective
+                targets = QosTargets.uniform(spec.target_se, 8, scn)
+                for cell, mask in zip(result.drops[m][d], (None, max_snr_mask(stats.beta))):
+                    res = solve_power_min(stats, targets, scn, mask)
+                    assert res.status == cell.status and res.objective == cell.objective
+                    if res.feasible:
+                        feasible += 1
+                        assert np.array_equal(res.allocation.rho, cell.allocation.rho)
+                        assert np.array_equal(res.qos_duals, cell.qos_duals)
+                        assert np.array_equal(res.power_duals, cell.power_duals)
+                        assert np.array_equal(res.basis, cell.basis)
+        assert feasible
+
+    @pytest.mark.parametrize("mode", ["powermin", "maxmin"])
+    def test_one_drop_lp_per_drop_and_mask(self, mode, monkeypatch):
+        built = []
+        init = DropLp.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(DropLp, "__init__", counting)
+        spec = SweepSpec((50, 100, 150), mode, num_drops=3, rng_seed=2, num_users=6)
+        run_sweep(spec)
+        assert len(built) == 2 * spec.num_drops
 
     def test_invariant_error_names_its_cell(self, monkeypatch):
         def broken(*args, **kwargs):
@@ -142,7 +174,7 @@ class TestSweeps:
         monkeypatch.setattr(lp, "_REFRESH_EVERY", 1)
         monkeypatch.setattr(np.linalg, "inv", singular)
         with pytest.raises(RuntimeError, match=r"^drop 0, M=64, powermin: singular basis") as info:
-            harness.solve_cell(small_stats, small_scenario, "powermin", 0, 0.5, 0.01)
+            harness.solve_cell(harness.drop_lps(small_stats), small_scenario, "powermin", 0, 0.5, 0.01)
         assert type(info.value) is RuntimeError
 
     def test_level_zero_sweep_publishes_single_bs_service(self, tmp_path, small_scenario):
@@ -228,14 +260,14 @@ class TestRunDrop:
     def test_powermin_checks_feasible_set_inclusion(self, small_scenario, small_stats, monkeypatch):
         targets = QosTargets.uniform(0.5, small_scenario.num_users, small_scenario)
         assert solve_max_snr(small_stats, targets, small_scenario).feasible
-        solve = harness.solve_power_min
+        solve = DropLp.solve
 
-        def joint_infeasible(stats, targets, scenario, allowed=None):
-            if allowed is not None:
-                return solve(stats, targets, scenario, allowed)
-            return PowerMinResult(LpStatus.INFEASIBLE, np.ones(stats.beta.shape, dtype=bool))
+        def joint_infeasible(lp, targets, scenario, basis=None):
+            if not lp.mask.all():
+                return solve(lp, targets, scenario, basis)
+            return PowerMinResult(LpStatus.INFEASIBLE, lp.mask)
 
-        monkeypatch.setattr(harness, "solve_power_min", joint_infeasible)
+        monkeypatch.setattr(DropLp, "solve", joint_infeasible)
         with pytest.raises(HarnessInvariantError, match="max-SNR feasible"):
             run_drop(small_scenario, mode="powermin", target_se=0.5)
 
@@ -249,7 +281,8 @@ class TestRunDrop:
     def test_maxmin_level_zero_cell(self, small_scenario, small_stats):
         # 1e-12 W per BS puts the SE upper bound below delta: no probe runs
         scn = dataclasses.replace(small_scenario, pmax=np.full(4, 1e-12))
-        opt, snr = harness.solve_cell(small_stats, scn, "maxmin", 0, DEFAULT_TARGET_SE, 0.01)
+        lps = harness.drop_lps(small_stats)
+        opt, snr = harness.solve_cell(lps, scn, "maxmin", 0, DEFAULT_TARGET_SE, 0.01)
         assert opt.iterations == snr.iterations == 0
         assert opt.last_feasible is None and snr.last_feasible is None
         assert opt.xi_lower == 0.0
@@ -314,6 +347,27 @@ class TestCli:
         assert cli.main(argv) == 1
         assert "must not repeat a count" in capsys.readouterr().err
         assert not (tmp_path / "rep").exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["drop", "--target-se", "nan"], "SE targets must be nonnegative"),
+            (["powermin", "--drops", "1", "--target-se", "nan"], "SE targets must be nonnegative"),
+            (["drop", "--mode", "maxmin", "--delta", "nan"], "delta must be positive"),
+            (["maxmin", "--drops", "1", "--delta", "nan"], "delta must be positive"),
+        ],
+        ids=["drop-target", "powermin-target", "drop-delta", "maxmin-delta"],
+    )
+    def test_nan_input_exits_1(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "nan"
+        assert cli.main([*argv, "--users", "5", "--antennas", "60", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["powermin", "maxmin", "drop"])
+    def test_zero_users_exits_1(self, command, capsys):
+        assert cli.main([command, "--users", "0"]) == 1
+        assert capsys.readouterr().err == "error: num_users must be >= 1, got 0\n"
 
     def test_maxmin_with_trace(self, tmp_path):
         code = cli.main(

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -112,6 +114,37 @@ class TestInfeasibility:
             assert np.all(a.T @ y >= -1e-7 * (1.0 + np.abs(a).max()))
             assert b @ y < 0.0
         assert found >= 10
+
+    def test_certificate_holds_no_roundoff_dust(self):
+        # LP 206 of sparse_lps(0): its B^-1 row held 1.9e-16 where 0 is exact,
+        # and the column only that row touches read A^T y = -1.9e-16 against
+        # the check's bound of -1e-12 * |A|^T y = -1.9e-28
+        lp = next(itertools.islice(sparse_lps(0), 206, None))
+        sol = solve(lp)
+        assert sol.status == LpStatus.INFEASIBLE
+        assert_farkas_certificate(lp.a_ub, lp.b_ub, sol.infeasibility_certificate)
+
+
+def sparse_lps(seed):
+    """Random LPs of up to 9 rows and 13 columns: half the entries zero, row
+    0 copied over a random row in 30 % of them, a fifth of the right-hand
+    side zero, and zero, normal and uniform costs in turn."""
+    rng = np.random.default_rng(seed)
+    for i in itertools.count():
+        n = int(rng.integers(1, 14))
+        m = int(rng.integers(1, 10))
+        a = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.5)
+        if rng.random() < 0.3:
+            a[rng.integers(m)] = a[0]
+        b = rng.normal(size=m)
+        b[rng.random(m) < 0.2] = 0.0
+        if i % 3 == 0:
+            c = np.zeros(n)
+        elif i % 3 == 1:
+            c = rng.normal(size=n)
+        else:
+            c = rng.random(n)
+        yield LinearProgram(c=c, a_ub=a, b_ub=b)
 
 
 class TestDeterminism:

@@ -13,8 +13,8 @@ from oracles import assert_farkas_certificate, dinkelbach_lp
 from mimopower.harness import DEFAULT_NUM_USERS, default_scenario, iter_drops
 from mimopower.lp import LpStatus
 from mimopower.lp import solve as lp_solve
-from mimopower.maxmin import FeasibilityBracket, solve_max_min
-from mimopower.power_assoc import _max_snr_basis, build_lp, max_snr_mask
+from mimopower.maxmin import solve_max_min
+from mimopower.power_assoc import DropLp, _max_snr_basis, build_lp, max_snr_mask
 from mimopower.se import QosTargets
 
 optimize = pytest.importorskip("scipy.optimize")
@@ -42,10 +42,10 @@ def test_simplex_agrees_with_highs_on_a_sweep():
     seen = {status: 0 for status in LpStatus}
     for _, scn0, stats in iter_drops(default_scenario(50, k, rng_seed=4), 4, 2):
         for mask in (np.ones(stats.beta.shape, dtype=bool), max_snr_mask(stats.beta)):
-            bracket = FeasibilityBracket()
+            bracket = DropLp(stats, mask)
             for m in (50, 100, 150, 200):
                 scn = scn0.with_antennas(m)
-                probes = solve_max_min(stats, scn, allowed=mask, bracket=bracket).trace
+                probes = solve_max_min(bracket, scn).trace
                 for xi in [1.0] + [p.candidate for p in probes]:
                     targets = QosTargets.uniform(xi, k, scn)
                     lp = build_lp(stats, targets, scn, mask)

@@ -10,13 +10,8 @@ from mimopower import power_assoc
 from mimopower.channel import ChannelStats
 from mimopower.harness import DEFAULT_NUM_USERS, default_scenario, iter_drops
 from mimopower.lp import LpSolution, LpStatus
-from mimopower.maxmin import (
-    FeasibilityBracket,
-    auto_upper_bound,
-    expected_iterations,
-    solve_max_min,
-)
-from mimopower.power_assoc import PowerMinTemplate, max_snr_mask, solve_power_min
+from mimopower.maxmin import auto_upper_bound, expected_iterations, solve_max_min
+from mimopower.power_assoc import DropLp, max_snr_mask, solve_power_min
 from mimopower.se import QosTargets, qos_to_threshold, se_mrt_all, spectral_efficiency
 
 
@@ -34,7 +29,7 @@ class TestAutoUpperBound:
 
     def test_bound_exceeds_achievable_level(self, small_scenario, small_stats):
         bound = auto_upper_bound(small_stats, small_scenario, np.ones(6))
-        res = solve_max_min(small_stats, small_scenario)
+        res = solve_max_min(DropLp(small_stats), small_scenario)
         assert bound > res.xi_lower
 
     def test_noise_dominated_single_user_is_tight(self):
@@ -47,7 +42,7 @@ class TestAutoUpperBound:
         bound = auto_upper_bound(stats, scn, np.ones(1))
         assert bound == pytest.approx(xi_star, rel=5e-3)
         assert bound > xi_star  # still a strict upper bound
-        res = solve_max_min(stats, scn, delta=1e-6)
+        res = solve_max_min(DropLp(stats), scn, delta=1e-6)
         assert res.xi_lower <= xi_star <= res.xi_upper
 
 
@@ -55,14 +50,14 @@ class TestBisection:
     def test_iteration_count_matches_formula(self):
         for seed in range(5):
             scn, stats = random_drop(seed, num_antennas=100, num_users=6)
-            res = solve_max_min(stats, scn)
+            res = solve_max_min(DropLp(stats), scn)
             bound = auto_upper_bound(stats, scn, np.ones(6))
             assert res.iterations == expected_iterations(bound, 0.01)
             assert res.xi_upper - res.xi_lower <= 0.01
 
     def test_interval_monotone_and_consistent(self):
         scn, stats = random_drop(11, num_antennas=100, num_users=6)
-        res = solve_max_min(stats, scn)
+        res = solve_max_min(DropLp(stats), scn)
         lowers = [p.lower for p in res.trace]
         uppers = [p.upper for p in res.trace]
         assert all(a <= b + 1e-15 for a, b in zip(lowers, lowers[1:]))
@@ -75,7 +70,7 @@ class TestBisection:
 
     def test_returned_allocation_meets_lower_bound(self):
         scn, stats = random_drop(12, num_antennas=100, num_users=6)
-        res = solve_max_min(stats, scn)
+        res = solve_max_min(DropLp(stats), scn)
         se = se_mrt_all(stats, res.last_feasible.allocation, scn)
         assert np.all(se >= res.xi_lower - 1e-9)
         # with unit weights the worst user sits inside the final interval
@@ -83,7 +78,7 @@ class TestBisection:
 
     def test_single_user_power_constraint_binds(self):
         scn, stats = single_cell(num_antennas=64, beta=2e-13)
-        res = solve_max_min(stats, scn, delta=0.01)
+        res = solve_max_min(DropLp(stats), scn, delta=0.01)
         m, beta, gamma = 64, stats.beta[0, 0], stats.gamma[0, 0]
         sinr_full = m * 40.0 * gamma / (40.0 * beta + scn.noise_dl)
         xi_star = float(
@@ -106,29 +101,32 @@ class TestBisection:
 
     def test_max_snr_probe_mode(self):
         scn, stats = random_drop(14, num_antennas=100, num_users=6)
-        opt = solve_max_min(stats, scn)
-        snr = solve_max_min(stats, scn, allowed=max_snr_mask(stats.beta))
+        opt = solve_max_min(DropLp(stats), scn)
+        snr = solve_max_min(DropLp(stats, max_snr_mask(stats.beta)), scn)
         assert opt.xi_lower >= snr.xi_lower - 0.01 - 1e-12
         assert np.array_equal(snr.last_feasible.allowed, max_snr_mask(stats.beta))
 
     def test_all_false_mask_gives_level_zero(self, small_scenario, small_stats):
-        res = solve_max_min(small_stats, small_scenario, allowed=np.zeros((4, 6), dtype=bool))
+        res = solve_max_min(DropLp(small_stats, np.zeros((4, 6), dtype=bool)), small_scenario)
         assert res.xi_lower == 0.0 and res.last_feasible is None
         assert not any(p.feasible for p in res.trace)
 
     def test_trace_is_json_lines_ready(self):
         scn, stats = random_drop(15, num_antennas=64, num_users=4)
-        res = solve_max_min(stats, scn, delta=0.2)
+        res = solve_max_min(DropLp(stats), scn, delta=0.2)
         lines = [json.dumps(asdict(p)) for p in res.trace]
         assert len(lines) == res.iterations
         parsed = json.loads(lines[0])
         assert {"iteration", "candidate", "feasible", "lower", "upper"} <= parsed.keys()
 
     def test_config_validation(self, small_scenario, small_stats):
-        with pytest.raises(ValueError):
-            solve_max_min(small_stats, small_scenario, delta=0.0)
-        with pytest.raises(ValueError, match="weights"):
-            solve_max_min(small_stats, small_scenario, weights=np.zeros(6))
+        lp = DropLp(small_stats)
+        for delta in (0.0, np.nan):
+            with pytest.raises(ValueError, match="delta must be positive"):
+                solve_max_min(lp, small_scenario, delta=delta)
+        for weights in (np.zeros(6), np.r_[np.ones(5), np.nan]):
+            with pytest.raises(ValueError, match="weights must be strictly positive"):
+                solve_max_min(lp, small_scenario, weights=weights)
 
     def test_expected_iterations_formula(self):
         assert expected_iterations(1.0, 2.0) == 0
@@ -138,7 +136,7 @@ class TestBisection:
 
 
 def count_lp_solves(monkeypatch) -> list:
-    """Patch the LP solve behind solve_power_min; the returned list grows by
+    """Patch the LP solve behind every power-min solve; the returned list grows by
     one entry per solve."""
     calls = []
     real = power_assoc.lp_solve
@@ -162,17 +160,19 @@ def assert_same_result(a, b):
 
 
 class TestFeasibilityBracket:
-    def test_componentwise_dominance(self):
-        bracket = FeasibilityBracket()
-        assert bracket.lookup(np.array([1.0, 1.0])) is None
-        bracket.record(np.array([2.0, 1.0]), True)
-        bracket.record(np.array([1.0, 0.5]), False)
-        assert bracket.lookup(np.array([2.0, 3.0])) is True
-        assert bracket.lookup(np.array([0.5, 0.5])) is False
-        assert bracket.lookup(np.array([3.0, 0.9])) is None  # dominates neither way
+    """The probe outcomes and carried basis a DropLp keeps for its bisections."""
+
+    def test_componentwise_dominance(self, small_stats):
+        lp = DropLp(small_stats)
+        assert lp.lookup(np.array([1.0, 1.0])) is None
+        lp.record(np.array([2.0, 1.0]), True)
+        lp.record(np.array([1.0, 0.5]), False)
+        assert lp.lookup(np.array([2.0, 3.0])) is True
+        assert lp.lookup(np.array([0.5, 0.5])) is False
+        assert lp.lookup(np.array([3.0, 0.9])) is None  # dominates neither way
         # a smaller feasible s supersedes the entries it dominates
-        bracket.record(np.array([1.5, 1.0]), True)
-        assert len(bracket.feasible) == 1 and bracket.lookup(np.array([1.5, 1.0])) is True
+        lp.record(np.array([1.5, 1.0]), True)
+        assert len(lp.feasible) == 1 and lp.lookup(np.array([1.5, 1.0])) is True
 
     @pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "weighted"])
     def test_shared_bracket_agrees_with_direct_solves(self, uniform, monkeypatch):
@@ -184,11 +184,11 @@ class TestFeasibilityBracket:
         base = default_scenario(antennas[0], k, rng_seed=5)
         for _, scn0, stats in iter_drops(base, 5, 3):
             for allowed in (None, max_snr_mask(stats.beta)):
-                bracket = FeasibilityBracket()
+                lp = DropLp(stats, allowed)
                 for m in antennas:
                     scn = scn0.with_antennas(m)
                     before = len(calls)
-                    shared = solve_max_min(stats, scn, w, allowed=allowed, bracket=bracket)
+                    shared = solve_max_min(lp, scn, w)
                     shared_solves += len(calls) - before
                     probes += shared.iterations
                     for p in shared.trace:
@@ -196,17 +196,17 @@ class TestFeasibilityBracket:
                             w * p.candidate, scn.coherence_length, scn.pilot_length
                         )
                         assert solve_power_min(stats, targets, scn, allowed).feasible == p.feasible
-                    assert_same_result(shared, solve_max_min(stats, scn, w, allowed=allowed))
+                    assert_same_result(shared, solve_max_min(DropLp(stats, allowed), scn, w))
         # the shared brackets answered some probes without an LP
         assert shared_solves < probes
 
     def test_carried_basis_hints_match_cold_solves(self, monkeypatch):
-        """Every probe LP of three drops, joint and max-SNR, with a bracket
-        shared across antenna counts: started from the bracket's basis, it
+        """Every probe LP of three drops, joint and max-SNR, with a DropLp
+        shared across antenna counts: started from its carried basis, it
         gives the bits of a cold ``solve_power_min`` (max-SNR start) when
         optimal and its status when infeasible, in fewer pivots in total."""
         pivots = []
-        real_lp, real_probe = power_assoc.lp_solve, PowerMinTemplate.solve
+        real_lp, real_probe = power_assoc.lp_solve, DropLp.solve
 
         def counting(lp, basis=None):
             sol = real_lp(lp, basis=basis)
@@ -215,21 +215,21 @@ class TestFeasibilityBracket:
 
         probes = []
 
-        def recording(template, targets, scenario, basis=None):
-            res = real_probe(template, targets, scenario, basis=basis)
-            args = (template.stats, targets, scenario, template.mask)
+        def recording(lp, targets, scenario, basis=None):
+            res = real_probe(lp, targets, scenario, basis=basis)
+            args = (lp.stats, targets, scenario, lp.mask)
             probes.append((args, basis, res, pivots[-1]))
             return res
 
         monkeypatch.setattr(power_assoc, "lp_solve", counting)
-        monkeypatch.setattr(PowerMinTemplate, "solve", recording)
+        monkeypatch.setattr(DropLp, "solve", recording)
         k = DEFAULT_NUM_USERS
         for _, scn0, stats in iter_drops(default_scenario(50, k, rng_seed=8), 8, 3):
             for allowed in (None, max_snr_mask(stats.beta)):
-                bracket = FeasibilityBracket()
+                lp = DropLp(stats, allowed)
                 for m in (50, 100, 150, 200):
-                    solve_max_min(stats, scn0.with_antennas(m), allowed=allowed, bracket=bracket)
-        monkeypatch.setattr(PowerMinTemplate, "solve", real_probe)
+                    solve_max_min(lp, scn0.with_antennas(m))
+        monkeypatch.setattr(DropLp, "solve", real_probe)
         hinted_pivots = cold_pivots = hinted = infeasible = 0
         for args, basis, res, used in probes:
             cold = solve_power_min(*args)
@@ -247,40 +247,30 @@ class TestFeasibilityBracket:
         assert hinted and infeasible
         assert hinted_pivots < cold_pivots
 
-    def test_bracket_is_bound_to_its_first_drop_and_mask(self, small_scenario, small_stats):
+    def test_int_mask_is_the_bool_mask(self, small_scenario, small_stats):
         mask = max_snr_mask(small_stats.beta)
-        bracket = FeasibilityBracket()
-        first = solve_max_min(small_stats, small_scenario, allowed=mask, bracket=bracket)
-        # an int copy of the mask is the same mask as a bool array
-        again = solve_max_min(small_stats, small_scenario, allowed=mask.astype(int), bracket=bracket)
-        assert_same_result(first, again)
-        for other in (None, ~mask):
-            with pytest.raises(ValueError, match="one association mask"):
-                solve_max_min(small_stats, small_scenario, allowed=other, bracket=bracket)
-        joint = FeasibilityBracket()
-        solve_max_min(small_stats, small_scenario, bracket=joint)
-        solve_max_min(small_stats, small_scenario, allowed=np.ones(mask.shape, int), bracket=joint)
-        with pytest.raises(ValueError, match="one association mask"):
-            solve_max_min(small_stats, small_scenario, allowed=mask, bracket=joint)
-        other_drop = ChannelStats(beta=small_stats.beta, gamma=small_stats.gamma / 2.0)
-        with pytest.raises(ValueError, match="one drop"):
-            solve_max_min(other_drop, small_scenario, bracket=joint)
+        by_int = DropLp(small_stats, mask.astype(int))
+        assert by_int.mask.dtype == bool and np.array_equal(by_int.mask, mask)
+        first = solve_max_min(DropLp(small_stats, mask), small_scenario)
+        assert_same_result(first, solve_max_min(by_int, small_scenario))
+        joint = DropLp(small_stats, np.ones(mask.shape, int))
+        assert np.array_equal(joint.mask, DropLp(small_stats).mask)
 
     def test_repeat_call_solves_one_lp(self, monkeypatch):
         scn, stats = random_drop(21, num_antennas=100, num_users=6)
-        bracket = FeasibilityBracket()
-        first = solve_max_min(stats, scn, bracket=bracket)
+        lp = DropLp(stats)
+        first = solve_max_min(lp, scn)
         assert first.last_feasible is not None
         calls = count_lp_solves(monkeypatch)
-        second = solve_max_min(stats, scn, bracket=bracket)
+        second = solve_max_min(lp, scn)
         assert len(calls) == 1  # only the re-solve at the final lower level
         assert_same_result(first, second)
 
     def test_infeasible_resolve_raises(self, monkeypatch):
         scn, stats = random_drop(21, num_antennas=100, num_users=6)
-        bracket = FeasibilityBracket()
-        level = solve_max_min(stats, scn, bracket=bracket).xi_lower
+        lp = DropLp(stats)
+        level = solve_max_min(lp, scn).xi_lower
         monkeypatch.setattr(power_assoc, "lp_solve", lambda lp, basis=None: LpSolution(LpStatus.INFEASIBLE))
         pattern = rf"^max-min level {re.escape(repr(level))} .* infeasible$"
         with pytest.raises(RuntimeError, match=pattern):
-            solve_max_min(stats, scn, bracket=bracket)
+            solve_max_min(lp, scn)

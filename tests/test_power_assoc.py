@@ -15,10 +15,10 @@ from mimopower.harness import (
 )
 from mimopower.lp import LpSolution, LpStatus
 from mimopower.lp import solve as lp_solve
-from mimopower.maxmin import FeasibilityBracket, solve_max_min
+from mimopower.maxmin import solve_max_min
 from mimopower.power_assoc import (
+    DropLp,
     PowerMinResult,
-    PowerMinTemplate,
     _b_mat,
     _max_snr_basis,
     association_rule_check,
@@ -102,11 +102,9 @@ class TestBuildLp:
         every_user_on_bs0[:, 0] = True
         for mask in (every_user_on_bs0, np.ones((4, 5), dtype=bool)):
             with pytest.raises(ValueError, match=r"\(L, K\) = \(4, 6\)"):
-                PowerMinTemplate(small_stats, mask)
+                DropLp(small_stats, mask)
             with pytest.raises(ValueError, match=r"\(L, K\) = \(4, 6\)"):
                 build_lp(small_stats, targets, small_scenario, allowed=mask)
-            with pytest.raises(ValueError, match=r"\(L, K\) = \(4, 6\)"):
-                solve_max_min(small_stats, small_scenario, allowed=mask)
             with pytest.raises(ValueError, match=r"\(L, K\) = \(4, 6\)"):
                 solve_power_min(small_stats, targets, small_scenario, mask)
 
@@ -142,7 +140,7 @@ class TestBuildLp:
         rng = np.random.default_rng(seed)
         shape = stats.beta.shape
         masks = (None, max_snr_mask(stats.beta), rng.random(shape) < 0.5, np.zeros(shape, bool))
-        templates = [PowerMinTemplate(stats, mask) for mask in masks]
+        templates = [DropLp(stats, mask) for mask in masks]
         partly_zero = rng.uniform(0.2, 2.0, shape[1])
         partly_zero[[0, 3, 4]] = 0.0
         sequence = (partly_zero, rng.uniform(0.2, 2.0, shape[1]), np.zeros(shape[1]), np.ones(shape[1]))
@@ -341,11 +339,11 @@ class TestPolicyWarmStart:
         for _, scn0, stats in iter_drops(default_scenario(antennas[0], k, rng_seed=3), 3, 3):
             best = max_snr_mask(stats.beta)
             masks = (np.ones(stats.beta.shape, dtype=bool), best)
-            brackets = (FeasibilityBracket(), FeasibilityBracket())
+            brackets = tuple(DropLp(stats, mask) for mask in masks)
             for m in antennas:
                 scn = scn0.with_antennas(m)
                 for mask, bracket in zip(masks, brackets):
-                    probes = solve_max_min(stats, scn, allowed=mask, bracket=bracket).trace
+                    probes = solve_max_min(bracket, scn).trace
                     for xi in [1.0] + [p.candidate for p in probes]:
                         targets = QosTargets.uniform(xi, k, scn)
                         lp = build_lp(stats, targets, scn, mask)
