@@ -23,7 +23,6 @@ from .power_assoc import (
     association_rule_check,
     build_lp,
     max_snr_mask,
-    solve_max_snr,
     solve_power_min,
 )
 from .se import (

@@ -39,6 +39,18 @@ def beta_from_distance(distance_km, shadow_db=0.0):
     return 10.0 ** ((path_loss_db(distance_km) + shadow_db) / 10.0)
 
 
+_SCENARIO_FLOAT_FIELDS = (
+    "bs_positions", "user_positions", "pilot_power", "noise_ul", "noise_dl", "pmax", "shadow_std_db"
+)
+
+
+def _require_finite(obj, names) -> None:
+    """Raise ValueError naming the first field of ``obj`` that holds a NaN or an infinity."""
+    for name in names:
+        if not np.isfinite(getattr(obj, name)).all():
+            raise ValueError(f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class NetworkScenario:
     """One network drop: geometry plus pilot/power/noise parameters.
@@ -81,11 +93,12 @@ class NetworkScenario:
             raise ValueError("pilot_power must be a per-user vector")
         if self.pmax.shape != (self.num_bs,):
             raise ValueError("pmax must be a per-BS vector")
-        if np.any(self.pilot_power <= 0.0) or np.any(self.pmax <= 0.0):
+        _require_finite(self, _SCENARIO_FLOAT_FIELDS)
+        if not ((self.pilot_power > 0.0).all() and (self.pmax > 0.0).all()):
             raise ValueError("pilot_power and pmax must be strictly positive")
-        if self.noise_ul <= 0.0 or self.noise_dl <= 0.0:
+        if not (self.noise_ul > 0.0 and self.noise_dl > 0.0):
             raise ValueError("noise variances must be strictly positive")
-        if self.shadow_std_db < 0.0:
+        if not self.shadow_std_db >= 0.0:
             raise ValueError("shadow_std_db must be nonnegative")
 
     def with_antennas(self, num_antennas: int) -> "NetworkScenario":
@@ -107,10 +120,11 @@ class ChannelStats:
         object.__setattr__(self, "gamma", np.asarray(self.gamma, dtype=float))
         if self.beta.shape != self.gamma.shape or self.beta.ndim != 2:
             raise ValueError("beta and gamma must be equal-shape (L, K) matrices")
-        if np.any(self.beta <= 0.0):
+        _require_finite(self, ("beta", "gamma"))
+        if not (self.beta > 0.0).all():
             raise ValueError("beta must be strictly positive")
         # gamma == beta is the perfect-estimation limit and is allowed.
-        if np.any(self.gamma <= 0.0) or np.any(self.gamma > self.beta):
+        if not ((self.gamma > 0.0) & (self.gamma <= self.beta)).all():
             raise ValueError("gamma must satisfy 0 < gamma <= beta elementwise")
 
     @property
@@ -188,7 +202,7 @@ def sample_user_positions(num_users, bs_positions, rng, min_dist_km=0.01) -> np.
 
 # --- scenario (de)serialization ------------------------------------------
 
-def _parse_power(entry, length, name):
+def _parse_power(entry, length):
     """Accept a raw W number/list or {'units': 'W'|'dBm', 'value(s)': ...}."""
     units = "W"
     if isinstance(entry, dict):
@@ -198,42 +212,63 @@ def _parse_power(entry, length, name):
         elif "value" in entry:
             entry = entry["value"]
         else:
-            raise ValueError(f"{name}: expected 'value' or 'values' next to 'units'")
+            raise ValueError("expected 'value' or 'values' next to 'units'")
     arr = np.asarray(entry, dtype=float)
     if units == "dBm":
         arr = dbm_to_watt(arr)
     elif units != "W":
-        raise ValueError(f"{name}: unknown power units {units!r}")
+        raise ValueError(f"unknown power units {units!r}")
     if arr.ndim == 0:
         arr = np.full(length, float(arr))
     if arr.shape != (length,):
-        raise ValueError(f"{name}: expected scalar or length-{length} vector")
+        raise ValueError(f"expected scalar or length-{length} vector")
     return arr
 
 
+def _count(value) -> int:
+    """A JSON integer, or a float with an integral value, as an int."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    ):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _real(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def scenario_from_json_dict(d: dict) -> NetworkScenario:
-    try:
-        num_bs = int(d["num_bs"])
-        num_users = int(d["num_users"])
-        noise_ul = _parse_power(d["noise_ul"], 1, "noise_ul")[0]
-        noise_dl = _parse_power(d["noise_dl"], 1, "noise_dl")[0]
-        return NetworkScenario(
-            num_bs=num_bs,
-            num_users=num_users,
-            num_antennas=int(d["num_antennas"]),
-            bs_positions=np.asarray(d["bs_positions"], dtype=float),
-            user_positions=np.asarray(d["user_positions"], dtype=float),
-            coherence_length=int(d["coherence_length"]),
-            pilot_length=int(d["pilot_length"]),
-            pilot_power=_parse_power(d["pilot_power"], num_users, "pilot_power"),
-            noise_ul=float(noise_ul),
-            noise_dl=float(noise_dl),
-            pmax=_parse_power(d["pmax"], num_bs, "pmax"),
-            shadow_std_db=float(d["shadow_std_db"]),
-            rng_seed=int(d.get("rng_seed", 0)),
-        )
-    except KeyError as e:
-        raise ValueError(f"scenario JSON is missing field {e.args[0]!r}") from e
+    """The scenario a JSON dict describes; a missing or wrongly typed field,
+    or a count that is not an integer, raises ValueError naming the field."""
+
+    def field(name, convert, *args):
+        if name not in d:
+            raise ValueError(f"scenario JSON is missing field {name!r}")
+        try:
+            return convert(d[name], *args)
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"scenario JSON field {name!r}: {e}") from e
+
+    num_bs = field("num_bs", _count)
+    num_users = field("num_users", _count)
+    return NetworkScenario(
+        num_bs=num_bs,
+        num_users=num_users,
+        num_antennas=field("num_antennas", _count),
+        bs_positions=field("bs_positions", np.asarray, float),
+        user_positions=field("user_positions", np.asarray, float),
+        coherence_length=field("coherence_length", _count),
+        pilot_length=field("pilot_length", _count),
+        pilot_power=field("pilot_power", _parse_power, num_users),
+        noise_ul=float(field("noise_ul", _parse_power, 1)[0]),
+        noise_dl=float(field("noise_dl", _parse_power, 1)[0]),
+        pmax=field("pmax", _parse_power, num_bs),
+        shadow_std_db=field("shadow_std_db", _real),
+        rng_seed=field("rng_seed", _count) if "rng_seed" in d else 0,
+    )
 
 
 def scenario_to_json_dict(scenario: NetworkScenario) -> dict:

@@ -31,7 +31,7 @@ from .channel import (
 )
 from .maxmin import DEFAULT_DELTA, solve_max_min
 from .mc_oracle import McConfig, estimate_sinr_terms
-from .power_assoc import DropLp, PowerMinResult, association_rule_check, max_snr_mask
+from .power_assoc import DropLp, PowerMinResult, association_rule_check, max_snr_mask, solve_power_min
 from .se import PowerAllocation, QosTargets, se_mrt_all, sinr_mrt_all, spectral_efficiency
 
 DEFAULT_BANDWIDTH_HZ = 20e6
@@ -189,8 +189,8 @@ def solve_cell(
     stats = lps[0].stats
     try:
         if mode == "powermin":
-            targets = QosTargets.uniform(target_se, scenario.num_users, scenario)
-            opt, snr = (lp.solve(targets, scenario) for lp in lps)
+            targets = QosTargets.uniform(target_se, scenario)
+            opt, snr = (solve_power_min(lp, targets, scenario) for lp in lps)
             if snr.feasible and not opt.feasible:
                 raise HarnessInvariantError("max-SNR feasible but joint optimization infeasible")
             for res in (opt, snr):
@@ -208,7 +208,7 @@ def solve_cell(
                     if (se < mm.xi_lower - 1e-9).any():
                         raise HarnessInvariantError("achieved SE fell below the max-min lower bound")
                     # xi_lower is exactly the candidate of the last feasible probe
-                    targets = QosTargets.uniform(mm.xi_lower, scenario.num_users, scenario)
+                    targets = QosTargets.uniform(mm.xi_lower, scenario)
                     check_solution_invariants(stats, targets, scenario, mm.last_feasible)
         else:
             raise ValueError(f"unknown mode {mode!r}")

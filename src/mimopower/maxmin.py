@@ -2,7 +2,7 @@
 
 Feasibility of a candidate level xi (targets xi_k = w_k * xi) is monotone,
 so a bisection over [0, xi_upper] converges linearly. Every probe is a
-power-min solve of one ``DropLp``: one drop under one association mask
+``solve_power_min`` of one ``DropLp``: one drop under one association mask
 (joint, or e.g. the max-SNR mask). ``MaxMinResult.last_feasible`` is the
 PowerMinResult of the last feasible probe (allocation, duals, ``serving``
 mask), whose candidate is exactly the final lower bound; it is None when no
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelStats, NetworkScenario
-from .power_assoc import DropLp, PowerMinResult
+from .power_assoc import DropLp, PowerMinResult, solve_power_min
 from .se import QosTargets, spectral_efficiency
 
 DEFAULT_DELTA = 0.01  # bisection accuracy in bit/symbol
@@ -158,7 +158,7 @@ def solve_max_min(
 
 def _probe(lp: DropLp, targets, scenario) -> PowerMinResult:
     """A solve from the carried basis; a feasible result carries its own."""
-    res = lp.solve(targets, scenario, basis=lp.basis)
+    res = solve_power_min(lp, targets, scenario, basis=lp.basis)
     if res.feasible:
         lp.basis = res.basis
     return res

@@ -22,9 +22,11 @@ pairs whose power exceeds SERVING_THRESHOLD_SCALE times the BS's cap.
 
 Only the own-power entries beta - b_k and the right-hand side depend on the
 targets and the antenna count. A ``DropLp`` holds the rest of the LP for
-one drop and mask and writes those per solve, so one serves every power-min
-solve and max-min probe of a drop; ``build_lp``, ``solve_power_min`` and
-``solve_max_snr`` use a fresh one.
+one drop and mask, and ``build_lp`` writes those into a copy per solve, so
+one ``DropLp`` serves every power-min solve and max-min probe of a drop.
+``build_lp`` and ``solve_power_min`` take it as their first argument and
+are the only LP builder and the only solve: sweeps, ``drop`` and max-min
+probes all call them.
 
 ``solve_power_min`` starts the simplex from a given basis, or else from
 max-SNR association within the mask; at that basis its duals are the rule's
@@ -67,8 +69,8 @@ class DropLp:
 
     The LP is held less the parts the targets and the scenario set: the K
     own-power entries beta[i, k] - b_k[i] of the QoS rows, which hold
-    beta[i, k] here, and the right-hand side. ``lp`` writes them into a
-    copy, so one object serves any targets and antenna count. Users with a
+    beta[i, k] here, and the right-hand side. ``build_lp`` writes them into
+    a copy, so one object serves any targets and antenna count. Users with a
     zero SINR threshold get an all-zero (vacuous) QoS row so the row layout
     stays fixed. The columns of disallowed (BS, user) pairs are deleted and
     the rest keep their user-major order; None allows every pair, and a
@@ -119,49 +121,18 @@ class DropLp:
         else:
             self.infeasible = [g for g in self.infeasible if not (g <= s).all()] + [s]
 
-    def lp(self, targets: QosTargets, scenario: NetworkScenario) -> LinearProgram:
-        """The K + L row LP over the masked user-major power variables."""
-        K = self.stats.beta.shape[1]
-        active = targets.xi_hat > 0.0
-        a = self.a.copy()
-        a[self._own] -= _b_mat(self.stats, targets, scenario)[self._b_index]
-        a[:K][~active] = 0.0  # vacuous constraint: 0 <= 0
-        b = np.concatenate([np.where(active, -scenario.noise_dl, 0.0), scenario.pmax])
-        return LinearProgram(c=self.c, a_ub=a, b_ub=b)
 
-    def solve(self, targets: QosTargets, scenario: NetworkScenario, basis=None) -> PowerMinResult:
-        """``solve_power_min`` of this drop and mask."""
-        lp = self.lp(targets, scenario)
-        if basis is None:
-            basis = _max_snr_basis(self.stats, targets, self.mask)
-        sol = lp_solve(lp, basis=basis)
-        if sol.status != LpStatus.OPTIMAL:
-            return PowerMinResult(status=sol.status, allowed=self.mask)
-        rho = np.zeros(self.mask.shape)
-        rho.T[self.mask.T] = sol.x
-        K = scenario.num_users
-        return PowerMinResult(
-            status=sol.status,
-            allowed=self.mask,
-            allocation=PowerAllocation(rho),
-            serving=rho > SERVING_THRESHOLD_SCALE * scenario.pmax[:, None],
-            qos_duals=sol.duals[:K].copy(),
-            power_duals=sol.duals[K:].copy(),
-            objective=sol.objective,
-            basis=sol.basis,
-        )
-
-
-def build_lp(
-    stats: ChannelStats,
-    targets: QosTargets,
-    scenario: NetworkScenario,
-    allowed: np.ndarray | None = None,
-) -> LinearProgram:
-    """The K + L row LP over the user-major power variables of the (BS,
-    user) pairs the (L, K) mask ``allowed`` grants, every pair for None (see
-    ``DropLp``)."""
-    return DropLp(stats, allowed).lp(targets, scenario)
+def build_lp(lp: DropLp, targets: QosTargets, scenario: NetworkScenario) -> LinearProgram:
+    """The K + L row LP of ``lp``'s drop and mask over its masked user-major
+    power variables, with the own-power entries and the right-hand side of
+    ``targets`` and ``scenario`` written into a copy of its template."""
+    K = lp.stats.beta.shape[1]
+    active = targets.xi_hat > 0.0
+    a = lp.a.copy()
+    a[lp._own] -= _b_mat(lp.stats, targets, scenario)[lp._b_index]
+    a[:K][~active] = 0.0  # vacuous constraint: 0 <= 0
+    b = np.concatenate([np.where(active, -scenario.noise_dl, 0.0), scenario.pmax])
+    return LinearProgram(c=lp.c, a_ub=a, b_ub=b)
 
 
 @dataclass
@@ -202,20 +173,33 @@ class PowerMinResult:
 
 
 def solve_power_min(
-    stats: ChannelStats,
-    targets: QosTargets,
-    scenario: NetworkScenario,
-    allowed=None,
-    basis=None,
+    lp: DropLp, targets: QosTargets, scenario: NetworkScenario, basis=None
 ) -> PowerMinResult:
-    """Minimum-power allocation and association for fixed SE targets, each
-    user drawing power only from the BSs the (L, K) mask ``allowed`` grants
-    it; None allows every BS, the jointly optimal association.
+    """Minimum-power allocation and association for fixed SE targets on
+    ``lp``'s drop, each user drawing power only from the BSs its mask grants.
 
     ``basis`` is the simplex's start hint (see ``lp.solve``), such as the
     ``basis`` of an earlier result under the same mask; None starts from
-    max-SNR association."""
-    return DropLp(stats, allowed).solve(targets, scenario, basis)
+    max-SNR association within the mask."""
+    program = build_lp(lp, targets, scenario)
+    if basis is None:
+        basis = _max_snr_basis(lp.stats, targets, lp.mask)
+    sol = lp_solve(program, basis=basis)
+    if sol.status != LpStatus.OPTIMAL:
+        return PowerMinResult(status=sol.status, allowed=lp.mask)
+    rho = np.zeros(lp.mask.shape)
+    rho.T[lp.mask.T] = sol.x
+    K = scenario.num_users
+    return PowerMinResult(
+        status=sol.status,
+        allowed=lp.mask,
+        allocation=PowerAllocation(rho),
+        serving=rho > SERVING_THRESHOLD_SCALE * scenario.pmax[:, None],
+        qos_duals=sol.duals[:K].copy(),
+        power_duals=sol.duals[K:].copy(),
+        objective=sol.objective,
+        basis=sol.basis,
+    )
 
 
 def _max_snr_basis(stats: ChannelStats, targets: QosTargets, mask: np.ndarray):
@@ -234,12 +218,14 @@ def max_snr_mask(beta: np.ndarray) -> np.ndarray:
     return np.arange(beta.shape[0])[:, None] == np.argmax(beta, axis=0)
 
 
+# Its only user is perfbench's LAYERS list, which wraps it by name; it goes
+# when the benchmark stops wrapping functions (ROADMAP item 5).
 def solve_max_snr(
     stats: ChannelStats, targets: QosTargets, scenario: NetworkScenario
 ) -> PowerMinResult:
     """Baseline: each user may only buy power from its strongest BS, so its
     feasible set is a subset of the joint problem's."""
-    return solve_power_min(stats, targets, scenario, max_snr_mask(stats.beta))
+    return solve_power_min(DropLp(stats, max_snr_mask(stats.beta)), targets, scenario)
 
 
 @dataclass

@@ -75,9 +75,9 @@ class QosTargets:
         return cls(xi=xi, xi_hat=qos_to_threshold(xi, tau_c, tau_p))
 
     @classmethod
-    def uniform(cls, xi: float, num_users: int, scenario: NetworkScenario) -> "QosTargets":
+    def uniform(cls, xi: float, scenario: NetworkScenario) -> "QosTargets":
         return cls.from_se(
-            np.full(num_users, float(xi)), scenario.coherence_length, scenario.pilot_length
+            np.full(scenario.num_users, float(xi)), scenario.coherence_length, scenario.pilot_length
         )
 
 

@@ -114,8 +114,8 @@ def test_criterion_2_lp_vs_brute_force():
 
 def test_criterion_3_analytic_single_user():
     scn, stats = single_cell(num_antennas=150, beta=2.5e-13)
-    targets = QosTargets.uniform(1.5, 1, scn)
-    res = solve_power_min(stats, targets, scn)
+    targets = QosTargets.uniform(1.5, scn)
+    res = solve_power_min(DropLp(stats), targets, scn)
     b = 150 * stats.gamma[0, 0] / targets.xi_hat[0]
     beta = stats.beta[0, 0]
     rho_err = abs(res.allocation.rho[0, 0] - scn.noise_dl / (b - beta)) / (scn.noise_dl / (b - beta))

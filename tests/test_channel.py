@@ -120,11 +120,31 @@ class TestScenario:
         with pytest.raises(ValueError, match="positive"):
             NetworkScenario(**{**scn.__dict__, "pmax": np.zeros(4)})
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "field",
+        ["bs_positions", "user_positions", "pilot_power", "noise_ul", "noise_dl", "pmax", "shadow_std_db"],
+    )
+    def test_non_finite_field_rejected(self, field, bad):
+        scn = default_scenario(32, num_users=4, rng_seed=1)
+        value = np.array(getattr(scn, field), dtype=float)
+        value.flat[0] = bad
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            NetworkScenario(**{**scn.__dict__, field: value if value.ndim else float(value)})
+
     def test_channel_stats_validation(self):
         with pytest.raises(ValueError):
             ChannelStats(beta=np.ones((2, 2)), gamma=2 * np.ones((2, 2)))
         # the perfect-estimation limit gamma == beta is allowed
         ChannelStats(beta=np.ones((2, 2)), gamma=np.ones((2, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["beta", "gamma"])
+    def test_channel_stats_rejects_non_finite(self, field, bad):
+        values = {"beta": np.ones((2, 2)), "gamma": np.full((2, 2), 0.5)}
+        values[field][1, 0] = bad
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            ChannelStats(**values)
 
     def test_json_round_trip(self, tmp_path, small_scenario):
         path = tmp_path / "scenario.json"

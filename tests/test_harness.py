@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mimopower import cli, harness, lp, power_assoc
-from mimopower.channel import dbm_to_watt, save_scenario
+from mimopower.channel import dbm_to_watt, save_scenario, scenario_to_json_dict
 from mimopower.harness import (
     DEFAULT_TARGET_SE,
     HarnessInvariantError,
@@ -20,13 +20,7 @@ from mimopower.harness import (
     run_sweep,
 )
 from mimopower.lp import LpStatus
-from mimopower.power_assoc import (
-    DropLp,
-    PowerMinResult,
-    max_snr_mask,
-    solve_max_snr,
-    solve_power_min,
-)
+from mimopower.power_assoc import DropLp, PowerMinResult, max_snr_mask, solve_power_min
 from mimopower.se import QosTargets
 
 
@@ -112,9 +106,9 @@ class TestSweeps:
         for d, scn0, stats in iter_drops(base, spec.rng_seed, spec.num_drops):
             for m in spec.antenna_counts:
                 scn = scn0.with_antennas(m)
-                targets = QosTargets.uniform(spec.target_se, 8, scn)
+                targets = QosTargets.uniform(spec.target_se, scn)
                 for cell, mask in zip(result.drops[m][d], (None, max_snr_mask(stats.beta))):
-                    res = solve_power_min(stats, targets, scn, mask)
+                    res = solve_power_min(DropLp(stats, mask), targets, scn)
                     assert res.status == cell.status and res.objective == cell.objective
                     if res.feasible:
                         feasible += 1
@@ -137,6 +131,23 @@ class TestSweeps:
         spec = SweepSpec((50, 100, 150), mode, num_drops=3, rng_seed=2, num_users=6)
         run_sweep(spec)
         assert len(built) == 2 * spec.num_drops
+
+    @pytest.mark.parametrize("mode", ["powermin", "maxmin"])
+    def test_every_lp_solve_is_built_by_build_lp(self, mode, monkeypatch):
+        """Sweeps take the one build-and-solve path: each LP they solve comes
+        from ``power_assoc.build_lp``."""
+        calls = {"build_lp": 0, "lp_solve": 0}
+        for name in calls:
+            real = getattr(power_assoc, name)
+
+            def counting(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(power_assoc, name, counting)
+        run_sweep(SweepSpec((50, 100), mode, num_drops=2, rng_seed=2, num_users=6))
+        assert calls["lp_solve"] > 0
+        assert calls["build_lp"] == calls["lp_solve"]
 
     def test_invariant_error_names_its_cell(self, monkeypatch):
         def broken(*args, **kwargs):
@@ -258,16 +269,16 @@ class TestRunDrop:
             assert np.all(rho >= 0)
 
     def test_powermin_checks_feasible_set_inclusion(self, small_scenario, small_stats, monkeypatch):
-        targets = QosTargets.uniform(0.5, small_scenario.num_users, small_scenario)
-        assert solve_max_snr(small_stats, targets, small_scenario).feasible
-        solve = DropLp.solve
+        targets = QosTargets.uniform(0.5, small_scenario)
+        max_snr = DropLp(small_stats, max_snr_mask(small_stats.beta))
+        assert solve_power_min(max_snr, targets, small_scenario).feasible
 
         def joint_infeasible(lp, targets, scenario, basis=None):
             if not lp.mask.all():
-                return solve(lp, targets, scenario, basis)
+                return solve_power_min(lp, targets, scenario, basis)
             return PowerMinResult(LpStatus.INFEASIBLE, lp.mask)
 
-        monkeypatch.setattr(DropLp, "solve", joint_infeasible)
+        monkeypatch.setattr(harness, "solve_power_min", joint_infeasible)
         with pytest.raises(HarnessInvariantError, match="max-SNR feasible"):
             run_drop(small_scenario, mode="powermin", target_se=0.5)
 
@@ -363,6 +374,26 @@ class TestCli:
         assert cli.main([*argv, "--users", "5", "--antennas", "60", "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("pmax", [float("nan"), 40.0, 40.0, 40.0], "pmax must be finite"),
+            ("noise_dl", float("nan"), "noise_dl must be finite"),
+            ("noise_ul", float("inf"), "noise_ul must be finite"),
+            ("num_bs", None, "scenario JSON field 'num_bs': expected an integer, got None"),
+            ("num_bs", 4.7, "scenario JSON field 'num_bs': expected an integer, got 4.7"),
+        ],
+        ids=["nan-pmax", "nan-noise", "inf-noise", "null-count", "fractional-count"],
+    )
+    @pytest.mark.parametrize("mode", ["powermin", "maxmin"])
+    def test_bad_scenario_field_exits_1(self, field, value, message, mode, tmp_path, small_scenario, capsys):
+        record = scenario_to_json_dict(small_scenario)
+        record[field] = value
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(record))
+        assert cli.main(["drop", "--scenario", str(path), "--mode", mode]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("command", ["powermin", "maxmin", "drop"])
     def test_zero_users_exits_1(self, command, capsys):

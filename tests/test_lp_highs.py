@@ -47,8 +47,8 @@ def test_simplex_agrees_with_highs_on_a_sweep():
                 scn = scn0.with_antennas(m)
                 probes = solve_max_min(bracket, scn).trace
                 for xi in [1.0] + [p.candidate for p in probes]:
-                    targets = QosTargets.uniform(xi, k, scn)
-                    lp = build_lp(stats, targets, scn, mask)
+                    targets = QosTargets.uniform(xi, scn)
+                    lp = build_lp(DropLp(stats, mask), targets, scn)
                     status, objective = highs(lp)
                     seen[status] += 1
                     for hint in (None, _max_snr_basis(stats, targets, mask), bracket.basis):

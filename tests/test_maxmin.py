@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from conftest import random_drop, single_cell
 
-from mimopower import power_assoc
+from mimopower import maxmin, power_assoc
 from mimopower.channel import ChannelStats
 from mimopower.harness import DEFAULT_NUM_USERS, default_scenario, iter_drops
 from mimopower.lp import LpSolution, LpStatus
@@ -195,7 +195,7 @@ class TestFeasibilityBracket:
                         targets = QosTargets.from_se(
                             w * p.candidate, scn.coherence_length, scn.pilot_length
                         )
-                        assert solve_power_min(stats, targets, scn, allowed).feasible == p.feasible
+                        assert solve_power_min(DropLp(stats, allowed), targets, scn).feasible == p.feasible
                     assert_same_result(shared, solve_max_min(DropLp(stats, allowed), scn, w))
         # the shared brackets answered some probes without an LP
         assert shared_solves < probes
@@ -206,7 +206,7 @@ class TestFeasibilityBracket:
         gives the bits of a cold ``solve_power_min`` (max-SNR start) when
         optimal and its status when infeasible, in fewer pivots in total."""
         pivots = []
-        real_lp, real_probe = power_assoc.lp_solve, DropLp.solve
+        real_lp = power_assoc.lp_solve
 
         def counting(lp, basis=None):
             sol = real_lp(lp, basis=basis)
@@ -216,20 +216,19 @@ class TestFeasibilityBracket:
         probes = []
 
         def recording(lp, targets, scenario, basis=None):
-            res = real_probe(lp, targets, scenario, basis=basis)
-            args = (lp.stats, targets, scenario, lp.mask)
+            res = solve_power_min(lp, targets, scenario, basis=basis)
+            args = (DropLp(lp.stats, lp.mask), targets, scenario)
             probes.append((args, basis, res, pivots[-1]))
             return res
 
         monkeypatch.setattr(power_assoc, "lp_solve", counting)
-        monkeypatch.setattr(DropLp, "solve", recording)
+        monkeypatch.setattr(maxmin, "solve_power_min", recording)
         k = DEFAULT_NUM_USERS
         for _, scn0, stats in iter_drops(default_scenario(50, k, rng_seed=8), 8, 3):
             for allowed in (None, max_snr_mask(stats.beta)):
                 lp = DropLp(stats, allowed)
                 for m in (50, 100, 150, 200):
                     solve_max_min(lp, scn0.with_antennas(m))
-        monkeypatch.setattr(DropLp, "solve", real_probe)
         hinted_pivots = cold_pivots = hinted = infeasible = 0
         for args, basis, res, used in probes:
             cold = solve_power_min(*args)

@@ -24,19 +24,18 @@ from mimopower.power_assoc import (
     association_rule_check,
     build_lp,
     max_snr_mask,
-    solve_max_snr,
     solve_power_min,
 )
 from mimopower.se import PowerAllocation, QosTargets
 
 
 def targets_for(scenario, xi=1.0):
-    return QosTargets.uniform(xi, scenario.num_users, scenario)
+    return QosTargets.uniform(xi, scenario)
 
 
 class TestBuildLp:
     def test_shape_contract(self, small_scenario, small_stats):
-        lp = build_lp(small_stats, targets_for(small_scenario), small_scenario)
+        lp = build_lp(DropLp(small_stats), targets_for(small_scenario), small_scenario)
         assert lp.num_vars == 4 * 6
         assert lp.num_rows == 6 + 4
         np.testing.assert_array_equal(lp.c, np.ones(24))
@@ -44,7 +43,7 @@ class TestBuildLp:
     def test_single_cell_specialization(self):
         scn, stats = single_cell(num_antennas=100)
         targets = targets_for(scn, 1.0)
-        lp = build_lp(stats, targets, scn)
+        lp = build_lp(DropLp(stats), targets, scn)
         b_expect = 100 * stats.gamma[0, 0] / targets.xi_hat[0]
         assert lp.num_vars == 1 and lp.num_rows == 2
         assert lp.a_ub[0, 0] == pytest.approx(stats.beta[0, 0] - b_expect, rel=1e-15)
@@ -73,7 +72,7 @@ class TestBuildLp:
             power_duals=np.zeros(4),
         )
         with pytest.raises(ValueError, match="nonnegative"):
-            build_lp(small_stats, bad, small_scenario)
+            build_lp(DropLp(small_stats), bad, small_scenario)
         with pytest.raises(ValueError, match="nonnegative"):
             association_rule_check(small_stats, bad, small_scenario, result)
 
@@ -84,35 +83,30 @@ class TestBuildLp:
         xi = rng.uniform(0.2, 2.0, scn.num_users)
         xi[rng.random(scn.num_users) < 0.3] = 0.0  # some zero-target users
         targets = QosTargets.from_se(xi, scn.coherence_length, scn.pilot_length)
-        full = build_lp(stats, targets, scn)
+        full = build_lp(DropLp(stats), targets, scn)
         a_ref, b_ref = power_min_lp_rows(
             stats.beta, stats.gamma, targets.xi_hat, scn.num_antennas, scn.noise_dl, scn.pmax
         )
         assert np.array_equal(full.a_ub, a_ref) and np.array_equal(full.b_ub, b_ref)
         one_hot = max_snr_mask(stats.beta)
         for mask in (one_hot, rng.random(stats.beta.shape) < 0.5, np.ones_like(one_hot)):
-            lp = build_lp(stats, targets, scn, allowed=mask)
+            lp = build_lp(DropLp(stats, mask), targets, scn)
             assert np.array_equal(lp.a_ub, full.a_ub[:, mask.T.ravel()])
             assert np.array_equal(lp.b_ub, full.b_ub)
             assert np.array_equal(lp.c, full.c[mask.T.ravel()])
 
-    def test_mask_must_be_l_by_k(self, small_scenario, small_stats):
-        targets = targets_for(small_scenario)
+    def test_mask_must_be_l_by_k(self, small_stats):
         every_user_on_bs0 = np.zeros((6, 4), dtype=bool)
         every_user_on_bs0[:, 0] = True
         for mask in (every_user_on_bs0, np.ones((4, 5), dtype=bool)):
             with pytest.raises(ValueError, match=r"\(L, K\) = \(4, 6\)"):
                 DropLp(small_stats, mask)
-            with pytest.raises(ValueError, match=r"\(L, K\) = \(4, 6\)"):
-                build_lp(small_stats, targets, small_scenario, allowed=mask)
-            with pytest.raises(ValueError, match=r"\(L, K\) = \(4, 6\)"):
-                solve_power_min(small_stats, targets, small_scenario, mask)
 
     def test_int_mask_equals_bool_mask(self, small_scenario, small_stats):
         targets = targets_for(small_scenario, 0.5)
         mask = max_snr_mask(small_stats.beta)
-        by_bool = solve_power_min(small_stats, targets, small_scenario, mask)
-        by_int = solve_power_min(small_stats, targets, small_scenario, mask.astype(int))
+        by_bool = solve_power_min(DropLp(small_stats, mask), targets, small_scenario)
+        by_int = solve_power_min(DropLp(small_stats, mask.astype(int)), targets, small_scenario)
         assert by_bool.feasible and by_int.allowed.dtype == bool
         assert np.array_equal(by_int.allocation.rho, by_bool.allocation.rho)
         assert np.array_equal(by_int.qos_duals, by_bool.qos_duals)
@@ -120,13 +114,13 @@ class TestBuildLp:
     def test_all_false_mask(self, small_scenario, small_stats):
         none = np.zeros((4, 6), dtype=bool)
         targets = targets_for(small_scenario)
-        assert build_lp(small_stats, targets, small_scenario, none).num_vars == 0
-        res = solve_power_min(small_stats, targets, small_scenario, none)
+        assert build_lp(DropLp(small_stats, none), targets, small_scenario).num_vars == 0
+        res = solve_power_min(DropLp(small_stats, none), targets, small_scenario)
         assert res.status == LpStatus.INFEASIBLE
         zero = QosTargets.from_se(
             np.zeros(6), small_scenario.coherence_length, small_scenario.pilot_length
         )
-        res = solve_power_min(small_stats, zero, small_scenario, none)
+        res = solve_power_min(DropLp(small_stats, none), zero, small_scenario)
         assert res.feasible and res.objective == 0.0
         assert np.array_equal(res.allocation.rho, np.zeros((4, 6)))
 
@@ -153,20 +147,20 @@ class TestBuildLp:
                 )
                 for mask, template in zip(masks, templates):
                     cols = np.ones(a_ref.shape[1], bool) if mask is None else mask.T.ravel()
-                    lp = template.lp(targets, scn)
+                    lp = build_lp(template, targets, scn)
                     assert np.array_equal(lp.c, np.ones(cols.sum()))
                     assert np.array_equal(lp.a_ub, a_ref[:, cols])
                     assert np.array_equal(lp.b_ub, b_ref)
-        assert templates[-1].lp(targets, scn).num_vars == 0
+        assert build_lp(templates[-1], targets, scn).num_vars == 0
 
     def test_zero_thresholds_give_zero_optimum(self, small_scenario, small_stats):
         targets = QosTargets.from_se(
             np.zeros(6), small_scenario.coherence_length, small_scenario.pilot_length
         )
-        lp = build_lp(small_stats, targets, small_scenario)
+        lp = build_lp(DropLp(small_stats), targets, small_scenario)
         assert lp.num_rows == 10  # row count unchanged
         np.testing.assert_array_equal(lp.a_ub[:6], np.zeros((6, 24)))
-        res = solve_power_min(small_stats, targets, small_scenario)
+        res = solve_power_min(DropLp(small_stats), targets, small_scenario)
         assert res.feasible and res.objective == 0.0
         assert not res.serving.any()
 
@@ -175,7 +169,7 @@ class TestSingleUserAnalytic:
     def test_interior_optimum_matches_stationarity(self):
         scn, stats = single_cell(num_antennas=120, beta=3e-13)
         targets = targets_for(scn, 1.2)
-        res = solve_power_min(stats, targets, scn)
+        res = solve_power_min(DropLp(stats), targets, scn)
         b = 120 * stats.gamma[0, 0] / targets.xi_hat[0]
         beta = stats.beta[0, 0]
         assert res.feasible
@@ -188,14 +182,14 @@ class TestSingleUserAnalytic:
         scn, stats = single_cell(num_antennas=1, gamma=1e-14, beta=2e-13)
         targets = targets_for(scn, 1.0)
         assert 1 * stats.gamma[0, 0] / targets.xi_hat[0] <= stats.beta[0, 0]
-        res = solve_power_min(stats, targets, scn)
+        res = solve_power_min(DropLp(stats), targets, scn)
         assert res.status == LpStatus.INFEASIBLE
         assert not res.feasible
 
     def test_association_rule_identity(self):
         scn, stats = single_cell(num_antennas=120, beta=3e-13)
         targets = targets_for(scn, 1.2)
-        res = solve_power_min(stats, targets, scn)
+        res = solve_power_min(DropLp(stats), targets, scn)
         report = association_rule_check(stats, targets, scn, res)
         assert report.passed
         assert report.max_rel_gap < 1e-12
@@ -216,7 +210,7 @@ class TestDegenerateSplit:
             beta=np.vstack([stats.beta, stats.beta]), gamma=np.vstack([stats.gamma, stats.gamma])
         )
         targets = targets_for(scn2, 1.0)
-        res = solve_power_min(stats2, targets, scn2)
+        res = solve_power_min(DropLp(stats2), targets, scn2)
         assert res.feasible
         positive = res.allocation.rho[:, 0] > 0
         assert positive.sum() == 1  # a vertex, not an interior split
@@ -233,8 +227,8 @@ class TestMaxSnr:
     def test_single_bs_equals_optimal(self):
         scn, stats = single_cell(num_antennas=100, num_users=3, rng_seed=4)
         targets = targets_for(scn, 0.8)
-        a = solve_power_min(stats, targets, scn)
-        b = solve_max_snr(stats, targets, scn)
+        a = solve_power_min(DropLp(stats), targets, scn)
+        b = solve_power_min(DropLp(stats, max_snr_mask(stats.beta)), targets, scn)
         assert a.feasible and b.feasible
         assert a.objective == pytest.approx(b.objective, rel=1e-9)
 
@@ -242,8 +236,8 @@ class TestMaxSnr:
         for seed in range(8):
             scn, stats = random_drop(seed, num_antennas=100, num_users=8)
             targets = targets_for(scn, 1.0)
-            opt = solve_power_min(stats, targets, scn)
-            snr = solve_max_snr(stats, targets, scn)
+            opt = solve_power_min(DropLp(stats), targets, scn)
+            snr = solve_power_min(DropLp(stats, max_snr_mask(stats.beta)), targets, scn)
             if snr.feasible:
                 assert opt.feasible  # feasible-set inclusion
                 assert opt.objective <= snr.objective * (1 + 1e-9)
@@ -254,7 +248,7 @@ class TestMaxSnr:
     def test_rule_checked_over_the_mask(self):
         scn, stats = random_drop(3, num_antennas=100, num_users=8)
         targets = targets_for(scn, 1.0)
-        snr = solve_max_snr(stats, targets, scn)
+        snr = solve_power_min(DropLp(stats, max_snr_mask(stats.beta)), targets, scn)
         assert snr.feasible
         report = association_rule_check(stats, targets, scn, snr)
         assert report.passed, report.violations
@@ -269,11 +263,11 @@ class TestSolutionContracts:
     def test_feasible_drops_meet_all_invariants(self, seed):
         scn, stats = random_drop(seed, num_antennas=120, num_users=10)
         targets = targets_for(scn, 1.0)
-        res = solve_power_min(stats, targets, scn)
+        res = solve_power_min(DropLp(stats), targets, scn)
         if not res.feasible:
             pytest.skip("infeasible drop")
         # power caps, QoS attainment and binding, association rule over the mask
-        for solved in (res, solve_max_snr(stats, targets, scn)):
+        for solved in (res, solve_power_min(DropLp(stats, max_snr_mask(stats.beta)), targets, scn)):
             if solved.feasible:
                 check_solution_invariants(stats, targets, scn, solved)
                 # duals are sign-correct
@@ -285,7 +279,7 @@ class TestSolutionContracts:
         targets = QosTargets.from_se(
             xi, small_scenario.coherence_length, small_scenario.pilot_length
         )
-        res = solve_power_min(small_stats, targets, small_scenario)
+        res = solve_power_min(DropLp(small_stats), targets, small_scenario)
         assert res.feasible
         assert not res.serving[:, [1, 3, 5]].any()
         report = association_rule_check(small_stats, targets, small_scenario, res)
@@ -293,7 +287,7 @@ class TestSolutionContracts:
 
     def test_result_record_is_json_ready(self, small_scenario, small_stats):
         targets = targets_for(small_scenario, 1.0)
-        res = solve_power_min(small_stats, targets, small_scenario)
+        res = solve_power_min(DropLp(small_stats), targets, small_scenario)
         record = json.loads(json.dumps(res.to_json_dict()))
         assert record["status"] == "optimal"
         assert len(record["rho"]) == 4 and len(record["rho"][0]) == 6
@@ -307,7 +301,7 @@ class TestSolutionContracts:
         x = np.array([1.0, 0.0, 0.0, 0.0, 1e-9, 0.5, 1e-3, 0.0])
         sol = LpSolution(LpStatus.OPTIMAL, x=x, objective=float(x.sum()), duals=np.zeros(6))
         monkeypatch.setattr(power_assoc, "lp_solve", lambda lp, basis=None: sol)
-        res = solve_power_min(stats, targets_for(scn), scn)
+        res = solve_power_min(DropLp(stats), targets_for(scn), scn)
         assert np.array_equal(res.serving, [[True, False], [False, True], [False, True], [False, False]])
         assert res.to_json_dict()["serving_sets"] == [[0], [1, 2]]
         assert res.joint_fraction == 0.5
@@ -345,8 +339,8 @@ class TestPolicyWarmStart:
                 for mask, bracket in zip(masks, brackets):
                     probes = solve_max_min(bracket, scn).trace
                     for xi in [1.0] + [p.candidate for p in probes]:
-                        targets = QosTargets.uniform(xi, k, scn)
-                        lp = build_lp(stats, targets, scn, mask)
+                        targets = QosTargets.uniform(xi, scn)
+                        lp = build_lp(DropLp(stats, mask), targets, scn)
                         guess = _max_snr_basis(stats, targets, mask)
                         # (user, BS) of each structural column of the guess
                         pairs = np.argwhere(mask.T)[guess[:k]]
@@ -362,7 +356,7 @@ class TestPolicyWarmStart:
                             infeasible += 1
                             continue
                         optimal += 1
-                        serving = solve_power_min(stats, targets, scn, mask).serving
+                        serving = solve_power_min(DropLp(stats, mask), targets, scn).serving
                         moved += not np.array_equal(serving, best)
                         for hint in (cold.basis, rng.permutation(cold.basis)):
                             again = lp_solve(lp, basis=hint)
