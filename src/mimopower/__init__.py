@@ -30,7 +30,6 @@ from .se import (
     QosTargets,
     qos_to_threshold,
     se_mrt_all,
-    sinr_mrt,
     sinr_mrt_all,
 )
 

@@ -193,7 +193,7 @@ def sample_user_positions(num_users, bs_positions, rng, min_dist_km=0.01) -> np.
     remaining = np.arange(num_users)
     while remaining.size:
         cand = rng.uniform(lo, hi, size=(remaining.size, 2))
-        d = np.linalg.norm(bs[:, None, :] - cand[None, :, :], axis=2)
+        d = pairwise_distances_km(bs, cand)
         ok = d.min(axis=0) >= min_dist_km
         out[remaining[ok]] = cand[ok]
         remaining = remaining[~ok]

@@ -176,6 +176,8 @@ def _cmd_drop(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         if args.command == "powermin":
             return _cmd_sweep(args, "powermin")
         if args.command == "maxmin":

@@ -26,13 +26,14 @@ from .channel import (
     channel_stats,
     dbm_to_watt,
     load_scenario,
+    pairwise_distances_km,
     sample_user_positions,
     scenario_to_json_dict,
 )
 from .maxmin import DEFAULT_DELTA, solve_max_min
 from .mc_oracle import McConfig, estimate_sinr_terms
 from .power_assoc import DropLp, PowerMinResult, association_rule_check, max_snr_mask, solve_power_min
-from .se import PowerAllocation, QosTargets, se_mrt_all, sinr_mrt_all, spectral_efficiency
+from .se import PowerAllocation, QosTargets, sinr_mrt_all, spectral_efficiency
 
 DEFAULT_BANDWIDTH_HZ = 20e6
 DEFAULT_PILOT_ENERGY_J = 2e-7
@@ -126,19 +127,19 @@ class SweepResult:
 
 
 def check_solution_invariants(
-    stats: ChannelStats,
-    targets: QosTargets,
-    scenario: NetworkScenario,
-    result: PowerMinResult,
+    stats: ChannelStats, scenario: NetworkScenario, result: PowerMinResult
 ) -> None:
-    """Re-assert the optimality contracts on a feasible solve (raises on failure)."""
-    alloc = result.allocation
+    """Re-assert the optimality contracts on a feasible solve at the targets
+    it was solved at, ``result.targets`` (raises HarnessInvariantError):
+    per-BS caps to 1e-9 W, every SE within 1e-9 of its target, every active
+    QoS row binding to 1e-8 relative, and the dual association rule."""
+    alloc, targets = result.allocation, result.targets
     cap = alloc.per_bs_power() - scenario.pmax
     if (cap > 1e-9).any():
         raise HarnessInvariantError(f"per-BS power cap violated by {cap.max():.3e} W")
     sinr = sinr_mrt_all(stats, alloc, scenario)
     se = spectral_efficiency(sinr, scenario.coherence_length, scenario.pilot_length)
-    if (se < targets.xi - 1e-6).any():
+    if (se < targets.xi - 1e-9).any():
         raise HarnessInvariantError("achieved SE fell below its target")
     active = targets.xi_hat > 0.0
     binding = np.abs(sinr[active] / targets.xi_hat[active] - 1.0)
@@ -146,7 +147,7 @@ def check_solution_invariants(
         raise HarnessInvariantError(
             f"an active QoS constraint is not binding (rel. residual {binding.max():.3e})"
         )
-    report = association_rule_check(stats, targets, scenario, result)
+    report = association_rule_check(stats, scenario, result)
     if not report.passed:
         raise HarnessInvariantError(f"association rule violated: {report.violations[:5]}")
 
@@ -180,38 +181,33 @@ def solve_cell(
     the drop's ``drop_lps`` pair, and check every per-cell invariant.
 
     Returns (joint result, max-SNR result): PowerMinResults in powermin
-    mode, MaxMinResults in maxmin mode. A failed check raises
-    HarnessInvariantError, and any RuntimeError is re-raised with its type
-    and a message naming the cell. Power-min solves start from max-SNR
-    association; maxmin bisections also use and extend the probe outcomes
-    and carried basis of the pair.
+    mode, MaxMinResults in maxmin mode. The published allocations, the
+    feasible power-min pair or each bisection's ``last_feasible``, all go
+    through ``check_solution_invariants`` at their own targets. A failed
+    check raises HarnessInvariantError, and any RuntimeError is re-raised
+    with its type and a message naming the cell. Power-min solves start
+    from max-SNR association; maxmin bisections also use and extend the
+    probe outcomes and carried basis of the pair.
     """
-    stats = lps[0].stats
     try:
         if mode == "powermin":
             targets = QosTargets.uniform(target_se, scenario)
             opt, snr = (solve_power_min(lp, targets, scenario) for lp in lps)
             if snr.feasible and not opt.feasible:
                 raise HarnessInvariantError("max-SNR feasible but joint optimization infeasible")
-            for res in (opt, snr):
-                if res.feasible:
-                    check_solution_invariants(stats, targets, scenario, res)
             if snr.feasible and opt.objective > snr.objective * (1.0 + 1e-9):
                 raise HarnessInvariantError("optimal objective exceeds the max-SNR objective")
+            published = (opt, snr)
         elif mode == "maxmin":
             opt, snr = (solve_max_min(lp, scenario, delta=delta) for lp in lps)
             if opt.xi_lower < snr.xi_lower - delta - 1e-12:
                 raise HarnessInvariantError("joint max-min level fell below the max-SNR level")
-            for mm in (opt, snr):
-                if mm.last_feasible is not None:
-                    se = se_mrt_all(stats, mm.last_feasible.allocation, scenario)
-                    if (se < mm.xi_lower - 1e-9).any():
-                        raise HarnessInvariantError("achieved SE fell below the max-min lower bound")
-                    # xi_lower is exactly the candidate of the last feasible probe
-                    targets = QosTargets.uniform(mm.xi_lower, scenario)
-                    check_solution_invariants(stats, targets, scenario, mm.last_feasible)
+            published = (opt.last_feasible, snr.last_feasible)
         else:
             raise ValueError(f"unknown mode {mode!r}")
+        for res in published:
+            if res is not None and res.feasible:
+                check_solution_invariants(lps[0].stats, scenario, res)
     except RuntimeError as e:
         raise type(e)(f"drop {drop_index}, M={scenario.num_antennas}, {mode}: {e}") from e
     return opt, snr
@@ -352,7 +348,7 @@ def random_validation_scenario(index: int, rng_seed: int = 0):
     users = rng.uniform(0.0, side, size=(K, 2))
     # keep every BS-user distance >= 20 m by redrawing offending users
     for _ in range(100):
-        d = np.linalg.norm(bs[:, None, :] - users[None, :, :], axis=2)
+        d = pairwise_distances_km(bs, users)
         bad = d.min(axis=0) < 0.02
         if not bad.any():
             break
@@ -385,14 +381,13 @@ def validate_closed_form(
     rng_seed: int = 0,
     rel_tol: float = 0.01,
 ) -> list:
-    """Compare the sampling oracle against the closed-form SINR.
+    """Compare the sampling oracle against the closed-form SINR of
+    ``sinr_mrt_all``, the one the per-solve checks use.
 
     Returns one record per scenario with both values and the relative error;
     a record passes when the error is within ``rel_tol``. Zero scenarios
     raise ValueError: a run that checks nothing must not read as a pass.
     """
-    from .se import sinr_mrt
-
     if num_scenarios < 1:
         raise ValueError(f"validation needs at least one scenario, got {num_scenarios}")
 
@@ -401,7 +396,7 @@ def validate_closed_form(
         scenario, stats, alloc, user = random_validation_scenario(idx, rng_seed)
         cfg = McConfig(num_samples=num_samples, rng_seed=rng_seed + 1000 + idx)
         est = estimate_sinr_terms(stats, alloc, scenario, user, cfg)
-        closed = sinr_mrt(stats, alloc, scenario, user)
+        closed = float(sinr_mrt_all(stats, alloc, scenario)[user])
         rel_err = abs(est.sinr - closed) / closed
         records.append(
             {

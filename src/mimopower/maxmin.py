@@ -5,8 +5,8 @@ so a bisection over [0, xi_upper] converges linearly. Every probe is a
 ``solve_power_min`` of one ``DropLp``: one drop under one association mask
 (joint, or e.g. the max-SNR mask). ``MaxMinResult.last_feasible`` is the
 PowerMinResult of the last feasible probe (allocation, duals, ``serving``
-mask), whose candidate is exactly the final lower bound; it is None when no
-level above zero was feasible.
+mask and its targets w * xi_lower), whose candidate is exactly the final
+lower bound; it is None when no level above zero was feasible.
 
 The antenna count M and the targets enter the probe LP only through the QoS
 scale s_k = M / xi_hat_k: row k's coefficient on rho_k is beta - s_k * gamma.
@@ -88,11 +88,11 @@ def solve_max_min(
 
     ``lp`` holds earlier probe outcomes of its drop and mask, at any antenna
     count (see the module docstring), and gains this call's. ``weights``
-    must be positive and ``delta`` too (ValueError otherwise, NaN included);
-    the weights default to ones. A zero level is feasible by construction
-    (zero powers), so the loop always terminates with a valid interval. A
-    re-solve at a final level ``lp`` answered that is not OPTIMAL raises
-    RuntimeError.
+    must be positive and ``delta`` positive and finite (ValueError
+    otherwise, NaN included); the weights default to ones. A zero level is
+    feasible by construction (zero powers), so the loop always terminates
+    with a valid interval. A re-solve at a final level ``lp`` answered that
+    is not OPTIMAL raises RuntimeError.
     """
     if weights is None:
         weights = np.ones(scenario.num_users)
@@ -101,6 +101,8 @@ def solve_max_min(
         raise ValueError("weights must be strictly positive")
     if not delta > 0.0:
         raise ValueError("delta must be positive")
+    if math.isinf(delta):
+        raise ValueError("delta must be finite")
 
     upper0 = auto_upper_bound(lp.stats, scenario, weights)
     num_iters = expected_iterations(upper0, delta)

@@ -141,6 +141,7 @@ class PowerMinResult:
 
     status: LpStatus
     allowed: np.ndarray  # the (L, K) bool mask the solve was restricted to
+    targets: QosTargets  # the targets solved at; the checks read them, the JSON does not
     allocation: PowerAllocation | None = None
     serving: np.ndarray | None = None  # (L, K) bool: BS i serves user t
     qos_duals: np.ndarray | None = None  # lambda, one per user
@@ -186,13 +187,14 @@ def solve_power_min(
         basis = _max_snr_basis(lp.stats, targets, lp.mask)
     sol = lp_solve(program, basis=basis)
     if sol.status != LpStatus.OPTIMAL:
-        return PowerMinResult(status=sol.status, allowed=lp.mask)
+        return PowerMinResult(status=sol.status, allowed=lp.mask, targets=targets)
     rho = np.zeros(lp.mask.shape)
     rho.T[lp.mask.T] = sol.x
     K = scenario.num_users
     return PowerMinResult(
         status=sol.status,
         allowed=lp.mask,
+        targets=targets,
         allocation=PowerAllocation(rho),
         serving=rho > SERVING_THRESHOLD_SCALE * scenario.pmax[:, None],
         qos_duals=sol.duals[:K].copy(),
@@ -243,12 +245,10 @@ class AssociationCheck:
 
 
 def association_rule_check(
-    stats: ChannelStats,
-    targets: QosTargets,
-    scenario: NetworkScenario,
-    result: PowerMinResult,
+    stats: ChannelStats, scenario: NetworkScenario, result: PowerMinResult
 ) -> AssociationCheck:
-    """Check each served user of a feasible solve against the dual association rule.
+    """Check each served user of a feasible solve against the dual association
+    rule at the targets it was solved at, ``result.targets``.
 
     For user t, every BS with positive power must attain (within relative
     ASSOCIATION_RULE_TOL) the minimum of (1 + sum_k lambda_k beta[i,k] + mu_i)
@@ -256,10 +256,10 @@ def association_rule_check(
     minimum must equal lambda_t. Users with a zero SINR threshold pass
     vacuously.
     """
-    b_mat = _b_mat(stats, targets, scenario)
+    b_mat = _b_mat(stats, result.targets, scenario)
     lam = result.qos_duals
     price = 1.0 + stats.beta @ lam + result.power_duals  # per BS
-    active = targets.xi_hat > 0.0
+    active = result.targets.xi_hat > 0.0
     # Inactive users have b_t = 0: their ratios are inf and masked out below.
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(result.allowed, price[:, None] / b_mat.T, np.inf)  # (L, K)

@@ -7,6 +7,9 @@ For user k the effective SINR is
     sum_i sum_t rho[i,t] * beta[i,k] + noise_dl
 
 and the ergodic SE is (1 - tau_p/tau_c) * log2(1 + SINR) in bit/symbol.
+``sinr_mrt_all`` is the only implementation of this SINR: the per-solve
+checks read it, and ``validate`` compares the Monte-Carlo oracle against it,
+so the oracle certifies the formula the checks use.
 """
 
 from __future__ import annotations
@@ -45,6 +48,8 @@ def qos_to_threshold(xi, tau_c, tau_p):
     xi = np.asarray(xi, dtype=float)
     if not (xi >= 0.0).all():
         raise ValueError("SE targets must be nonnegative")
+    if np.isinf(xi).any():
+        raise ValueError("SE targets must be finite")
     return np.expm1(xi * (tau_c / (tau_c - tau_p)) * _LN2)
 
 
@@ -81,25 +86,11 @@ class QosTargets:
         )
 
 
-def _check_dims(stats: ChannelStats, alloc: PowerAllocation, scenario: NetworkScenario):
+def sinr_mrt_all(stats: ChannelStats, alloc: PowerAllocation, scenario: NetworkScenario) -> np.ndarray:
+    """Vector of closed-form SINRs for all users."""
     shape = (scenario.num_bs, scenario.num_users)
     if stats.beta.shape != shape or alloc.rho.shape != shape:
         raise ValueError(f"stats/alloc shape mismatch, expected {shape}")
-
-
-def sinr_mrt(stats: ChannelStats, alloc: PowerAllocation, scenario: NetworkScenario, user: int) -> float:
-    """Closed-form linear SINR of one user under MRT."""
-    _check_dims(stats, alloc, scenario)
-    num = scenario.num_antennas * float(np.sum(alloc.rho[:, user] * stats.gamma[:, user]))
-    # beta spans many orders of magnitude; np.sum over the full (L, K) grid
-    # uses pairwise accumulation.
-    den = float(np.sum(alloc.rho * stats.beta[:, user][:, None])) + scenario.noise_dl
-    return num / den
-
-
-def sinr_mrt_all(stats: ChannelStats, alloc: PowerAllocation, scenario: NetworkScenario) -> np.ndarray:
-    """Vector of closed-form SINRs for all users."""
-    _check_dims(stats, alloc, scenario)
     num = scenario.num_antennas * np.einsum("ik,ik->k", alloc.rho, stats.gamma)
     den = alloc.per_bs_power() @ stats.beta + scenario.noise_dl
     return num / den

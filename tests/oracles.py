@@ -9,6 +9,9 @@ completely independent of the simplex implementation under test.
 power_min_lp_rows writes the power-min LP row by row, the loop-form
 reference for the broadcasting builder.
 
+sparse_lps yields the random sparse LPs of one seed that the simplex is
+checked on, against its own certificates and against HiGHS.
+
 dinkelbach_lp writes one step LP of Dinkelbach's max-min SINR iteration,
 whose costs are zero but for the level variable's.
 
@@ -16,7 +19,7 @@ assert_farkas_certificate checks an infeasibility proof from the LP data
 alone.
 """
 
-from itertools import combinations
+from itertools import combinations, count
 
 import numpy as np
 
@@ -71,6 +74,28 @@ def random_feasible_lp(rng, max_vars=12, max_rows=4):
     b = a @ x0 + margin
     c = np.abs(rng.normal(size=n))
     return a, b, c
+
+
+def sparse_lps(seed):
+    """Random LPs of up to 9 rows and 13 columns: half the entries zero, row
+    0 copied over a random row in 30 % of them, a fifth of the right-hand
+    side zero, and zero, normal and uniform costs in turn."""
+    rng = np.random.default_rng(seed)
+    for i in count():
+        n = int(rng.integers(1, 14))
+        m = int(rng.integers(1, 10))
+        a = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.5)
+        if rng.random() < 0.3:
+            a[rng.integers(m)] = a[0]
+        b = rng.normal(size=m)
+        b[rng.random(m) < 0.2] = 0.0
+        if i % 3 == 0:
+            c = np.zeros(n)
+        elif i % 3 == 1:
+            c = rng.normal(size=n)
+        else:
+            c = rng.random(n)
+        yield LinearProgram(c=c, a_ub=a, b_ub=b)
 
 
 def power_min_lp_rows(beta, gamma, xi_hat, num_antennas, noise_dl, pmax):

@@ -276,7 +276,7 @@ class TestRunDrop:
         def joint_infeasible(lp, targets, scenario, basis=None):
             if not lp.mask.all():
                 return solve_power_min(lp, targets, scenario, basis)
-            return PowerMinResult(LpStatus.INFEASIBLE, lp.mask)
+            return PowerMinResult(LpStatus.INFEASIBLE, lp.mask, targets)
 
         monkeypatch.setattr(harness, "solve_power_min", joint_infeasible)
         with pytest.raises(HarnessInvariantError, match="max-SNR feasible"):
@@ -366,8 +366,21 @@ class TestCli:
             (["powermin", "--drops", "1", "--target-se", "nan"], "SE targets must be nonnegative"),
             (["drop", "--mode", "maxmin", "--delta", "nan"], "delta must be positive"),
             (["maxmin", "--drops", "1", "--delta", "nan"], "delta must be positive"),
+            (["drop", "--target-se", "inf"], "SE targets must be finite"),
+            (["powermin", "--drops", "1", "--target-se", "inf"], "SE targets must be finite"),
+            (["drop", "--mode", "maxmin", "--delta", "inf"], "delta must be finite"),
+            (["maxmin", "--drops", "1", "--delta", "inf"], "delta must be finite"),
         ],
-        ids=["drop-target", "powermin-target", "drop-delta", "maxmin-delta"],
+        ids=[
+            "drop-target",
+            "powermin-target",
+            "drop-delta",
+            "maxmin-delta",
+            "drop-target-inf",
+            "powermin-target-inf",
+            "drop-delta-inf",
+            "maxmin-delta-inf",
+        ],
     )
     def test_nan_input_exits_1(self, argv, message, tmp_path, capsys):
         out = tmp_path / "nan"
@@ -399,6 +412,11 @@ class TestCli:
     def test_zero_users_exits_1(self, command, capsys):
         assert cli.main([command, "--users", "0"]) == 1
         assert capsys.readouterr().err == "error: num_users must be >= 1, got 0\n"
+
+    @pytest.mark.parametrize("command", ["powermin", "maxmin", "validate", "drop"])
+    def test_negative_seed_exits_1(self, command, capsys):
+        assert cli.main([command, "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
 
     def test_maxmin_with_trace(self, tmp_path):
         code = cli.main(

@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 from mimopower import lp as lp_module
 from mimopower.harness import default_scenario, iter_drops
 from mimopower.lp import LinearProgram, LpStatus, format_lp, solve, verify
-from oracles import assert_farkas_certificate, brute_force_lp_min, dinkelbach_lp, random_feasible_lp
+from oracles import (
+    assert_farkas_certificate,
+    brute_force_lp_min,
+    dinkelbach_lp,
+    random_feasible_lp,
+    sparse_lps,
+)
 
 
 class TestContractExamples:
@@ -123,28 +129,6 @@ class TestInfeasibility:
         sol = solve(lp)
         assert sol.status == LpStatus.INFEASIBLE
         assert_farkas_certificate(lp.a_ub, lp.b_ub, sol.infeasibility_certificate)
-
-
-def sparse_lps(seed):
-    """Random LPs of up to 9 rows and 13 columns: half the entries zero, row
-    0 copied over a random row in 30 % of them, a fifth of the right-hand
-    side zero, and zero, normal and uniform costs in turn."""
-    rng = np.random.default_rng(seed)
-    for i in itertools.count():
-        n = int(rng.integers(1, 14))
-        m = int(rng.integers(1, 10))
-        a = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.5)
-        if rng.random() < 0.3:
-            a[rng.integers(m)] = a[0]
-        b = rng.normal(size=m)
-        b[rng.random(m) < 0.2] = 0.0
-        if i % 3 == 0:
-            c = np.zeros(n)
-        elif i % 3 == 1:
-            c = rng.normal(size=n)
-        else:
-            c = rng.random(n)
-        yield LinearProgram(c=c, a_ub=a, b_ub=b)
 
 
 class TestDeterminism:

@@ -1,14 +1,20 @@
-"""Differential test of ``lp.solve`` against HiGHS on the sweep's own LPs.
+"""Differential tests of ``lp.solve`` against HiGHS: on the sweep's own LPs,
+and a property test on random sparse ones.
 
 HiGHS gets each LP with its rows divided by their largest |entry|, the
 equilibration ``lp.solve`` applies itself: the raw QoS rows hold entries near
 1e-12 beside the cap rows' ones, and on them HiGHS's absolute tolerances
-misjudge feasibility.
+misjudge feasibility. HiGHS runs without presolve, which calls some random
+LPs infeasible that have a feasible x = 0 and an improving ray.
 """
+
+from itertools import islice
 
 import numpy as np
 import pytest
-from oracles import assert_farkas_certificate, dinkelbach_lp
+from hypothesis import given
+from hypothesis import strategies as st
+from oracles import assert_farkas_certificate, dinkelbach_lp, sparse_lps
 
 from mimopower.harness import DEFAULT_NUM_USERS, default_scenario, iter_drops
 from mimopower.lp import LpStatus
@@ -28,9 +34,29 @@ def highs(lp):
     scale = np.abs(lp.a_ub).max(axis=1, initial=0.0)
     scale = np.where(scale == 0.0, 1.0, scale)
     res = optimize.linprog(
-        lp.c, A_ub=lp.a_ub / scale[:, None], b_ub=lp.b_ub / scale, bounds=(0, None), method="highs"
+        lp.c,
+        A_ub=lp.a_ub / scale[:, None],
+        b_ub=lp.b_ub / scale,
+        bounds=(0, None),
+        method="highs",
+        options={"presolve": False},
     )
     return _HIGHS_STATUS[res.status], res.fun
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_simplex_agrees_with_highs_on_random_lps(seed):
+    """The first 40 LPs of ``sparse_lps(seed)``: the statuses agree with
+    HiGHS, optima match to 1e-9 relative (1e-12 absolute, for optima that
+    are roundoff around 0) and every certificate is valid."""
+    for lp in islice(sparse_lps(seed), 40):
+        status, objective = highs(lp)
+        sol = lp_solve(lp)
+        assert sol.status == status
+        if status == LpStatus.OPTIMAL:
+            assert sol.objective == pytest.approx(objective, rel=1e-9, abs=1e-12)
+        elif status == LpStatus.INFEASIBLE:
+            assert_farkas_certificate(lp.a_ub, lp.b_ub, sol.infeasibility_certificate)
 
 
 def test_simplex_agrees_with_highs_on_a_sweep():

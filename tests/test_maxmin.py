@@ -8,7 +8,12 @@ from conftest import random_drop, single_cell
 
 from mimopower import maxmin, power_assoc
 from mimopower.channel import ChannelStats
-from mimopower.harness import DEFAULT_NUM_USERS, default_scenario, iter_drops
+from mimopower.harness import (
+    DEFAULT_NUM_USERS,
+    check_solution_invariants,
+    default_scenario,
+    iter_drops,
+)
 from mimopower.lp import LpSolution, LpStatus
 from mimopower.maxmin import auto_upper_bound, expected_iterations, solve_max_min
 from mimopower.power_assoc import DropLp, max_snr_mask, solve_power_min
@@ -106,6 +111,17 @@ class TestBisection:
         assert opt.xi_lower >= snr.xi_lower - 0.01 - 1e-12
         assert np.array_equal(snr.last_feasible.allowed, max_snr_mask(stats.beta))
 
+    def test_weighted_allocation_passes_the_invariant_checks(self):
+        """A weighted bisection's published allocation is checked at its own
+        targets w * xi_lower, which it carries, under both masks."""
+        scn, stats = random_drop(5, num_antennas=100, num_users=DEFAULT_NUM_USERS)
+        weights = np.linspace(0.5, 2.0, scn.num_users)
+        for mask in (None, max_snr_mask(stats.beta)):
+            res = solve_max_min(DropLp(stats, mask), scn, weights=weights)
+            assert res.last_feasible is not None
+            assert np.array_equal(res.last_feasible.targets.xi, weights * res.xi_lower)
+            check_solution_invariants(stats, scn, res.last_feasible)
+
     def test_all_false_mask_gives_level_zero(self, small_scenario, small_stats):
         res = solve_max_min(DropLp(small_stats, np.zeros((4, 6), dtype=bool)), small_scenario)
         assert res.xi_lower == 0.0 and res.last_feasible is None
@@ -124,6 +140,8 @@ class TestBisection:
         for delta in (0.0, np.nan):
             with pytest.raises(ValueError, match="delta must be positive"):
                 solve_max_min(lp, small_scenario, delta=delta)
+        with pytest.raises(ValueError, match="delta must be finite"):
+            solve_max_min(lp, small_scenario, delta=np.inf)
         for weights in (np.zeros(6), np.r_[np.ones(5), np.nan]):
             with pytest.raises(ValueError, match="weights must be strictly positive"):
                 solve_max_min(lp, small_scenario, weights=weights)

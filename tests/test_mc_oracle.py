@@ -7,7 +7,7 @@ import pytest
 from mimopower import mc_oracle
 from mimopower.harness import random_validation_scenario
 from mimopower.mc_oracle import McConfig, estimate_sinr_terms
-from mimopower.se import PowerAllocation, sinr_mrt
+from mimopower.se import PowerAllocation, sinr_mrt_all
 
 
 def assert_same_estimate(a, b):
@@ -91,7 +91,7 @@ class TestSinrEstimate:
     def test_matches_closed_form_smoke(self):
         scn, stats, alloc, user = random_validation_scenario(0, rng_seed=3)
         est = estimate_sinr_terms(stats, alloc, scn, user, McConfig(num_samples=30_000, rng_seed=2))
-        closed = sinr_mrt(stats, alloc, scn, user)
+        closed = sinr_mrt_all(stats, alloc, scn)[user]
         assert est.sinr == pytest.approx(closed, rel=0.02)
 
     def test_config_validation(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ from mimopower import power_assoc
 from mimopower.channel import ChannelStats
 from mimopower.harness import (
     DEFAULT_NUM_USERS,
+    HarnessInvariantError,
     check_solution_invariants,
     default_scenario,
     iter_drops,
@@ -26,7 +28,7 @@ from mimopower.power_assoc import (
     max_snr_mask,
     solve_power_min,
 )
-from mimopower.se import PowerAllocation, QosTargets
+from mimopower.se import PowerAllocation, QosTargets, se_mrt_all
 
 
 def targets_for(scenario, xi=1.0):
@@ -67,6 +69,7 @@ class TestBuildLp:
         result = PowerMinResult(
             status=LpStatus.OPTIMAL,
             allowed=np.ones((4, 6), dtype=bool),
+            targets=bad,
             allocation=PowerAllocation(np.ones((4, 6))),
             qos_duals=np.ones(6),
             power_duals=np.zeros(4),
@@ -74,7 +77,7 @@ class TestBuildLp:
         with pytest.raises(ValueError, match="nonnegative"):
             build_lp(DropLp(small_stats), bad, small_scenario)
         with pytest.raises(ValueError, match="nonnegative"):
-            association_rule_check(small_stats, bad, small_scenario, result)
+            association_rule_check(small_stats, small_scenario, result)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_rows_and_mask_match_references(self, seed):
@@ -190,7 +193,7 @@ class TestSingleUserAnalytic:
         scn, stats = single_cell(num_antennas=120, beta=3e-13)
         targets = targets_for(scn, 1.2)
         res = solve_power_min(DropLp(stats), targets, scn)
-        report = association_rule_check(stats, targets, scn, res)
+        report = association_rule_check(stats, scn, res)
         assert report.passed
         assert report.max_rel_gap < 1e-12
 
@@ -250,10 +253,10 @@ class TestMaxSnr:
         targets = targets_for(scn, 1.0)
         snr = solve_power_min(DropLp(stats, max_snr_mask(stats.beta)), targets, scn)
         assert snr.feasible
-        report = association_rule_check(stats, targets, scn, snr)
+        report = association_rule_check(stats, scn, snr)
         assert report.passed, report.violations
         snr.qos_duals[2] *= 1.0 + 1e-3
-        report = association_rule_check(stats, targets, scn, snr)
+        report = association_rule_check(stats, scn, snr)
         assert not report.passed
         assert (2, -1) in {(t, i) for t, i, _ in report.violations}
 
@@ -269,10 +272,24 @@ class TestSolutionContracts:
         # power caps, QoS attainment and binding, association rule over the mask
         for solved in (res, solve_power_min(DropLp(stats, max_snr_mask(stats.beta)), targets, scn)):
             if solved.feasible:
-                check_solution_invariants(stats, targets, scn, solved)
+                check_solution_invariants(stats, scn, solved)
                 # duals are sign-correct
                 assert np.all(solved.qos_duals >= -1e-12)
                 assert np.all(solved.power_duals >= -1e-12)
+
+    def test_se_shortfall_above_1e9_is_caught(self, small_scenario, small_stats):
+        # powers scaled by 1 - 1e-7 keep the caps and miss the SE targets by
+        # 4.1e-8: the SE floor, not the binding check, names the fault
+        res = solve_power_min(DropLp(small_stats), targets_for(small_scenario, 0.5), small_scenario)
+        assert res.feasible
+        check_solution_invariants(small_stats, small_scenario, res)
+        short = dataclasses.replace(
+            res, allocation=PowerAllocation(res.allocation.rho * (1.0 - 1e-7))
+        )
+        se = se_mrt_all(small_stats, short.allocation, small_scenario)
+        assert 1e-9 < (res.targets.xi - se).max() < 1e-7
+        with pytest.raises(HarnessInvariantError, match="^achieved SE fell below its target$"):
+            check_solution_invariants(small_stats, small_scenario, short)
 
     def test_vacuous_user_passes_rule_check(self, small_scenario, small_stats):
         xi = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
@@ -282,7 +299,7 @@ class TestSolutionContracts:
         res = solve_power_min(DropLp(small_stats), targets, small_scenario)
         assert res.feasible
         assert not res.serving[:, [1, 3, 5]].any()
-        report = association_rule_check(small_stats, targets, small_scenario, res)
+        report = association_rule_check(small_stats, small_scenario, res)
         assert report.passed
 
     def test_result_record_is_json_ready(self, small_scenario, small_stats):

@@ -10,7 +10,6 @@ from mimopower.se import (
     QosTargets,
     qos_to_threshold,
     se_mrt_all,
-    sinr_mrt,
     sinr_mrt_all,
     spectral_efficiency,
 )
@@ -63,13 +62,13 @@ class TestSinr:
 
     def test_zero_power_gives_zero(self, small_scenario, small_stats):
         alloc = PowerAllocation(np.zeros((4, 6)))
-        assert sinr_mrt(small_stats, alloc, small_scenario, 0) == 0.0
+        assert sinr_mrt_all(small_stats, alloc, small_scenario)[0] == 0.0
         assert se_mrt_all(small_stats, alloc, small_scenario)[0] == 0.0
 
     def test_single_cell_formula(self):
         scn, stats, alloc = self._single()
         expect = 50 * 2.0 * 3e-13 / (2.0 * 4e-13 + 2.5e-13)
-        assert sinr_mrt(stats, alloc, scn, 0) == pytest.approx(expect, rel=1e-15)
+        assert sinr_mrt_all(stats, alloc, scn)[0] == pytest.approx(expect, rel=1e-15)
 
     def test_doubling_antennas_doubles_sinr(self, small_scenario, small_stats):
         rng = np.random.default_rng(3)
@@ -77,12 +76,6 @@ class TestSinr:
         s1 = sinr_mrt_all(small_stats, alloc, small_scenario)
         s2 = sinr_mrt_all(small_stats, alloc, small_scenario.with_antennas(128))
         np.testing.assert_allclose(s2, 2.0 * s1, rtol=1e-15)
-
-    def test_all_users_matches_scalar_path(self, small_scenario, small_stats):
-        rng = np.random.default_rng(4)
-        alloc = PowerAllocation(rng.uniform(0, 2, size=(4, 6)))
-        per_user = [sinr_mrt(small_stats, alloc, small_scenario, k) for k in range(6)]
-        np.testing.assert_allclose(sinr_mrt_all(small_stats, alloc, small_scenario), per_user, rtol=1e-12)
 
     def test_monotone_when_scaling_own_power_vector(self, small_scenario, small_stats):
         # scaling the user's whole power vector up always helps: the signal
@@ -107,7 +100,7 @@ class TestSinr:
             alloc = PowerAllocation(rng.uniform(0, 2, size=(4, 6)))
             k = int(rng.integers(0, 6))
             i = int(rng.integers(0, 4))
-            sinr = sinr_mrt(small_stats, alloc, small_scenario, k)
+            sinr = sinr_mrt_all(small_stats, alloc, small_scenario)[k]
             gain = (
                 small_scenario.num_antennas
                 * small_stats.gamma[i, k]
@@ -115,7 +108,7 @@ class TestSinr:
             )
             bumped = alloc.rho.copy()
             bumped[i, k] += 0.1
-            after = sinr_mrt(small_stats, PowerAllocation(bumped), small_scenario, k)
+            after = sinr_mrt_all(small_stats, PowerAllocation(bumped), small_scenario)[k]
             if gain > sinr:
                 assert after > sinr
                 ups += 1
@@ -126,7 +119,7 @@ class TestSinr:
 
     def test_dimension_mismatch_rejected(self, small_scenario, small_stats):
         with pytest.raises(ValueError, match="mismatch"):
-            sinr_mrt(small_stats, PowerAllocation(np.zeros((2, 2))), small_scenario, 0)
+            sinr_mrt_all(small_stats, PowerAllocation(np.zeros((2, 2))), small_scenario)
 
 
 class TestSpectralEfficiency:
