@@ -174,24 +174,25 @@ def solve_cell(
     scenario: NetworkScenario,
     mode: str,
     drop_index: int,
-    target_se: float,
+    targets: QosTargets | None,
     delta: float,
 ) -> tuple:
     """Solve one (drop, antenna count) cell with both association methods,
     the drop's ``drop_lps`` pair, and check every per-cell invariant.
 
     Returns (joint result, max-SNR result): PowerMinResults in powermin
-    mode, MaxMinResults in maxmin mode. The published allocations, the
-    feasible power-min pair or each bisection's ``last_feasible``, all go
-    through ``check_solution_invariants`` at their own targets. A failed
-    check raises HarnessInvariantError, and any RuntimeError is re-raised
-    with its type and a message naming the cell. Power-min solves start
-    from max-SNR association; maxmin bisections also use and extend the
-    probe outcomes and carried basis of the pair.
+    mode, MaxMinResults in maxmin mode. Power-min solves at ``targets``,
+    which depend on the SE target, K, tau_c and tau_p alone, so the caller
+    builds them once for all its cells; maxmin ignores them. The published
+    allocations, the feasible power-min pair or each bisection's
+    ``last_feasible``, all go through ``check_solution_invariants`` at their
+    own targets. A failed check raises HarnessInvariantError, and any
+    RuntimeError is re-raised with its type and a message naming the cell.
+    Power-min solves start from max-SNR association; maxmin bisections also
+    use and extend the probe outcomes and carried basis of the pair.
     """
     try:
         if mode == "powermin":
-            targets = QosTargets.uniform(target_se, scenario)
             opt, snr = (solve_power_min(lp, targets, scenario) for lp in lps)
             if snr.feasible and not opt.feasible:
                 raise HarnessInvariantError("max-SNR feasible but joint optimization infeasible")
@@ -221,12 +222,13 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         base = load_scenario(spec.scenario_path)
     else:
         base = default_scenario(spec.antenna_counts[0], spec.num_users, rng_seed=spec.rng_seed)
+    targets = QosTargets.uniform(spec.target_se, base) if spec.mode == "powermin" else None
     drops: dict[int, list[tuple]] = {m: [] for m in spec.antenna_counts}
     for d, scn0, stats in iter_drops(base, spec.rng_seed, spec.num_drops):
         lps = drop_lps(stats)
         for m in spec.antenna_counts:
             scn = scn0.with_antennas(m)
-            drops[m].append(solve_cell(lps, scn, spec.mode, d, spec.target_se, spec.delta))
+            drops[m].append(solve_cell(lps, scn, spec.mode, d, targets, spec.delta))
     # collect_traces picks the files written, not their contents
     spec_fields = {k: v for k, v in asdict(spec).items() if k != "collect_traces"}
     config = {"spec": spec_fields, "base_scenario": scenario_to_json_dict(base)}
@@ -320,7 +322,8 @@ def run_drop(scenario: NetworkScenario, mode: str = "powermin", target_se: float
     """Solve a single drop on the scenario as given, with the sweep's checks;
     returns the full JSON record. In maxmin mode the top level holds the
     joint bisection and ``max_snr`` the max-SNR one."""
-    opt, snr = solve_cell(drop_lps(channel_stats(scenario)), scenario, mode, 0, target_se, delta)
+    targets = QosTargets.uniform(target_se, scenario) if mode == "powermin" else None
+    opt, snr = solve_cell(drop_lps(channel_stats(scenario)), scenario, mode, 0, targets, delta)
     if mode == "powermin":
         return {
             "mode": mode,

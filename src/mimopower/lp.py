@@ -161,20 +161,21 @@ def _dual_simplex(a, rhs, cost, basis, b_inv):
     to a primal-feasible one, keeping it dual feasible for ``cost``.
 
     The leaving row has the most negative basic value, if that is below
-    -FEAS_TOL * (1 + max|rhs|); the entering column wins the dual ratio
-    test, ties going to the largest |alpha| (a small pivot lets the inverse
-    drift), then to the lowest column index. Returns
+    -FEAS_TOL; the entering column wins the dual ratio test, ties going to
+    the largest |alpha| (a small pivot lets the inverse drift), then to the
+    lowest column index. Returns
     (basis, b_inv, pivots, row): ``row`` is None at a primal-feasible basis,
     else the position whose row of ``b_inv`` proves a z = rhs, z >= 0 empty.
     """
     max_pivots = 10_000 + 50 * sum(a.shape)
-    leave_tol = FEAS_TOL * (1.0 + float(np.abs(rhs).max(initial=0.0)))
     in_basis = np.zeros(a.shape[1], dtype=bool)
     in_basis[basis] = True
     pivots = 0
     while True:
         xb = b_inv @ rhs
-        if xb.size == 0 or xb.min() >= -leave_tol:
+        # absolute on the equilibrated rows: scaled by max|rhs|, one large
+        # right-hand side would leave rows with tiny ones unmet
+        if xb.size == 0 or xb.min() >= -FEAS_TOL:
             return basis, b_inv, pivots, None
         leave = int(np.argmin(xb))
         alpha = b_inv[leave] @ a

@@ -16,13 +16,19 @@ dinkelbach_lp writes one step LP of Dinkelbach's max-min SINR iteration,
 whose costs are zero but for the level variable's.
 
 assert_farkas_certificate checks an infeasibility proof from the LP data
-alone.
+alone, and row_excess a point's feasibility on the equilibrated rows.
+
+edge_scenarios yields the power-min edge cases: one BS, K = tau_p, users
+10 m from a BS, and no or heavy shadowing.
 """
 
+import dataclasses
 from itertools import combinations, count
 
 import numpy as np
 
+from mimopower.channel import NetworkScenario, dbm_to_watt
+from mimopower.harness import DEFAULT_NOISE_DBM, default_scenario
 from mimopower.lp import LinearProgram
 from mimopower.se import PowerAllocation, sinr_mrt_all
 
@@ -149,3 +155,38 @@ def assert_farkas_certificate(a_ub, b_ub, y, rtol=1e-12):
     assert np.all(y >= 0.0)
     assert np.all(a.T @ y >= -rtol * (np.abs(a).T @ y))
     assert float(np.asarray(b_ub, dtype=float) @ y) < 0.0
+
+
+def row_excess(lp, x):
+    """The largest violation of an equilibrated row at x (0 when all hold)."""
+    scale = np.abs(lp.a_ub).max(axis=1, initial=0.0)
+    scale = np.where(scale == 0.0, 1.0, scale)
+    return float(np.max((lp.a_ub @ x - lp.b_ub) / scale, initial=0.0))
+
+
+def edge_scenarios():
+    """(name, scenario) for the power-min edge cases: one BS, K = tau_p,
+    users 10 m from a BS, and no or heavy shadowing."""
+    noise = float(dbm_to_watt(DEFAULT_NOISE_DBM))
+    yield "one BS", NetworkScenario(
+        num_bs=1,
+        num_users=3,
+        num_antennas=100,
+        bs_positions=[[0.5, 0.5]],
+        user_positions=[[0.1, 0.5], [0.5, 0.9], [0.55, 0.5]],
+        coherence_length=200,
+        pilot_length=5,
+        pilot_power=np.full(3, 0.2),
+        noise_ul=noise,
+        noise_dl=noise,
+        pmax=np.array([40.0]),
+        shadow_std_db=7.0,
+    )
+    base = default_scenario(100, 8, rng_seed=5)
+    assert base.pilot_length == base.num_users
+    yield "K = tau_p", base
+    # two users 10 m from each BS, one on either side of it along x
+    steps = 0.01 * np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    yield "10 m", base.with_users(base.bs_positions[np.arange(8) % 4] + steps[np.arange(8) // 4])
+    yield "0 dB", dataclasses.replace(base, shadow_std_db=0.0)
+    yield "12 dB", dataclasses.replace(base, shadow_std_db=12.0)

@@ -118,6 +118,12 @@ class TestSweeps:
                         assert np.array_equal(res.basis, cell.basis)
         assert feasible
 
+    def test_powermin_targets_are_built_once_per_sweep(self):
+        spec = SweepSpec(antenna_counts=(60, 120), num_drops=3, rng_seed=6, num_users=8)
+        results = [res for cells in run_sweep(spec).drops.values() for cell in cells for res in cell]
+        assert len(results) == 12
+        assert all(res.targets is results[0].targets for res in results)
+
     @pytest.mark.parametrize("mode", ["powermin", "maxmin"])
     def test_one_drop_lp_per_drop_and_mask(self, mode, monkeypatch):
         built = []
@@ -185,7 +191,8 @@ class TestSweeps:
         monkeypatch.setattr(lp, "_REFRESH_EVERY", 1)
         monkeypatch.setattr(np.linalg, "inv", singular)
         with pytest.raises(RuntimeError, match=r"^drop 0, M=64, powermin: singular basis") as info:
-            harness.solve_cell(harness.drop_lps(small_stats), small_scenario, "powermin", 0, 0.5, 0.01)
+            targets = QosTargets.uniform(0.5, small_scenario)
+            harness.solve_cell(harness.drop_lps(small_stats), small_scenario, "powermin", 0, targets, 0.01)
         assert type(info.value) is RuntimeError
 
     def test_level_zero_sweep_publishes_single_bs_service(self, tmp_path, small_scenario):
@@ -293,7 +300,7 @@ class TestRunDrop:
         # 1e-12 W per BS puts the SE upper bound below delta: no probe runs
         scn = dataclasses.replace(small_scenario, pmax=np.full(4, 1e-12))
         lps = harness.drop_lps(small_stats)
-        opt, snr = harness.solve_cell(lps, scn, "maxmin", 0, DEFAULT_TARGET_SE, 0.01)
+        opt, snr = harness.solve_cell(lps, scn, "maxmin", 0, None, 0.01)
         assert opt.iterations == snr.iterations == 0
         assert opt.last_feasible is None and snr.last_feasible is None
         assert opt.xi_lower == 0.0

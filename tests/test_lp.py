@@ -6,13 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mimopower import lp as lp_module
+from mimopower.channel import channel_stats
 from mimopower.harness import default_scenario, iter_drops
 from mimopower.lp import LinearProgram, LpStatus, format_lp, solve, verify
+from mimopower.power_assoc import DropLp, _max_snr_basis, build_lp
+from mimopower.se import QosTargets
 from oracles import (
     assert_farkas_certificate,
     brute_force_lp_min,
     dinkelbach_lp,
+    edge_scenarios,
     random_feasible_lp,
+    row_excess,
     sparse_lps,
 )
 
@@ -254,6 +259,20 @@ class TestRobustness:
         sol = solve(lp)
         assert sol.status == LpStatus.OPTIMAL
         assert verify(lp, sol).worst <= 1e-9
+
+    def test_cold_solve_meets_rows_with_tiny_right_hand_sides(self):
+        # Users 10 m from a BS at SE 1: after equilibration the QoS rows'
+        # right-hand sides sit eight decades below the 40 W caps'. A primal
+        # tolerance scaled by max|b| took a cold vertex that missed a QoS
+        # row by 1e-8 of its scale and undercut the optimum by 3 %.
+        scn = dict(edge_scenarios())["10 m"]
+        stats = channel_stats(scn, np.random.default_rng(5))
+        targets = QosTargets.uniform(1.0, scn)
+        mask = np.ones(stats.beta.shape, dtype=bool)
+        lp = build_lp(DropLp(stats, mask), targets, scn)
+        cold, warm = solve(lp), solve(lp, basis=_max_snr_basis(stats, targets, mask))
+        assert row_excess(lp, cold.x) <= 1e-12
+        assert cold.objective == pytest.approx(warm.objective, rel=1e-9)
 
     def test_singular_factorizations_raise_runtime_error(self, monkeypatch):
         # numpy's LinAlgError is a ValueError, which callers do not treat as a solver fault

@@ -15,6 +15,51 @@ def assert_same_estimate(a, b):
         assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
 
 
+# Float32 uniforms are multiples of 2**-24, which caps the Box-Muller radius.
+FLOAT32_RADIUS = np.sqrt(-2.0 * np.log(2.0**-24))
+
+
+def box_muller_draw(seed, shape, slice_size=mc_oracle._BOX_MULLER_SLICE):
+    z = np.empty(shape, dtype=np.complex64)
+    np.random.default_rng(seed).random(out=z.view(np.float32), dtype=np.float32)
+    mc_oracle._box_muller(z, np.empty(slice_size, dtype=np.float32))
+    return z
+
+
+class TestBoxMuller:
+    @pytest.mark.parametrize(
+        "shape, slice_size",
+        [((2, 64, 4096), mc_oracle._BOX_MULLER_SLICE), ((4096, 3, 37), 16)],
+        ids=["slab", "odd-beam-remainder-slice"],
+    )
+    def test_standard_normal_moments(self, shape, slice_size):
+        z = box_muller_draw(11, shape, slice_size)
+        x = z.view(np.float32).astype(np.float64)
+        n = x.size  # about 2**20 floats either way
+        assert abs(x.mean()) <= 5.0 * np.sqrt(1.0 / n)
+        assert abs(np.mean(x**2) - 1.0) <= 5.0 * np.sqrt(2.0 / n)  # Var(x^2) = 2
+        assert abs(np.mean(x**4) - 3.0) <= 5.0 * np.sqrt(96.0 / n)  # Var(x^4) = 105 - 9
+        # each beam's cos half pairs element-wise with its sin half
+        beams = x.reshape(shape[0], -1)
+        half = beams.shape[1] // 2
+        pairs = beams[:, :half] * beams[:, half:]
+        assert abs(pairs.mean()) <= 5.0 * np.sqrt(1.0 / pairs.size)  # Var(xy) = 1
+        assert np.abs(x).max() <= FLOAT32_RADIUS * (1.0 + 1e-6)
+        assert np.array_equal(z, box_muller_draw(11, shape, slice_size))
+
+    def test_edge_uniforms(self):
+        # u1 = 0 is the zero radius and u1 = 1 - 2**-24 the largest, which must
+        # stay finite; u2 = 0 and 1/4 point along the cos and sin axes.
+        u1 = np.array([0.0, 0.0, 1.0 - 2.0**-24, 1.0 - 2.0**-24], dtype=np.float32)
+        u2 = np.array([0.0, 0.25, 0.0, 0.25], dtype=np.float32)
+        z = np.concatenate([u1, u2]).view(np.complex64).reshape(1, 1, 4)
+        mc_oracle._box_muller(z, np.empty(3, dtype=np.float32))
+        x = z.view(np.float32).ravel()
+        assert np.all(np.isfinite(x))
+        np.testing.assert_allclose(x[[2, 7]], FLOAT32_RADIUS, rtol=1e-6)
+        assert np.all(np.abs(np.delete(x, [2, 7])) <= 1e-6 * FLOAT32_RADIUS)
+
+
 class TestSinrEstimate:
     def test_terms_match_closed_moments(self):
         scn, stats, alloc, user = random_validation_scenario(1, rng_seed=9)
