@@ -16,14 +16,15 @@ import sys
 import time
 
 from mimopower import cli
+from mimopower.harness import DEFAULT_TARGET_SE
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--drops", type=int, default=500)
     ap.add_argument("--seed", type=int, default=17)
-    ap.add_argument("--antennas", default="50,100,150,200")
-    ap.add_argument("--target-se", type=float, default=1.0, help="powermin SE target (bit/symbol)")
+    ap.add_argument("--antennas", default=cli.DEFAULT_ANTENNAS)
+    ap.add_argument("--target-se", type=float, default=DEFAULT_TARGET_SE, help="powermin SE target (bit/symbol)")
     ap.add_argument("--out", default="results")
     args = ap.parse_args(argv)
 

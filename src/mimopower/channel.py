@@ -178,7 +178,7 @@ def channel_stats(scenario: NetworkScenario, rng=None) -> ChannelStats:
     return ChannelStats(beta=beta, gamma=estimation_quality(scenario, beta))
 
 
-def sample_user_positions(num_users, bs_positions, rng, min_dist_km=0.01) -> np.ndarray:
+def sample_user_positions(num_users, bs_positions, rng, min_dist_km) -> np.ndarray:
     """Uniform user drop over the bounding rectangle of the BS positions.
 
     Positions closer than ``min_dist_km`` to any BS are rejected and redrawn,

@@ -36,13 +36,14 @@ from .maxmin import DEFAULT_DELTA
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INFEASIBLE = 2
+DEFAULT_ANTENNAS = "50,100,150,200"
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scenario", metavar="FILE", help="scenario JSON to use as the drop template")
     p.add_argument("--seed", type=int, default=0, help="master RNG seed")
     p.add_argument(
-        "--antennas", default=None, help="comma-separated antenna counts (default 50,100,150,200)"
+        "--antennas", default=None, help=f"comma-separated antenna counts (default {DEFAULT_ANTENNAS})"
     )
     p.add_argument("--out", metavar="DIR", help="output directory for results.csv + config.json")
     p.add_argument("--users", type=int, help=f"users per drop (default {DEFAULT_NUM_USERS})")
@@ -50,7 +51,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _parse_antennas(text: str | None) -> tuple:
     try:
-        counts = tuple(int(tok) for tok in (text or "50,100,150,200").split(",") if tok.strip())
+        counts = tuple(int(tok) for tok in (text or DEFAULT_ANTENNAS).split(",") if tok.strip())
     except ValueError as e:
         raise SystemExit(f"error: bad --antennas list {text!r}") from e
     if not counts:
@@ -71,44 +72,48 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mimopower", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Each sweep takes the other mode's settings at their defaults.
     p = sub.add_parser("powermin", help="fixed-target power minimization sweep")
     _add_common(p)
-    p.add_argument("--drops", type=int, default=200)
+    p.add_argument("--drops", type=int, default=SweepSpec.num_drops)
     p.add_argument("--target-se", type=float, default=DEFAULT_TARGET_SE, help="per-user SE target (bit/symbol)")
+    p.set_defaults(run=_cmd_sweep, delta=DEFAULT_DELTA, trace=False)
 
     p = sub.add_parser("maxmin", help="max-min SE sweep")
     _add_common(p)
-    p.add_argument("--drops", type=int, default=200)
+    p.add_argument("--drops", type=int, default=SweepSpec.num_drops)
     p.add_argument("--delta", type=float, default=DEFAULT_DELTA, help="bisection accuracy (bit/symbol)")
     p.add_argument("--trace", action="store_true", help="also write per-iteration traces.jsonl")
+    p.set_defaults(run=_cmd_sweep, target_se=DEFAULT_TARGET_SE)
 
     p = sub.add_parser("validate", help="Monte-Carlo oracle vs. closed form")
     p.add_argument("--scenarios", type=int, default=20)
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=0.01, help="relative SINR tolerance")
+    p.set_defaults(run=_cmd_validate)
 
     p = sub.add_parser("drop", help="solve one drop, print full JSON result")
     _add_common(p)
     # Unset, --scenario keeps the file's rng_seed and the default drop uses 0.
-    p.set_defaults(seed=None)
+    p.set_defaults(run=_cmd_drop, seed=None)
     p.add_argument("--mode", choices=("powermin", "maxmin"), default="powermin")
     p.add_argument("--target-se", type=float, default=DEFAULT_TARGET_SE)
     p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
     return parser
 
 
-def _cmd_sweep(args, mode: str) -> int:
+def _cmd_sweep(args) -> int:
     spec = SweepSpec(
         antenna_counts=_parse_antennas(args.antennas),
-        mode=mode,
-        target_se=getattr(args, "target_se", DEFAULT_TARGET_SE),
+        mode=args.command,
+        target_se=args.target_se,
         num_drops=args.drops,
         rng_seed=args.seed,
         scenario_path=args.scenario,
         num_users=_num_users(args),
-        delta=getattr(args, "delta", DEFAULT_DELTA),
-        collect_traces=bool(getattr(args, "trace", False)),
+        delta=args.delta,
+        collect_traces=args.trace,
     )
     result = run_sweep(spec)
     if args.out:
@@ -116,7 +121,7 @@ def _cmd_sweep(args, mode: str) -> int:
             print(f"wrote {path}")
     else:
         sys.stdout.write(results_csv(result.table))
-    if mode == "powermin" and not result.any_feasible:
+    if spec.mode == "powermin" and not result.any_feasible:
         print("warning: every drop was infeasible", file=sys.stderr)
         return EXIT_INFEASIBLE
     return EXIT_OK
@@ -178,18 +183,10 @@ def main(argv=None) -> int:
     try:
         if args.seed is not None and args.seed < 0:
             raise ValueError(f"--seed must be >= 0, got {args.seed}")
-        if args.command == "powermin":
-            return _cmd_sweep(args, "powermin")
-        if args.command == "maxmin":
-            return _cmd_sweep(args, "maxmin")
-        if args.command == "validate":
-            return _cmd_validate(args)
-        if args.command == "drop":
-            return _cmd_drop(args)
+        return args.run(args)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
-    return EXIT_ERROR
 
 
 if __name__ == "__main__":

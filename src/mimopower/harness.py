@@ -350,11 +350,7 @@ def random_validation_scenario(index: int, rng_seed: int = 0):
     bs = rng.uniform(0.0, side, size=(L, 2))
     users = rng.uniform(0.0, side, size=(K, 2))
     # keep every BS-user distance >= 20 m by redrawing offending users
-    for _ in range(100):
-        d = pairwise_distances_km(bs, users)
-        bad = d.min(axis=0) < 0.02
-        if not bad.any():
-            break
+    while (bad := pairwise_distances_km(bs, users).min(axis=0) < 0.02).any():
         users[bad] = rng.uniform(0.0, side, size=(int(bad.sum()), 2))
     noise = float(dbm_to_watt(DEFAULT_NOISE_DBM))
     scenario = NetworkScenario(

@@ -48,9 +48,7 @@ class LinearProgram:
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.c, dtype=float))
         a = np.asarray(self.a_ub, dtype=float)
-        if a.size == 0 and a.ndim != 2:
-            a = a.reshape(0, c.size)
-        b = np.atleast_1d(np.asarray(self.b_ub, dtype=float)) if np.size(self.b_ub) else np.zeros(0)
+        b = np.atleast_1d(np.asarray(self.b_ub, dtype=float))
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "a_ub", a)
         object.__setattr__(self, "b_ub", b)
@@ -161,9 +159,11 @@ def _dual_simplex(a, rhs, cost, basis, b_inv):
     to a primal-feasible one, keeping it dual feasible for ``cost``.
 
     The leaving row has the most negative basic value, if that is below
-    -FEAS_TOL; the entering column wins the dual ratio test, ties going to
-    the largest |alpha| (a small pivot lets the inverse drift), then to the
-    lowest column index. Returns
+    -FEAS_TOL. A column may enter when its alpha is below -PIVOT_TOL times
+    the row's largest |alpha| (at least 1): a pivot at roundoff level of its
+    row leaves a numerically singular basis. The entering column wins the
+    dual ratio test, ties going to the largest |alpha| (a small pivot lets
+    the inverse drift), then to the lowest column index. Returns
     (basis, b_inv, pivots, row): ``row`` is None at a primal-feasible basis,
     else the position whose row of ``b_inv`` proves a z = rhs, z >= 0 empty.
     """
@@ -179,7 +179,7 @@ def _dual_simplex(a, rhs, cost, basis, b_inv):
             return basis, b_inv, pivots, None
         leave = int(np.argmin(xb))
         alpha = b_inv[leave] @ a
-        eligible = np.flatnonzero(~in_basis & (alpha < -PIVOT_TOL))
+        eligible = np.flatnonzero(~in_basis & (alpha < -PIVOT_TOL * max(1.0, np.abs(alpha).max())))
         if eligible.size == 0:
             return basis, b_inv, pivots, leave
         y = b_inv.T @ cost[basis]
@@ -218,7 +218,7 @@ def solve(lp: LinearProgram, basis=None) -> LpSolution:
         return LpSolution(status=LpStatus.OPTIMAL, x=np.zeros(0), objective=0.0, duals=np.zeros(m))
 
     # Row equilibration by the largest |entry|; all-zero rows keep scale 1.
-    scale = np.abs(lp.a_ub).max(axis=1, initial=0.0) if m else np.zeros(0)
+    scale = np.abs(lp.a_ub).max(axis=1, initial=0.0)
     scale = np.where(scale == 0.0, 1.0, scale)
     b_s = lp.b_ub / scale
 
@@ -285,8 +285,6 @@ def _invert_hint(a2, basis):
 
 
 def _refined_solve(mat, rhs):
-    if rhs.size == 0:
-        return np.zeros(0)
     try:
         x = np.linalg.solve(mat, rhs)
         for _ in range(2):

@@ -1,7 +1,9 @@
 """Weighted max-min SE optimization by bisection over feasibility LPs.
 
 Feasibility of a candidate level xi (targets xi_k = w_k * xi) is monotone,
-so a bisection over [0, xi_upper] converges linearly. Every probe is a
+so a bisection over [0, auto_upper_bound] converges linearly: each probe
+halves the interval exactly, and it runs ``expected_iterations`` probes, the
+fewest that bring its width to delta. Every probe is a
 ``solve_power_min`` of one ``DropLp``: one drop under one association mask
 (joint, or e.g. the max-SNR mask). ``MaxMinResult.last_feasible`` is the
 PowerMinResult of the last feasible probe (allocation, duals, ``serving``
@@ -89,10 +91,12 @@ def solve_max_min(
     ``lp`` holds earlier probe outcomes of its drop and mask, at any antenna
     count (see the module docstring), and gains this call's. ``weights``
     must be positive and ``delta`` positive and finite (ValueError
-    otherwise, NaN included); the weights default to ones. A zero level is
-    feasible by construction (zero powers), so the loop always terminates
-    with a valid interval. A re-solve at a final level ``lp`` answered that
-    is not OPTIMAL raises RuntimeError.
+    otherwise, NaN included); the weights default to ones. The bisection
+    makes exactly ``expected_iterations(auto_upper_bound(...), delta)``
+    probes, so ``iterations == len(trace)`` and none is made when delta is
+    at least the bound. A zero level is feasible by construction (zero
+    powers), so the final interval always holds the optimum. A re-solve at
+    a final level ``lp`` answered that is not OPTIMAL raises RuntimeError.
     """
     if weights is None:
         weights = np.ones(scenario.num_users)
@@ -105,18 +109,12 @@ def solve_max_min(
         raise ValueError("delta must be finite")
 
     upper0 = auto_upper_bound(lp.stats, scenario, weights)
-    num_iters = expected_iterations(upper0, delta)
-
     lower = 0.0
     width = upper0
     best: PowerMinResult | None = None
     best_targets: QosTargets | None = None
     trace: list[ProbeRecord] = []
-    it = 0
-    # Width halves exactly each iteration, so the count matches
-    # expected_iterations(upper0, delta); the cap keeps the two equal where
-    # log2 rounds.
-    while width > delta and it < num_iters:
+    for it in range(1, expected_iterations(upper0, delta) + 1):
         candidate = lower + width / 2.0
         targets = QosTargets.from_se(
             weights * candidate, scenario.coherence_length, scenario.pilot_length
@@ -131,7 +129,6 @@ def solve_max_min(
         if feasible:
             lower, best, best_targets = candidate, res, targets
         width /= 2.0
-        it += 1
         trace.append(
             ProbeRecord(
                 iteration=it,
@@ -152,7 +149,7 @@ def solve_max_min(
     return MaxMinResult(
         xi_lower=lower,
         xi_upper=lower + width,
-        iterations=it,
+        iterations=len(trace),
         trace=trace,
         last_feasible=best,
     )

@@ -18,6 +18,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -27,14 +28,15 @@ from .se import PowerAllocation
 
 @dataclass(frozen=True)
 class McConfig:
-    """Sampling configuration.
+    """Sampling configuration: the sample count and the stream's seed.
 
-    ``batch_size`` is part of the deterministic stream layout: draws are
-    generated in fixed-size batches, each from its own generator seeded by
-    (rng_seed, batch index). A batch of nb draws is one (L, K+1, M, nb)
-    complex64 stream, filled one BS slab (K+1, M, nb) after the other: the
-    K beams' channel estimates, then the target user's estimation error as
-    beam K. A slab is filled with uniform float32 draws, and each beam's
+    Draws are generated in batches of the class constant ``batch_size``
+    (the last batch takes the remainder), each from its own generator seeded
+    by (rng_seed, batch index); the constant is part of the deterministic
+    stream layout. A batch of nb draws is one (L, K+1, M, nb) complex64
+    stream, filled one BS slab (K+1, M, nb) after the other: the K beams'
+    channel estimates, then the target user's estimation error as beam K.
+    A slab is filled with uniform float32 draws, and each beam's
     2 M nb floats become standard normals in place by Box-Muller, the first
     half's radius paired with the second half's angle. Batches run in
     parallel, and their partial sums are merged in batch-index order, so
@@ -44,13 +46,11 @@ class McConfig:
 
     num_samples: int = 100_000
     rng_seed: int = 0
-    batch_size: int = 4096
+    batch_size: ClassVar[int] = 4096
 
     def __post_init__(self):
         if self.num_samples < 1:
             raise ValueError("num_samples must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
 
 
 @dataclass

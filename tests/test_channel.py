@@ -21,7 +21,7 @@ from mimopower.channel import (
     scenario_from_json_dict,
     scenario_to_json_dict,
 )
-from mimopower.harness import default_scenario
+from mimopower.harness import MIN_BS_USER_DIST_KM, default_scenario
 
 
 class TestPathLoss:
@@ -193,4 +193,4 @@ class TestUserSampling:
 
     def test_degenerate_box_rejected(self):
         with pytest.raises(ValueError):
-            sample_user_positions(3, np.zeros((2, 2)), np.random.default_rng(0))
+            sample_user_positions(3, np.zeros((2, 2)), np.random.default_rng(0), MIN_BS_USER_DIST_KM)

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 import json
 import os
 import runpy
@@ -20,6 +21,8 @@ from mimopower.harness import (
     run_sweep,
 )
 from mimopower.lp import LpStatus
+from mimopower.maxmin import DEFAULT_DELTA
+from mimopower.mc_oracle import McConfig
 from mimopower.power_assoc import DropLp, PowerMinResult, max_snr_mask, solve_power_min
 from mimopower.se import QosTargets
 
@@ -500,13 +503,34 @@ class TestCli:
         assert drop_record("--seed", "1") != drop_record("--seed", "2")
         assert drop_record() == drop_record("--seed", str(small_scenario.rng_seed))
 
+    def test_parser_defaults_are_the_library_defaults(self, tmp_path, monkeypatch):
+        parse = cli.build_parser().parse_args
+        for command in ("powermin", "maxmin", "drop"):
+            args = parse([command])
+            assert (args.target_se, args.delta) == (DEFAULT_TARGET_SE, DEFAULT_DELTA)
+        for command in ("powermin", "maxmin"):
+            assert parse([command]).drops == SweepSpec.num_drops
+        args = parse(["validate"])
+        params = inspect.signature(harness.validate_closed_form).parameters
+        names = ("num_scenarios", "num_samples", "rng_seed", "rel_tol")
+        assert (args.scenarios, args.samples, args.seed, args.tol) == tuple(
+            params[name].default for name in names
+        )
+        assert args.samples == McConfig.num_samples
+        # the trend script hands its defaults to both sweeps
+        sweeps = []
+        monkeypatch.setattr(cli, "main", lambda argv: sweeps.append(argv) or cli.EXIT_OK)
+        assert run_reproduce_trends(["--out", str(tmp_path)]) == cli.EXIT_OK
+        assert [argv[0] for argv in sweeps] == ["powermin", "maxmin"]
+        for argv in sweeps:
+            assert argv[argv.index("--antennas") + 1] == cli.DEFAULT_ANTENNAS
+        assert float(sweeps[0][sweeps[0].index("--target-se") + 1]) == DEFAULT_TARGET_SE
+
     def test_reproduce_trends_runs_both_sweeps(self, tmp_path, capsys):
-        script = os.path.join(os.path.dirname(__file__), "..", "scripts", "reproduce_trends.py")
-        main = runpy.run_path(script)["main"]
         out = tmp_path / "trends"
         # the CLI's --antennas parser skips the empty token
         argv = ["--drops", "2", "--antennas", "50,,60", "--target-se", "0.5", "--out", str(out)]
-        assert main(argv) == 0
+        assert run_reproduce_trends(argv) == 0
         # --target-se only sets the powermin sweep; maxmin records the default
         for mode, target_se in (("powermin", 0.5), ("maxmin", DEFAULT_TARGET_SE)):
             spec = json.loads((out / mode / "config.json").read_text())["spec"]
@@ -514,6 +538,12 @@ class TestCli:
             assert spec["target_se"] == target_se
             csv = (out / mode / "results.csv").read_text()
             assert csv.startswith("num_antennas,metric,value\n")
+
+
+def run_reproduce_trends(argv) -> int:
+    """``main`` of scripts/reproduce_trends.py on ``argv``."""
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts", "reproduce_trends.py")
+    return runpy.run_path(script)["main"](argv)
 
 
 REFERENCE_PATH = os.path.join(os.path.dirname(__file__), "..", "perfbench", "reference.json")

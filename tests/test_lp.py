@@ -135,6 +135,15 @@ class TestInfeasibility:
         assert sol.status == LpStatus.INFEASIBLE
         assert_farkas_certificate(lp.a_ub, lp.b_ub, sol.infeasibility_certificate)
 
+    def test_roundoff_alpha_does_not_enter(self):
+        # LP 17 of sparse_lps(115): a dual pivot on alpha = -1.081e-11, in a
+        # row whose largest |alpha| is 111.4, left a rank-6 basis of 7 and a
+        # singular final solve; HiGHS finds the LP infeasible
+        lp = next(itertools.islice(sparse_lps(115), 17, None))
+        sol = solve(lp)
+        assert sol.status == LpStatus.INFEASIBLE
+        assert_farkas_certificate(lp.a_ub, lp.b_ub, sol.infeasibility_certificate)
+
 
 class TestDeterminism:
     def test_bit_identical_resolve(self):

@@ -60,6 +60,25 @@ class TestBisection:
             assert res.iterations == expected_iterations(bound, 0.01)
             assert res.xi_upper - res.xi_lower <= 0.01
 
+    @pytest.mark.parametrize("delta", [1.0, 0.1, 0.01, 1e-4])
+    def test_probe_count_is_expected_iterations(self, delta):
+        scn, stats = random_drop(3, num_antennas=100, num_users=6)
+        upper0 = auto_upper_bound(stats, scn, np.ones(6))
+        res = solve_max_min(DropLp(stats), scn, delta=delta)
+        assert res.iterations == len(res.trace) == expected_iterations(upper0, delta) > 0
+        assert res.xi_upper - res.xi_lower <= delta
+
+    def test_delta_at_or_above_the_bound_probes_nothing(self, monkeypatch):
+        scn, stats = random_drop(3, num_antennas=100, num_users=6)
+        upper0 = auto_upper_bound(stats, scn, np.ones(6))
+        solves = count_lp_solves(monkeypatch)
+        for delta in (upper0, 2.0 * upper0):
+            res = solve_max_min(DropLp(stats), scn, delta=delta)
+            assert res.iterations == 0 and res.trace == []
+            assert res.xi_lower == 0.0 and res.xi_upper == upper0
+            assert res.last_feasible is None
+        assert solves == []
+
     def test_interval_monotone_and_consistent(self):
         scn, stats = random_drop(11, num_antennas=100, num_users=6)
         res = solve_max_min(DropLp(stats), scn)

@@ -100,7 +100,8 @@ class TestSinrEstimate:
     def test_estimate_is_independent_of_pool_width(self, monkeypatch):
         scn, stats, alloc, user = random_validation_scenario(5, rng_seed=9)
         # Four full batches and a short one, so a worker meets a new nb.
-        cfg = McConfig(num_samples=4 * 256 + 37, rng_seed=3, batch_size=256)
+        monkeypatch.setattr(McConfig, "batch_size", 256)
+        cfg = McConfig(num_samples=4 * 256 + 37, rng_seed=3)
         n_batches = 5
         # Early batches start late, so batches finish out of index order
         # whenever more than one runs at a time.
@@ -142,5 +143,3 @@ class TestSinrEstimate:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             McConfig(num_samples=0)
-        with pytest.raises(ValueError):
-            McConfig(batch_size=0)
