@@ -20,6 +20,7 @@ import numpy as np
 # Log-distance path loss in dB at d km: gain = -(148.1 + 37.6 log10 d).
 _PL_INTERCEPT_DB = 148.1
 _PL_SLOPE_DB = 37.6
+_MAX_EMPTY_ROUNDS = 1000  # see sample_user_positions
 
 
 def dbm_to_watt(dbm):
@@ -182,7 +183,8 @@ def sample_user_positions(num_users, bs_positions, rng, min_dist_km) -> np.ndarr
     """Uniform user drop over the bounding rectangle of the BS positions.
 
     Positions closer than ``min_dist_km`` to any BS are rejected and redrawn,
-    which keeps the path loss bounded.
+    which keeps the path loss bounded; _MAX_EMPTY_ROUNDS rounds that accept
+    none raise ValueError.
     """
     bs = np.asarray(bs_positions, dtype=float)
     lo = bs.min(axis=0)
@@ -191,12 +193,18 @@ def sample_user_positions(num_users, bs_positions, rng, min_dist_km) -> np.ndarr
         raise ValueError("BS positions must span a nondegenerate rectangle")
     out = np.empty((num_users, 2))
     remaining = np.arange(num_users)
+    empty_rounds = 0
     while remaining.size:
         cand = rng.uniform(lo, hi, size=(remaining.size, 2))
         d = pairwise_distances_km(bs, cand)
         ok = d.min(axis=0) >= min_dist_km
         out[remaining[ok]] = cand[ok]
         remaining = remaining[~ok]
+        empty_rounds += not ok.any()
+        if empty_rounds == _MAX_EMPTY_ROUNDS:
+            raise ValueError(
+                f"no user cleared the {min_dist_km * 1e3:g} m BS exclusion in {_MAX_EMPTY_ROUNDS} rounds"
+            )
     return out
 
 

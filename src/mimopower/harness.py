@@ -131,8 +131,12 @@ def check_solution_invariants(
 ) -> None:
     """Re-assert the optimality contracts on a feasible solve at the targets
     it was solved at, ``result.targets`` (raises HarnessInvariantError):
-    per-BS caps to 1e-9 W, every SE within 1e-9 of its target, every active
-    QoS row binding to 1e-8 relative, and the dual association rule."""
+    per-BS caps to 1e-9 W, every SE within 1e-9 of its target, every QoS
+    row binding to 1e-8 relative, the dual association rule, and (exactly)
+    joint transmission only where a cap binds: nonbasic powers are exact
+    zeros and each user needs a basic one, so the users served by two or
+    more BSs are at most the nonbasic cap slacks, and the serving pairs at
+    most the basic powers."""
     alloc, targets = result.allocation, result.targets
     cap = alloc.per_bs_power() - scenario.pmax
     if (cap > 1e-9).any():
@@ -141,11 +145,18 @@ def check_solution_invariants(
     se = spectral_efficiency(sinr, scenario.coherence_length, scenario.pilot_length)
     if (se < targets.xi - 1e-9).any():
         raise HarnessInvariantError("achieved SE fell below its target")
-    active = targets.xi_hat > 0.0
-    binding = np.abs(sinr[active] / targets.xi_hat[active] - 1.0)
-    if binding.size and binding.max() > 1e-8:
+    binding = np.abs(sinr / targets.xi_hat - 1.0)
+    if binding.max() > 1e-8:
         raise HarnessInvariantError(
-            f"an active QoS constraint is not binding (rel. residual {binding.max():.3e})"
+            f"a QoS constraint is not binding (rel. residual {binding.max():.3e})"
+        )
+    n = result.allowed.sum()  # the basis indexes n powers, then K QoS and L cap slacks
+    tight_caps = scenario.num_bs - np.count_nonzero(result.basis >= n + scenario.num_users)
+    joint = np.count_nonzero(result.serving.sum(axis=0) >= 2)
+    if joint > tight_caps or result.serving.sum() > np.count_nonzero(result.basis < n):
+        raise HarnessInvariantError(
+            f"joint transmission beyond the binding caps: {joint} joint users, "
+            f"{tight_caps} cap slacks nonbasic, basis {result.basis.tolist()}"
         )
     report = association_rule_check(stats, scenario, result)
     if not report.passed:

@@ -39,7 +39,7 @@ class LpStatus(str, Enum):
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """min c^T x subject to a_ub @ x <= b_ub and x >= 0."""
+    """min c^T x subject to a_ub @ x <= b_ub and x >= 0, over at least one variable."""
 
     c: np.ndarray
     a_ub: np.ndarray
@@ -52,6 +52,8 @@ class LinearProgram:
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "a_ub", a)
         object.__setattr__(self, "b_ub", b)
+        if c.size == 0:
+            raise ValueError("an LP needs at least one variable")
         if a.ndim != 2 or a.shape != (b.size, c.size):
             raise ValueError("a_ub must be (len(b_ub), len(c))")
         if not (np.isfinite(c).all() and np.isfinite(a).all() and np.isfinite(b).all()):
@@ -208,15 +210,6 @@ def solve(lp: LinearProgram, basis=None) -> LpSolution:
     basis that turns singular mid-solve raises RuntimeError.
     """
     m, n = lp.num_rows, lp.num_vars
-    if n == 0:
-        # x = [] is the only point: feasible iff no row reads 0 <= b with b < 0.
-        bad = np.flatnonzero(lp.b_ub < 0.0)
-        if bad.size:
-            cert = np.zeros(m)
-            cert[bad[0]] = 1.0
-            return LpSolution(status=LpStatus.INFEASIBLE, infeasibility_certificate=cert)
-        return LpSolution(status=LpStatus.OPTIMAL, x=np.zeros(0), objective=0.0, duals=np.zeros(m))
-
     # Row equilibration by the largest |entry|; all-zero rows keep scale 1.
     scale = np.abs(lp.a_ub).max(axis=1, initial=0.0)
     scale = np.where(scale == 0.0, 1.0, scale)

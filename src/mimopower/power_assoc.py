@@ -13,10 +13,12 @@ and the last L rows cap each BS at its peak power. The optimal duals
 is served only by BSs attaining min_i (1 + sum_k lambda_k beta[i,k] + mu_i)
 / b_t[i], where the minimum equals lambda_t.
 
-Association is an (L, K) bool mask ``allowed`` of the (BS, user) pairs that
-may carry power; the LP has no columns for the others. No mask is the joint
-optimum, and the max-SNR baseline is the one-hot ``max_snr_mask``. The rule
-holds for any mask, with the minimum taken over the BSs it allows. A solve
+Every SE target is positive (``QosTargets`` rejects any other), so every
+user needs power. Association is an (L, K) bool mask ``allowed`` of the
+(BS, user) pairs that may carry power; it grants every user at least one
+BS, and the LP has no columns for the others. No mask is the joint optimum,
+and the max-SNR baseline is the one-hot ``max_snr_mask``. The rule holds
+for any mask, with the minimum taken over the BSs it allows. A solve
 reports the association it found as a second (L, K) mask, ``serving``: the
 pairs whose power exceeds SERVING_THRESHOLD_SCALE times the BS's cap.
 
@@ -29,9 +31,9 @@ are the only LP builder and the only solve: sweeps, ``drop`` and max-min
 probes all call them.
 
 ``solve_power_min`` starts the simplex from a given basis, or else from
-max-SNR association within the mask; at that basis its duals are the rule's
-lambda with mu = 0, so the primal simplex's pivots are the moves to the
-optimal association. From a guess that exceeds a cap, the dual simplex first
+``DropLp.start``, max-SNR association within the mask; at that basis its
+duals are the rule's lambda with mu = 0, so the primal simplex's pivots are
+the moves to the optimal association. From a guess that exceeds a cap, the dual simplex first
 pivots back inside the caps. A guess never decides anything: only the simplex
 proves optimality or infeasibility (the dual simplex's Farkas certificate).
 """
@@ -55,12 +57,8 @@ ASSOCIATION_RULE_TOL = 1e-6
 
 
 def _b_mat(stats: ChannelStats, targets: QosTargets, scenario: NetworkScenario) -> np.ndarray:
-    """(K, L) matrix whose row k is b_k; zero rows where xi_hat == 0."""
-    if not (targets.xi_hat >= 0.0).all():
-        raise ValueError("SINR thresholds must be nonnegative")
-    m_gamma = scenario.num_antennas * stats.gamma.T  # (K, L)
-    xi_hat = targets.xi_hat[:, None]
-    return np.divide(m_gamma, xi_hat, out=np.zeros_like(m_gamma), where=xi_hat > 0.0)
+    """(K, L) matrix whose row k is b_k."""
+    return scenario.num_antennas * stats.gamma.T / targets.xi_hat[:, None]
 
 
 class DropLp:
@@ -70,11 +68,13 @@ class DropLp:
     The LP is held less the parts the targets and the scenario set: the K
     own-power entries beta[i, k] - b_k[i] of the QoS rows, which hold
     beta[i, k] here, and the right-hand side. ``build_lp`` writes them into
-    a copy, so one object serves any targets and antenna count. Users with a
-    zero SINR threshold get an all-zero (vacuous) QoS row so the row layout
-    stays fixed. The columns of disallowed (BS, user) pairs are deleted and
-    the rest keep their user-major order; None allows every pair, and a
-    mask of any other shape raises ValueError.
+    a copy, so one object serves any targets and antenna count. The columns
+    of disallowed (BS, user) pairs are deleted and the rest keep their
+    user-major order; None allows every pair, and a mask of any other shape,
+    or one that leaves some user without a BS, raises ValueError.
+
+    ``start`` is the default start basis, built once: each user's strongest
+    (largest beta) allowed column plus every cap row's slack.
 
     ``feasible`` and ``infeasible`` are the max-min probe outcomes, a
     feasibility bracket keyed by the s-vectors s = M / xi_hat (see
@@ -93,6 +93,8 @@ class DropLp:
             raise ValueError(f"allowed must be an (L, K) = {(L, K)} mask, got {np.shape(allowed)}")
         self.stats = stats
         self.mask = np.array(allowed, dtype=bool)
+        if not self.mask.any(axis=0).all():
+            raise ValueError("allowed must grant every user at least one BS")
         # a[r, t, i] is the coefficient of rho[i, t] in row r: beta[i, r] in
         # QoS row r < K, and 1 in cap row K + i
         a = np.empty((K + L, K, L))
@@ -104,6 +106,8 @@ class DropLp:
         self._own = (users, np.arange(users.size))  # its own-power entry in a
         self._b_index = (users, bss)  # and in _b_mat
         self.c = np.ones(users.size)
+        strongest = max_snr_mask(np.where(self.mask, stats.beta, 0.0))
+        self.start = np.r_[np.flatnonzero(strongest.T[self.mask.T]), users.size + K + np.arange(L)]
         self.feasible, self.infeasible, self.basis = [], [], None
 
     def lookup(self, s: np.ndarray) -> bool | None:
@@ -127,11 +131,9 @@ def build_lp(lp: DropLp, targets: QosTargets, scenario: NetworkScenario) -> Line
     power variables, with the own-power entries and the right-hand side of
     ``targets`` and ``scenario`` written into a copy of its template."""
     K = lp.stats.beta.shape[1]
-    active = targets.xi_hat > 0.0
     a = lp.a.copy()
     a[lp._own] -= _b_mat(lp.stats, targets, scenario)[lp._b_index]
-    a[:K][~active] = 0.0  # vacuous constraint: 0 <= 0
-    b = np.concatenate([np.where(active, -scenario.noise_dl, 0.0), scenario.pmax])
+    b = np.concatenate([np.full(K, -scenario.noise_dl), scenario.pmax])
     return LinearProgram(c=lp.c, a_ub=a, b_ub=b)
 
 
@@ -181,11 +183,9 @@ def solve_power_min(
 
     ``basis`` is the simplex's start hint (see ``lp.solve``), such as the
     ``basis`` of an earlier result under the same mask; None starts from
-    max-SNR association within the mask."""
+    ``lp.start``, max-SNR association within the mask."""
     program = build_lp(lp, targets, scenario)
-    if basis is None:
-        basis = _max_snr_basis(lp.stats, targets, lp.mask)
-    sol = lp_solve(program, basis=basis)
+    sol = lp_solve(program, basis=lp.start if basis is None else basis)
     if sol.status != LpStatus.OPTIMAL:
         return PowerMinResult(status=sol.status, allowed=lp.mask, targets=targets)
     rho = np.zeros(lp.mask.shape)
@@ -202,17 +202,6 @@ def solve_power_min(
         objective=sol.objective,
         basis=sol.basis,
     )
-
-
-def _max_snr_basis(stats: ChannelStats, targets: QosTargets, mask: np.ndarray):
-    """Basis guess: each user's strongest (largest beta) allowed column plus
-    every cap row's slack, or None when a user has a zero target or no allowed BS."""
-    if not ((targets.xi_hat > 0.0).all() and mask.any(axis=0).all()):
-        return None
-    L, K = mask.shape
-    serving = max_snr_mask(np.where(mask, stats.beta, 0.0))
-    # masked user-major layout: the structural columns are mask.T's True entries
-    return np.concatenate([np.flatnonzero(serving.T[mask.T]), mask.sum() + K + np.arange(L)])
 
 
 def max_snr_mask(beta: np.ndarray) -> np.ndarray:
@@ -253,23 +242,19 @@ def association_rule_check(
     For user t, every BS with positive power must attain (within relative
     ASSOCIATION_RULE_TOL) the minimum of (1 + sum_k lambda_k beta[i,k] + mu_i)
     / b_t[i] over the BSs i that ``result.allowed`` grants t, and that
-    minimum must equal lambda_t. Users with a zero SINR threshold pass
-    vacuously.
+    minimum must equal lambda_t. Disallowed pairs have ratio inf, and every
+    user has a finite minimum because the mask grants it a BS.
     """
     b_mat = _b_mat(stats, result.targets, scenario)
     lam = result.qos_duals
     price = 1.0 + stats.beta @ lam + result.power_duals  # per BS
-    active = result.targets.xi_hat > 0.0
-    # Inactive users have b_t = 0: their ratios are inf and masked out below.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(result.allowed, price[:, None] / b_mat.T, np.inf)  # (L, K)
-        rmin = ratio.min(axis=0)
-        gap = (ratio - rmin) / rmin
-        lam_gap = np.abs(rmin - lam) / np.maximum(lam, rmin)
-    serving = active & result.serving
-    max_gap = max(gap.max(where=serving, initial=0.0), lam_gap.max(where=active, initial=0.0))
-    bad_bs = serving & (gap > ASSOCIATION_RULE_TOL)
-    bad_lam = active & (lam_gap > ASSOCIATION_RULE_TOL)
+    ratio = np.where(result.allowed, price[:, None] / b_mat.T, np.inf)  # (L, K)
+    rmin = ratio.min(axis=0)
+    gap = (ratio - rmin) / rmin
+    lam_gap = np.abs(rmin - lam) / np.maximum(lam, rmin)
+    max_gap = max(gap.max(where=result.serving, initial=0.0), lam_gap.max())
+    bad_bs = result.serving & (gap > ASSOCIATION_RULE_TOL)
+    bad_lam = lam_gap > ASSOCIATION_RULE_TOL
     violations = []
     for t in np.flatnonzero(bad_bs.any(axis=0) | bad_lam):
         violations += [(int(t), int(i), float(gap[i, t])) for i in np.flatnonzero(bad_bs[:, t])]

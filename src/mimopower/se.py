@@ -63,7 +63,7 @@ def spectral_efficiency(sinr, tau_c, tau_p):
 
 @dataclass(frozen=True)
 class QosTargets:
-    """Per-user SE targets xi and their SINR thresholds xi_hat."""
+    """Per-user SE targets xi and their SINR thresholds xi_hat, all positive."""
 
     xi: np.ndarray
     xi_hat: np.ndarray
@@ -73,6 +73,8 @@ class QosTargets:
         object.__setattr__(self, "xi_hat", np.asarray(self.xi_hat, dtype=float))
         if self.xi.shape != self.xi_hat.shape:
             raise ValueError("xi and xi_hat must have equal shapes")
+        if not ((self.xi > 0.0).all() and (self.xi_hat > 0.0).all()):
+            raise ValueError("SE targets must be positive")
 
     @classmethod
     def from_se(cls, xi, tau_c, tau_p) -> "QosTargets":

@@ -378,6 +378,8 @@ class TestCli:
             (["maxmin", "--drops", "1", "--delta", "nan"], "delta must be positive"),
             (["drop", "--target-se", "inf"], "SE targets must be finite"),
             (["powermin", "--drops", "1", "--target-se", "inf"], "SE targets must be finite"),
+            (["drop", "--target-se", "0"], "SE targets must be positive"),
+            (["powermin", "--drops", "1", "--target-se", "0"], "SE targets must be positive"),
             (["drop", "--mode", "maxmin", "--delta", "inf"], "delta must be finite"),
             (["maxmin", "--drops", "1", "--delta", "inf"], "delta must be finite"),
         ],
@@ -388,6 +390,8 @@ class TestCli:
             "maxmin-delta",
             "drop-target-inf",
             "powermin-target-inf",
+            "drop-target-zero",
+            "powermin-target-zero",
             "drop-delta-inf",
             "maxmin-delta-inf",
         ],
@@ -417,6 +421,21 @@ class TestCli:
         path.write_text(json.dumps(record))
         assert cli.main(["drop", "--scenario", str(path), "--mode", mode]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_bs_rectangle_inside_the_exclusion_exits_1(self, tmp_path, small_scenario, capsys):
+        # every point of a 5 m x 5 m BS rectangle lies within 10 m of a BS
+        tiny = dataclasses.replace(
+            small_scenario,
+            num_bs=2,
+            bs_positions=np.array([[0.0, 0.0], [0.005, 0.005]]),
+            pmax=np.full(2, 40.0),
+        )
+        path = tmp_path / "tiny.json"
+        save_scenario(tiny, path)
+        assert cli.main(["powermin", "--scenario", str(path), "--drops", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "10 m BS exclusion" in err
 
     @pytest.mark.parametrize("command", ["powermin", "maxmin", "drop"])
     def test_zero_users_exits_1(self, command, capsys):

@@ -1,6 +1,7 @@
 """Static checks on the source tree, with the standard library's ``ast`` only:
-no unused imports, and no module-level private name of the package that
-nothing in ``src/`` uses."""
+no unused imports, no module-level private name of the package that nothing
+in ``src/`` uses, and no function in ``src/`` with a parameter its body
+never reads."""
 
 import ast
 from pathlib import Path
@@ -75,3 +76,25 @@ def test_every_private_name_is_used_in_src():
         if name not in used
     ]
     assert not dead, f"private names nothing in src/ uses: {dead}"
+
+
+def _unread_parameters(tree):
+    """(function, parameter) of each parameter, ``self`` and ``cls`` aside,
+    that nothing in its function's body reads."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        every = (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg)
+        params = [a.arg for a in every if a]
+        read = _used_names(ast.Module(body=node.body, type_ignores=[]))
+        yield from ((node.name, p) for p in params if p not in ("self", "cls") and p not in read)
+
+
+def test_every_parameter_is_read():
+    unread = [
+        f"{path.name}: {func}({param})"
+        for path in _files("src")
+        for func, param in _unread_parameters(_tree(path))
+    ]
+    assert not unread, f"parameters their functions never read: {unread}"

@@ -9,7 +9,7 @@ from mimopower import lp as lp_module
 from mimopower.channel import channel_stats
 from mimopower.harness import default_scenario, iter_drops
 from mimopower.lp import LinearProgram, LpStatus, format_lp, solve, verify
-from mimopower.power_assoc import DropLp, _max_snr_basis, build_lp
+from mimopower.power_assoc import DropLp, build_lp
 from mimopower.se import QosTargets
 from oracles import (
     assert_farkas_certificate,
@@ -56,16 +56,10 @@ class TestContractExamples:
             assert sol.duals.size == 0 and verify(lp, sol).worst == 0.0
 
     def test_rows_without_columns(self):
-        # x = [] meets 0 <= b only where b >= 0; -2.5e-13 is a QoS row's -noise
-        no_cols = np.zeros((3, 0))
-        sol = solve(LinearProgram(c=np.zeros(0), a_ub=no_cols, b_ub=[40.0, -2.5e-13, -1.0]))
-        assert sol.status == LpStatus.INFEASIBLE
-        np.testing.assert_array_equal(sol.infeasibility_certificate, [0.0, 1.0, 0.0])
-        lp = LinearProgram(c=np.zeros(0), a_ub=no_cols, b_ub=[40.0, 0.0, 1.0])
-        sol = solve(lp)
-        assert sol.status == LpStatus.OPTIMAL and sol.objective == 0.0
-        np.testing.assert_array_equal(sol.duals, np.zeros(3))
-        assert verify(lp, sol).worst == 0.0
+        # every power-min LP has a column per user, so an LP without variables is rejected
+        for rows in (np.zeros((3, 0)), np.zeros((0, 0))):
+            with pytest.raises(ValueError, match="^an LP needs at least one variable$"):
+                LinearProgram(c=np.zeros(0), a_ub=rows, b_ub=np.zeros(rows.shape[0]))
 
 
 class TestVerify:
@@ -277,9 +271,9 @@ class TestRobustness:
         scn = dict(edge_scenarios())["10 m"]
         stats = channel_stats(scn, np.random.default_rng(5))
         targets = QosTargets.uniform(1.0, scn)
-        mask = np.ones(stats.beta.shape, dtype=bool)
-        lp = build_lp(DropLp(stats, mask), targets, scn)
-        cold, warm = solve(lp), solve(lp, basis=_max_snr_basis(stats, targets, mask))
+        drop_lp = DropLp(stats)
+        lp = build_lp(drop_lp, targets, scn)
+        cold, warm = solve(lp), solve(lp, basis=drop_lp.start)
         assert row_excess(lp, cold.x) <= 1e-12
         assert cold.objective == pytest.approx(warm.objective, rel=1e-9)
 

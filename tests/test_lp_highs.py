@@ -22,7 +22,7 @@ from mimopower.lp import LpStatus
 from mimopower.lp import solve as lp_solve
 from mimopower.lp import verify
 from mimopower.maxmin import auto_upper_bound, solve_max_min
-from mimopower.power_assoc import DropLp, _max_snr_basis, build_lp, max_snr_mask
+from mimopower.power_assoc import DropLp, build_lp, max_snr_mask
 from mimopower.se import QosTargets
 
 optimize = pytest.importorskip("scipy.optimize")
@@ -82,10 +82,10 @@ def test_simplex_agrees_with_highs_on_a_sweep():
                 probes = solve_max_min(bracket, scn).trace
                 for xi in [1.0] + [p.candidate for p in probes]:
                     targets = QosTargets.uniform(xi, scn)
-                    lp = build_lp(DropLp(stats, mask), targets, scn)
+                    lp = build_lp(bracket, targets, scn)
                     status, objective, _ = highs(lp)
                     seen[status] += 1
-                    for hint in (None, _max_snr_basis(stats, targets, mask), bracket.basis):
+                    for hint in (None, bracket.start, bracket.basis):
                         sol = lp_solve(lp, basis=hint)
                         assert sol.status == status
                         if status == LpStatus.OPTIMAL:
@@ -127,10 +127,11 @@ def test_simplex_agrees_with_highs_on_power_min_edge_cases():
         for xi in (1.0, top, 0.999 * bound, 1.001 * bound):
             targets = QosTargets.uniform(xi, scn)
             for mask in (np.ones(stats.beta.shape, dtype=bool), max_snr_mask(stats.beta)):
-                lp = build_lp(DropLp(stats, mask), targets, scn)
+                drop_lp = DropLp(stats, mask)
+                lp = build_lp(drop_lp, targets, scn)
                 status, objective, excess = highs(lp)
                 seen[status] += 1
-                for hint in (None, _max_snr_basis(stats, targets, mask)):
+                for hint in (None, drop_lp.start):
                     sol = lp_solve(lp, basis=hint)
                     assert sol.status == status, (name, xi)
                     if status == LpStatus.OPTIMAL:

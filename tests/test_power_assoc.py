@@ -20,9 +20,7 @@ from mimopower.lp import solve as lp_solve
 from mimopower.maxmin import solve_max_min
 from mimopower.power_assoc import (
     DropLp,
-    PowerMinResult,
     _b_mat,
-    _max_snr_basis,
     association_rule_check,
     build_lp,
     max_snr_mask,
@@ -61,30 +59,18 @@ class TestBuildLp:
             rtol=1e-15,
         )
 
-    def test_negative_threshold_rejected(self, small_scenario, small_stats):
+    def test_negative_threshold_rejected(self, small_scenario):
         good = targets_for(small_scenario)
         xi_hat = good.xi_hat.copy()
         xi_hat[2] = -0.1
-        bad = QosTargets(xi=good.xi, xi_hat=xi_hat)
-        result = PowerMinResult(
-            status=LpStatus.OPTIMAL,
-            allowed=np.ones((4, 6), dtype=bool),
-            targets=bad,
-            allocation=PowerAllocation(np.ones((4, 6))),
-            qos_duals=np.ones(6),
-            power_duals=np.zeros(4),
-        )
-        with pytest.raises(ValueError, match="nonnegative"):
-            build_lp(DropLp(small_stats), bad, small_scenario)
-        with pytest.raises(ValueError, match="nonnegative"):
-            association_rule_check(small_stats, small_scenario, result)
+        with pytest.raises(ValueError, match="^SE targets must be positive$"):
+            QosTargets(xi=good.xi, xi_hat=xi_hat)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_rows_and_mask_match_references(self, seed):
         scn, stats = random_drop(seed, num_antennas=80, num_users=7)
         rng = np.random.default_rng(seed)
         xi = rng.uniform(0.2, 2.0, scn.num_users)
-        xi[rng.random(scn.num_users) < 0.3] = 0.0  # some zero-target users
         targets = QosTargets.from_se(xi, scn.coherence_length, scn.pilot_length)
         full = build_lp(DropLp(stats), targets, scn)
         a_ref, b_ref = power_min_lp_rows(
@@ -92,7 +78,7 @@ class TestBuildLp:
         )
         assert np.array_equal(full.a_ub, a_ref) and np.array_equal(full.b_ub, b_ref)
         one_hot = max_snr_mask(stats.beta)
-        for mask in (one_hot, rng.random(stats.beta.shape) < 0.5, np.ones_like(one_hot)):
+        for mask in (one_hot, (rng.random(stats.beta.shape) < 0.5) | one_hot, np.ones_like(one_hot)):
             lp = build_lp(DropLp(stats, mask), targets, scn)
             assert np.array_equal(lp.a_ub, full.a_ub[:, mask.T.ravel()])
             assert np.array_equal(lp.b_ub, full.b_ub)
@@ -104,6 +90,10 @@ class TestBuildLp:
         for mask in (every_user_on_bs0, np.ones((4, 5), dtype=bool)):
             with pytest.raises(ValueError, match=r"\(L, K\) = \(4, 6\)"):
                 DropLp(small_stats, mask)
+        user_3_unserved = np.ones((4, 6), dtype=bool)
+        user_3_unserved[:, 3] = False
+        with pytest.raises(ValueError, match="^allowed must grant every user at least one BS$"):
+            DropLp(small_stats, user_3_unserved)
 
     def test_int_mask_equals_bool_mask(self, small_scenario, small_stats):
         targets = targets_for(small_scenario, 0.5)
@@ -114,33 +104,23 @@ class TestBuildLp:
         assert np.array_equal(by_int.allocation.rho, by_bool.allocation.rho)
         assert np.array_equal(by_int.qos_duals, by_bool.qos_duals)
 
-    def test_all_false_mask(self, small_scenario, small_stats):
-        none = np.zeros((4, 6), dtype=bool)
-        targets = targets_for(small_scenario)
-        assert build_lp(DropLp(small_stats, none), targets, small_scenario).num_vars == 0
-        res = solve_power_min(DropLp(small_stats, none), targets, small_scenario)
-        assert res.status == LpStatus.INFEASIBLE
-        zero = QosTargets.from_se(
-            np.zeros(6), small_scenario.coherence_length, small_scenario.pilot_length
-        )
-        res = solve_power_min(DropLp(small_stats, none), zero, small_scenario)
-        assert res.feasible and res.objective == 0.0
-        assert np.array_equal(res.allocation.rho, np.zeros((4, 6)))
+    def test_all_false_mask(self, small_stats):
+        with pytest.raises(ValueError, match="^allowed must grant every user at least one BS$"):
+            DropLp(small_stats, np.zeros((4, 6), dtype=bool))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_reused_template_matches_loop_oracle(self, seed):
         """One template per mask serves every LP of a sequence of targets at
-        each antenna count, zero-target users before all-active targets: each
-        LP is the loop-form oracle's on the mask's columns, so no LP leaks
-        state (such as a zeroed row) into the next."""
+        each antenna count: each LP is the loop-form oracle's on the mask's
+        columns, so no LP leaks state (such as its own-power entries) into
+        the next."""
         base, stats = random_drop(seed, num_antennas=50, num_users=7)
         rng = np.random.default_rng(seed)
         shape = stats.beta.shape
-        masks = (None, max_snr_mask(stats.beta), rng.random(shape) < 0.5, np.zeros(shape, bool))
+        one_hot = max_snr_mask(stats.beta)
+        masks = (None, one_hot, (rng.random(shape) < 0.5) | one_hot)
         templates = [DropLp(stats, mask) for mask in masks]
-        partly_zero = rng.uniform(0.2, 2.0, shape[1])
-        partly_zero[[0, 3, 4]] = 0.0
-        sequence = (partly_zero, rng.uniform(0.2, 2.0, shape[1]), np.zeros(shape[1]), np.ones(shape[1]))
+        sequence = (rng.uniform(0.2, 2.0, shape[1]), rng.uniform(0.2, 2.0, shape[1]), np.ones(shape[1]))
         for m in (50, 100, 150, 200):
             scn = base.with_antennas(m)
             for xi in sequence:
@@ -154,18 +134,11 @@ class TestBuildLp:
                     assert np.array_equal(lp.c, np.ones(cols.sum()))
                     assert np.array_equal(lp.a_ub, a_ref[:, cols])
                     assert np.array_equal(lp.b_ub, b_ref)
-        assert build_lp(templates[-1], targets, scn).num_vars == 0
 
-    def test_zero_thresholds_give_zero_optimum(self, small_scenario, small_stats):
-        targets = QosTargets.from_se(
-            np.zeros(6), small_scenario.coherence_length, small_scenario.pilot_length
-        )
-        lp = build_lp(DropLp(small_stats), targets, small_scenario)
-        assert lp.num_rows == 10  # row count unchanged
-        np.testing.assert_array_equal(lp.a_ub[:6], np.zeros((6, 24)))
-        res = solve_power_min(DropLp(small_stats), targets, small_scenario)
-        assert res.feasible and res.objective == 0.0
-        assert not res.serving.any()
+    def test_zero_thresholds_give_zero_optimum(self, small_scenario):
+        # the paper's users all have an SE target above zero; zero is rejected
+        with pytest.raises(ValueError, match="^SE targets must be positive$"):
+            QosTargets.from_se(np.zeros(6), small_scenario.coherence_length, small_scenario.pilot_length)
 
 
 class TestSingleUserAnalytic:
@@ -291,16 +264,28 @@ class TestSolutionContracts:
         with pytest.raises(HarnessInvariantError, match="^achieved SE fell below its target$"):
             check_solution_invariants(small_stats, small_scenario, short)
 
-    def test_vacuous_user_passes_rule_check(self, small_scenario, small_stats):
+    def test_joint_user_without_a_binding_cap_is_caught(self, small_scenario, small_stats):
+        # at SE 0.5 every cap slack is basic, so each user has one serving BS;
+        # a second one for user 0 breaks both basis bounds, and moving user
+        # 1's BS to user 0 keeps the pair count and breaks the joint bound
+        res = solve_power_min(DropLp(small_stats), targets_for(small_scenario, 0.5), small_scenario)
+        assert res.feasible and np.isin(24 + 6 + np.arange(4), res.basis).all()
+        assert (res.serving.sum(axis=0) == 1).all()
+        check_solution_invariants(small_stats, small_scenario, res)
+        second = np.flatnonzero(~res.serving[:, 0])[0]
+        added = res.serving.copy()
+        added[second, 0] = True
+        moved = added.copy()
+        moved[:, 1] = False
+        for serving in (added, moved):
+            edited = dataclasses.replace(res, serving=serving)
+            with pytest.raises(HarnessInvariantError, match="^joint transmission beyond the binding caps"):
+                check_solution_invariants(small_stats, small_scenario, edited)
+
+    def test_vacuous_user_passes_rule_check(self, small_scenario):
         xi = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
-        targets = QosTargets.from_se(
-            xi, small_scenario.coherence_length, small_scenario.pilot_length
-        )
-        res = solve_power_min(DropLp(small_stats), targets, small_scenario)
-        assert res.feasible
-        assert not res.serving[:, [1, 3, 5]].any()
-        report = association_rule_check(small_stats, small_scenario, res)
-        assert report.passed
+        with pytest.raises(ValueError, match="^SE targets must be positive$"):
+            QosTargets.from_se(xi, small_scenario.coherence_length, small_scenario.pilot_length)
 
     def test_result_record_is_json_ready(self, small_scenario, small_stats):
         targets = targets_for(small_scenario, 1.0)
@@ -346,7 +331,7 @@ class TestPolicyWarmStart:
         BS, and the simplex moves some joint optima off it."""
         antennas, k = (50, 100, 150, 200), DEFAULT_NUM_USERS
         rng = np.random.default_rng(0)
-        cold_pivots = warm_pivots = guesses = carried = optimal = infeasible = moved = 0
+        cold_pivots = warm_pivots = carried = optimal = infeasible = moved = 0
         for _, scn0, stats in iter_drops(default_scenario(antennas[0], k, rng_seed=3), 3, 3):
             best = max_snr_mask(stats.beta)
             masks = (np.ones(stats.beta.shape, dtype=bool), best)
@@ -358,7 +343,7 @@ class TestPolicyWarmStart:
                     for xi in [1.0] + [p.candidate for p in probes]:
                         targets = QosTargets.uniform(xi, scn)
                         lp = build_lp(DropLp(stats, mask), targets, scn)
-                        guess = _max_snr_basis(stats, targets, mask)
+                        guess = DropLp(stats, mask).start
                         # (user, BS) of each structural column of the guess
                         pairs = np.argwhere(mask.T)[guess[:k]]
                         assert np.array_equal(pairs, np.argwhere(best.T))
@@ -367,7 +352,6 @@ class TestPolicyWarmStart:
                         assert_same_solution(lp, cold, lp_solve(lp, basis=bracket.basis))
                         cold_pivots += cold.iterations
                         warm_pivots += warm.iterations
-                        guesses += guess is not None
                         carried += bracket.basis is not None
                         if cold.status == LpStatus.INFEASIBLE:
                             infeasible += 1
@@ -386,19 +370,23 @@ class TestPolicyWarmStart:
                             fallback = lp_solve(lp, basis=hint)
                             assert fallback.iterations == cold.iterations
                             assert_same_solution(lp, cold, fallback)
-        assert optimal and infeasible and guesses and carried and moved
+        assert optimal and infeasible and carried and moved
         assert warm_pivots < cold_pivots  # the max-SNR hints were taken
 
     def test_no_guess_without_targets_or_allowed_bs(self, small_scenario, small_stats):
+        """The start basis exists for every mask ``DropLp`` accepts; a zero
+        target or a user with no allowed BS is rejected before any solve."""
         targets = targets_for(small_scenario)
         mask = np.ones(small_stats.beta.shape, dtype=bool)
-        assert _max_snr_basis(small_stats, targets, mask) is not None
-        zero = QosTargets(xi=np.r_[0.0, targets.xi[1:]], xi_hat=np.r_[0.0, targets.xi_hat[1:]])
-        assert _max_snr_basis(small_stats, zero, mask) is None
+        start = DropLp(small_stats, mask).start
+        assert np.array_equal(start[6:], 24 + 6 + np.arange(4))  # every cap slack
+        with pytest.raises(ValueError, match="^SE targets must be positive$"):
+            QosTargets(xi=np.r_[0.0, targets.xi[1:]], xi_hat=np.r_[0.0, targets.xi_hat[1:]])
         # banning user 0's strongest BS puts it on its second strongest
         strongest, second = np.argsort(small_stats.beta[:, 0])[[-1, -2]]
         mask[strongest, 0] = False
-        guess = _max_snr_basis(small_stats, targets, mask)
-        assert tuple(np.argwhere(mask.T)[guess[0]]) == (0, second)
+        start = DropLp(small_stats, mask).start
+        assert tuple(np.argwhere(mask.T)[start[0]]) == (0, second)
         mask[:, 0] = False
-        assert _max_snr_basis(small_stats, targets, mask) is None
+        with pytest.raises(ValueError, match="^allowed must grant every user at least one BS$"):
+            DropLp(small_stats, mask)
