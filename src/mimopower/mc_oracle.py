@@ -34,11 +34,13 @@ class McConfig:
     (the last batch takes the remainder), each from its own generator seeded
     by (rng_seed, batch index); the constant is part of the deterministic
     stream layout. A batch of nb draws is one (L, K+1, M, nb) complex64
-    stream, filled one BS slab (K+1, M, nb) after the other: the K beams'
-    channel estimates, then the target user's estimation error as beam K.
-    A slab is filled with uniform float32 draws, and each beam's
-    2 M nb floats become standard normals in place by Box-Muller, the first
-    half's radius paired with the second half's angle. Batches run in
+    stream of uniform float32 draws: at each BS, the K beams' channel
+    estimates, then the target user's estimation error as beam K. Each
+    beam's 2 M nb floats become standard normals in place by Box-Muller,
+    the first half's radius paired with the second half's angle. The layout
+    is unchanged however the stream is consumed: a worker jumps the batch's
+    generator to each beam's first word and draws that beam alone, so it
+    holds 2 M nb complex64 values whatever K is. Batches run in
     parallel, and their partial sums are merged in batch-index order, so
     the estimate depends on this config alone and not on the number of
     threads or their scheduling.
@@ -135,6 +137,8 @@ def estimate_sinr_terms(
     M = scenario.num_antennas
     if alloc.rho.shape != (L, K):
         raise ValueError("allocation shape mismatch")
+    if not isinstance(user, (int, np.integer)) or not 0 <= user < K:
+        raise ValueError(f"user must be an integer in [0, {K}), got {user!r}")
     gamma_u = stats.gamma[:, user]
     err_var_u = stats.error_variance[:, user]
 
@@ -145,37 +149,53 @@ def estimate_sinr_terms(
     # q = h^H z / sqrt(2 M); only the target user's channel needs its
     # variances applied. A batch of nb draws is one (L, K+1, M, nb) stream:
     # at each BS, the K beams' estimates, then the target user's estimation
-    # error as beam K. It is filled and contracted one BS slab (K+1, M, nb)
-    # at a time, which keeps one slab and one Box-Muller slice per worker
-    # thread in memory and the per-slab work at one uniform fill, one
-    # in-place Box-Muller pass and one contraction. Draws are float32,
-    # moments accumulate in float64.
+    # error as beam K. The layout is the one McConfig documents, but a
+    # worker does not fill it in order: it jumps the batch's generator to
+    # each beam's first word and draws that beam alone, so it holds two
+    # (M, nb) beams (2 M nb complex64 values) and one Box-Muller slice.
+    # Per BS it draws the error and the user's beam, forms conj(h_{i,user})
+    # from them, and then contracts it with one beam after the other. Draws
+    # are float32, moments accumulate in float64.
     hat_scale = np.sqrt(gamma_u / 2.0).astype(np.float32)
     err_scale = np.sqrt(err_var_u / 2.0).astype(np.float32)
     scratch = threading.local()
 
     def batch_sums(b: int) -> tuple:
         nb = min(cfg.batch_size, n_total - b * cfg.batch_size)
-        z = getattr(scratch, "z", None)
-        if z is None or z.shape[2] != nb:
-            z = scratch.z = np.empty((K + 1, M, nb), dtype=np.complex64)
-        t = getattr(scratch, "t", None)
-        if t is None:
-            t = scratch.t = np.empty(_BOX_MULLER_SLICE, dtype=np.float32)
+        if getattr(scratch, "nb", None) != nb:
+            scratch.nb = nb
+            scratch.h = np.empty((M, nb), dtype=np.complex64)
+            scratch.w = np.empty_like(scratch.h)
+            scratch.t = np.empty(_BOX_MULLER_SLICE, dtype=np.float32)
+        h, w, t = scratch.h, scratch.w, scratch.t
         rng = np.random.default_rng([cfg.rng_seed, b])
+        start = rng.bit_generator.state
+
+        def draw(i: int, k: int, out: np.ndarray) -> None:
+            # A float32 fill takes two floats per 64-bit word, so beam (i, k)
+            # starts at word (i (K+1) + k) M nb, with no half-word buffered.
+            rng.bit_generator.state = start
+            rng.bit_generator.advance((i * (K + 1) + k) * M * nb)
+            rng.random(out=out.view(np.float32), dtype=np.float32)
+            _box_muller(out[None], t)
+
+        q = np.empty((K, nb), dtype=complex)
         sum_q = np.zeros(L, dtype=complex)  # own-beam inner products
         sum_q2 = np.zeros(L, dtype=complex)  # their complex squares
         sum_m2 = np.zeros((L, K))  # |h^H w_t|^2
         sum_m4 = np.zeros((L, K))  # |h^H w_t|^4
         for i in range(L):
-            rng.random(out=z.view(np.float32), dtype=np.float32)
-            _box_muller(z, t)
-            h = z[K]  # the error beam becomes conj(h_{i,user}) in place
+            draw(i, K, h)  # the error beam becomes conj(h_{i,user}) in place
+            draw(i, user, w)
             h *= -err_scale[i]
-            h += hat_scale[i] * z[user]
+            h += hat_scale[i] * w
             np.conjugate(h, out=h)
-            # q[t, s] = h_{i,user}(s)^H w_{i,t}(s)
-            q = np.einsum("ms,tms->ts", h, z[:K]).astype(np.complex128)
+            # q[k, s] = h_{i,user}(s)^H w_{i,k}(s)
+            q[user] = np.einsum("ms,ms->s", h, w)
+            for k in range(K):
+                if k != user:
+                    draw(i, k, w)
+                    q[k] = np.einsum("ms,ms->s", h, w)
             q /= np.sqrt(2.0 * M)
             q_abs2 = q.real**2 + q.imag**2
             qk = q[user]

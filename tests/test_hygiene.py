@@ -1,7 +1,7 @@
 """Static checks on the source tree, with the standard library's ``ast`` only:
 no unused imports, no module-level private name of the package that nothing
-in ``src/`` uses, and no function in ``src/`` with a parameter its body
-never reads."""
+in ``src/`` uses, no function in ``src/`` with a parameter its body never
+reads, and no random draw in ``src/`` outside a seeded generator."""
 
 import ast
 from pathlib import Path
@@ -98,3 +98,46 @@ def test_every_parameter_is_read():
         for func, param in _unread_parameters(_tree(path))
     ]
     assert not unread, f"parameters their functions never read: {unread}"
+
+
+# numpy.random names that build or seed an explicit generator; every other
+# name there is the legacy global-state API (np.random.seed, rand, normal, ...).
+SEEDED_RNG_NAMES = {"default_rng", "Generator", "PCG64", "SeedSequence"}
+
+
+def _global_rng_uses(tree):
+    """(line, name) of each use of numpy's legacy global RNG or of the
+    standard library's ``random`` module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(alias.name == "random" for alias in node.names):
+                yield node.lineno, "import random"
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "random":
+                yield node.lineno, "from random import ..."
+            elif node.module == "numpy.random":
+                for alias in node.names:
+                    if alias.name not in SEEDED_RNG_NAMES:
+                        yield node.lineno, f"numpy.random.{alias.name}"
+            elif node.module == "numpy" and any(a.name == "random" for a in node.names):
+                yield node.lineno, "from numpy import random"
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "random"
+            and isinstance(node.value.value, ast.Name)
+            and node.value.value.id in ("np", "numpy")
+            and node.attr not in SEEDED_RNG_NAMES
+        ):
+            yield node.lineno, f"np.random.{node.attr}"
+
+
+def test_src_draws_only_from_seeded_generators():
+    """Every draw comes from a generator built from explicit seeds, so that
+    outputs depend on the seeds alone and not on hidden global state."""
+    uses = [
+        f"{path.name}:{line}: {name}"
+        for path in _files("src")
+        for line, name in _global_rng_uses(_tree(path))
+    ]
+    assert not uses, f"random draws outside a seeded generator: {uses}"

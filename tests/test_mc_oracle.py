@@ -1,11 +1,14 @@
 import dataclasses
+import hashlib
+import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mimopower import mc_oracle
-from mimopower.harness import random_validation_scenario
+from mimopower.harness import random_validation_scenario, validate_closed_form
 from mimopower.mc_oracle import McConfig, estimate_sinr_terms
 from mimopower.se import PowerAllocation, sinr_mrt_all
 
@@ -143,3 +146,35 @@ class TestSinrEstimate:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             McConfig(num_samples=0)
+
+    @pytest.mark.parametrize("user", [-1, 8, 1.5], ids=["negative", "K", "non-integer"])
+    def test_rejects_out_of_range_user(self, user):
+        scn, stats, alloc, _ = random_validation_scenario(3, rng_seed=0)
+        assert scn.num_users == 8
+        with pytest.raises(ValueError, match="user"):
+            estimate_sinr_terms(stats, alloc, scn, user, McConfig(num_samples=64, rng_seed=1))
+
+    def test_working_set_does_not_grow_with_users(self):
+        # A worker holds two (M, nb) complex64 beams, not a (K+1, M, nb) slab:
+        # at K = 8 the slab alone would be 9 M nb * 8 B.
+        scn, stats, alloc, user = random_validation_scenario(27, rng_seed=1)
+        L, K, M = scn.num_bs, scn.num_users, scn.num_antennas
+        assert (L, K, M) == (4, 8, 64)
+        nb = McConfig.batch_size
+        cfg = McConfig(num_samples=nb, rng_seed=1)  # one batch: a pool of one
+        tracemalloc.start()
+        try:
+            estimate_sinr_terms(stats, alloc, scn, user, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * M * nb * 8
+
+    def test_validation_records_digest(self):
+        # Seed 0's scenarios 0-5 cover L in {2, 3, 4}, K in {1, 4, 6, 8},
+        # M in {16, 64} and users 0, 1, 3 and 5; the sample count leaves a
+        # 17-draw last batch. The digest pins the stream layout and the order
+        # of every floating-point step of the estimate.
+        records = validate_closed_form(6, 2 * McConfig.batch_size + 17, rng_seed=0)
+        digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+        assert digest == "543b873e3dd63e74c7544177b9508810a12f6cd8673f0e20c1d62550b5968b0c"
