@@ -153,9 +153,7 @@ def estimate_sinr_terms(
     # worker does not fill it in order: it jumps the batch's generator to
     # each beam's first word and draws that beam alone, so it holds two
     # (M, nb) beams (2 M nb complex64 values) and one Box-Muller slice.
-    # Per BS it draws the error and the user's beam, forms conj(h_{i,user})
-    # from them, and then contracts it with one beam after the other. Draws
-    # are float32, moments accumulate in float64.
+    # Draws are float32, moments accumulate in float64.
     hat_scale = np.sqrt(gamma_u / 2.0).astype(np.float32)
     err_scale = np.sqrt(err_var_u / 2.0).astype(np.float32)
     scratch = threading.local()
