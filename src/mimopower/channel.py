@@ -13,6 +13,7 @@ so that beta - gamma is the estimation-error variance.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -234,9 +235,9 @@ def _parse_power(entry, length):
 
 
 def _count(value) -> int:
-    """A JSON integer, or a float with an integral value, as an int."""
+    """An integer (a bool is not one), or a float with an integral value, as an int."""
     if isinstance(value, bool) or not (
-        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+        isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
     ):
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
@@ -249,8 +250,10 @@ def _real(value) -> float:
 
 
 def scenario_from_json_dict(d: dict) -> NetworkScenario:
-    """The scenario a JSON dict describes; a missing or wrongly typed field,
-    or a count that is not an integer, raises ValueError naming the field."""
+    """The scenario a JSON object describes; any other top level, a missing or
+    wrongly typed field, or a non-integer count raises ValueError naming it."""
+    if not isinstance(d, dict):
+        raise ValueError(f"scenario JSON must be an object, got {type(d).__name__}")
 
     def field(name, convert, *args):
         if name not in d:

@@ -113,11 +113,10 @@ def _cmd_sweep(args) -> int:
         scenario_path=args.scenario,
         num_users=_num_users(args),
         delta=args.delta,
-        collect_traces=args.trace,
     )
     result = run_sweep(spec)
     if args.out:
-        for path in emit_results(result, args.out):
+        for path in emit_results(result, args.out, traces=args.trace):
             print(f"wrote {path}")
     else:
         sys.stdout.write(results_csv(result.table))

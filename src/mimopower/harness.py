@@ -23,6 +23,7 @@ import numpy as np
 from .channel import (
     ChannelStats,
     NetworkScenario,
+    _count,
     channel_stats,
     dbm_to_watt,
     load_scenario,
@@ -95,10 +96,13 @@ class SweepSpec:
     scenario_path: str | None = None
     num_users: int = DEFAULT_NUM_USERS
     delta: float = DEFAULT_DELTA
-    collect_traces: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "antenna_counts", tuple(int(m) for m in self.antenna_counts))
+        for name, convert in (("antenna_counts", lambda ms: tuple(map(_count, ms))), ("num_drops", _count)):
+            try:
+                object.__setattr__(self, name, convert(getattr(self, name)))
+            except ValueError as e:
+                raise ValueError(f"{name}: {e}") from e
         if not self.antenna_counts:
             raise ValueError("antenna_counts must be nonempty")
         if len(set(self.antenna_counts)) < len(self.antenna_counts):
@@ -199,8 +203,8 @@ def solve_cell(
     ``last_feasible``, all go through ``check_solution_invariants`` at their
     own targets. A failed check raises HarnessInvariantError, and any
     RuntimeError is re-raised with its type and a message naming the cell.
-    Power-min solves start from max-SNR association; maxmin bisections also
-    use and extend the probe outcomes and carried basis of the pair.
+    Each solve starts from its ``DropLp``'s basis, max-SNR association until
+    a max-min probe moves it; bisections also use and extend probe outcomes.
     """
     try:
         if mode == "powermin":
@@ -240,9 +244,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         for m in spec.antenna_counts:
             scn = scn0.with_antennas(m)
             drops[m].append(solve_cell(lps, scn, spec.mode, d, targets, spec.delta))
-    # collect_traces picks the files written, not their contents
-    spec_fields = {k: v for k, v in asdict(spec).items() if k != "collect_traces"}
-    config = {"spec": spec_fields, "base_scenario": scenario_to_json_dict(base)}
+    config = {"spec": asdict(spec), "base_scenario": scenario_to_json_dict(base)}
     return SweepResult(spec=spec, drops=drops, table=aggregate_table(spec, drops), config=config)
 
 
@@ -290,9 +292,10 @@ def results_csv(table: list) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_results(result: SweepResult, out_dir) -> tuple:
+def emit_results(result: SweepResult, out_dir, traces: bool = False) -> tuple:
     """Write results.csv (one row per antenna-count/metric) plus a config.json
-    sidecar carrying the sweep spec, base scenario and seed; returns the paths."""
+    sidecar carrying the sweep spec, base scenario and seed, and with
+    ``traces`` a maxmin sweep's per-probe traces.jsonl; returns the paths."""
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "results.csv")
     with open(csv_path, "w") as fh:
@@ -303,7 +306,7 @@ def emit_results(result: SweepResult, out_dir) -> tuple:
         fh.write("\n")
     paths = [csv_path, json_path]
     spec = result.spec
-    if spec.mode == "maxmin" and spec.collect_traces:
+    if spec.mode == "maxmin" and traces:
         trace_path = os.path.join(out_dir, "traces.jsonl")
         with open(trace_path, "w") as fh:
             for d in range(spec.num_drops):

@@ -21,10 +21,10 @@ bisection it never answers, since every candidate lies strictly inside
 (lower, upper). When the last feasible level was answered that way, its LP
 is solved once at exactly that candidate for the allocation and the duals.
 
-The ``DropLp`` also carries the optimal basis of the last feasible probe,
-and every probe (and that re-solve) starts the simplex there: it is usually
-a few pivots from the next probe's optimal basis, and the result depends
-only on that basis, not on where the simplex started.
+Every probe (and that re-solve) starts the simplex from ``DropLp.basis``,
+and a feasible probe writes its optimal basis back: it is usually a few
+pivots from the next probe's optimal basis, and the result depends only on
+that basis, not on where the simplex started.
 """
 
 from __future__ import annotations
@@ -156,8 +156,8 @@ def solve_max_min(
 
 
 def _probe(lp: DropLp, targets, scenario) -> PowerMinResult:
-    """A solve from the carried basis; a feasible result carries its own."""
-    res = solve_power_min(lp, targets, scenario, basis=lp.basis)
+    """A solve from ``lp.basis``; a feasible result writes its own back."""
+    res = solve_power_min(lp, targets, scenario)
     if res.feasible:
         lp.basis = res.basis
     return res

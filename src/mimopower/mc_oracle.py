@@ -90,29 +90,28 @@ _BOX_MULLER_SLICE = 32768
 
 
 def _box_muller(z: np.ndarray, t: np.ndarray) -> None:
-    """Turn the uniform [0, 1) float32 draws in slab ``z`` into standard
+    """Turn the uniform [0, 1) float32 draws in beam ``z`` into standard
     normals in place (Box and Muller, 1958).
 
-    Each beam ``z[k]``'s floats are two halves u1 and u2, taken ``t.size``
-    floats at a time with ``t`` as the only scratch: u1 <- sqrt(-2 ln(1 - u1)),
-    so the log never sees 0, then (u1, u2) <- u1 * (cos 2 pi u2, sin 2 pi u2).
+    The beam's floats are two halves u1 and u2, taken ``t.size`` floats at a
+    time with ``t`` as the only scratch: u1 <- sqrt(-2 ln(1 - u1)), so the
+    log never sees 0, then (u1, u2) <- u1 * (cos 2 pi u2, sin 2 pi u2).
     Float32 uniforms are multiples of 2**-24, so |x| <= sqrt(48 ln 2) ~ 5.77.
     """
-    beams = z.view(np.float32).reshape(z.shape[0], -1)
-    half = beams.shape[1] // 2
-    for beam in beams:
-        for lo in range(0, half, t.size):
-            hi = min(lo + t.size, half)
-            r, u2, ang = beam[lo:hi], beam[half + lo : half + hi], t[: hi - lo]
-            np.subtract(1.0, r, out=r)
-            np.log(r, out=r)
-            r *= -2.0
-            np.sqrt(r, out=r)
-            np.multiply(u2, 2.0 * np.pi, out=ang)
-            np.sin(ang, out=u2)
-            u2 *= r
-            np.cos(ang, out=ang)
-            r *= ang
+    beam = z.view(np.float32).ravel()
+    half = beam.size // 2
+    for lo in range(0, half, t.size):
+        hi = min(lo + t.size, half)
+        r, u2, ang = beam[lo:hi], beam[half + lo : half + hi], t[: hi - lo]
+        np.subtract(1.0, r, out=r)
+        np.log(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        np.multiply(u2, 2.0 * np.pi, out=ang)
+        np.sin(ang, out=u2)
+        u2 *= r
+        np.cos(ang, out=ang)
+        r *= ang
 
 
 def estimate_sinr_terms(
@@ -175,7 +174,7 @@ def estimate_sinr_terms(
             rng.bit_generator.state = start
             rng.bit_generator.advance((i * (K + 1) + k) * M * nb)
             rng.random(out=out.view(np.float32), dtype=np.float32)
-            _box_muller(out[None], t)
+            _box_muller(out, t)
 
         q = np.empty((K, nb), dtype=complex)
         sum_q = np.zeros(L, dtype=complex)  # own-beam inner products

@@ -30,11 +30,12 @@ one ``DropLp`` serves every power-min solve and max-min probe of a drop.
 are the only LP builder and the only solve: sweeps, ``drop`` and max-min
 probes all call them.
 
-``solve_power_min`` starts the simplex from a given basis, or else from
-``DropLp.start``, max-SNR association within the mask; at that basis its
-duals are the rule's lambda with mu = 0, so the primal simplex's pivots are
-the moves to the optimal association. From a guess that exceeds a cap, the dual simplex first
-pivots back inside the caps. A guess never decides anything: only the simplex
+``solve_power_min`` starts the simplex from ``DropLp.basis``. A new
+``DropLp`` sets it to max-SNR association within the mask; at that basis
+the duals are the rule's lambda with mu = 0, so the primal simplex's pivots
+are the moves to the optimal association. From a guess that exceeds a cap,
+the dual simplex first pivots back inside the caps. Only max-min probes
+move it (see ``maxmin``). A guess never decides anything: only the simplex
 proves optimality or infeasibility (the dual simplex's Farkas certificate).
 """
 
@@ -73,16 +74,17 @@ class DropLp:
     user-major order; None allows every pair, and a mask of any other shape,
     or one that leaves some user without a BS, raises ValueError.
 
-    ``start`` is the default start basis, built once: each user's strongest
-    (largest beta) allowed column plus every cap row's slack.
+    ``basis`` is where every solve of this object starts the simplex. It
+    starts as max-SNR association within the mask: each user's strongest
+    (largest beta) allowed column plus every cap row's slack. A feasible
+    max-min probe replaces it with its own optimal basis.
 
     ``feasible`` and ``infeasible`` are the max-min probe outcomes, a
     feasibility bracket keyed by the s-vectors s = M / xi_hat (see
     ``maxmin``). Only the minimal feasible and the maximal infeasible
     s-vectors are kept; with uniform weights every s has equal entries, so
     each list holds at most one vector. Entries never contradict: a probe
-    the stored ones decide is answered, not recorded. ``basis`` is the
-    optimal basis of the last feasible probe, the next probe's start hint.
+    the stored ones decide is answered, not recorded.
     """
 
     def __init__(self, stats: ChannelStats, allowed=None):
@@ -95,20 +97,16 @@ class DropLp:
         self.mask = np.array(allowed, dtype=bool)
         if not self.mask.any(axis=0).all():
             raise ValueError("allowed must grant every user at least one BS")
-        # a[r, t, i] is the coefficient of rho[i, t] in row r: beta[i, r] in
-        # QoS row r < K, and 1 in cap row K + i
-        a = np.empty((K + L, K, L))
-        a[:K] = stats.beta.T[:, None, :]
-        a[K:] = np.eye(L)[:, None, :]
-        self.a = a.reshape(K + L, K * L)[:, self.mask.T.ravel()]
-        # the masked columns are mask.T's True entries: column j is rho[bss[j], users[j]]
+        # column j is rho[bss[j], users[j]] (mask.T's True entries, user-major):
+        # beta[bss[j], r] in QoS row r < K, and 1 in cap row K + bss[j]
         users, bss = np.nonzero(self.mask.T)
+        self.a = np.vstack([stats.beta[bss].T, np.eye(L)[:, bss]])
         self._own = (users, np.arange(users.size))  # its own-power entry in a
         self._b_index = (users, bss)  # and in _b_mat
         self.c = np.ones(users.size)
         strongest = max_snr_mask(np.where(self.mask, stats.beta, 0.0))
-        self.start = np.r_[np.flatnonzero(strongest.T[self.mask.T]), users.size + K + np.arange(L)]
-        self.feasible, self.infeasible, self.basis = [], [], None
+        self.basis = np.r_[np.flatnonzero(strongest.T[self.mask.T]), users.size + K + np.arange(L)]
+        self.feasible, self.infeasible = [], []
 
     def lookup(self, s: np.ndarray) -> bool | None:
         """True if s dominates a feasible entry, False if an infeasible entry
@@ -175,17 +173,13 @@ class PowerMinResult:
         return out
 
 
-def solve_power_min(
-    lp: DropLp, targets: QosTargets, scenario: NetworkScenario, basis=None
-) -> PowerMinResult:
+def solve_power_min(lp: DropLp, targets: QosTargets, scenario: NetworkScenario) -> PowerMinResult:
     """Minimum-power allocation and association for fixed SE targets on
     ``lp``'s drop, each user drawing power only from the BSs its mask grants.
 
-    ``basis`` is the simplex's start hint (see ``lp.solve``), such as the
-    ``basis`` of an earlier result under the same mask; None starts from
-    ``lp.start``, max-SNR association within the mask."""
+    The simplex starts from ``lp.basis`` (see ``lp.solve``)."""
     program = build_lp(lp, targets, scenario)
-    sol = lp_solve(program, basis=lp.start if basis is None else basis)
+    sol = lp_solve(program, basis=lp.basis)
     if sol.status != LpStatus.OPTIMAL:
         return PowerMinResult(status=sol.status, allowed=lp.mask, targets=targets)
     rho = np.zeros(lp.mask.shape)

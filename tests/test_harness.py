@@ -3,6 +3,7 @@ import hashlib
 import inspect
 import json
 import os
+import re
 import runpy
 
 import numpy as np
@@ -52,6 +53,25 @@ class TestDefaults:
             SweepSpec(antenna_counts=(50,), mode="zen")
         with pytest.raises(ValueError, match="repeat"):
             SweepSpec(antenna_counts=(50, 100, 50))
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"antenna_counts": (50.9, 100)}, "antenna_counts: expected an integer, got 50.9"),
+            ({"antenna_counts": (True,)}, "antenna_counts: expected an integer, got True"),
+            ({"antenna_counts": (50,), "num_drops": 2.5}, "num_drops: expected an integer, got 2.5"),
+            ({"antenna_counts": (50,), "num_drops": False}, "num_drops: expected an integer, got False"),
+        ],
+        ids=["fractional-count", "bool-count", "fractional-drops", "bool-drops"],
+    )
+    def test_spec_rejects_non_integer_counts(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SweepSpec(**kwargs)
+
+    def test_spec_keeps_integral_counts_as_ints(self):
+        spec = SweepSpec(antenna_counts=(50.0, np.int64(100)), num_drops=np.int32(3))
+        assert spec.antenna_counts == (50, 100) and spec.num_drops == 3
+        assert all(type(v) is int for v in (*spec.antenna_counts, spec.num_drops))
 
 
 class TestSweeps:
@@ -253,11 +273,10 @@ class TestEmit:
 
     def test_traces_written_in_maxmin_mode(self, tmp_path):
         spec = SweepSpec(
-            antenna_counts=(60, 100), mode="maxmin", num_drops=2, rng_seed=4, num_users=6,
-            collect_traces=True,
+            antenna_counts=(60, 100), mode="maxmin", num_drops=2, rng_seed=4, num_users=6
         )
         result = run_sweep(spec)
-        trace_path = emit_results(result, tmp_path / "tr")[-1]
+        trace_path = emit_results(result, tmp_path / "tr", traces=True)[-1]
         assert trace_path.endswith("traces.jsonl")
         recs = [json.loads(line) for line in open(trace_path)]
         # drop-major, then antenna count
@@ -283,9 +302,9 @@ class TestRunDrop:
         max_snr = DropLp(small_stats, max_snr_mask(small_stats.beta))
         assert solve_power_min(max_snr, targets, small_scenario).feasible
 
-        def joint_infeasible(lp, targets, scenario, basis=None):
+        def joint_infeasible(lp, targets, scenario):
             if not lp.mask.all():
-                return solve_power_min(lp, targets, scenario, basis)
+                return solve_power_min(lp, targets, scenario)
             return PowerMinResult(LpStatus.INFEASIBLE, lp.mask, targets)
 
         monkeypatch.setattr(harness, "solve_power_min", joint_infeasible)
@@ -421,6 +440,15 @@ class TestCli:
         path.write_text(json.dumps(record))
         assert cli.main(["drop", "--scenario", str(path), "--mode", mode]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "text, kind", [("42", "int"), ("null", "NoneType"), ("[1, 2]", "list")], ids=["int", "null", "list"]
+    )
+    def test_scenario_top_level_not_an_object_exits_1(self, text, kind, tmp_path, capsys):
+        path = tmp_path / "scn.json"
+        path.write_text(text)
+        assert cli.main(["drop", "--scenario", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: scenario JSON must be an object, got {kind}\n"
 
     def test_bs_rectangle_inside_the_exclusion_exits_1(self, tmp_path, small_scenario, capsys):
         # every point of a 5 m x 5 m BS rectangle lies within 10 m of a BS

@@ -1,12 +1,21 @@
 """Static checks on the source tree, with the standard library's ``ast`` only:
 no unused imports, no module-level private name of the package that nothing
 in ``src/`` uses, no function in ``src/`` with a parameter its body never
-reads, and no random draw in ``src/`` outside a seeded generator."""
+reads, and no random draw in ``src/`` outside a seeded generator. One more
+check imports the package: every dotted name README.md gives of it resolves."""
 
 import ast
+import dataclasses
+import importlib
+import inspect
+import pkgutil
+import re
+import textwrap
 from pathlib import Path
 
 import pytest
+
+import mimopower
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -141,3 +150,74 @@ def test_src_draws_only_from_seeded_generators():
         for line, name in _global_rng_uses(_tree(path))
     ]
     assert not uses, f"random draws outside a seeded generator: {uses}"
+
+
+def _package_roots():
+    """The names a README reference may start with: the package, each of
+    its modules, and each class they define."""
+    modules = {"mimopower": mimopower}
+    for info in pkgutil.iter_modules(mimopower.__path__):
+        modules[info.name] = importlib.import_module(f"mimopower.{info.name}")
+    classes = {
+        name: obj
+        for module in modules.values()
+        for name, obj in vars(module).items()
+        if inspect.isclass(obj) and obj.__module__.startswith("mimopower.")
+    }
+    return {**modules, **classes}
+
+
+def _init_assigns(cls, name):
+    """Whether the class's own ``__init__`` assigns ``self.<name>``."""
+    init = cls.__dict__.get("__init__")
+    if not inspect.isfunction(init):
+        return False
+    tree = ast.parse(textwrap.dedent(inspect.getsource(init)))
+    return any(
+        isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+        and node.attr == name
+        for node in ast.walk(tree)
+    )
+
+
+def _resolves(obj, parts):
+    """Whether ``parts`` name attributes down from ``obj``: a module's by
+    getattr, a class's as a dataclass field, a class attribute or a
+    ``self.<name> =`` in its ``__init__``."""
+    for i, part in enumerate(parts):
+        if inspect.isclass(obj) and not hasattr(obj, part):
+            fields = {f.name for f in dataclasses.fields(obj)} if dataclasses.is_dataclass(obj) else set()
+            # an instance attribute: nothing further to follow
+            return (part in fields or _init_assigns(obj, part)) and i == len(parts) - 1
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def _unresolved_references(text, roots):
+    """The backticked dotted names in ``text`` that start with a name in
+    ``roots`` but do not resolve, and how many such references it holds.
+    Others, such as the file name ``config.json``, are not the package's."""
+    refs = [
+        name
+        for name in re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", text)
+        if name.split(".")[0] in roots
+    ]
+    unresolved = [name for name in refs if not _resolves(roots[name.split(".")[0]], name.split(".")[1:])]
+    return unresolved, len(refs)
+
+
+def test_readme_references_resolve():
+    roots = _package_roots()
+    unresolved, count = _unresolved_references((ROOT / "README.md").read_text(), roots)
+    assert count > 0, "README.md names nothing of the package: the check checks nothing"
+    assert not unresolved, f"README.md names what the package does not have: {unresolved}"
+
+
+def test_readme_check_catches_a_stale_name():
+    text = "`DropLp.basis`, `DropLp.begin`, `power_assoc.DropLp.mask`, `se.gone`, `config.json`"
+    assert _unresolved_references(text, _package_roots()) == (["DropLp.begin", "se.gone"], 4)

@@ -273,7 +273,7 @@ class TestRobustness:
         targets = QosTargets.uniform(1.0, scn)
         drop_lp = DropLp(stats)
         lp = build_lp(drop_lp, targets, scn)
-        cold, warm = solve(lp), solve(lp, basis=drop_lp.start)
+        cold, warm = solve(lp), solve(lp, basis=drop_lp.basis)
         assert row_excess(lp, cold.x) <= 1e-12
         assert cold.objective == pytest.approx(warm.objective, rel=1e-9)
 

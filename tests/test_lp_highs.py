@@ -69,23 +69,24 @@ def test_simplex_agrees_with_highs_on_random_lps(seed):
 
 def test_simplex_agrees_with_highs_on_a_sweep():
     """Every LP of a 2-drop sweep (M 50..200, joint and max-SNR, SE 1.0 and
-    every max-min probe), solved cold, from the max-SNR guess and from the
-    basis a shared bracket carries: the statuses agree with HiGHS, optimal
-    objectives match to 1e-9 relative and every certificate is valid."""
+    every max-min probe), solved cold, from a fresh ``DropLp``'s max-SNR
+    basis and from the basis a shared ``DropLp``'s bisections carry: the
+    statuses agree with HiGHS, optimal objectives match to 1e-9 relative
+    and every certificate is valid."""
     k = DEFAULT_NUM_USERS
     seen = {status: 0 for status in LpStatus}
     for _, scn0, stats in iter_drops(default_scenario(50, k, rng_seed=4), 4, 2):
         for mask in (np.ones(stats.beta.shape, dtype=bool), max_snr_mask(stats.beta)):
-            bracket = DropLp(stats, mask)
+            fresh, shared = DropLp(stats, mask), DropLp(stats, mask)
             for m in (50, 100, 150, 200):
                 scn = scn0.with_antennas(m)
-                probes = solve_max_min(bracket, scn).trace
+                probes = solve_max_min(shared, scn).trace
                 for xi in [1.0] + [p.candidate for p in probes]:
                     targets = QosTargets.uniform(xi, scn)
-                    lp = build_lp(bracket, targets, scn)
+                    lp = build_lp(shared, targets, scn)
                     status, objective, _ = highs(lp)
                     seen[status] += 1
-                    for hint in (None, bracket.start, bracket.basis):
+                    for hint in (None, fresh.basis, shared.basis):
                         sol = lp_solve(lp, basis=hint)
                         assert sol.status == status
                         if status == LpStatus.OPTIMAL:
@@ -131,7 +132,7 @@ def test_simplex_agrees_with_highs_on_power_min_edge_cases():
                 lp = build_lp(drop_lp, targets, scn)
                 status, objective, excess = highs(lp)
                 seen[status] += 1
-                for hint in (None, drop_lp.start):
+                for hint in (None, drop_lp.basis):
                     sol = lp_solve(lp, basis=hint)
                     assert sol.status == status, (name, xi)
                     if status == LpStatus.OPTIMAL:

@@ -197,7 +197,7 @@ def assert_same_result(a, b):
         assert np.array_equal(a.last_feasible.power_duals, b.last_feasible.power_duals)
 
 
-class TestFeasibilityBracket:
+class TestProbeOutcomes:
     """The probe outcomes and carried basis a DropLp keeps for its bisections."""
 
     def test_componentwise_dominance(self, small_stats):
@@ -241,8 +241,9 @@ class TestFeasibilityBracket:
     def test_carried_basis_hints_match_cold_solves(self, monkeypatch):
         """Every probe LP of three drops, joint and max-SNR, with a DropLp
         shared across antenna counts: started from its carried basis, it
-        gives the bits of a cold ``solve_power_min`` (max-SNR start) when
-        optimal and its status when infeasible, in fewer pivots in total."""
+        gives the bits of a ``solve_power_min`` on a fresh DropLp (max-SNR
+        start) when optimal and its status when infeasible, in fewer pivots
+        in total."""
         pivots = []
         real_lp = power_assoc.lp_solve
 
@@ -253,10 +254,10 @@ class TestFeasibilityBracket:
 
         probes = []
 
-        def recording(lp, targets, scenario, basis=None):
-            res = solve_power_min(lp, targets, scenario, basis=basis)
+        def recording(lp, targets, scenario):
+            res = solve_power_min(lp, targets, scenario)
             args = (DropLp(lp.stats, lp.mask), targets, scenario)
-            probes.append((args, basis, res, pivots[-1]))
+            probes.append((args, lp.basis, res, pivots[-1]))
             return res
 
         monkeypatch.setattr(power_assoc, "lp_solve", counting)
@@ -272,7 +273,7 @@ class TestFeasibilityBracket:
             cold = solve_power_min(*args)
             hinted_pivots += used
             cold_pivots += pivots[-1]
-            hinted += basis is not None
+            hinted += not np.array_equal(basis, args[0].basis)
             assert res.status == cold.status
             if not cold.feasible:
                 infeasible += 1

@@ -25,7 +25,9 @@ FLOAT32_RADIUS = np.sqrt(-2.0 * np.log(2.0**-24))
 def box_muller_draw(seed, shape, slice_size=mc_oracle._BOX_MULLER_SLICE):
     z = np.empty(shape, dtype=np.complex64)
     np.random.default_rng(seed).random(out=z.view(np.float32), dtype=np.float32)
-    mc_oracle._box_muller(z, np.empty(slice_size, dtype=np.float32))
+    t = np.empty(slice_size, dtype=np.float32)
+    for beam in z:
+        mc_oracle._box_muller(beam, t)
     return z
 
 
@@ -55,7 +57,7 @@ class TestBoxMuller:
         # stay finite; u2 = 0 and 1/4 point along the cos and sin axes.
         u1 = np.array([0.0, 0.0, 1.0 - 2.0**-24, 1.0 - 2.0**-24], dtype=np.float32)
         u2 = np.array([0.0, 0.25, 0.0, 0.25], dtype=np.float32)
-        z = np.concatenate([u1, u2]).view(np.complex64).reshape(1, 1, 4)
+        z = np.concatenate([u1, u2]).view(np.complex64).reshape(1, 4)
         mc_oracle._box_muller(z, np.empty(3, dtype=np.float32))
         x = z.view(np.float32).ravel()
         assert np.all(np.isfinite(x))

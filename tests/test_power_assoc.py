@@ -321,38 +321,39 @@ def assert_same_solution(lp, a, b):
             assert_farkas_certificate(lp.a_ub, lp.b_ub, sol.infeasibility_certificate)
 
 
-class TestPolicyWarmStart:
+class TestStartBasis:
     def test_warm_and_cold_solves_agree(self):
         """Every LP of three drops, joint and max-SNR, at SE 1.0 and at every
-        max-min probe level: the max-SNR basis hint, the basis a shared
-        feasibility bracket carries, the cold solve's own optimal basis (as
-        given and permuted), a singular hint and a primal-infeasible hint all
-        give the cold solve's bits. The hint puts each user on its max-SNR
-        BS, and the simplex moves some joint optima off it."""
+        max-min probe level: a fresh ``DropLp``'s max-SNR basis, the basis a
+        ``DropLp`` shared by the bisections carries, the cold solve's own
+        optimal basis (as given and permuted), a singular hint and a
+        primal-infeasible hint all give the cold solve's bits. The max-SNR
+        basis puts each user on its max-SNR BS, and the simplex moves some
+        joint optima off it."""
         antennas, k = (50, 100, 150, 200), DEFAULT_NUM_USERS
         rng = np.random.default_rng(0)
         cold_pivots = warm_pivots = carried = optimal = infeasible = moved = 0
         for _, scn0, stats in iter_drops(default_scenario(antennas[0], k, rng_seed=3), 3, 3):
             best = max_snr_mask(stats.beta)
             masks = (np.ones(stats.beta.shape, dtype=bool), best)
-            brackets = tuple(DropLp(stats, mask) for mask in masks)
+            shared_lps = tuple(DropLp(stats, mask) for mask in masks)
             for m in antennas:
                 scn = scn0.with_antennas(m)
-                for mask, bracket in zip(masks, brackets):
-                    probes = solve_max_min(bracket, scn).trace
+                for mask, shared in zip(masks, shared_lps):
+                    probes = solve_max_min(shared, scn).trace
                     for xi in [1.0] + [p.candidate for p in probes]:
                         targets = QosTargets.uniform(xi, scn)
                         lp = build_lp(DropLp(stats, mask), targets, scn)
-                        guess = DropLp(stats, mask).start
+                        guess = DropLp(stats, mask).basis
                         # (user, BS) of each structural column of the guess
                         pairs = np.argwhere(mask.T)[guess[:k]]
                         assert np.array_equal(pairs, np.argwhere(best.T))
                         cold, warm = lp_solve(lp), lp_solve(lp, basis=guess)
                         assert_same_solution(lp, cold, warm)
-                        assert_same_solution(lp, cold, lp_solve(lp, basis=bracket.basis))
+                        assert_same_solution(lp, cold, lp_solve(lp, basis=shared.basis))
                         cold_pivots += cold.iterations
                         warm_pivots += warm.iterations
-                        carried += bracket.basis is not None
+                        carried += not np.array_equal(shared.basis, guess)
                         if cold.status == LpStatus.INFEASIBLE:
                             infeasible += 1
                             continue
@@ -373,19 +374,46 @@ class TestPolicyWarmStart:
         assert optimal and infeasible and carried and moved
         assert warm_pivots < cold_pivots  # the max-SNR hints were taken
 
-    def test_no_guess_without_targets_or_allowed_bs(self, small_scenario, small_stats):
+    def test_power_min_does_not_depend_on_history(self):
+        """A power-min solve at SE 1 on a ``DropLp`` whose bisections moved
+        its basis gives, bit for bit, the result of a solve on a fresh one."""
+        k = DEFAULT_NUM_USERS
+        feasible = moved = 0
+        for _, scn0, stats in iter_drops(default_scenario(50, k, rng_seed=3), 3, 3):
+            for mask in (None, max_snr_mask(stats.beta)):
+                shared = DropLp(stats, mask)
+                for m in (50, 100, 150, 200):
+                    scn = scn0.with_antennas(m)
+                    solve_max_min(shared, scn)
+                    fresh = DropLp(stats, mask)
+                    moved += not np.array_equal(shared.basis, fresh.basis)
+                    targets = QosTargets.uniform(1.0, scn)
+                    after = solve_power_min(shared, targets, scn)
+                    clean = solve_power_min(fresh, targets, scn)
+                    assert after.status == clean.status
+                    if not clean.feasible:
+                        continue
+                    feasible += 1
+                    assert np.array_equal(after.allocation.rho, clean.allocation.rho)
+                    assert np.array_equal(after.qos_duals, clean.qos_duals)
+                    assert np.array_equal(after.power_duals, clean.power_duals)
+                    assert after.objective == clean.objective
+                    assert np.array_equal(after.basis, clean.basis)
+        assert feasible and moved
+
+    def test_start_basis_for_every_accepted_mask(self, small_scenario, small_stats):
         """The start basis exists for every mask ``DropLp`` accepts; a zero
         target or a user with no allowed BS is rejected before any solve."""
         targets = targets_for(small_scenario)
         mask = np.ones(small_stats.beta.shape, dtype=bool)
-        start = DropLp(small_stats, mask).start
+        start = DropLp(small_stats, mask).basis
         assert np.array_equal(start[6:], 24 + 6 + np.arange(4))  # every cap slack
         with pytest.raises(ValueError, match="^SE targets must be positive$"):
             QosTargets(xi=np.r_[0.0, targets.xi[1:]], xi_hat=np.r_[0.0, targets.xi_hat[1:]])
         # banning user 0's strongest BS puts it on its second strongest
         strongest, second = np.argsort(small_stats.beta[:, 0])[[-1, -2]]
         mask[strongest, 0] = False
-        start = DropLp(small_stats, mask).start
+        start = DropLp(small_stats, mask).basis
         assert tuple(np.argwhere(mask.T)[start[0]]) == (0, second)
         mask[:, 0] = False
         with pytest.raises(ValueError, match="^allowed must grant every user at least one BS$"):
