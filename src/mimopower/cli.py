@@ -50,12 +50,13 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _parse_antennas(text: str | None) -> tuple:
+    text = DEFAULT_ANTENNAS if text is None else text
     try:
-        counts = tuple(int(tok) for tok in (text or DEFAULT_ANTENNAS).split(",") if tok.strip())
+        counts = tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError as e:
-        raise SystemExit(f"error: bad --antennas list {text!r}") from e
+        raise ValueError(f"bad --antennas list {text!r}") from e
     if not counts:
-        raise SystemExit("error: --antennas must list at least one count")
+        raise ValueError("--antennas must list at least one count")
     return counts
 
 

@@ -105,6 +105,8 @@ class SweepSpec:
                 raise ValueError(f"{name}: {e}") from e
         if not self.antenna_counts:
             raise ValueError("antenna_counts must be nonempty")
+        if min(self.antenna_counts) < 1:
+            raise ValueError(f"antenna_counts must all be >= 1, got {self.antenna_counts}")
         if len(set(self.antenna_counts)) < len(self.antenna_counts):
             raise ValueError(f"antenna_counts must not repeat a count, got {self.antenna_counts}")
         if self.num_drops < 1:
@@ -162,9 +164,9 @@ def check_solution_invariants(
             f"joint transmission beyond the binding caps: {joint} joint users, "
             f"{tight_caps} cap slacks nonbasic, basis {result.basis.tolist()}"
         )
-    report = association_rule_check(stats, scenario, result)
-    if not report.passed:
-        raise HarnessInvariantError(f"association rule violated: {report.violations[:5]}")
+    violations = association_rule_check(stats, scenario, result)
+    if violations:
+        raise HarnessInvariantError(f"association rule violated: {violations[:5]}")
 
 
 def iter_drops(base: NetworkScenario, seed: int, num_drops: int):

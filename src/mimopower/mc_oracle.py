@@ -16,7 +16,6 @@ float32 cut of |x| at sqrt(-2 ln 2**-24) ~ 5.77 (about 6e-8 of pairs).
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -38,12 +37,12 @@ class McConfig:
     estimates, then the target user's estimation error as beam K. Each
     beam's 2 M nb floats become standard normals in place by Box-Muller,
     the first half's radius paired with the second half's angle. The layout
-    is unchanged however the stream is consumed: a worker jumps the batch's
-    generator to each beam's first word and draws that beam alone, so it
-    holds 2 M nb complex64 values whatever K is. Batches run in
-    parallel, and their partial sums are merged in batch-index order, so
-    the estimate depends on this config alone and not on the number of
-    threads or their scheduling.
+    is unchanged however the stream is consumed: each batch allocates two
+    (M, nb) beams, jumps its generator to each beam's first word and draws
+    that beam alone, so it holds 2 M nb complex64 values whatever K is.
+    Batches run in parallel, and their partial sums are merged in
+    batch-index order, so the estimate depends on this config alone and not
+    on the number of threads or their scheduling.
     """
 
     num_samples: int = 100_000
@@ -84,34 +83,26 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# Floats per Box-Muller slice: a 128 KB float32 scratch per worker thread,
-# small enough that a slice and its two halves stay in cache.
-_BOX_MULLER_SLICE = 32768
-
-
-def _box_muller(z: np.ndarray, t: np.ndarray) -> None:
+def _box_muller(z: np.ndarray) -> None:
     """Turn the uniform [0, 1) float32 draws in beam ``z`` into standard
     normals in place (Box and Muller, 1958).
 
-    The beam's floats are two halves u1 and u2, taken ``t.size`` floats at a
-    time with ``t`` as the only scratch: u1 <- sqrt(-2 ln(1 - u1)), so the
-    log never sees 0, then (u1, u2) <- u1 * (cos 2 pi u2, sin 2 pi u2).
+    The beam's floats are two halves u1 and u2, transformed in one pass with
+    the angle 2 pi u2 as the only temporary: u1 <- sqrt(-2 ln(1 - u1)), so
+    the log never sees 0, then (u1, u2) <- u1 * (cos 2 pi u2, sin 2 pi u2).
     Float32 uniforms are multiples of 2**-24, so |x| <= sqrt(48 ln 2) ~ 5.77.
     """
     beam = z.view(np.float32).ravel()
-    half = beam.size // 2
-    for lo in range(0, half, t.size):
-        hi = min(lo + t.size, half)
-        r, u2, ang = beam[lo:hi], beam[half + lo : half + hi], t[: hi - lo]
-        np.subtract(1.0, r, out=r)
-        np.log(r, out=r)
-        r *= -2.0
-        np.sqrt(r, out=r)
-        np.multiply(u2, 2.0 * np.pi, out=ang)
-        np.sin(ang, out=u2)
-        u2 *= r
-        np.cos(ang, out=ang)
-        r *= ang
+    r, u2 = np.split(beam, 2)
+    np.subtract(1.0, r, out=r)
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    ang = u2 * np.float32(2.0 * np.pi)
+    np.sin(ang, out=u2)
+    u2 *= r
+    np.cos(ang, out=ang)
+    r *= ang
 
 
 def estimate_sinr_terms(
@@ -149,22 +140,16 @@ def estimate_sinr_terms(
     # variances applied. A batch of nb draws is one (L, K+1, M, nb) stream:
     # at each BS, the K beams' estimates, then the target user's estimation
     # error as beam K. The layout is the one McConfig documents, but a
-    # worker does not fill it in order: it jumps the batch's generator to
-    # each beam's first word and draws that beam alone, so it holds two
-    # (M, nb) beams (2 M nb complex64 values) and one Box-Muller slice.
+    # batch does not fill it in order: it jumps its generator to each beam's
+    # first word and draws that beam alone, so it holds its own two (M, nb)
+    # beams (2 M nb complex64 values) and Box-Muller's angle temporary.
     # Draws are float32, moments accumulate in float64.
     hat_scale = np.sqrt(gamma_u / 2.0).astype(np.float32)
     err_scale = np.sqrt(err_var_u / 2.0).astype(np.float32)
-    scratch = threading.local()
 
     def batch_sums(b: int) -> tuple:
         nb = min(cfg.batch_size, n_total - b * cfg.batch_size)
-        if getattr(scratch, "nb", None) != nb:
-            scratch.nb = nb
-            scratch.h = np.empty((M, nb), dtype=np.complex64)
-            scratch.w = np.empty_like(scratch.h)
-            scratch.t = np.empty(_BOX_MULLER_SLICE, dtype=np.float32)
-        h, w, t = scratch.h, scratch.w, scratch.t
+        h, w = np.empty((2, M, nb), dtype=np.complex64)
         rng = np.random.default_rng([cfg.rng_seed, b])
         start = rng.bit_generator.state
 
@@ -174,7 +159,7 @@ def estimate_sinr_terms(
             rng.bit_generator.state = start
             rng.bit_generator.advance((i * (K + 1) + k) * M * nb)
             rng.random(out=out.view(np.float32), dtype=np.float32)
-            _box_muller(out, t)
+            _box_muller(out)
 
         q = np.empty((K, nb), dtype=complex)
         sum_q = np.zeros(L, dtype=complex)  # own-beam inner products

@@ -41,7 +41,7 @@ proves optimality or infeasibility (the dual simplex's Farkas certificate).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -213,31 +213,20 @@ def solve_max_snr(
     return solve_power_min(DropLp(stats, max_snr_mask(stats.beta)), targets, scenario)
 
 
-@dataclass
-class AssociationCheck:
-    """Dual-based association consistency report.
-
-    ``violations`` lists (user, bs, relative gap) for serving BSs that miss
-    the minimum of the dual ratio, plus (user, -1, gap) entries when the
-    minimum disagrees with lambda_user.
-    """
-
-    passed: bool
-    max_rel_gap: float
-    violations: list = field(default_factory=list)
-
-
 def association_rule_check(
     stats: ChannelStats, scenario: NetworkScenario, result: PowerMinResult
-) -> AssociationCheck:
+) -> list:
     """Check each served user of a feasible solve against the dual association
-    rule at the targets it was solved at, ``result.targets``.
+    rule at the targets it was solved at, ``result.targets``, and return the
+    violations; an empty list is a pass.
 
     For user t, every BS with positive power must attain (within relative
     ASSOCIATION_RULE_TOL) the minimum of (1 + sum_k lambda_k beta[i,k] + mu_i)
     / b_t[i] over the BSs i that ``result.allowed`` grants t, and that
-    minimum must equal lambda_t. Disallowed pairs have ratio inf, and every
-    user has a finite minimum because the mask grants it a BS.
+    minimum must equal lambda_t. A serving BS i off the minimum is listed as
+    (t, i, relative gap), a minimum off lambda_t as (t, -1, relative gap).
+    Disallowed pairs have ratio inf, and every user has a finite minimum
+    because the mask grants it a BS.
     """
     b_mat = _b_mat(stats, result.targets, scenario)
     lam = result.qos_duals
@@ -246,7 +235,6 @@ def association_rule_check(
     rmin = ratio.min(axis=0)
     gap = (ratio - rmin) / rmin
     lam_gap = np.abs(rmin - lam) / np.maximum(lam, rmin)
-    max_gap = max(gap.max(where=result.serving, initial=0.0), lam_gap.max())
     bad_bs = result.serving & (gap > ASSOCIATION_RULE_TOL)
     bad_lam = lam_gap > ASSOCIATION_RULE_TOL
     violations = []
@@ -254,4 +242,4 @@ def association_rule_check(
         violations += [(int(t), int(i), float(gap[i, t])) for i in np.flatnonzero(bad_bs[:, t])]
         if bad_lam[t]:
             violations.append((int(t), -1, float(lam_gap[t])))
-    return AssociationCheck(passed=not violations, max_rel_gap=max_gap, violations=violations)
+    return violations

@@ -42,12 +42,12 @@ class PowerAllocation:
 
 
 def qos_to_threshold(xi, tau_c, tau_p):
-    """SINR threshold 2^(xi * tau_c / (tau_c - tau_p)) - 1 for an SE target xi."""
+    """SINR threshold 2^(xi * tau_c / (tau_c - tau_p)) - 1 for a finite SE target xi > 0."""
     if tau_p >= tau_c:
         raise ValueError("tau_p must be smaller than tau_c")
     xi = np.asarray(xi, dtype=float)
-    if not (xi >= 0.0).all():
-        raise ValueError("SE targets must be nonnegative")
+    if not (xi > 0.0).all():
+        raise ValueError("SE targets must be positive")
     if np.isinf(xi).any():
         raise ValueError("SE targets must be finite")
     return np.expm1(xi * (tau_c / (tau_c - tau_p)) * _LN2)

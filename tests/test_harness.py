@@ -68,6 +68,12 @@ class TestDefaults:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             SweepSpec(**kwargs)
 
+    @pytest.mark.parametrize("counts", [(50, -5), (0,), (50, 0, 100)])
+    def test_spec_rejects_counts_below_one(self, counts):
+        message = f"antenna_counts must all be >= 1, got {counts}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SweepSpec(antenna_counts=counts)
+
     def test_spec_keeps_integral_counts_as_ints(self):
         spec = SweepSpec(antenna_counts=(50.0, np.int64(100)), num_drops=np.int32(3))
         assert spec.antenna_counts == (50, 100) and spec.num_drops == 3
@@ -382,6 +388,22 @@ class TestCli:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["powermin", "--drops", "1", "--antennas", ""], "--antennas must list at least one count"),
+            (["maxmin", "--drops", "1", "--antennas", ""], "--antennas must list at least one count"),
+            (["drop", "--antennas", ""], "--antennas must list at least one count"),
+            (["powermin", "--drops", "1", "--antennas", "50,0"], "antenna_counts must all be >= 1, got (50, 0)"),
+        ],
+        ids=["powermin-empty", "maxmin-empty", "drop-empty", "powermin-zero"],
+    )
+    def test_bad_antenna_list_exits_1(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "bad"
+        assert cli.main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_repeated_antenna_count_exits_1(self, tmp_path, capsys):
         argv = ["maxmin", "--drops", "3", "--antennas", "50,100,50", "--out", str(tmp_path / "rep")]
         assert cli.main(argv) == 1
@@ -391,14 +413,16 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["drop", "--target-se", "nan"], "SE targets must be nonnegative"),
-            (["powermin", "--drops", "1", "--target-se", "nan"], "SE targets must be nonnegative"),
+            (["drop", "--target-se", "nan"], "SE targets must be positive"),
+            (["powermin", "--drops", "1", "--target-se", "nan"], "SE targets must be positive"),
             (["drop", "--mode", "maxmin", "--delta", "nan"], "delta must be positive"),
             (["maxmin", "--drops", "1", "--delta", "nan"], "delta must be positive"),
             (["drop", "--target-se", "inf"], "SE targets must be finite"),
             (["powermin", "--drops", "1", "--target-se", "inf"], "SE targets must be finite"),
             (["drop", "--target-se", "0"], "SE targets must be positive"),
             (["powermin", "--drops", "1", "--target-se", "0"], "SE targets must be positive"),
+            (["drop", "--target-se", "-1"], "SE targets must be positive"),
+            (["powermin", "--drops", "1", "--target-se", "-1"], "SE targets must be positive"),
             (["drop", "--mode", "maxmin", "--delta", "inf"], "delta must be finite"),
             (["maxmin", "--drops", "1", "--delta", "inf"], "delta must be finite"),
         ],
@@ -411,6 +435,8 @@ class TestCli:
             "powermin-target-inf",
             "drop-target-zero",
             "powermin-target-zero",
+            "drop-target-negative",
+            "powermin-target-negative",
             "drop-delta-inf",
             "maxmin-delta-inf",
         ],

@@ -22,23 +22,18 @@ def assert_same_estimate(a, b):
 FLOAT32_RADIUS = np.sqrt(-2.0 * np.log(2.0**-24))
 
 
-def box_muller_draw(seed, shape, slice_size=mc_oracle._BOX_MULLER_SLICE):
+def box_muller_draw(seed, shape):
     z = np.empty(shape, dtype=np.complex64)
     np.random.default_rng(seed).random(out=z.view(np.float32), dtype=np.float32)
-    t = np.empty(slice_size, dtype=np.float32)
     for beam in z:
-        mc_oracle._box_muller(beam, t)
+        mc_oracle._box_muller(beam)
     return z
 
 
 class TestBoxMuller:
-    @pytest.mark.parametrize(
-        "shape, slice_size",
-        [((2, 64, 4096), mc_oracle._BOX_MULLER_SLICE), ((4096, 3, 37), 16)],
-        ids=["slab", "odd-beam-remainder-slice"],
-    )
-    def test_standard_normal_moments(self, shape, slice_size):
-        z = box_muller_draw(11, shape, slice_size)
+    @pytest.mark.parametrize("shape", [(2, 64, 4096), (4096, 3, 37)], ids=["slab", "odd-beam"])
+    def test_standard_normal_moments(self, shape):
+        z = box_muller_draw(11, shape)
         x = z.view(np.float32).astype(np.float64)
         n = x.size  # about 2**20 floats either way
         assert abs(x.mean()) <= 5.0 * np.sqrt(1.0 / n)
@@ -50,7 +45,7 @@ class TestBoxMuller:
         pairs = beams[:, :half] * beams[:, half:]
         assert abs(pairs.mean()) <= 5.0 * np.sqrt(1.0 / pairs.size)  # Var(xy) = 1
         assert np.abs(x).max() <= FLOAT32_RADIUS * (1.0 + 1e-6)
-        assert np.array_equal(z, box_muller_draw(11, shape, slice_size))
+        assert np.array_equal(z, box_muller_draw(11, shape))
 
     def test_edge_uniforms(self):
         # u1 = 0 is the zero radius and u1 = 1 - 2**-24 the largest, which must
@@ -58,7 +53,7 @@ class TestBoxMuller:
         u1 = np.array([0.0, 0.0, 1.0 - 2.0**-24, 1.0 - 2.0**-24], dtype=np.float32)
         u2 = np.array([0.0, 0.25, 0.0, 0.25], dtype=np.float32)
         z = np.concatenate([u1, u2]).view(np.complex64).reshape(1, 4)
-        mc_oracle._box_muller(z, np.empty(3, dtype=np.float32))
+        mc_oracle._box_muller(z)
         x = z.view(np.float32).ravel()
         assert np.all(np.isfinite(x))
         np.testing.assert_allclose(x[[2, 7]], FLOAT32_RADIUS, rtol=1e-6)

@@ -162,13 +162,12 @@ class TestSingleUserAnalytic:
         assert res.status == LpStatus.INFEASIBLE
         assert not res.feasible
 
-    def test_association_rule_identity(self):
+    def test_association_rule_identity(self, monkeypatch):
         scn, stats = single_cell(num_antennas=120, beta=3e-13)
         targets = targets_for(scn, 1.2)
         res = solve_power_min(DropLp(stats), targets, scn)
-        report = association_rule_check(stats, scn, res)
-        assert report.passed
-        assert report.max_rel_gap < 1e-12
+        monkeypatch.setattr(power_assoc, "ASSOCIATION_RULE_TOL", 1e-12)
+        assert association_rule_check(stats, scn, res) == []
 
 
 class TestDegenerateSplit:
@@ -226,12 +225,27 @@ class TestMaxSnr:
         targets = targets_for(scn, 1.0)
         snr = solve_power_min(DropLp(stats, max_snr_mask(stats.beta)), targets, scn)
         assert snr.feasible
-        report = association_rule_check(stats, scn, snr)
-        assert report.passed, report.violations
+        assert association_rule_check(stats, scn, snr) == []
         snr.qos_duals[2] *= 1.0 + 1e-3
-        report = association_rule_check(stats, scn, snr)
-        assert not report.passed
-        assert (2, -1) in {(t, i) for t, i, _ in report.violations}
+        violations = association_rule_check(stats, scn, snr)
+        assert (2, -1) in {(t, i) for t, i, _ in violations}
+
+    def test_serving_bs_off_the_minimum_is_listed(self):
+        scn, stats = random_drop(3, num_antennas=100, num_users=8)
+        targets = targets_for(scn, 1.0)
+        res = solve_power_min(DropLp(stats), targets, scn)
+        assert res.feasible
+        assert association_rule_check(stats, scn, res) == []
+        price = 1.0 + stats.beta @ res.qos_duals + res.power_duals
+        ratio = price[:, None] / _b_mat(stats, targets, scn).T
+        gap = ratio / ratio.min(axis=0) - 1.0
+        # the runner-up pair: the smallest gap of a BS that serves nobody
+        i, t = np.unravel_index(np.argmin(np.where(res.serving, np.inf, gap)), gap.shape)
+        assert not res.serving[i, t] and gap[i, t] > power_assoc.ASSOCIATION_RULE_TOL
+        res.serving[i, t] = True
+        violations = association_rule_check(stats, scn, res)
+        assert [(u, b) for u, b, _ in violations] == [(t, i)]
+        assert violations[0][2] == pytest.approx(gap[i, t], rel=1e-9)
 
 
 class TestSolutionContracts:

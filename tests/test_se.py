@@ -24,8 +24,10 @@ def test_power_allocation_validation():
 
 
 class TestThresholdConversion:
-    def test_zero_maps_to_zero(self):
-        assert qos_to_threshold(0.0, 200, 20) == 0.0
+    @pytest.mark.parametrize("xi", [0.0, -1.0, float("nan")])
+    def test_nonpositive_target_rejected(self, xi):
+        with pytest.raises(ValueError, match="^SE targets must be positive$"):
+            qos_to_threshold(xi, 200, 20)
 
     def test_prelog_target_maps_to_unit_threshold(self):
         # xi = 1 - tau_p/tau_c collapses the exponent to 1
@@ -35,7 +37,7 @@ class TestThresholdConversion:
         with pytest.raises(ValueError):
             qos_to_threshold(1.0, 200, 200)
 
-    @given(st.floats(0.0, 12.0))
+    @given(st.floats(0.0, 12.0, exclude_min=True))
     def test_round_trip(self, xi):
         back = spectral_efficiency(qos_to_threshold(xi, 200, 20), 200, 20)
         assert back == pytest.approx(xi, rel=1e-12, abs=1e-12)
