@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,8 +81,9 @@ class NetworkScenario:
         object.__setattr__(self, "user_positions", np.asarray(self.user_positions, dtype=float))
         object.__setattr__(self, "pilot_power", np.asarray(self.pilot_power, dtype=float))
         object.__setattr__(self, "pmax", np.asarray(self.pmax, dtype=float))
-        if min(self.num_bs, self.num_users, self.num_antennas) < 1:
-            raise ValueError("num_bs, num_users and num_antennas must all be >= 1")
+        for name in ("num_bs", "num_users", "num_antennas"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.bs_positions.shape != (self.num_bs, 2):
             raise ValueError("bs_positions must have shape (num_bs, 2)")
         if self.user_positions.shape != (self.num_users, 2):
@@ -102,12 +103,6 @@ class NetworkScenario:
             raise ValueError("noise variances must be strictly positive")
         if not self.shadow_std_db >= 0.0:
             raise ValueError("shadow_std_db must be nonnegative")
-
-    def with_antennas(self, num_antennas: int) -> "NetworkScenario":
-        return replace(self, num_antennas=num_antennas)
-
-    def with_users(self, user_positions: np.ndarray) -> "NetworkScenario":
-        return replace(self, user_positions=user_positions)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import time
 
@@ -39,14 +38,17 @@ EXIT_INFEASIBLE = 2
 DEFAULT_ANTENNAS = "50,100,150,200"
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, antennas_help: str) -> None:
     p.add_argument("--scenario", metavar="FILE", help="scenario JSON to use as the drop template")
     p.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    p.add_argument(
-        "--antennas", default=None, help=f"comma-separated antenna counts (default {DEFAULT_ANTENNAS})"
-    )
-    p.add_argument("--out", metavar="DIR", help="output directory for results.csv + config.json")
+    p.add_argument("--antennas", default=None, help=antennas_help)
     p.add_argument("--users", type=int, help=f"users per drop (default {DEFAULT_NUM_USERS})")
+
+
+def _add_sweep(p: argparse.ArgumentParser) -> None:
+    _add_common(p, f"comma-separated antenna counts (default {DEFAULT_ANTENNAS})")
+    p.add_argument("--out", metavar="DIR", help="output directory for results.csv + config.json")
+    p.add_argument("--drops", type=int, default=SweepSpec.num_drops)
 
 
 def _parse_antennas(text: str | None) -> tuple:
@@ -75,14 +77,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     # Each sweep takes the other mode's settings at their defaults.
     p = sub.add_parser("powermin", help="fixed-target power minimization sweep")
-    _add_common(p)
-    p.add_argument("--drops", type=int, default=SweepSpec.num_drops)
+    _add_sweep(p)
     p.add_argument("--target-se", type=float, default=DEFAULT_TARGET_SE, help="per-user SE target (bit/symbol)")
     p.set_defaults(run=_cmd_sweep, delta=DEFAULT_DELTA, trace=False)
 
     p = sub.add_parser("maxmin", help="max-min SE sweep")
-    _add_common(p)
-    p.add_argument("--drops", type=int, default=SweepSpec.num_drops)
+    _add_sweep(p)
     p.add_argument("--delta", type=float, default=DEFAULT_DELTA, help="bisection accuracy (bit/symbol)")
     p.add_argument("--trace", action="store_true", help="also write per-iteration traces.jsonl")
     p.set_defaults(run=_cmd_sweep, target_se=DEFAULT_TARGET_SE)
@@ -95,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_validate)
 
     p = sub.add_parser("drop", help="solve one drop, print full JSON result")
-    _add_common(p)
+    _add_common(p, f"antenna count (default {DEFAULT_ANTENNAS.split(',')[0]}, or the scenario file's)")
     # Unset, --scenario keeps the file's rng_seed and the default drop uses 0.
     p.set_defaults(run=_cmd_drop, seed=None)
     p.add_argument("--mode", choices=("powermin", "maxmin"), default="powermin")
@@ -158,21 +158,13 @@ def _cmd_drop(args) -> int:
     if args.scenario:
         scenario = load_scenario(args.scenario)
         if args.antennas is not None:
-            scenario = scenario.with_antennas(counts[0])
+            scenario = dataclasses.replace(scenario, num_antennas=counts[0])
         if args.seed is not None:
             scenario = dataclasses.replace(scenario, rng_seed=args.seed)
     else:
         scenario = default_scenario(counts[0], num_users, rng_seed=args.seed or 0)
     record = run_drop(scenario, mode=args.mode, target_se=args.target_se, delta=args.delta)
-    text = json.dumps(record, indent=2, sort_keys=True)
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "drop.json")
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-        print(f"wrote {path}")
-    else:
-        print(text)
+    print(json.dumps(record, indent=2, sort_keys=True))
     if args.mode == "powermin" and record["optimal"]["status"] != "optimal":
         return EXIT_INFEASIBLE
     return EXIT_OK

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .channel import (
     sample_user_positions,
     scenario_to_json_dict,
 )
-from .maxmin import DEFAULT_DELTA, solve_max_min
+from .maxmin import DEFAULT_DELTA, check_delta, solve_max_min
 from .mc_oracle import McConfig, estimate_sinr_terms
 from .power_assoc import DropLp, PowerMinResult, association_rule_check, max_snr_mask, solve_power_min
 from .se import PowerAllocation, QosTargets, sinr_mrt_all, spectral_efficiency
@@ -177,7 +177,7 @@ def iter_drops(base: NetworkScenario, seed: int, num_drops: int):
         positions = sample_user_positions(
             base.num_users, base.bs_positions, rng, MIN_BS_USER_DIST_KM
         )
-        scn0 = base.with_users(positions)
+        scn0 = replace(base, user_positions=positions)
         yield d, scn0, channel_stats(scn0, rng)
 
 
@@ -244,8 +244,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     for d, scn0, stats in iter_drops(base, spec.rng_seed, spec.num_drops):
         lps = drop_lps(stats)
         for m in spec.antenna_counts:
-            scn = scn0.with_antennas(m)
-            drops[m].append(solve_cell(lps, scn, spec.mode, d, targets, spec.delta))
+            drops[m].append(solve_cell(lps, replace(scn0, num_antennas=m), spec.mode, d, targets, spec.delta))
     config = {"spec": asdict(spec), "base_scenario": scenario_to_json_dict(base)}
     return SweepResult(spec=spec, drops=drops, table=aggregate_table(spec, drops), config=config)
 
@@ -335,10 +334,11 @@ def _bisection_record(mm) -> dict:
 
 
 def run_drop(scenario: NetworkScenario, mode: str = "powermin", target_se: float = DEFAULT_TARGET_SE, delta: float = DEFAULT_DELTA) -> dict:
-    """Solve a single drop on the scenario as given, with the sweep's checks;
-    returns the full JSON record. In maxmin mode the top level holds the
-    joint bisection and ``max_snr`` the max-SNR one."""
-    targets = QosTargets.uniform(target_se, scenario) if mode == "powermin" else None
+    """Solve a single drop on the scenario as given, with the sweep's checks and
+    both settings checked in either mode. Returns the JSON record; in maxmin
+    mode its top level is the joint bisection and ``max_snr`` the max-SNR one."""
+    targets = QosTargets.uniform(target_se, scenario)
+    check_delta(delta)
     opt, snr = solve_cell(drop_lps(channel_stats(scenario)), scenario, mode, 0, targets, delta)
     if mode == "powermin":
         return {

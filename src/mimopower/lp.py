@@ -59,14 +59,6 @@ class LinearProgram:
         if not (np.isfinite(c).all() and np.isfinite(a).all() and np.isfinite(b).all()):
             raise ValueError("LP data must be finite")
 
-    @property
-    def num_vars(self) -> int:
-        return self.c.size
-
-    @property
-    def num_rows(self) -> int:
-        return self.b_ub.size
-
 
 @dataclass
 class LpSolution:
@@ -209,7 +201,7 @@ def solve(lp: LinearProgram, basis=None) -> LpSolution:
     all-slack basis. A hint outside that index range raises ValueError. A
     basis that turns singular mid-solve raises RuntimeError.
     """
-    m, n = lp.num_rows, lp.num_vars
+    m, n = lp.a_ub.shape
     # Row equilibration by the largest |entry|; all-zero rows keep scale 1.
     scale = np.abs(lp.a_ub).max(axis=1, initial=0.0)
     scale = np.where(scale == 0.0, 1.0, scale)

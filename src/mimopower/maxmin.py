@@ -48,6 +48,14 @@ def expected_iterations(xi_range: float, delta: float) -> int:
     return math.ceil(math.log2(xi_range / delta))
 
 
+def check_delta(delta: float) -> None:
+    """Raise ValueError unless the bisection accuracy is positive and finite (NaN is neither)."""
+    if not delta > 0.0:
+        raise ValueError("delta must be positive")
+    if math.isinf(delta):
+        raise ValueError("delta must be finite")
+
+
 def auto_upper_bound(stats: ChannelStats, scenario: NetworkScenario, weights) -> float:
     """A provably infeasible-or-boundary SE level.
 
@@ -103,10 +111,7 @@ def solve_max_min(
     weights = np.asarray(weights, dtype=float)
     if not (weights > 0.0).all():
         raise ValueError("weights must be strictly positive")
-    if not delta > 0.0:
-        raise ValueError("delta must be positive")
-    if math.isinf(delta):
-        raise ValueError("delta must be finite")
+    check_delta(delta)
 
     upper0 = auto_upper_bound(lp.stats, scenario, weights)
     lower = 0.0

@@ -73,7 +73,6 @@ class SinrEstimate:
     gain_uncertainty_stderr: np.ndarray
     second_moment: np.ndarray
     second_moment_stderr: np.ndarray
-    num_samples: int
 
 
 def _usable_cpus() -> int:
@@ -240,5 +239,4 @@ def estimate_sinr_terms(
         gain_uncertainty_stderr=gain_uncertainty_stderr,
         second_moment=second_moment,
         second_moment_stderr=second_moment_stderr,
-        num_samples=n_total,
     )

@@ -111,11 +111,10 @@ def power_min_lp_rows(beta, gamma, xi_hat, num_antennas, noise_dl, pmax):
     a = np.zeros((K + L, K * L))
     b = np.zeros(K + L)
     for k in range(K):
-        if xi_hat[k] > 0.0:
-            for t in range(K):
-                a[k, t * L : (t + 1) * L] = beta[:, k]
-            a[k, k * L : (k + 1) * L] -= num_antennas * gamma[:, k] / xi_hat[k]
-            b[k] = -noise_dl
+        for t in range(K):
+            a[k, t * L : (t + 1) * L] = beta[:, k]
+        a[k, k * L : (k + 1) * L] -= num_antennas * gamma[:, k] / xi_hat[k]
+        b[k] = -noise_dl
     for i in range(L):
         a[K + i, i::L] = 1.0
         b[K + i] = pmax[i]
@@ -187,6 +186,7 @@ def edge_scenarios():
     yield "K = tau_p", base
     # two users 10 m from each BS, one on either side of it along x
     steps = 0.01 * np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-    yield "10 m", base.with_users(base.bs_positions[np.arange(8) % 4] + steps[np.arange(8) // 4])
+    users = base.bs_positions[np.arange(8) % 4] + steps[np.arange(8) // 4]
+    yield "10 m", dataclasses.replace(base, user_positions=users)
     yield "0 dB", dataclasses.replace(base, shadow_std_db=0.0)
     yield "12 dB", dataclasses.replace(base, shadow_std_db=12.0)

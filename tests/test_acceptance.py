@@ -4,6 +4,7 @@ The heavyweight sweeps are shared module-scoped fixtures so the whole suite
 stays well inside its runtime targets.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -210,7 +211,7 @@ def test_criterion_8_bisection_contract():
     mismatches = []
     base = default_scenario(ANTENNAS[0], 20, rng_seed=23)
     for d, scn0, stats in iter_drops(base, 23, 50):
-        scn = scn0.with_antennas(100)
+        scn = dataclasses.replace(scn0, num_antennas=100)
         res = solve_max_min(DropLp(stats), scn)
         bound = auto_upper_bound(stats, scn, np.ones(scn.num_users))
         expected = expected_iterations(bound, 0.01)

@@ -64,7 +64,7 @@ class TestLargeScaleFading:
         bad = scn.user_positions.copy()
         bad[0] = scn.bs_positions[0]
         with pytest.raises(ValueError, match="colocated"):
-            large_scale_fading(scn.with_users(bad))
+            large_scale_fading(dataclasses.replace(scn, user_positions=bad))
 
 
 class TestEstimationQuality:

@@ -134,7 +134,7 @@ class TestSweeps:
         feasible = 0
         for d, scn0, stats in iter_drops(base, spec.rng_seed, spec.num_drops):
             for m in spec.antenna_counts:
-                scn = scn0.with_antennas(m)
+                scn = dataclasses.replace(scn0, num_antennas=m)
                 targets = QosTargets.uniform(spec.target_se, scn)
                 for cell, mask in zip(result.drops[m][d], (None, max_snr_mask(stats.beta))):
                     res = solve_power_min(DropLp(stats, mask), targets, scn)
@@ -395,12 +395,14 @@ class TestCli:
             (["maxmin", "--drops", "1", "--antennas", ""], "--antennas must list at least one count"),
             (["drop", "--antennas", ""], "--antennas must list at least one count"),
             (["powermin", "--drops", "1", "--antennas", "50,0"], "antenna_counts must all be >= 1, got (50, 0)"),
+            (["drop", "--antennas", "0"], "num_antennas must be >= 1, got 0"),
+            (["drop", "--antennas", "-2", "--users", "3"], "num_antennas must be >= 1, got -2"),
         ],
-        ids=["powermin-empty", "maxmin-empty", "drop-empty", "powermin-zero"],
+        ids=["powermin-empty", "maxmin-empty", "drop-empty", "powermin-zero", "drop-zero", "drop-negative"],
     )
     def test_bad_antenna_list_exits_1(self, argv, message, tmp_path, capsys):
         out = tmp_path / "bad"
-        assert cli.main([*argv, "--out", str(out)]) == 1
+        assert cli.main([*argv, *out_flag(argv[0], out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
@@ -425,6 +427,11 @@ class TestCli:
             (["powermin", "--drops", "1", "--target-se", "-1"], "SE targets must be positive"),
             (["drop", "--mode", "maxmin", "--delta", "inf"], "delta must be finite"),
             (["maxmin", "--drops", "1", "--delta", "inf"], "delta must be finite"),
+            # drop checks the flag of the mode it is not running too
+            (["drop", "--mode", "maxmin", "--target-se", "-3"], "SE targets must be positive"),
+            (["drop", "--mode", "maxmin", "--target-se", "inf"], "SE targets must be finite"),
+            (["drop", "--delta", "nan"], "delta must be positive"),
+            (["drop", "--delta", "inf"], "delta must be finite"),
         ],
         ids=[
             "drop-target",
@@ -439,11 +446,15 @@ class TestCli:
             "powermin-target-negative",
             "drop-delta-inf",
             "maxmin-delta-inf",
+            "drop-maxmin-target-negative",
+            "drop-maxmin-target-inf",
+            "drop-powermin-delta",
+            "drop-powermin-delta-inf",
         ],
     )
     def test_nan_input_exits_1(self, argv, message, tmp_path, capsys):
         out = tmp_path / "nan"
-        assert cli.main([*argv, "--users", "5", "--antennas", "60", "--out", str(out)]) == 1
+        assert cli.main([*argv, "--users", "5", "--antennas", "60", *out_flag(argv[0], out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
@@ -466,6 +477,14 @@ class TestCli:
         path.write_text(json.dumps(record))
         assert cli.main(["drop", "--scenario", str(path), "--mode", mode]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_zero_bs_scenario_file_names_the_count(self, tmp_path, small_scenario, capsys):
+        record = scenario_to_json_dict(small_scenario)
+        record.update(num_bs=0, pmax=40.0)  # a scalar pmax fits any BS count
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(record))
+        assert cli.main(["drop", "--scenario", str(path)]) == 1
+        assert capsys.readouterr().err == "error: num_bs must be >= 1, got 0\n"
 
     @pytest.mark.parametrize(
         "text, kind", [("42", "int"), ("null", "NoneType"), ("[1, 2]", "list")], ids=["int", "null", "list"]
@@ -555,7 +574,7 @@ class TestCli:
         save_scenario(small_scenario, path)
         for command in ("powermin", "drop"):
             out = tmp_path / command
-            argv = [command, "--scenario", str(path), "--users", "10", "--out", str(out)]
+            argv = [command, "--scenario", str(path), "--users", "10", *out_flag(command, out)]
             assert cli.main(argv) == 1
             assert "--users" in capsys.readouterr().err
             assert not out.exists()
@@ -564,6 +583,14 @@ class TestCli:
         assert cli.main(["drop", "--antennas", "50,100", "--users", "5"]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and "one antenna count" in captured.err
+
+    def test_drop_takes_no_out_flag(self, tmp_path, capsys):
+        # drop prints its record; only the sweeps write files
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["drop", "--out", str(tmp_path / "drop")])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --out" in capsys.readouterr().err
+        assert not (tmp_path / "drop").exists()
 
     def test_drop_seed_replaces_scenario_file_seed(self, tmp_path, small_scenario, capsys):
         path = tmp_path / "scn.json"
@@ -611,6 +638,11 @@ class TestCli:
             assert spec["target_se"] == target_se
             csv = (out / mode / "results.csv").read_text()
             assert csv.startswith("num_antennas,metric,value\n")
+
+
+def out_flag(command, out) -> list:
+    """``--out`` for a sweep; ``drop`` prints its record and takes no ``--out``."""
+    return [] if command == "drop" else ["--out", str(out)]
 
 
 def run_reproduce_trends(argv) -> int:

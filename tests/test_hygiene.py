@@ -1,8 +1,9 @@
 """Static checks on the source tree, with the standard library's ``ast`` only:
 no unused imports, no module-level private name of the package that nothing
 in ``src/`` uses, no function in ``src/`` with a parameter its body never
-reads, and no random draw in ``src/`` outside a seeded generator. One more
-check imports the package: every dotted name README.md gives of it resolves."""
+reads, no random draw in ``src/`` outside a seeded generator, and no file
+opened outside ``harness.py`` and ``channel.py``. One more check imports the
+package: every dotted name README.md gives of it resolves."""
 
 import ast
 import dataclasses
@@ -150,6 +151,36 @@ def test_src_draws_only_from_seeded_generators():
         for line, name in _global_rng_uses(_tree(path))
     ]
     assert not uses, f"random draws outside a seeded generator: {uses}"
+
+
+# Every file mimopower writes comes from harness.emit_results or
+# channel.save_scenario, and every file it reads from channel.load_scenario.
+FILE_MODULES = {"harness.py", "channel.py"}
+
+
+def _file_calls(tree):
+    """(line, name) of each call to ``open`` or ``makedirs``, bare or as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name in ("open", "makedirs"):
+                yield node.lineno, name
+
+
+def test_only_harness_and_channel_touch_files():
+    """The CLI parses, calls the library and prints; it opens no file."""
+    calls = [
+        f"{path.name}:{line}: {name}"
+        for path in _files("src")
+        if path.name not in FILE_MODULES
+        for line, name in _file_calls(_tree(path))
+    ]
+    assert not calls, f"file access outside {sorted(FILE_MODULES)}: {calls}"
+
+
+def test_file_check_sees_open_and_makedirs():
+    tree = ast.parse("import os\nos.makedirs(d)\nwith open(p, 'w') as fh:\n    fh.write(t)\n")
+    assert list(_file_calls(tree)) == [(2, "makedirs"), (3, "open")]
 
 
 def _package_roots():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -299,7 +300,7 @@ class TestRobustness:
         # whole runs of columns; taking the lowest index on a tie accepted
         # tiny pivots until the refactor after pivot 100 found B singular
         _, scn0, stats = next(iter_drops(default_scenario(50, 20, rng_seed=17), 17, 1))
-        scn = scn0.with_antennas(100)
+        scn = dataclasses.replace(scn0, num_antennas=100)
         lp = dinkelbach_lp(stats, scn, solve(dinkelbach_lp(stats, scn)).x)
         sol = solve(lp)
         assert sol.status == LpStatus.OPTIMAL

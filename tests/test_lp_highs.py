@@ -8,6 +8,7 @@ misjudge feasibility. HiGHS runs without presolve, which calls some random
 LPs infeasible that have a feasible x = 0 and an improving ray.
 """
 
+import dataclasses
 from itertools import islice
 
 import numpy as np
@@ -79,7 +80,7 @@ def test_simplex_agrees_with_highs_on_a_sweep():
         for mask in (np.ones(stats.beta.shape, dtype=bool), max_snr_mask(stats.beta)):
             fresh, shared = DropLp(stats, mask), DropLp(stats, mask)
             for m in (50, 100, 150, 200):
-                scn = scn0.with_antennas(m)
+                scn = dataclasses.replace(scn0, num_antennas=m)
                 probes = solve_max_min(shared, scn).trace
                 for xi in [1.0] + [p.candidate for p in probes]:
                     targets = QosTargets.uniform(xi, scn)
@@ -101,7 +102,7 @@ def test_dinkelbach_step_matches_highs():
     an LP whose costs are zero but for the level's: the simplex's optimum is
     HiGHS's to 1e-9 relative."""
     _, scn0, stats = next(iter_drops(default_scenario(50, 20, rng_seed=17), 17, 1))
-    scn = scn0.with_antennas(100)
+    scn = dataclasses.replace(scn0, num_antennas=100)
     lp = dinkelbach_lp(stats, scn, lp_solve(dinkelbach_lp(stats, scn)).x)
     status, objective, _ = highs(lp)
     sol = lp_solve(lp)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -28,6 +30,8 @@ class TestThresholdConversion:
     def test_nonpositive_target_rejected(self, xi):
         with pytest.raises(ValueError, match="^SE targets must be positive$"):
             qos_to_threshold(xi, 200, 20)
+        with pytest.raises(ValueError, match="^SE targets must be positive$"):
+            QosTargets.from_se(np.array([1.0, xi]), 200, 20)
 
     def test_prelog_target_maps_to_unit_threshold(self):
         # xi = 1 - tau_p/tau_c collapses the exponent to 1
@@ -76,7 +80,7 @@ class TestSinr:
         rng = np.random.default_rng(3)
         alloc = PowerAllocation(rng.uniform(0, 2, size=(4, 6)))
         s1 = sinr_mrt_all(small_stats, alloc, small_scenario)
-        s2 = sinr_mrt_all(small_stats, alloc, small_scenario.with_antennas(128))
+        s2 = sinr_mrt_all(small_stats, alloc, dataclasses.replace(small_scenario, num_antennas=128))
         np.testing.assert_allclose(s2, 2.0 * s1, rtol=1e-15)
 
     def test_monotone_when_scaling_own_power_vector(self, small_scenario, small_stats):
