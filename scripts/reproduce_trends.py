@@ -4,7 +4,8 @@
 Runs two Monte-Carlo sweeps over shared user drops:
   * fixed-target power minimization (mean transmit power, bad-service
     probability, optimal vs. max-SNR association), and
-  * weighted max-min SE (achievable level, joint-transmission fraction).
+  * max-min SE with every user weighted equally (achievable level,
+    joint-transmission fraction).
 
 Each sweep is ``mimopower powermin`` / ``mimopower maxmin``; outputs land in
 <out>/powermin/ and <out>/maxmin/ as results.csv plus a config.json sidecar,

@@ -2,7 +2,7 @@
 
 Subcommands:
   powermin  -- fixed-target power minimization sweep over drops and antennas
-  maxmin    -- weighted max-min SE sweep (joint vs. max-SNR association)
+  maxmin    -- max-min SE sweep (joint vs. max-SNR association)
   validate  -- Monte-Carlo oracle vs. closed-form SINR cross-check
   drop      -- solve a single drop and print the full JSON result
 
@@ -115,13 +115,13 @@ def _cmd_sweep(args) -> int:
         num_users=_num_users(args),
         delta=args.delta,
     )
-    result = run_sweep(spec)
+    result = run_sweep(spec, traces=args.trace)
     if args.out:
-        for path in emit_results(result, args.out, traces=args.trace):
+        for path in emit_results(result, args.out):
             print(f"wrote {path}")
     else:
         sys.stdout.write(results_csv(result.table))
-    if spec.mode == "powermin" and not result.any_feasible:
+    if {v for _, name, v in result.table if name == "bad_service_prob_optimal"} == {1.0}:
         print("warning: every drop was infeasible", file=sys.stderr)
         return EXIT_INFEASIBLE
     return EXIT_OK
@@ -135,9 +135,7 @@ def _cmd_validate(args) -> int:
         f"in {time.perf_counter() - start:.1f} s",
         file=sys.stderr,
     )
-    worst = 0.0
     for rec in records:
-        worst = max(worst, rec["rel_error"])
         print(
             "scenario {scenario:2d}: L={num_bs} K={num_users} M={num_antennas:3d} "
             "closed={closed_form_sinr:.6g} mc={monte_carlo_sinr:.6g} "
@@ -146,6 +144,7 @@ def _cmd_validate(args) -> int:
             )
         )
     ok = all(r["passed"] for r in records)
+    worst = max(r["rel_error"] for r in records)
     print(f"{'PASS' if ok else 'FAIL'}: {len(records)} scenarios, worst rel_err {worst:.3e} (tol {args.tol})")
     return EXIT_OK if ok else EXIT_ERROR
 

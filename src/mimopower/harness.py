@@ -8,8 +8,8 @@ sequences of 2e-7 J total energy (0.2 W per symbol at 20 MHz).
 
 Per-drop randomness comes from a stream seeded by (sweep seed, drop index),
 so results are independent of evaluation order; antenna sweeps reuse the
-same drops, which makes the monotone-in-M trends hold drop by drop. A cell's
-two results, joint and max-SNR, are its only record: every output reads them.
+same drops, which makes the monotone-in-M trends hold drop by drop. A cell
+keeps only the scalars its outputs read: no solver result outlives it.
 """
 
 from __future__ import annotations
@@ -117,19 +117,12 @@ class SweepSpec:
 
 @dataclass
 class SweepResult:
-    """A sweep's cells and table. ``drops`` maps each antenna count to its
-    cells' (joint, max-SNR) results in drop order (``solve_cell``'s pairs);
-    the table, traces.jsonl and the exit code are all read from them."""
+    """A sweep's outputs: the results.csv table, the config.json record and,
+    for a traced maxmin sweep, the traces.jsonl lines (else empty)."""
 
-    spec: SweepSpec
-    drops: dict
     table: list  # (num_antennas, metric, value) rows
     config: dict
-
-    @property
-    def any_feasible(self) -> bool:
-        """Whether some joint power-min solve was feasible (powermin sweeps)."""
-        return any(opt.feasible for cells in self.drops.values() for opt, _ in cells)
+    traces: list
 
 
 def check_solution_invariants(
@@ -231,22 +224,32 @@ def solve_cell(
     return opt, snr
 
 
-def run_sweep(spec: SweepSpec) -> SweepResult:
+def run_sweep(spec: SweepSpec, traces: bool = False) -> SweepResult:
     """Run the sweep: per drop, sample users and shadowing once, then solve
     every antenna count on the same realization with the drop's one
-    ``DropLp`` per association mask."""
+    ``DropLp`` per association mask. A cell leaves only its table row and,
+    traced in maxmin mode, its traces.jsonl line."""
     if spec.scenario_path is not None:
         base = load_scenario(spec.scenario_path)
     else:
         base = default_scenario(spec.antenna_counts[0], spec.num_users, rng_seed=spec.rng_seed)
     targets = QosTargets.uniform(spec.target_se, base) if spec.mode == "powermin" else None
-    drops: dict[int, list[tuple]] = {m: [] for m in spec.antenna_counts}
+    rows: dict[int, list[tuple]] = {m: [] for m in spec.antenna_counts}
+    lines = []
     for d, scn0, stats in iter_drops(base, spec.rng_seed, spec.num_drops):
         lps = drop_lps(stats)
         for m in spec.antenna_counts:
-            drops[m].append(solve_cell(lps, replace(scn0, num_antennas=m), spec.mode, d, targets, spec.delta))
+            opt, snr = solve_cell(lps, replace(scn0, num_antennas=m), spec.mode, d, targets, spec.delta)
+            if spec.mode == "powermin":
+                rows[m].append((opt.objective, snr.objective, opt.joint_fraction if opt.feasible else None))
+            else:
+                last = opt.last_feasible
+                rows[m].append((opt.xi_lower, snr.xi_lower, last.joint_fraction if last else 0.0))
+            if traces and spec.mode == "maxmin":
+                rec = {"num_antennas": m, "drop": d, "optimal": _trace(opt), "max_snr": _trace(snr)}
+                lines.append(json.dumps(rec, sort_keys=True) + "\n")
     config = {"spec": asdict(spec), "base_scenario": scenario_to_json_dict(base)}
-    return SweepResult(spec=spec, drops=drops, table=aggregate_table(spec, drops), config=config)
+    return SweepResult(table=aggregate_table(spec, rows), config=config, traces=lines)
 
 
 def _mean(values) -> float | None:
@@ -254,32 +257,32 @@ def _mean(values) -> float | None:
     return float(np.mean(vals)) if vals else None
 
 
-def aggregate_table(spec: SweepSpec, drops: dict) -> list:
-    """Long-format rows (num_antennas, metric, value); empty metrics are omitted.
-
-    Transmit powers average only over drops where both association methods
-    are feasible, so the comparison is like for like. A level-0 max-min
-    cell has no feasible solve and serves nobody: its joint fraction is 0.
+def aggregate_table(spec: SweepSpec, cell_rows: dict) -> list:
+    """Long-format rows (num_antennas, metric, value) from ``cell_rows``, each
+    antenna count's (joint, max-SNR, joint fraction) cells in drop order;
+    empty metrics are omitted. An infeasible power-min solve leaves None in
+    its place, the joint one also as the fraction; a level-0 max-min cell
+    serves nobody, so its fraction is 0. Transmit powers average only over
+    drops where both association methods are feasible, like for like.
     """
     rows = []
     for m in spec.antenna_counts:
-        cells = drops[m]
+        cells = cell_rows[m]
         n = len(cells)
         rows.append((m, "num_drops", n))
         if spec.mode == "powermin":
-            rows.append((m, "bad_service_prob_optimal", sum(not o.feasible for o, _ in cells) / n))
-            rows.append((m, "bad_service_prob_max_snr", sum(not s.feasible for _, s in cells) / n))
-            both = [(o, s) for o, s in cells if o.feasible and s.feasible]
+            rows.append((m, "bad_service_prob_optimal", sum(o is None for o, _, _ in cells) / n))
+            rows.append((m, "bad_service_prob_max_snr", sum(s is None for _, s, _ in cells) / n))
+            both = [(o, s) for o, s, _ in cells if o is not None and s is not None]
             rows.append((m, "num_both_feasible", len(both)))
-            rows.append((m, "mean_total_power_w_optimal", _mean(o.objective for o, _ in both)))
-            rows.append((m, "mean_total_power_w_max_snr", _mean(s.objective for _, s in both)))
-            frac = _mean(o.joint_fraction for o, _ in cells if o.feasible)
-            rows.append((m, "joint_tx_fraction_optimal", frac))
+            rows.append((m, "mean_total_power_w_optimal", _mean(o for o, _ in both)))
+            rows.append((m, "mean_total_power_w_max_snr", _mean(s for _, s in both)))
         else:
-            rows.append((m, "mean_maxmin_se_optimal", _mean(o.xi_lower for o, _ in cells)))
-            rows.append((m, "mean_maxmin_se_max_snr", _mean(s.xi_lower for _, s in cells)))
-            frac = _mean(o.last_feasible.joint_fraction if o.last_feasible else 0.0 for o, _ in cells)
-            rows.append((m, "joint_tx_fraction_optimal", frac))
+            rows.append((m, "mean_maxmin_se_optimal", _mean(o for o, _, _ in cells)))
+            rows.append((m, "mean_maxmin_se_max_snr", _mean(s for _, s, _ in cells)))
+        frac = _mean(f for _, _, f in cells if f is not None)
+        rows.append((m, "joint_tx_fraction_optimal", frac))
+        if spec.mode == "maxmin":
             rows.append((m, "single_bs_fraction_optimal", 1.0 - frac))
     return [(m, name, v) for (m, name, v) in rows if v is not None]
 
@@ -293,29 +296,22 @@ def results_csv(table: list) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_results(result: SweepResult, out_dir, traces: bool = False) -> tuple:
+def emit_results(result: SweepResult, out_dir) -> tuple:
     """Write results.csv (one row per antenna-count/metric) plus a config.json
-    sidecar carrying the sweep spec, base scenario and seed, and with
-    ``traces`` a maxmin sweep's per-probe traces.jsonl; returns the paths."""
+    sidecar carrying the sweep spec, base scenario and seed, and a traced
+    maxmin sweep's per-probe traces.jsonl; returns the paths."""
     os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, "results.csv")
-    with open(csv_path, "w") as fh:
-        fh.write(results_csv(result.table))
-    json_path = os.path.join(out_dir, "config.json")
-    with open(json_path, "w") as fh:
-        json.dump(result.config, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    paths = [csv_path, json_path]
-    spec = result.spec
-    if spec.mode == "maxmin" and traces:
-        trace_path = os.path.join(out_dir, "traces.jsonl")
-        with open(trace_path, "w") as fh:
-            for d in range(spec.num_drops):
-                for m in spec.antenna_counts:
-                    opt, snr = result.drops[m][d]
-                    rec = {"num_antennas": m, "drop": d, "optimal": _trace(opt), "max_snr": _trace(snr)}
-                    fh.write(json.dumps(rec, sort_keys=True) + "\n")
-        paths.append(trace_path)
+    files = {
+        "results.csv": [results_csv(result.table)],
+        "config.json": [json.dumps(result.config, indent=2, sort_keys=True), "\n"],
+        "traces.jsonl": result.traces,  # empty unless traced
+    }
+    paths = []
+    for name, chunks in files.items():
+        if chunks:
+            paths.append(os.path.join(out_dir, name))
+            with open(paths[-1], "w") as fh:
+                fh.writelines(chunks)
     return tuple(paths)
 
 
@@ -400,11 +396,13 @@ def validate_closed_form(
     ``sinr_mrt_all``, the one the per-solve checks use.
 
     Returns one record per scenario with both values and the relative error;
-    a record passes when the error is within ``rel_tol``. Zero scenarios
-    raise ValueError: a run that checks nothing must not read as a pass.
+    a record passes when the error is within ``rel_tol``. Zero scenarios, or a
+    ``rel_tol`` not positive and finite, raise ValueError: no error would count.
     """
     if num_scenarios < 1:
         raise ValueError(f"validation needs at least one scenario, got {num_scenarios}")
+    if not (rel_tol > 0.0 and np.isfinite(rel_tol)):
+        raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
 
     records = []
     for idx in range(num_scenarios):

@@ -39,6 +39,7 @@ from .power_assoc import DropLp, PowerMinResult, solve_power_min
 from .se import QosTargets, spectral_efficiency
 
 DEFAULT_DELTA = 0.01  # bisection accuracy in bit/symbol
+MIN_DELTA = 1e-9  # finer bisections converge onto the LP's 1e-9 tolerance on the caps
 
 
 def expected_iterations(xi_range: float, delta: float) -> int:
@@ -49,9 +50,11 @@ def expected_iterations(xi_range: float, delta: float) -> int:
 
 
 def check_delta(delta: float) -> None:
-    """Raise ValueError unless the bisection accuracy is positive and finite (NaN is neither)."""
+    """Raise ValueError unless the bisection accuracy is finite and >= MIN_DELTA (NaN is neither)."""
     if not delta > 0.0:
         raise ValueError("delta must be positive")
+    if delta < MIN_DELTA:
+        raise ValueError(f"delta must be at least {MIN_DELTA:g} bit/symbol, got {delta:g}")
     if math.isinf(delta):
         raise ValueError("delta must be finite")
 
@@ -98,7 +101,7 @@ def solve_max_min(
 
     ``lp`` holds earlier probe outcomes of its drop and mask, at any antenna
     count (see the module docstring), and gains this call's. ``weights``
-    must be positive and ``delta`` positive and finite (ValueError
+    must be positive and ``delta`` finite and at least MIN_DELTA (ValueError
     otherwise, NaN included); the weights default to ones. The bisection
     makes exactly ``expected_iterations(auto_upper_bound(...), delta)``
     probes, so ``iterations == len(trace)`` and none is made when delta is

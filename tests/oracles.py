@@ -13,7 +13,8 @@ sparse_lps yields the random sparse LPs of one seed that the simplex is
 checked on, against its own certificates and against HiGHS.
 
 dinkelbach_lp writes one step LP of Dinkelbach's max-min SINR iteration,
-whose costs are zero but for the level variable's.
+whose costs are zero but for the level variable's, and max_min_sinr runs
+that iteration to the max-min SINR of a drop and association mask.
 
 assert_farkas_certificate checks an infeasibility proof from the LP data
 alone, and row_excess a point's feasibility on the equilibrated rows.
@@ -29,7 +30,7 @@ import numpy as np
 
 from mimopower.channel import NetworkScenario, dbm_to_watt
 from mimopower.harness import DEFAULT_NOISE_DBM, default_scenario
-from mimopower.lp import LinearProgram
+from mimopower.lp import LinearProgram, LpStatus, solve
 from mimopower.se import PowerAllocation, sinr_mrt_all
 
 
@@ -121,16 +122,18 @@ def power_min_lp_rows(beta, gamma, xi_hat, num_antennas, noise_dl, pmax):
     return a, b
 
 
-def dinkelbach_lp(stats, scenario, x_prev=None):
+def dinkelbach_lp(stats, scenario, x_prev=None, mask=None):
     """LinearProgram of the Dinkelbach step after the step whose optimal
     vertex is ``x_prev`` (None for the first step, from zero powers rho):
     maximize z subject to the per-BS caps and, for every user k,
     z * D_k(rho) <= N_k(x) - lam * D_k(x), where N_k = M gamma_k^T x_k,
     D_k = beta_k^T sum_t x_t + noise and lam is the least SINR under rho.
     Variables are x user-major (column t*L + i), then z; the costs are
-    (0, ..., 0, -1)."""
+    (0, ..., 0, -1). An (L, K) bool ``mask`` keeps only the columns of the
+    (BS, user) pairs it allows, in the same order, and so does x_prev."""
     L, K = stats.beta.shape
-    rho = np.zeros((L, K)) if x_prev is None else x_prev[:-1].reshape(K, L).T
+    keep = _kept_columns(mask, L, K)
+    rho = _step_powers(x_prev, mask, L, K)
     noise = scenario.noise_dl
     lam = sinr_mrt_all(stats, PowerAllocation(rho), scenario).min()
     d_prev = rho.sum(axis=1) @ stats.beta + noise
@@ -143,7 +146,37 @@ def dinkelbach_lp(stats, scenario, x_prev=None):
     b = np.concatenate([np.full(K, -lam * noise), scenario.pmax])
     c = np.zeros(K * L + 1)
     c[-1] = -1.0
-    return LinearProgram(c=c, a_ub=a, b_ub=b)
+    return LinearProgram(c=c[keep], a_ub=a[:, keep], b_ub=b)
+
+
+def _kept_columns(mask, L, K):
+    """The columns of ``dinkelbach_lp``'s variables (user-major powers, then
+    z) that ``mask`` keeps; None keeps all."""
+    return np.ones(K * L + 1, dtype=bool) if mask is None else np.r_[mask.T.ravel(), True]
+
+
+def _step_powers(x, mask, L, K):
+    """The (L, K) powers rho of a step vertex x over ``mask``'s columns (None: zeros)."""
+    full = np.zeros(K * L + 1)
+    if x is not None:
+        full[_kept_columns(mask, L, K)] = x
+    return full[:-1].reshape(K, L).T
+
+
+def max_min_sinr(stats, scenario, mask=None):
+    """The max-min SINR of a drop under an association ``mask`` (None: every
+    pair), by Dinkelbach steps (``dinkelbach_lp``) until a step's level z is
+    at most 1e-12: the least SINR at that step's start point."""
+    L, K = stats.beta.shape
+    x = None
+    for _ in range(100):
+        sol = solve(dinkelbach_lp(stats, scenario, x, mask))
+        assert sol.status == LpStatus.OPTIMAL
+        if -sol.objective <= 1e-12:
+            rho = _step_powers(x, mask, L, K)
+            return float(sinr_mrt_all(stats, PowerAllocation(rho), scenario).min())
+        x = sol.x
+    raise AssertionError("Dinkelbach's iteration did not converge")
 
 
 def assert_farkas_certificate(a_ub, b_ub, y, rtol=1e-12):

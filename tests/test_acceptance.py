@@ -47,7 +47,10 @@ def drops_200():
 
 
 def feasible_cells(result):
-    return sum(opt.feasible for cell in result.drops.values() for opt, _ in cell)
+    """Feasible joint solves, read back from the published bad-service rows."""
+    drops = table_metric(result, "num_drops")
+    bad = table_metric(result, "bad_service_prob_optimal")
+    return sum(round(n * (1.0 - p)) for n, p in zip(drops, bad))
 
 
 def table_metric(result, name):

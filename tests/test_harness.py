@@ -5,6 +5,7 @@ import json
 import os
 import re
 import runpy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,44 +81,83 @@ class TestDefaults:
         assert all(type(v) is int for v in (*spec.antenna_counts, spec.num_drops))
 
 
+def recorded_sweep(monkeypatch, spec, traces=False):
+    """``run_sweep(spec, traces)`` and the (joint, max-SNR) pair of each of its
+    ``solve_cell`` calls, as {M: [pair, ...]} in drop order."""
+    cells = {m: [] for m in spec.antenna_counts}
+    solve_cell = harness.solve_cell
+
+    def recording(lps, scenario, mode, drop_index, targets, delta):
+        pair = solve_cell(lps, scenario, mode, drop_index, targets, delta)
+        assert drop_index == len(cells[scenario.num_antennas])
+        cells[scenario.num_antennas].append(pair)
+        return pair
+
+    monkeypatch.setattr(harness, "solve_cell", recording)
+    return run_sweep(spec, traces=traces), cells
+
+
+def table_rows(result) -> dict:
+    return {(m, name): value for m, name, value in result.table}
+
+
 class TestSweeps:
-    def test_powermin_sweep_shape_and_inclusion(self):
+    def test_powermin_sweep_shape_and_inclusion(self, monkeypatch):
         spec = SweepSpec(antenna_counts=(50, 100), num_drops=4, rng_seed=3, num_users=10)
-        result = run_sweep(spec)
-        assert set(result.drops) == {50, 100}
-        for m, cell in result.drops.items():
-            assert len(cell) == 4
+        result, cells = recorded_sweep(monkeypatch, spec)
+        assert set(cells) == {50, 100}
+        rows = table_rows(result)
+        for m, cell in cells.items():
+            assert len(cell) == rows[(m, "num_drops")] == 4
             for opt, snr in cell:
                 if snr.feasible:
                     assert opt.feasible
                     assert opt.objective <= snr.objective * (1 + 1e-9)
-        metrics = {(m, name) for m, name, _ in result.table}
-        assert (50, "bad_service_prob_optimal") in metrics
-        assert (100, "num_drops") in metrics
+            assert rows[(m, "bad_service_prob_optimal")] == sum(not o.feasible for o, _ in cell) / 4
+            assert rows[(m, "bad_service_prob_max_snr")] == sum(not s.feasible for _, s in cell) / 4
 
-    def test_same_drops_across_antenna_counts(self):
+    def test_same_drops_across_antenna_counts(self, monkeypatch):
         # common random numbers: feasibility can only improve with more antennas
         spec = SweepSpec(antenna_counts=(30, 60, 120), num_drops=6, rng_seed=5, num_users=10)
-        result = run_sweep(spec)
+        _, cells = recorded_sweep(monkeypatch, spec)
         for a, b in ((30, 60), (60, 120)):
-            for (da, _), (db, _) in zip(result.drops[a], result.drops[b]):
+            for (da, _), (db, _) in zip(cells[a], cells[b]):
                 if da.feasible:
                     assert db.feasible
                     assert db.objective <= da.objective * (1 + 1e-9)
 
-    def test_maxmin_sweep_metrics(self):
+    def test_maxmin_sweep_metrics(self, monkeypatch):
         spec = SweepSpec(
             antenna_counts=(50, 100), mode="maxmin", num_drops=3, rng_seed=2, num_users=8
         )
-        result = run_sweep(spec)
+        result, cells = recorded_sweep(monkeypatch, spec)
+        rows = table_rows(result)
         for m in (50, 100):
-            for opt, snr in result.drops[m]:
+            for opt, snr in cells[m]:
                 assert opt.xi_lower >= snr.xi_lower - spec.delta - 1e-12
                 assert 0.0 <= opt.last_feasible.joint_fraction <= 1.0
-        for (d50, _), (d100, _) in zip(result.drops[50], result.drops[100]):
+            levels = [opt.xi_lower for opt, _ in cells[m]]
+            assert rows[(m, "mean_maxmin_se_optimal")] == float(np.mean(levels))
+        for (d50, _), (d100, _) in zip(cells[50], cells[100]):
             assert d100.xi_lower >= d50.xi_lower - spec.delta - 1e-12
-        names = {name for _, name, _ in result.table}
-        assert "mean_maxmin_se_optimal" in names and "single_bs_fraction_optimal" in names
+        assert (50, "single_bs_fraction_optimal") in rows
+
+    @pytest.mark.parametrize("mode", ["powermin", "maxmin"])
+    def test_footprint_does_not_grow_with_drops(self, mode):
+        """A cell leaves a row of three scalars, not its solver results: the
+        traced peak of an untraced sweep barely grows from 5 to 40 drops. The
+        full results of those 35 drops would take about 0.23 MB (powermin)
+        and 0.62 MB (maxmin); their rows take about 10 KB."""
+        peaks = []
+        for num_drops in (1, 5, 40):  # the first run pays one-time allocations
+            spec = SweepSpec((50, 200), mode, num_drops=num_drops, rng_seed=3)
+            tracemalloc.start()
+            try:
+                run_sweep(spec)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[2] - peaks[1] < 100_000, peaks
 
     def test_determinism(self):
         spec = SweepSpec(antenna_counts=(60,), num_drops=3, rng_seed=9, num_users=8)
@@ -125,18 +165,18 @@ class TestSweeps:
         t2 = run_sweep(spec).table
         assert t1 == t2
 
-    def test_iter_drops_are_the_sweeps_drops(self):
+    def test_iter_drops_are_the_sweeps_drops(self, monkeypatch):
         """Each joint and max-SNR cell has the bits of a fresh solve_power_min
         of its drop, so a DropLp reused across antenna counts leaks no state."""
         spec = SweepSpec(antenna_counts=(60, 120), num_drops=4, rng_seed=6, num_users=8)
-        result = run_sweep(spec)
+        _, cells = recorded_sweep(monkeypatch, spec)
         base = default_scenario(spec.antenna_counts[0], spec.num_users, rng_seed=spec.rng_seed)
         feasible = 0
         for d, scn0, stats in iter_drops(base, spec.rng_seed, spec.num_drops):
             for m in spec.antenna_counts:
                 scn = dataclasses.replace(scn0, num_antennas=m)
                 targets = QosTargets.uniform(spec.target_se, scn)
-                for cell, mask in zip(result.drops[m][d], (None, max_snr_mask(stats.beta))):
+                for cell, mask in zip(cells[m][d], (None, max_snr_mask(stats.beta))):
                     res = solve_power_min(DropLp(stats, mask), targets, scn)
                     assert res.status == cell.status and res.objective == cell.objective
                     if res.feasible:
@@ -147,9 +187,10 @@ class TestSweeps:
                         assert np.array_equal(res.basis, cell.basis)
         assert feasible
 
-    def test_powermin_targets_are_built_once_per_sweep(self):
+    def test_powermin_targets_are_built_once_per_sweep(self, monkeypatch):
         spec = SweepSpec(antenna_counts=(60, 120), num_drops=3, rng_seed=6, num_users=8)
-        results = [res for cells in run_sweep(spec).drops.values() for cell in cells for res in cell]
+        _, cells = recorded_sweep(monkeypatch, spec)
+        results = [res for pairs in cells.values() for pair in pairs for res in pair]
         assert len(results) == 12
         assert all(res.targets is results[0].targets for res in results)
 
@@ -224,14 +265,14 @@ class TestSweeps:
             harness.solve_cell(harness.drop_lps(small_stats), small_scenario, "powermin", 0, targets, 0.01)
         assert type(info.value) is RuntimeError
 
-    def test_level_zero_sweep_publishes_single_bs_service(self, tmp_path, small_scenario):
+    def test_level_zero_sweep_publishes_single_bs_service(self, tmp_path, small_scenario, monkeypatch):
         # 1e-12 W per BS puts every cell's SE upper bound below delta: no probe runs
         path = tmp_path / "scn.json"
         save_scenario(dataclasses.replace(small_scenario, pmax=np.full(4, 1e-12)), path)
         spec = SweepSpec((64, 128), "maxmin", num_drops=2, rng_seed=1, scenario_path=str(path))
-        result = run_sweep(spec)
-        assert all(opt.last_feasible is None for cell in result.drops.values() for opt, _ in cell)
-        rows = {(m, name): value for m, name, value in result.table}
+        result, cells = recorded_sweep(monkeypatch, spec)
+        assert all(opt.last_feasible is None for pairs in cells.values() for opt, _ in pairs)
+        rows = table_rows(result)
         for m in spec.antenna_counts:
             assert rows[(m, "mean_maxmin_se_optimal")] == 0.0
             assert rows[(m, "joint_tx_fraction_optimal")] == 0.0
@@ -243,7 +284,7 @@ class TestSweeps:
         spec = SweepSpec(antenna_counts=(64,), num_drops=2, rng_seed=1, scenario_path=str(path))
         result = run_sweep(spec)
         assert result.config["base_scenario"]["num_users"] == small_scenario.num_users
-        assert len(result.drops[64]) == 2
+        assert table_rows(result)[(64, "num_drops")] == 2
 
 
 class TestEmit:
@@ -277,21 +318,29 @@ class TestEmit:
         csv_path = emit_results(result, tmp_path / "empty")[0]
         assert "mean_total_power" not in open(csv_path).read()
 
-    def test_traces_written_in_maxmin_mode(self, tmp_path):
+    def test_traces_written_in_maxmin_mode(self, tmp_path, monkeypatch):
         spec = SweepSpec(
             antenna_counts=(60, 100), mode="maxmin", num_drops=2, rng_seed=4, num_users=6
         )
-        result = run_sweep(spec)
-        trace_path = emit_results(result, tmp_path / "tr", traces=True)[-1]
+        result, cells = recorded_sweep(monkeypatch, spec, traces=True)
+        trace_path = emit_results(result, tmp_path / "tr")[-1]
         assert trace_path.endswith("traces.jsonl")
         recs = [json.loads(line) for line in open(trace_path)]
         # drop-major, then antenna count
         assert [(r["drop"], r["num_antennas"]) for r in recs] == [(0, 60), (0, 100), (1, 60), (1, 100)]
         for rec in recs:
             assert rec.keys() == {"num_antennas", "drop", "optimal", "max_snr"}
-            opt, snr = result.drops[rec["num_antennas"]][rec["drop"]]
+            opt, snr = cells[rec["num_antennas"]][rec["drop"]]
             assert rec["optimal"] == [dataclasses.asdict(p) for p in opt.trace]
             assert rec["max_snr"] == [dataclasses.asdict(p) for p in snr.trace]
+
+    @pytest.mark.parametrize("mode, traces", [("maxmin", False), ("powermin", True)])
+    def test_no_traces_file_unless_a_traced_maxmin_sweep(self, mode, traces, tmp_path):
+        spec = SweepSpec(antenna_counts=(60,), mode=mode, num_drops=1, rng_seed=4, num_users=6)
+        result = run_sweep(spec, traces=traces)
+        assert result.traces == []
+        assert [os.path.basename(p) for p in emit_results(result, tmp_path)] == ["results.csv", "config.json"]
+        assert sorted(os.listdir(tmp_path)) == ["config.json", "results.csv"]
 
 
 class TestRunDrop:
@@ -388,6 +437,13 @@ class TestCli:
         )
         assert code == 2
 
+    def test_one_feasible_antenna_count_exits_0(self, capsys):
+        # exit code 2 reads the bad_service_prob_optimal rows: here M=5 is 1.0, M=400 is 0.0
+        argv = ["powermin", "--drops", "2", "--antennas", "5,400", "--users", "6", "--seed", "1", "--target-se", "2"]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert "5,bad_service_prob_optimal,1.0\n" in out and "400,bad_service_prob_optimal,0.0\n" in out
+
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -432,6 +488,13 @@ class TestCli:
             (["drop", "--mode", "maxmin", "--target-se", "inf"], "SE targets must be finite"),
             (["drop", "--delta", "nan"], "delta must be positive"),
             (["drop", "--delta", "inf"], "delta must be finite"),
+            # a bisection finer than the LP's feasibility tolerance overshoots the caps
+            (["drop", "--mode", "maxmin", "--delta", "1e-16"], "delta must be at least 1e-09 bit/symbol, got 1e-16"),
+            (["maxmin", "--drops", "1", "--delta", "1e-10"], "delta must be at least 1e-09 bit/symbol, got 1e-10"),
+            (["validate", "--tol", "inf"], "rel_tol must be positive and finite, got inf"),
+            (["validate", "--tol", "nan"], "rel_tol must be positive and finite, got nan"),
+            (["validate", "--tol", "0"], "rel_tol must be positive and finite, got 0.0"),
+            (["validate", "--tol", "-1"], "rel_tol must be positive and finite, got -1.0"),
         ],
         ids=[
             "drop-target",
@@ -450,13 +513,25 @@ class TestCli:
             "drop-maxmin-target-inf",
             "drop-powermin-delta",
             "drop-powermin-delta-inf",
+            "drop-delta-below-floor",
+            "maxmin-delta-below-floor",
+            "validate-tol-inf",
+            "validate-tol-nan",
+            "validate-tol-zero",
+            "validate-tol-negative",
         ],
     )
     def test_nan_input_exits_1(self, argv, message, tmp_path, capsys):
         out = tmp_path / "nan"
-        assert cli.main([*argv, "--users", "5", "--antennas", "60", *out_flag(argv[0], out)]) == 1
+        size = ["--scenarios", "1"] if argv[0] == "validate" else ["--users", "5", "--antennas", "60"]
+        assert cli.main([*argv, *size, *out_flag(argv[0], out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    def test_delta_at_the_floor_keeps_the_caps(self, capsys):
+        # at delta 1e-16 this drop's bisection ended 1e-9 W over a cap
+        assert cli.main(["drop", "--mode", "maxmin", "--delta", "1e-9", "--seed", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["xi_upper"] > 0.0
 
     @pytest.mark.parametrize(
         "field, value, message",
@@ -549,7 +624,7 @@ class TestCli:
         assert err.startswith("validate: 1 scenarios x 1000 samples in ") and err.endswith(" s\n")
 
     def test_validate_failure_exits_1(self, capsys):
-        argv = ["validate", "--scenarios", "1", "--samples", "1000", "--tol", "0"]
+        argv = ["validate", "--scenarios", "1", "--samples", "1000", "--tol", "1e-12"]
         assert cli.main(argv) == 1
         assert capsys.readouterr().out.splitlines()[-1].startswith("FAIL: 1 scenarios")
 
@@ -641,8 +716,8 @@ class TestCli:
 
 
 def out_flag(command, out) -> list:
-    """``--out`` for a sweep; ``drop`` prints its record and takes no ``--out``."""
-    return [] if command == "drop" else ["--out", str(out)]
+    """``--out`` for a sweep; ``drop`` and ``validate`` print and take no ``--out``."""
+    return ["--out", str(out)] if command in ("powermin", "maxmin") else []
 
 
 def run_reproduce_trends(argv) -> int:

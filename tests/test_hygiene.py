@@ -201,9 +201,11 @@ def _package_roots():
 def _init_assigns(cls, name):
     """Whether the class's own ``__init__`` assigns ``self.<name>``."""
     init = cls.__dict__.get("__init__")
-    if not inspect.isfunction(init):
+    try:
+        source = inspect.getsource(init)
+    except (OSError, TypeError):  # no ``__init__`` of its own, or a dataclass's generated one
         return False
-    tree = ast.parse(textwrap.dedent(inspect.getsource(init)))
+    tree = ast.parse(textwrap.dedent(source))
     return any(
         isinstance(node, ast.Attribute)
         and isinstance(node.ctx, ast.Store)
@@ -250,5 +252,5 @@ def test_readme_references_resolve():
 
 
 def test_readme_check_catches_a_stale_name():
-    text = "`DropLp.basis`, `DropLp.begin`, `power_assoc.DropLp.mask`, `se.gone`, `config.json`"
-    assert _unresolved_references(text, _package_roots()) == (["DropLp.begin", "se.gone"], 4)
+    text = "`DropLp.basis`, `DropLp.begin`, `power_assoc.DropLp.mask`, `se.gone`, `SweepSpec.gone`, `config.json`"
+    assert _unresolved_references(text, _package_roots()) == (["DropLp.begin", "se.gone", "SweepSpec.gone"], 5)

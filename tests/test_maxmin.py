@@ -5,6 +5,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 from conftest import random_drop, single_cell
+from oracles import max_min_sinr
 
 from mimopower import maxmin, power_assoc
 from mimopower.channel import ChannelStats
@@ -12,10 +13,12 @@ from mimopower.harness import (
     DEFAULT_NUM_USERS,
     check_solution_invariants,
     default_scenario,
+    drop_lps,
     iter_drops,
+    solve_cell,
 )
 from mimopower.lp import LpSolution, LpStatus
-from mimopower.maxmin import auto_upper_bound, expected_iterations, solve_max_min
+from mimopower.maxmin import DEFAULT_DELTA, MIN_DELTA, auto_upper_bound, expected_iterations, solve_max_min
 from mimopower.power_assoc import DropLp, max_snr_mask, solve_power_min
 from mimopower.se import QosTargets, qos_to_threshold, se_mrt_all, spectral_efficiency
 
@@ -156,6 +159,8 @@ class TestBisection:
                 solve_max_min(lp, small_scenario, delta=delta)
         with pytest.raises(ValueError, match="delta must be finite"):
             solve_max_min(lp, small_scenario, delta=np.inf)
+        with pytest.raises(ValueError, match="delta must be at least 1e-09 bit/symbol"):
+            solve_max_min(lp, small_scenario, delta=0.5 * MIN_DELTA)
         for weights in (np.zeros(6), np.r_[np.ones(5), np.nan]):
             with pytest.raises(ValueError, match="weights must be strictly positive"):
                 solve_max_min(lp, small_scenario, weights=weights)
@@ -306,3 +311,31 @@ class TestProbeOutcomes:
         pattern = rf"^max-min level {re.escape(repr(level))} .* infeasible$"
         with pytest.raises(RuntimeError, match=pattern):
             solve_max_min(lp, scn)
+
+
+def test_sweep_cells_agree_with_the_exact_max_min_level():
+    """With uniform weights a drop's max-min SINR under a mask is M c*, where
+    c* is its max-min SINR at M = 1 (``oracles.max_min_sinr``, Dinkelbach's
+    method). On every cell of a small sweep, both masks, solved through the
+    sweep's own pipeline: the bisection's final interval holds SE(M c*), its
+    lower end is within delta of it, and power-min at SE 1 is feasible
+    exactly when M c* >= xi_hat."""
+    base = default_scenario(50, DEFAULT_NUM_USERS, rng_seed=17)
+    targets = QosTargets.uniform(1.0, base)
+    feasible = infeasible = 0
+    for d, scn0, stats in iter_drops(base, 17, 8):
+        masks = (None, max_snr_mask(stats.beta))
+        c_star = [max_min_sinr(stats, replace(scn0, num_antennas=1), mask) for mask in masks]
+        maxmin_lps, powermin_lps = drop_lps(stats), drop_lps(stats)
+        for m in (50, 100, 150, 200):
+            scn = replace(scn0, num_antennas=m)
+            bisections = solve_cell(maxmin_lps, scn, "maxmin", d, None, DEFAULT_DELTA)
+            verdicts = solve_cell(powermin_lps, scn, "powermin", d, targets, DEFAULT_DELTA)
+            for c, mm, pm in zip(c_star, bisections, verdicts):
+                se = float(spectral_efficiency(m * c, scn.coherence_length, scn.pilot_length))
+                assert mm.xi_lower - 1e-9 <= se <= mm.xi_upper + 1e-9, (d, m)
+                assert mm.xi_lower >= se - DEFAULT_DELTA, (d, m)
+                assert pm.feasible == (m * c >= targets.xi_hat[0]), (d, m)
+                feasible += pm.feasible
+                infeasible += not pm.feasible
+    assert feasible and infeasible

@@ -70,6 +70,11 @@ class TestSinrEstimate:
         np.testing.assert_array_less(
             np.abs(est.desired - m_gamma), 3.0 * est.desired_stderr + 1e-30
         )
+        # the own-beam gain uncertainty -> beta of the target user
+        np.testing.assert_array_less(
+            np.abs(est.gain_uncertainty - stats.beta[:, user]),
+            3.0 * est.gain_uncertainty_stderr + 1e-30,
+        )
         # every cross beam second moment -> beta of the observing user
         for t in range(scn.num_users):
             if t == user:
