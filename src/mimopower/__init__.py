@@ -8,7 +8,6 @@ from .channel import (
     estimation_quality,
     large_scale_fading,
     load_scenario,
-    path_loss_db,
     save_scenario,
 )
 from .harness import SweepSpec, default_scenario, emit_results, run_drop, run_sweep
@@ -28,7 +27,6 @@ from .power_assoc import (
 from .se import (
     PowerAllocation,
     QosTargets,
-    qos_to_threshold,
     se_mrt_all,
     sinr_mrt_all,
 )

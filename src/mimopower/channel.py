@@ -28,19 +28,6 @@ def dbm_to_watt(dbm):
     return 10.0 ** (np.asarray(dbm, dtype=float) / 10.0) * 1e-3
 
 
-def path_loss_db(distance_km):
-    """Average channel gain in dB (negative) at the given distance in km."""
-    d = np.asarray(distance_km, dtype=float)
-    if np.any(d <= 0.0):
-        raise ValueError("distance must be strictly positive (km)")
-    return -_PL_INTERCEPT_DB - _PL_SLOPE_DB * np.log10(d)
-
-
-def beta_from_distance(distance_km, shadow_db=0.0):
-    """Linear large-scale gain at a distance, with an explicit shadowing draw in dB."""
-    return 10.0 ** ((path_loss_db(distance_km) + shadow_db) / 10.0)
-
-
 _SCENARIO_FLOAT_FIELDS = (
     "bs_positions", "user_positions", "pilot_power", "noise_ul", "noise_dl", "pmax", "shadow_std_db"
 )
@@ -137,7 +124,8 @@ def pairwise_distances_km(bs_positions, user_positions) -> np.ndarray:
 
 
 def large_scale_fading(scenario: NetworkScenario, rng=None) -> np.ndarray:
-    """Draw the (L, K) matrix of linear gains beta for one shadowing realization.
+    """Draw the (L, K) matrix of linear gains beta for one shadowing realization:
+    the path loss at each BS-user distance plus a normal draw, both in dB.
 
     Deterministic given the generator state; with ``rng=None`` a fresh
     generator seeded from ``scenario.rng_seed`` is used.
@@ -148,26 +136,16 @@ def large_scale_fading(scenario: NetworkScenario, rng=None) -> np.ndarray:
     if np.any(d <= 0.0):
         raise ValueError("a user is colocated with a BS (zero distance)")
     shadow = rng.normal(0.0, scenario.shadow_std_db, size=d.shape)
-    return beta_from_distance(d, shadow)
-
-
-def mmse_estimate_variance(beta, pilot_power, pilot_length, noise_ul):
-    """MMSE estimate variance p*tau*beta^2 / (p*tau*beta + noise), elementwise.
-
-    ``beta`` is (L, K) and ``pilot_power`` a per-user vector (or scalar);
-    zero pilot power yields zero estimation quality.
-    """
-    beta = np.asarray(beta, dtype=float)
-    energy = np.asarray(pilot_power, dtype=float) * float(pilot_length)
-    return energy * beta**2 / (energy * beta + float(noise_ul))
+    return 10.0 ** ((-_PL_INTERCEPT_DB - _PL_SLOPE_DB * np.log10(d) + shadow) / 10.0)
 
 
 def estimation_quality(scenario: NetworkScenario, beta) -> np.ndarray:
-    """The (L, K) matrix gamma of estimate variances for a given beta."""
+    """The (L, K) matrix gamma of MMSE estimate variances (module docstring) for a given beta."""
     beta = np.asarray(beta, dtype=float)
     if np.any(beta <= 0.0):
         raise ValueError("beta must be strictly positive")
-    return mmse_estimate_variance(beta, scenario.pilot_power, scenario.pilot_length, scenario.noise_ul)
+    energy = scenario.pilot_power * float(scenario.pilot_length)
+    return energy * beta**2 / (energy * beta + float(scenario.noise_ul))
 
 
 def channel_stats(scenario: NetworkScenario, rng=None) -> ChannelStats:
@@ -306,5 +284,5 @@ def load_scenario(path) -> NetworkScenario:
 
 def save_scenario(scenario: NetworkScenario, path) -> None:
     with open(path, "w") as fh:
-        json.dump(scenario_to_json_dict(scenario), fh, indent=2)
+        json.dump(scenario_to_json_dict(scenario), fh, indent=2, allow_nan=False)
         fh.write("\n")

@@ -84,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("maxmin", help="max-min SE sweep")
     _add_sweep(p)
     p.add_argument("--delta", type=float, default=DEFAULT_DELTA, help="bisection accuracy (bit/symbol)")
-    p.add_argument("--trace", action="store_true", help="also write per-iteration traces.jsonl")
+    p.add_argument("--trace", action="store_true", help="also write per-iteration traces.jsonl (needs --out)")
     p.set_defaults(run=_cmd_sweep, target_se=DEFAULT_TARGET_SE)
 
     p = sub.add_parser("validate", help="Monte-Carlo oracle vs. closed form")
@@ -105,6 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_sweep(args) -> int:
+    if args.trace and not args.out:
+        raise ValueError("--trace needs --out, the directory traces.jsonl is written to")
     spec = SweepSpec(
         antenna_counts=_parse_antennas(args.antennas),
         mode=args.command,
@@ -163,7 +165,7 @@ def _cmd_drop(args) -> int:
     else:
         scenario = default_scenario(counts[0], num_users, rng_seed=args.seed or 0)
     record = run_drop(scenario, mode=args.mode, target_se=args.target_se, delta=args.delta)
-    print(json.dumps(record, indent=2, sort_keys=True))
+    print(json.dumps(record, indent=2, sort_keys=True, allow_nan=False))
     if args.mode == "powermin" and record["optimal"]["status"] != "optimal":
         return EXIT_INFEASIBLE
     return EXIT_OK

@@ -58,8 +58,11 @@ def default_scenario(
 
     Other deployments come in as scenario JSON (``channel.load_scenario``).
     """
-    if num_users < 1:
-        raise ValueError(f"num_users must be >= 1, got {num_users}")
+    if not 1 <= num_users < DEFAULT_COHERENCE_LENGTH:
+        raise ValueError(
+            f"num_users must be 1 to {DEFAULT_COHERENCE_LENGTH - 1}, one pilot symbol each in the "
+            f"{DEFAULT_COHERENCE_LENGTH}-symbol coherence block, got {num_users}"
+        )
     pilot_length = num_users  # one orthogonal pilot symbol per user
     bs = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     rng = np.random.default_rng(rng_seed)
@@ -224,16 +227,25 @@ def solve_cell(
     return opt, snr
 
 
+def checked_targets(scenario: NetworkScenario, target_se: float, delta: float) -> QosTargets:
+    """The uniform targets at ``target_se``, after checking it and ``delta``
+    (ValueError): a run checks both settings, whichever mode it solves."""
+    targets = QosTargets.uniform(target_se, scenario)
+    check_delta(delta)
+    return targets
+
+
 def run_sweep(spec: SweepSpec, traces: bool = False) -> SweepResult:
     """Run the sweep: per drop, sample users and shadowing once, then solve
     every antenna count on the same realization with the drop's one
     ``DropLp`` per association mask. A cell leaves only its table row and,
-    traced in maxmin mode, its traces.jsonl line."""
+    traced in maxmin mode, its traces.jsonl line. Both settings are checked
+    before the first drop (``checked_targets``), as config.json records them."""
     if spec.scenario_path is not None:
         base = load_scenario(spec.scenario_path)
     else:
         base = default_scenario(spec.antenna_counts[0], spec.num_users, rng_seed=spec.rng_seed)
-    targets = QosTargets.uniform(spec.target_se, base) if spec.mode == "powermin" else None
+    targets = checked_targets(base, spec.target_se, spec.delta)
     rows: dict[int, list[tuple]] = {m: [] for m in spec.antenna_counts}
     lines = []
     for d, scn0, stats in iter_drops(base, spec.rng_seed, spec.num_drops):
@@ -247,7 +259,7 @@ def run_sweep(spec: SweepSpec, traces: bool = False) -> SweepResult:
                 rows[m].append((opt.xi_lower, snr.xi_lower, last.joint_fraction if last else 0.0))
             if traces and spec.mode == "maxmin":
                 rec = {"num_antennas": m, "drop": d, "optimal": _trace(opt), "max_snr": _trace(snr)}
-                lines.append(json.dumps(rec, sort_keys=True) + "\n")
+                lines.append(json.dumps(rec, sort_keys=True, allow_nan=False) + "\n")
     config = {"spec": asdict(spec), "base_scenario": scenario_to_json_dict(base)}
     return SweepResult(table=aggregate_table(spec, rows), config=config, traces=lines)
 
@@ -303,7 +315,7 @@ def emit_results(result: SweepResult, out_dir) -> tuple:
     os.makedirs(out_dir, exist_ok=True)
     files = {
         "results.csv": [results_csv(result.table)],
-        "config.json": [json.dumps(result.config, indent=2, sort_keys=True), "\n"],
+        "config.json": [json.dumps(result.config, indent=2, sort_keys=True, allow_nan=False), "\n"],
         "traces.jsonl": result.traces,  # empty unless traced
     }
     paths = []
@@ -333,8 +345,7 @@ def run_drop(scenario: NetworkScenario, mode: str = "powermin", target_se: float
     """Solve a single drop on the scenario as given, with the sweep's checks and
     both settings checked in either mode. Returns the JSON record; in maxmin
     mode its top level is the joint bisection and ``max_snr`` the max-SNR one."""
-    targets = QosTargets.uniform(target_se, scenario)
-    check_delta(delta)
+    targets = checked_targets(scenario, target_se, delta)
     opt, snr = solve_cell(drop_lps(channel_stats(scenario)), scenario, mode, 0, targets, delta)
     if mode == "powermin":
         return {

@@ -41,18 +41,6 @@ class PowerAllocation:
         return self.rho.sum(axis=1)
 
 
-def qos_to_threshold(xi, tau_c, tau_p):
-    """SINR threshold 2^(xi * tau_c / (tau_c - tau_p)) - 1 for a finite SE target xi > 0."""
-    if tau_p >= tau_c:
-        raise ValueError("tau_p must be smaller than tau_c")
-    xi = np.asarray(xi, dtype=float)
-    if not (xi > 0.0).all():
-        raise ValueError("SE targets must be positive")
-    if np.isinf(xi).any():
-        raise ValueError("SE targets must be finite")
-    return np.expm1(xi * (tau_c / (tau_c - tau_p)) * _LN2)
-
-
 def spectral_efficiency(sinr, tau_c, tau_p):
     """Ergodic SE in bit/symbol; tau_p == tau_c leaves no data symbols (SE = 0)."""
     if tau_p > tau_c:
@@ -63,7 +51,7 @@ def spectral_efficiency(sinr, tau_c, tau_p):
 
 @dataclass(frozen=True)
 class QosTargets:
-    """Per-user SE targets xi and their SINR thresholds xi_hat, all positive."""
+    """Per-user SE targets xi, positive and finite, and their positive SINR thresholds xi_hat."""
 
     xi: np.ndarray
     xi_hat: np.ndarray
@@ -75,11 +63,16 @@ class QosTargets:
             raise ValueError("xi and xi_hat must have equal shapes")
         if not ((self.xi > 0.0).all() and (self.xi_hat > 0.0).all()):
             raise ValueError("SE targets must be positive")
+        if np.isinf(self.xi).any():
+            raise ValueError("SE targets must be finite")
 
     @classmethod
     def from_se(cls, xi, tau_c, tau_p) -> "QosTargets":
+        """Targets xi with SINR thresholds 2^(xi * tau_c / (tau_c - tau_p)) - 1."""
+        if tau_p >= tau_c:
+            raise ValueError("tau_p must be smaller than tau_c")
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        return cls(xi=xi, xi_hat=qos_to_threshold(xi, tau_c, tau_p))
+        return cls(xi=xi, xi_hat=np.expm1(xi * (tau_c / (tau_c - tau_p)) * _LN2))
 
     @classmethod
     def uniform(cls, xi: float, scenario: NetworkScenario) -> "QosTargets":

@@ -8,14 +8,11 @@ from hypothesis import strategies as st
 from mimopower.channel import (
     ChannelStats,
     NetworkScenario,
-    beta_from_distance,
     channel_stats,
     dbm_to_watt,
     estimation_quality,
     large_scale_fading,
     load_scenario,
-    mmse_estimate_variance,
-    path_loss_db,
     sample_user_positions,
     save_scenario,
     scenario_from_json_dict,
@@ -24,24 +21,31 @@ from mimopower.channel import (
 from mimopower.harness import MIN_BS_USER_DIST_KM, default_scenario
 
 
+def one_bs_scenario(user_positions, **fields):
+    """The default scenario cut to one BS at the origin, users at the given positions."""
+    users = np.asarray(user_positions, dtype=float)
+    base = default_scenario(32, num_users=len(users), rng_seed=5)
+    return dataclasses.replace(
+        base, num_bs=1, bs_positions=np.zeros((1, 2)), user_positions=users, pmax=np.array([40.0]), **fields
+    )
+
+
 class TestPathLoss:
     def test_reference_distances(self):
-        assert path_loss_db(1.0) == pytest.approx(-148.1, abs=1e-12)
-        assert path_loss_db(0.1) == pytest.approx(-110.5, abs=1e-10)
-        assert path_loss_db(0.01) == pytest.approx(-72.9, abs=1e-10)
-
-    def test_rejects_nonpositive_distance(self):
-        with pytest.raises(ValueError):
-            path_loss_db(0.0)
-        with pytest.raises(ValueError):
-            path_loss_db(np.array([0.5, -1.0]))
+        # users 1 km, 100 m and 10 m from the BS, no shadowing: -(148.1 + 37.6 log10 d) dB
+        scn = one_bs_scenario([[1.0, 0.0], [0.1, 0.0], [0.0, 0.01]], shadow_std_db=0.0)
+        gain_db = 10.0 * np.log10(large_scale_fading(scn))
+        np.testing.assert_allclose(gain_db, [[-148.1, -110.5, -72.9]], rtol=0, atol=1e-10)
 
     def test_beta_without_shadowing(self):
-        assert beta_from_distance(1.0) == pytest.approx(10 ** (-14.81), rel=1e-12)
+        scn = one_bs_scenario([[0.0, 1.0]], shadow_std_db=0.0)
+        assert large_scale_fading(scn)[0, 0] == pytest.approx(10 ** (-14.81), rel=1e-12)
 
     def test_beta_with_fixed_shadow_draw(self):
-        expect = 10 ** ((-110.5 + 7.0) / 10.0)
-        assert beta_from_distance(0.1, shadow_db=7.0) == pytest.approx(expect, rel=1e-10)
+        scn = one_bs_scenario([[0.1, 0.0], [0.0, 0.1]], shadow_std_db=7.0)
+        shadow_db = np.random.default_rng(11).normal(0.0, 7.0, size=(1, 2))
+        beta = large_scale_fading(scn, np.random.default_rng(11))
+        np.testing.assert_allclose(beta, 10 ** ((-110.5 + shadow_db) / 10.0), rtol=1e-10)
 
 
 class TestLargeScaleFading:
@@ -57,7 +61,7 @@ class TestLargeScaleFading:
         d = np.linalg.norm(
             scn.bs_positions[:, None, :] - scn.user_positions[None, :, :], axis=2
         )
-        np.testing.assert_allclose(beta, beta_from_distance(d), rtol=1e-12)
+        np.testing.assert_allclose(beta, 10 ** (-(148.1 + 37.6 * np.log10(d)) / 10.0), rtol=1e-12)
 
     def test_colocated_user_raises(self):
         scn = default_scenario(32, num_users=3, rng_seed=5)
@@ -67,18 +71,20 @@ class TestLargeScaleFading:
             large_scale_fading(dataclasses.replace(scn, user_positions=bad))
 
 
+def pilot_gamma(beta, p, tau, noise):
+    """gamma of ``estimation_quality`` for one BS and one user with pilot power
+    ``p``, pilot length ``tau`` and uplink noise ``noise``, at gain ``beta``."""
+    scn = one_bs_scenario([[0.5, 0.5]], pilot_power=np.array([p]), pilot_length=tau, noise_ul=noise)
+    return estimation_quality(scn, np.array([[beta]]))[0, 0]
+
+
 class TestEstimationQuality:
     def test_known_value(self):
         # p*tau = 4, beta = 1, noise = 1 -> 4/(4+1) = 0.8
-        assert mmse_estimate_variance(1.0, 0.2, 20, 1.0) == pytest.approx(0.8, rel=1e-15)
-
-    def test_zero_pilot_power_gives_zero(self):
-        assert mmse_estimate_variance(np.array([[1.0]]), 0.0, 20, 1.0) == 0.0
+        assert pilot_gamma(1.0, 0.2, 20, 1.0) == pytest.approx(0.8, rel=1e-15)
 
     def test_high_snr_limit_approaches_beta(self):
-        beta = np.array([[3e-9]])
-        gamma = mmse_estimate_variance(beta, 1e9, 20, 1e-13)
-        np.testing.assert_allclose(gamma, beta, rtol=1e-6)
+        assert pilot_gamma(3e-9, 1e9, 20, 1e-13) == pytest.approx(3e-9, rel=1e-6)
 
     def test_bounds_and_error_variance(self, small_scenario, small_stats):
         assert np.all(small_stats.gamma > 0.0)
@@ -95,13 +101,15 @@ class TestEstimationQuality:
         beta=st.floats(1e-16, 1e-6),
         p=st.floats(1e-4, 10.0),
         bump=st.floats(1.0001, 10.0),
+        extra=st.integers(1, 179),
     )
-    def test_monotone_in_power_pilots_and_beta(self, beta, p, bump):
+    def test_monotone_in_power_pilots_and_beta(self, beta, p, bump, extra):
         tau, noise = 20, 2.5e-13
-        base = mmse_estimate_variance(beta, p, tau, noise)
-        assert mmse_estimate_variance(beta, p * bump, tau, noise) >= base
-        assert mmse_estimate_variance(beta, p, tau * bump, noise) >= base
-        assert mmse_estimate_variance(beta * bump, p, tau, noise) >= base
+        base = pilot_gamma(beta, p, tau, noise)
+        assert base == pytest.approx(p * tau * beta**2 / (p * tau * beta + noise), rel=1e-14)
+        assert pilot_gamma(beta, p * bump, tau, noise) >= base
+        assert pilot_gamma(beta, p, tau + extra, noise) >= base
+        assert pilot_gamma(beta * bump, p, tau, noise) >= base
 
     def test_estimation_quality_rejects_bad_beta(self, small_scenario):
         with pytest.raises(ValueError):

@@ -29,6 +29,11 @@ from mimopower.power_assoc import DropLp, PowerMinResult, max_snr_mask, solve_po
 from mimopower.se import QosTargets
 
 
+# Small sizes for a row of the CLI error table whose check must fire before any solve.
+SMALL = ["--users", "5", "--antennas", "60"]
+USERS_RANGE = "num_users must be 1 to 199, one pilot symbol each in the 200-symbol coherence block"
+
+
 class TestDefaults:
     def test_reference_parameters(self):
         scn = default_scenario(100, rng_seed=0)
@@ -193,6 +198,24 @@ class TestSweeps:
         results = [res for pairs in cells.values() for pair in pairs for res in pair]
         assert len(results) == 12
         assert all(res.targets is results[0].targets for res in results)
+
+    @pytest.mark.parametrize(
+        "mode, setting, message",
+        [
+            ("powermin", {"delta": float("nan")}, "delta must be positive"),
+            ("powermin", {"delta": 1e-12}, "delta must be at least 1e-09 bit/symbol, got 1e-12"),
+            ("maxmin", {"target_se": float("inf")}, "SE targets must be finite"),
+            ("maxmin", {"target_se": -3.0}, "SE targets must be positive"),
+        ],
+        ids=["powermin-delta-nan", "powermin-delta-below-floor", "maxmin-target-inf", "maxmin-target-negative"],
+    )
+    def test_sweep_checks_both_settings_before_solving(self, mode, setting, message, tmp_path, monkeypatch):
+        # config.json records both settings, so neither mode may leave one unchecked
+        monkeypatch.setattr(harness, "solve_cell", lambda *args: pytest.fail("a cell was solved"))
+        spec = SweepSpec((50,), mode=mode, num_drops=1, **setting)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            emit_results(run_sweep(spec), tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("mode", ["powermin", "maxmin"])
     def test_one_drop_lp_per_drop_and_mask(self, mode, monkeypatch):
@@ -444,57 +467,56 @@ class TestCli:
         out = capsys.readouterr().out
         assert "5,bad_service_prob_optimal,1.0\n" in out and "400,bad_service_prob_optimal,0.0\n" in out
 
+    # Every argv-only exit-1 case: the argv with its own size flags, and the
+    # exact error line; nothing is printed and a sweep's --out is not created.
     @pytest.mark.parametrize(
         "argv, message",
         [
+            (["drop", *SMALL, "--target-se", "nan"], "SE targets must be positive"),
+            (["powermin", "--drops", "1", *SMALL, "--target-se", "nan"], "SE targets must be positive"),
+            (["drop", *SMALL, "--mode", "maxmin", "--delta", "nan"], "delta must be positive"),
+            (["maxmin", "--drops", "1", *SMALL, "--delta", "nan"], "delta must be positive"),
+            (["drop", *SMALL, "--target-se", "inf"], "SE targets must be finite"),
+            (["powermin", "--drops", "1", *SMALL, "--target-se", "inf"], "SE targets must be finite"),
+            (["drop", *SMALL, "--target-se", "0"], "SE targets must be positive"),
+            (["powermin", "--drops", "1", *SMALL, "--target-se", "0"], "SE targets must be positive"),
+            (["drop", *SMALL, "--target-se", "-1"], "SE targets must be positive"),
+            (["powermin", "--drops", "1", *SMALL, "--target-se", "-1"], "SE targets must be positive"),
+            (["drop", *SMALL, "--mode", "maxmin", "--delta", "inf"], "delta must be finite"),
+            (["maxmin", "--drops", "1", *SMALL, "--delta", "inf"], "delta must be finite"),
+            # drop checks the flag of the mode it is not running too
+            (["drop", *SMALL, "--mode", "maxmin", "--target-se", "-3"], "SE targets must be positive"),
+            (["drop", *SMALL, "--mode", "maxmin", "--target-se", "inf"], "SE targets must be finite"),
+            (["drop", *SMALL, "--delta", "nan"], "delta must be positive"),
+            (["drop", *SMALL, "--delta", "inf"], "delta must be finite"),
+            # a bisection finer than the LP's feasibility tolerance overshoots the caps
+            (["drop", *SMALL, "--mode", "maxmin", "--delta", "1e-16"], "delta must be at least 1e-09 bit/symbol, got 1e-16"),
+            (["maxmin", "--drops", "1", *SMALL, "--delta", "1e-10"], "delta must be at least 1e-09 bit/symbol, got 1e-10"),
+            (["validate", "--scenarios", "1", "--tol", "inf"], "rel_tol must be positive and finite, got inf"),
+            (["validate", "--scenarios", "1", "--tol", "nan"], "rel_tol must be positive and finite, got nan"),
+            (["validate", "--scenarios", "1", "--tol", "0"], "rel_tol must be positive and finite, got 0.0"),
+            (["validate", "--scenarios", "1", "--tol", "-1"], "rel_tol must be positive and finite, got -1.0"),
             (["powermin", "--drops", "1", "--antennas", ""], "--antennas must list at least one count"),
             (["maxmin", "--drops", "1", "--antennas", ""], "--antennas must list at least one count"),
             (["drop", "--antennas", ""], "--antennas must list at least one count"),
             (["powermin", "--drops", "1", "--antennas", "50,0"], "antenna_counts must all be >= 1, got (50, 0)"),
             (["drop", "--antennas", "0"], "num_antennas must be >= 1, got 0"),
             (["drop", "--antennas", "-2", "--users", "3"], "num_antennas must be >= 1, got -2"),
-        ],
-        ids=["powermin-empty", "maxmin-empty", "drop-empty", "powermin-zero", "drop-zero", "drop-negative"],
-    )
-    def test_bad_antenna_list_exits_1(self, argv, message, tmp_path, capsys):
-        out = tmp_path / "bad"
-        assert cli.main([*argv, *out_flag(argv[0], out)]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert not out.exists()
-
-    def test_repeated_antenna_count_exits_1(self, tmp_path, capsys):
-        argv = ["maxmin", "--drops", "3", "--antennas", "50,100,50", "--out", str(tmp_path / "rep")]
-        assert cli.main(argv) == 1
-        assert "must not repeat a count" in capsys.readouterr().err
-        assert not (tmp_path / "rep").exists()
-
-    @pytest.mark.parametrize(
-        "argv, message",
-        [
-            (["drop", "--target-se", "nan"], "SE targets must be positive"),
-            (["powermin", "--drops", "1", "--target-se", "nan"], "SE targets must be positive"),
-            (["drop", "--mode", "maxmin", "--delta", "nan"], "delta must be positive"),
-            (["maxmin", "--drops", "1", "--delta", "nan"], "delta must be positive"),
-            (["drop", "--target-se", "inf"], "SE targets must be finite"),
-            (["powermin", "--drops", "1", "--target-se", "inf"], "SE targets must be finite"),
-            (["drop", "--target-se", "0"], "SE targets must be positive"),
-            (["powermin", "--drops", "1", "--target-se", "0"], "SE targets must be positive"),
-            (["drop", "--target-se", "-1"], "SE targets must be positive"),
-            (["powermin", "--drops", "1", "--target-se", "-1"], "SE targets must be positive"),
-            (["drop", "--mode", "maxmin", "--delta", "inf"], "delta must be finite"),
-            (["maxmin", "--drops", "1", "--delta", "inf"], "delta must be finite"),
-            # drop checks the flag of the mode it is not running too
-            (["drop", "--mode", "maxmin", "--target-se", "-3"], "SE targets must be positive"),
-            (["drop", "--mode", "maxmin", "--target-se", "inf"], "SE targets must be finite"),
-            (["drop", "--delta", "nan"], "delta must be positive"),
-            (["drop", "--delta", "inf"], "delta must be finite"),
-            # a bisection finer than the LP's feasibility tolerance overshoots the caps
-            (["drop", "--mode", "maxmin", "--delta", "1e-16"], "delta must be at least 1e-09 bit/symbol, got 1e-16"),
-            (["maxmin", "--drops", "1", "--delta", "1e-10"], "delta must be at least 1e-09 bit/symbol, got 1e-10"),
-            (["validate", "--tol", "inf"], "rel_tol must be positive and finite, got inf"),
-            (["validate", "--tol", "nan"], "rel_tol must be positive and finite, got nan"),
-            (["validate", "--tol", "0"], "rel_tol must be positive and finite, got 0.0"),
-            (["validate", "--tol", "-1"], "rel_tol must be positive and finite, got -1.0"),
+            (["maxmin", "--drops", "3", "--antennas", "50,100,50"], "antenna_counts must not repeat a count, got (50, 100, 50)"),
+            (["drop", "--antennas", "50,100", "--users", "5"], "drop solves one antenna count, got --antennas 50,100"),
+            (["powermin", "--users", "0"], f"{USERS_RANGE}, got 0"),
+            (["maxmin", "--users", "0"], f"{USERS_RANGE}, got 0"),
+            (["drop", "--users", "0"], f"{USERS_RANGE}, got 0"),
+            # K users take K pilot symbols, so 200 leave no data symbols
+            (["powermin", "--users", "200", "--drops", "1"], f"{USERS_RANGE}, got 200"),
+            (["maxmin", "--users", "200", "--drops", "1"], f"{USERS_RANGE}, got 200"),
+            (["drop", "--users", "201"], f"{USERS_RANGE}, got 201"),
+            (["powermin", "--seed", "-1"], "--seed must be >= 0, got -1"),
+            (["maxmin", "--seed", "-1"], "--seed must be >= 0, got -1"),
+            (["validate", "--seed", "-1"], "--seed must be >= 0, got -1"),
+            (["drop", "--seed", "-1"], "--seed must be >= 0, got -1"),
+            # the traces would go nowhere
+            (["maxmin", "--drops", "1", *SMALL, "--trace"], "--trace needs --out, the directory traces.jsonl is written to"),
         ],
         ids=[
             "drop-target",
@@ -519,13 +541,33 @@ class TestCli:
             "validate-tol-nan",
             "validate-tol-zero",
             "validate-tol-negative",
+            "powermin-antennas-empty",
+            "maxmin-antennas-empty",
+            "drop-antennas-empty",
+            "powermin-antennas-zero",
+            "drop-antennas-zero",
+            "drop-antennas-negative",
+            "maxmin-antennas-repeated",
+            "drop-antennas-several",
+            "powermin-users-zero",
+            "maxmin-users-zero",
+            "drop-users-zero",
+            "powermin-users-200",
+            "maxmin-users-200",
+            "drop-users-201",
+            "powermin-seed-negative",
+            "maxmin-seed-negative",
+            "validate-seed-negative",
+            "drop-seed-negative",
+            "maxmin-trace-without-out",
         ],
     )
     def test_nan_input_exits_1(self, argv, message, tmp_path, capsys):
-        out = tmp_path / "nan"
-        size = ["--scenarios", "1"] if argv[0] == "validate" else ["--users", "5", "--antennas", "60"]
-        assert cli.main([*argv, *size, *out_flag(argv[0], out)]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        out = tmp_path / "out"
+        # the --trace row is the one sweep left without --out
+        extra = [] if "--trace" in argv else out_flag(argv[0], out)
+        assert cli.main([*argv, *extra]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not out.exists()
 
     def test_delta_at_the_floor_keeps_the_caps(self, capsys):
@@ -585,16 +627,6 @@ class TestCli:
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert "10 m BS exclusion" in err
 
-    @pytest.mark.parametrize("command", ["powermin", "maxmin", "drop"])
-    def test_zero_users_exits_1(self, command, capsys):
-        assert cli.main([command, "--users", "0"]) == 1
-        assert capsys.readouterr().err == "error: num_users must be >= 1, got 0\n"
-
-    @pytest.mark.parametrize("command", ["powermin", "maxmin", "validate", "drop"])
-    def test_negative_seed_exits_1(self, command, capsys):
-        assert cli.main([command, "--seed", "-1"]) == 1
-        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
-
     def test_maxmin_with_trace(self, tmp_path):
         code = cli.main(
             [
@@ -653,11 +685,6 @@ class TestCli:
             assert cli.main(argv) == 1
             assert "--users" in capsys.readouterr().err
             assert not out.exists()
-
-    def test_drop_rejects_several_antenna_counts(self, capsys):
-        assert cli.main(["drop", "--antennas", "50,100", "--users", "5"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == "" and "one antenna count" in captured.err
 
     def test_drop_takes_no_out_flag(self, tmp_path, capsys):
         # drop prints its record; only the sweeps write files

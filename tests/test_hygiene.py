@@ -1,8 +1,9 @@
 """Static checks on the source tree, with the standard library's ``ast`` only:
 no unused imports, no module-level private name of the package that nothing
 in ``src/`` uses, no function in ``src/`` with a parameter its body never
-reads, no random draw in ``src/`` outside a seeded generator, and no file
-opened outside ``harness.py`` and ``channel.py``. One more check imports the
+reads, no random draw in ``src/`` outside a seeded generator, no file opened
+outside ``harness.py`` and ``channel.py``, and no JSON write in ``src/``
+that allows NaN. One more check imports the
 package: every dotted name README.md gives of it resolves."""
 
 import ast
@@ -181,6 +182,38 @@ def test_only_harness_and_channel_touch_files():
 def test_file_check_sees_open_and_makedirs():
     tree = ast.parse("import os\nos.makedirs(d)\nwith open(p, 'w') as fh:\n    fh.write(t)\n")
     assert list(_file_calls(tree)) == [(2, "makedirs"), (3, "open")]
+
+
+def _json_writes(tree):
+    """(line, name, strict) of each ``json.dump`` or ``json.dumps`` call, where
+    strict means it passes ``allow_nan=False``."""
+    for node in ast.walk(tree):
+        func = getattr(node, "func", None)
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(func, ast.Attribute)
+            and func.attr in ("dump", "dumps")
+            and getattr(func.value, "id", None) == "json"
+        ):
+            strict = any(
+                kw.arg == "allow_nan" and isinstance(kw.value, ast.Constant) and kw.value.value is False
+                for kw in node.keywords
+            )
+            yield node.lineno, func.attr, strict
+
+
+def test_json_writes_reject_nan():
+    """NaN and infinities are not JSON, so a file or line mimopower writes that
+    holds one raises instead of failing a strict parser later."""
+    writes = [(path.name, *w) for path in _files("src") for w in _json_writes(_tree(path))]
+    assert writes, "src/ writes no JSON: the check checks nothing"
+    loose = [f"{name}:{line}: json.{func}" for name, line, func, strict in writes if not strict]
+    assert not loose, f"json writes without allow_nan=False: {loose}"
+
+
+def test_json_check_sees_a_missing_flag():
+    tree = ast.parse("json.dump(r, fh, allow_nan=False)\njson.dumps(r)\njson.dumps(r, allow_nan=True)\n")
+    assert list(_json_writes(tree)) == [(1, "dump", True), (2, "dumps", False), (3, "dumps", False)]
 
 
 def _package_roots():

@@ -20,7 +20,7 @@ from mimopower.harness import (
 from mimopower.lp import LpSolution, LpStatus
 from mimopower.maxmin import DEFAULT_DELTA, MIN_DELTA, auto_upper_bound, expected_iterations, solve_max_min
 from mimopower.power_assoc import DropLp, max_snr_mask, solve_power_min
-from mimopower.se import QosTargets, qos_to_threshold, se_mrt_all, spectral_efficiency
+from mimopower.se import QosTargets, se_mrt_all, spectral_efficiency
 
 
 class TestAutoUpperBound:
@@ -115,7 +115,7 @@ class TestBisection:
         assert res.xi_lower <= xi_star + 1e-12 <= res.xi_upper + 1e-12
 
         def rho_needed(xi):
-            xh = qos_to_threshold(xi, scn.coherence_length, scn.pilot_length)
+            xh = QosTargets.from_se(xi, scn.coherence_length, scn.pilot_length).xi_hat[0]
             room = m * gamma - xh * beta
             return xh * scn.noise_dl / room if room > 0 else np.inf
 

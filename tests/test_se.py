@@ -10,7 +10,6 @@ from mimopower.harness import default_scenario
 from mimopower.se import (
     PowerAllocation,
     QosTargets,
-    qos_to_threshold,
     se_mrt_all,
     sinr_mrt_all,
     spectral_efficiency,
@@ -29,26 +28,32 @@ class TestThresholdConversion:
     @pytest.mark.parametrize("xi", [0.0, -1.0, float("nan")])
     def test_nonpositive_target_rejected(self, xi):
         with pytest.raises(ValueError, match="^SE targets must be positive$"):
-            qos_to_threshold(xi, 200, 20)
+            QosTargets.from_se(xi, 200, 20)
         with pytest.raises(ValueError, match="^SE targets must be positive$"):
             QosTargets.from_se(np.array([1.0, xi]), 200, 20)
 
+    def test_infinite_target_rejected(self):
+        with pytest.raises(ValueError, match="^SE targets must be finite$"):
+            QosTargets.from_se(np.array([1.0, np.inf]), 200, 20)
+        with pytest.raises(ValueError, match="^SE targets must be finite$"):
+            QosTargets(xi=[np.inf], xi_hat=[np.inf])
+
     def test_prelog_target_maps_to_unit_threshold(self):
         # xi = 1 - tau_p/tau_c collapses the exponent to 1
-        assert qos_to_threshold(0.9, 200, 20) == pytest.approx(1.0, rel=1e-14)
+        assert QosTargets.from_se(0.9, 200, 20).xi_hat[0] == pytest.approx(1.0, rel=1e-14)
 
     def test_rejects_pilot_only_frames(self):
-        with pytest.raises(ValueError):
-            qos_to_threshold(1.0, 200, 200)
+        with pytest.raises(ValueError, match="^tau_p must be smaller than tau_c$"):
+            QosTargets.from_se(1.0, 200, 200)
 
     @given(st.floats(0.0, 12.0, exclude_min=True))
     def test_round_trip(self, xi):
-        back = spectral_efficiency(qos_to_threshold(xi, 200, 20), 200, 20)
-        assert back == pytest.approx(xi, rel=1e-12, abs=1e-12)
+        back = spectral_efficiency(QosTargets.from_se(xi, 200, 20).xi_hat, 200, 20)
+        assert back[0] == pytest.approx(xi, rel=1e-12, abs=1e-12)
 
     def test_targets_hold_exact_thresholds(self):
         t = QosTargets.from_se(np.array([0.5, 1.0]), 200, 20)
-        np.testing.assert_array_equal(t.xi_hat, qos_to_threshold(t.xi, 200, 20))
+        np.testing.assert_allclose(t.xi_hat, 2.0 ** (t.xi * 200 / 180) - 1.0, rtol=1e-14)
 
 
 class TestSinr:
