@@ -47,6 +47,15 @@ DEFAULT_NUM_USERS = 20
 MIN_BS_USER_DIST_KM = 0.01
 
 
+# check_solution_invariants' per-BS cap gate, in W. It coincides with
+# lp.FEAS_TOL, the simplex's feasibility tolerance, on the cap rows, which
+# equilibration leaves unscaled (their entries are 1): an optimum the simplex
+# accepts may exceed a cap by FEAS_TOL W, and roundoff then takes it past
+# this gate. maxmin.MIN_DELTA exists for this: a finer bisection converges
+# onto that tolerance.
+CAP_GATE_W = 1e-9
+
+
 class HarnessInvariantError(RuntimeError):
     """A per-drop consistency check failed; indicates a solver or model bug."""
 
@@ -133,7 +142,7 @@ def check_solution_invariants(
 ) -> None:
     """Re-assert the optimality contracts on a feasible solve at the targets
     it was solved at, ``result.targets`` (raises HarnessInvariantError):
-    per-BS caps to 1e-9 W, every SE within 1e-9 of its target, every QoS
+    per-BS caps to CAP_GATE_W, every SE within 1e-9 of its target, every QoS
     row binding to 1e-8 relative, the dual association rule, and (exactly)
     joint transmission only where a cap binds: nonbasic powers are exact
     zeros and each user needs a basic one, so the users served by two or
@@ -141,7 +150,7 @@ def check_solution_invariants(
     most the basic powers."""
     alloc, targets = result.allocation, result.targets
     cap = alloc.per_bs_power() - scenario.pmax
-    if (cap > 1e-9).any():
+    if (cap > CAP_GATE_W).any():
         raise HarnessInvariantError(f"per-BS power cap violated by {cap.max():.3e} W")
     sinr = sinr_mrt_all(stats, alloc, scenario)
     se = spectral_efficiency(sinr, scenario.coherence_length, scenario.pilot_length)

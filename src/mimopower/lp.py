@@ -15,8 +15,12 @@ index, so the same LP with the same basis hint gives bit-identical outputs.
 The reported x and duals come from a fresh factorization of the optimal
 basis read in sorted column order, so they depend on the optimal basis set
 and not on the pivot path that reached it; a hint that leads to the same
-optimal basis gives the same bits as a cold solve. Rows are equilibrated by
-their largest absolute entry before solving; duals are in the original scaling.
+optimal basis gives the same bits as a cold solve. That vertex is read on
+first use: an optimal ``LpSolution`` holds the equilibrated data and its
+own copy of the basis, and reads x, the objective and the duals together
+when one of them is first asked for, so a caller that needs only the
+status and the basis pays for no readout. Rows are equilibrated by their
+largest absolute entry before solving; duals are in the original scaling.
 """
 
 from __future__ import annotations
@@ -60,18 +64,78 @@ class LinearProgram:
             raise ValueError("LP data must be finite")
 
 
+class OnFirstRead:
+    """A dataclass field derived on first read, with every field that shares
+    its ``derive``: ``derive(obj)`` returns all their values by name, and the
+    first read of any one of them stores those not set already. Its default
+    is None, and the class's ``__post_init__`` passes its fields to
+    ``unset``, so those the constructor left None are derived when first
+    read; a value passed in, or assigned later, is kept as given."""
+
+    def __init__(self, derive):
+        self.derive = derive
+
+    def __set_name__(self, cls, name):
+        self.name = name
+
+    def __get__(self, obj, cls=None):
+        # only reached while the field is unset: a stored value shadows it
+        if obj is None:
+            return None  # the dataclass default
+        fields = obj.__dict__
+        for name, value in self.derive(obj).items():
+            fields.setdefault(name, value)
+        return fields[self.name]
+
+    @staticmethod
+    def unset(obj, names):
+        """Unset the fields ``names`` of ``obj`` that hold None."""
+        fields = obj.__dict__
+        for name in names:
+            if fields[name] is None:
+                del fields[name]
+
+
+_VERTEX_FIELDS = ("x", "objective", "duals")
+
+
+def _read_vertex(sol) -> dict:
+    """x, the objective and the duals of an optimal solve's vertex (None
+    when the solution holds none): a fresh factorization of the basis in
+    canonical (sorted) order plus iterative refinement, since binding-row
+    residuals at the reported vertex must sit at machine level, not at
+    cond(B) * eps."""
+    if sol._vertex is None:
+        return dict.fromkeys(_VERTEX_FIELDS)
+    a2, basis, b_s, cost, scale, c = sol._vertex
+    b_mat = a2[:, basis]
+    xb = _refined_solve(b_mat, b_s)
+    y_eq = _refined_solve(b_mat.T, cost[basis])
+    x_full = np.zeros(a2.shape[1])
+    x_full[basis] = np.maximum(xb, 0.0)
+    x = x_full[: c.size]
+    return {"x": x, "objective": float(c @ x), "duals": -y_eq / scale}
+
+
 @dataclass
 class LpSolution:
     status: LpStatus
-    x: np.ndarray | None = None
-    objective: float | None = None
-    duals: np.ndarray | None = None
+    x: np.ndarray | None = OnFirstRead(_read_vertex)
+    objective: float | None = OnFirstRead(_read_vertex)
+    duals: np.ndarray | None = OnFirstRead(_read_vertex)
     iterations: int = 0
     # For infeasible problems: y >= 0 with A^T y >= 0 and b^T y < 0.
     infeasibility_certificate: np.ndarray | None = None
     # For optimal simplex solves: the basic columns in sorted order, indexed
     # as the ``basis`` hint of ``solve``.
     basis: np.ndarray | None = None
+    # What ``solve`` leaves for the readout of an optimal vertex: the
+    # equilibrated columns, its own copy of ``basis``, the equilibrated
+    # right-hand side, the costs, the row scales and the LP's c.
+    _vertex = None
+
+    def __post_init__(self):
+        OnFirstRead.unset(self, _VERTEX_FIELDS)
 
 
 @dataclass
@@ -208,8 +272,11 @@ def solve(lp: LinearProgram, basis=None) -> LpSolution:
     b_s = lp.b_ub / scale
 
     # Columns: n structural, then m row slacks.
-    a2 = np.hstack([lp.a_ub / scale[:, None], np.eye(m)])
-    cost = np.concatenate([lp.c, np.zeros(m)])
+    a2 = np.zeros((m, n + m))
+    np.divide(lp.a_ub, scale[:, None], out=a2[:, :n])
+    a2.ravel()[n :: n + m + 1] = 1.0  # the slack identity: a2[i, n + i]
+    cost = np.zeros(n + m)
+    cost[:n] = lp.c
     start = None if basis is None else _invert_hint(a2, basis)
     basis, b_inv = start or (n + np.arange(m), np.eye(m))
     # Costs raised to their prices at the start basis make it dual feasible.
@@ -232,24 +299,11 @@ def solve(lp: LinearProgram, basis=None) -> LpSolution:
     if status == "unbounded":
         return LpSolution(status=LpStatus.UNBOUNDED, iterations=total_iters)
 
-    # Fresh factorization of the basis in canonical (sorted) order plus
-    # iterative refinement: binding-row residuals at the reported vertex must
-    # sit at machine level, not at cond(B) * eps.
+    # The vertex is read on first use (_read_vertex).
     basis = np.sort(basis)
-    b_mat = a2[:, basis]
-    xb = _refined_solve(b_mat, b_s)
-    y_eq = _refined_solve(b_mat.T, cost[basis])
-    x_full = np.zeros(n + m)
-    x_full[basis] = np.maximum(xb, 0.0)
-    x = x_full[:n]
-    return LpSolution(
-        status=LpStatus.OPTIMAL,
-        x=x,
-        objective=float(lp.c @ x),
-        duals=-y_eq / scale,
-        iterations=total_iters,
-        basis=basis,
-    )
+    sol = LpSolution(status=LpStatus.OPTIMAL, iterations=total_iters, basis=basis)
+    sol._vertex = (a2, basis.copy(), b_s, cost, scale, lp.c)
+    return sol
 
 
 def _invert_hint(a2, basis):
@@ -265,7 +319,9 @@ def _invert_hint(a2, basis):
     except np.linalg.LinAlgError:
         return None
     # the inf-norm: the largest absolute row sum
-    accurate = np.abs(b_inv @ b_mat - np.eye(basis.size)).sum(axis=1).max(initial=0.0) <= FEAS_TOL
+    resid = b_inv @ b_mat
+    resid.ravel()[:: basis.size + 1] -= 1.0  # less the identity
+    accurate = np.abs(resid).sum(axis=1).max(initial=0.0) <= FEAS_TOL
     return (basis, b_inv) if accurate else None
 
 

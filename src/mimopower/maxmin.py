@@ -25,6 +25,13 @@ Every probe (and that re-solve) starts the simplex from ``DropLp.basis``,
 and a feasible probe writes its optimal basis back: it is usually a few
 pivots from the next probe's optimal basis, and the result depends only on
 that basis, not on where the simplex started.
+
+A probe pays only for its verdict. It computes xi_hat and s, and builds
+``QosTargets`` only when it needs an LP; it reads no vertex, since a
+``PowerMinResult`` reads its allocation and duals from the LP solution
+when first used (see ``power_assoc``). So a bisection that publishes an
+allocation reads one vertex, that of ``last_feasible``, when its caller
+first reads it, and a bisection that ends at level zero reads none.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ import numpy as np
 
 from .channel import ChannelStats, NetworkScenario
 from .power_assoc import DropLp, PowerMinResult, solve_power_min
-from .se import QosTargets, spectral_efficiency
+from .se import QosTargets, sinr_threshold, spectral_efficiency
 
 DEFAULT_DELTA = 0.01  # bisection accuracy in bit/symbol
 MIN_DELTA = 1e-9  # finer bisections converge onto the LP's 1e-9 tolerance on the caps
@@ -117,25 +124,25 @@ def solve_max_min(
     check_delta(delta)
 
     upper0 = auto_upper_bound(lp.stats, scenario, weights)
+    tau_c, tau_p = scenario.coherence_length, scenario.pilot_length
     lower = 0.0
     width = upper0
     best: PowerMinResult | None = None
-    best_targets: QosTargets | None = None
+    best_level = None  # (xi, xi_hat) of the last feasible level
     trace: list[ProbeRecord] = []
     for it in range(1, expected_iterations(upper0, delta) + 1):
         candidate = lower + width / 2.0
-        targets = QosTargets.from_se(
-            weights * candidate, scenario.coherence_length, scenario.pilot_length
-        )
-        s = scenario.num_antennas / targets.xi_hat
+        xi = weights * candidate
+        xi_hat = sinr_threshold(xi, tau_c, tau_p)
+        s = scenario.num_antennas / xi_hat
         res = None
         feasible = lp.lookup(s)
         if feasible is None:
-            res = _probe(lp, targets, scenario)
+            res = _probe(lp, QosTargets(xi, xi_hat), scenario)
             feasible = res.feasible
             lp.record(s, feasible)
         if feasible:
-            lower, best, best_targets = candidate, res, targets
+            lower, best, best_level = candidate, res, (xi, xi_hat)
         width /= 2.0
         trace.append(
             ProbeRecord(
@@ -147,8 +154,8 @@ def solve_max_min(
             )
         )
 
-    if best is None and best_targets is not None:
-        best = _probe(lp, best_targets, scenario)
+    if best is None and best_level is not None:
+        best = _probe(lp, QosTargets(*best_level), scenario)
         if not best.feasible:
             raise RuntimeError(
                 f"max-min level {lower!r} is feasible by earlier probes, but its re-solve is "

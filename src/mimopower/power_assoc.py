@@ -24,8 +24,10 @@ pairs whose power exceeds SERVING_THRESHOLD_SCALE times the BS's cap.
 
 Only the own-power entries beta - b_k and the right-hand side depend on the
 targets and the antenna count. A ``DropLp`` holds the rest of the LP for
-one drop and mask, and ``build_lp`` writes those into a copy per solve, so
-one ``DropLp`` serves every power-min solve and max-min probe of a drop.
+one drop and mask, with the gamma[i, k] of each own-power entry as a vector
+over its columns, and ``build_lp`` writes (M * gamma[i, k]) / xi_hat[k]
+into those entries of a copy per solve, so one ``DropLp`` serves every
+power-min solve and max-min probe of a drop.
 ``build_lp`` and ``solve_power_min`` take it as their first argument and
 are the only LP builder and the only solve: sweeps, ``drop`` and max-min
 probes all call them.
@@ -37,6 +39,12 @@ are the moves to the optimal association. From a guess that exceeds a cap,
 the dual simplex first pivots back inside the caps. Only max-min probes
 move it (see ``maxmin``). A guess never decides anything: only the simplex
 proves optimality or infeasibility (the dual simplex's Farkas certificate).
+
+A ``PowerMinResult`` holds its ``LpSolution`` and derives the allocation,
+the ``serving`` mask, the duals and the objective from it when they are
+first read, so a solve whose caller reads only its status and basis (a
+max-min probe) reads no vertex. An infeasible result keeps the solve's
+Farkas certificate.
 """
 
 from __future__ import annotations
@@ -46,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelStats, NetworkScenario
-from .lp import LinearProgram, LpStatus
+from .lp import LinearProgram, LpSolution, LpStatus, OnFirstRead
 from .lp import solve as lp_solve
 from .se import PowerAllocation, QosTargets
 
@@ -68,7 +76,8 @@ class DropLp:
 
     The LP is held less the parts the targets and the scenario set: the K
     own-power entries beta[i, k] - b_k[i] of the QoS rows, which hold
-    beta[i, k] here, and the right-hand side. ``build_lp`` writes them into
+    beta[i, k] here (with gamma[i, k] kept as one vector over those
+    columns), and the right-hand side. ``build_lp`` writes them into
     a copy, so one object serves any targets and antenna count. The columns
     of disallowed (BS, user) pairs are deleted and the rest keep their
     user-major order; None allows every pair, and a mask of any other shape,
@@ -102,7 +111,7 @@ class DropLp:
         users, bss = np.nonzero(self.mask.T)
         self.a = np.vstack([stats.beta[bss].T, np.eye(L)[:, bss]])
         self._own = (users, np.arange(users.size))  # its own-power entry in a
-        self._b_index = (users, bss)  # and in _b_mat
+        self._gamma = stats.gamma[bss, users]  # and gamma[i, k] there
         self.c = np.ones(users.size)
         strongest = max_snr_mask(np.where(self.mask, stats.beta, 0.0))
         self.basis = np.r_[np.flatnonzero(strongest.T[self.mask.T]), users.size + K + np.arange(L)]
@@ -130,24 +139,59 @@ def build_lp(lp: DropLp, targets: QosTargets, scenario: NetworkScenario) -> Line
     ``targets`` and ``scenario`` written into a copy of its template."""
     K = lp.stats.beta.shape[1]
     a = lp.a.copy()
-    a[lp._own] -= _b_mat(lp.stats, targets, scenario)[lp._b_index]
+    a[lp._own] -= scenario.num_antennas * lp._gamma / targets.xi_hat[lp._own[0]]
     b = np.concatenate([np.full(K, -scenario.noise_dl), scenario.pmax])
     return LinearProgram(c=lp.c, a_ub=a, b_ub=b)
 
 
+_SOLUTION_FIELDS = ("allocation", "serving", "qos_duals", "power_duals", "objective")
+
+
+def _from_solution(res) -> dict:
+    """The fields a PowerMinResult reads from its LP solution; None unless
+    the solve is OPTIMAL."""
+    if not res.feasible:
+        return dict.fromkeys(_SOLUTION_FIELDS)
+    sol, K = res.solution, res.allowed.shape[1]
+    rho = np.zeros(res.allowed.shape)
+    rho.T[res.allowed.T] = sol.x
+    return {
+        "allocation": PowerAllocation(rho),
+        "serving": rho > SERVING_THRESHOLD_SCALE * res.pmax[:, None],
+        "qos_duals": sol.duals[:K].copy(),
+        "power_duals": sol.duals[K:].copy(),
+        "objective": sol.objective,
+    }
+
+
 @dataclass
 class PowerMinResult:
-    """Outcome of one power-minimization solve; infeasibility is a status, not an error."""
+    """Outcome of one power-minimization solve; infeasibility is a status, not an error.
+
+    The fields from ``allocation`` to ``objective`` are read from
+    ``solution`` when first used (see the module docstring); a value passed
+    in is kept instead."""
 
     status: LpStatus
     allowed: np.ndarray  # the (L, K) bool mask the solve was restricted to
     targets: QosTargets  # the targets solved at; the checks read them, the JSON does not
-    allocation: PowerAllocation | None = None
-    serving: np.ndarray | None = None  # (L, K) bool: BS i serves user t
-    qos_duals: np.ndarray | None = None  # lambda, one per user
-    power_duals: np.ndarray | None = None  # mu, one per BS
-    objective: float | None = None
+    allocation: PowerAllocation | None = OnFirstRead(_from_solution)
+    serving: np.ndarray | None = OnFirstRead(_from_solution)  # (L, K) bool: BS i serves user t
+    qos_duals: np.ndarray | None = OnFirstRead(_from_solution)  # lambda, one per user
+    power_duals: np.ndarray | None = OnFirstRead(_from_solution)  # mu, one per BS
+    objective: float | None = OnFirstRead(_from_solution)
     basis: np.ndarray | None = None  # the LP's optimal basis, sorted (see lp.solve)
+    solution: LpSolution | None = None  # the LP solve of build_lp's program
+    pmax: np.ndarray | None = None  # the per-BS caps, which set the serving threshold
+
+    def __post_init__(self):
+        OnFirstRead.unset(self, _SOLUTION_FIELDS)
+
+    @property
+    def infeasibility_certificate(self) -> np.ndarray | None:
+        """The Farkas certificate of an infeasible solve (see ``lp.solve``),
+        a row weighting of ``build_lp``'s program; None otherwise."""
+        return None if self.solution is None else self.solution.infeasibility_certificate
 
     @property
     def feasible(self) -> bool:
@@ -180,21 +224,13 @@ def solve_power_min(lp: DropLp, targets: QosTargets, scenario: NetworkScenario) 
     The simplex starts from ``lp.basis`` (see ``lp.solve``)."""
     program = build_lp(lp, targets, scenario)
     sol = lp_solve(program, basis=lp.basis)
-    if sol.status != LpStatus.OPTIMAL:
-        return PowerMinResult(status=sol.status, allowed=lp.mask, targets=targets)
-    rho = np.zeros(lp.mask.shape)
-    rho.T[lp.mask.T] = sol.x
-    K = scenario.num_users
     return PowerMinResult(
         status=sol.status,
         allowed=lp.mask,
         targets=targets,
-        allocation=PowerAllocation(rho),
-        serving=rho > SERVING_THRESHOLD_SCALE * scenario.pmax[:, None],
-        qos_duals=sol.duals[:K].copy(),
-        power_duals=sol.duals[K:].copy(),
-        objective=sol.objective,
         basis=sol.basis,
+        solution=sol,
+        pmax=scenario.pmax,
     )
 
 

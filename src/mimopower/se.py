@@ -72,13 +72,20 @@ class QosTargets:
         if tau_p >= tau_c:
             raise ValueError("tau_p must be smaller than tau_c")
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        return cls(xi=xi, xi_hat=np.expm1(xi * (tau_c / (tau_c - tau_p)) * _LN2))
+        return cls(xi=xi, xi_hat=sinr_threshold(xi, tau_c, tau_p))
 
     @classmethod
     def uniform(cls, xi: float, scenario: NetworkScenario) -> "QosTargets":
         return cls.from_se(
             np.full(scenario.num_users, float(xi)), scenario.coherence_length, scenario.pilot_length
         )
+
+
+def sinr_threshold(xi: np.ndarray, tau_c, tau_p) -> np.ndarray:
+    """SINR thresholds 2^(xi * tau_c / (tau_c - tau_p)) - 1 of SE targets xi
+    (a float array), unchecked: ``QosTargets.from_se`` checks tau_p < tau_c
+    and the targets."""
+    return np.expm1(xi * (tau_c / (tau_c - tau_p)) * _LN2)
 
 
 def sinr_mrt_all(stats: ChannelStats, alloc: PowerAllocation, scenario: NetworkScenario) -> np.ndarray:

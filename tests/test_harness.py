@@ -431,6 +431,28 @@ class TestCli:
         assert cli.main(argv) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "mode, seed, antennas, code, digest",
+        [
+            ("powermin", 1, 50, 2, "2e556b15f2a9344a9bb96b5827d9a8a2ef5ba7ab72e6b9af69704bd68d0e5c37"),
+            ("powermin", 2, 50, 0, "cef708cee328b55e80fd912110891d909090fcc624aa109ff617439394dd6d74"),
+            ("powermin", 3, 50, 2, "2e556b15f2a9344a9bb96b5827d9a8a2ef5ba7ab72e6b9af69704bd68d0e5c37"),
+            ("powermin", 1, 200, 0, "3d5dbf85a74744167db2f63254171d5e002396d515070d23bdfaf83264416e73"),
+            ("powermin", 2, 200, 0, "3a40051bbf52fc54e07be17c2036bde40395b4eee1617fe29970b5fe304d01a5"),
+            ("powermin", 3, 200, 0, "eb7d4ab4a415feb38a4e6433585ab77a8d1a2d4daba9b7a3c189d3c6ff2e30bd"),
+            ("maxmin", 1, 50, 0, "ecdddd924a3f1479f2e077494345e70fed0882a9163a97d67a9fb38855a2bffe"),
+            ("maxmin", 2, 50, 0, "c431f97b21e84ae0180ebc8038c45e0f64ce219c60c57ad12bc23824e19bbb8e"),
+            ("maxmin", 3, 50, 0, "d529fe25a4523ae55afeb93ee492638ce40d5c03b877d1bcaa19c2206eacd111"),
+        ],
+    )
+    def test_drop_json_bits_are_pinned(self, mode, seed, antennas, code, digest, capsys):
+        """The drop record's rho, lambda and mu, which no results.csv holds,
+        keep their bits: default-size drops at seeds 1-3 in both modes (at
+        M = 50 two power-min drops are infeasible, so M = 200 as well)."""
+        argv = ["drop", "--mode", mode, "--seed", str(seed), "--antennas", str(antennas)]
+        assert cli.main(argv) == code
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
     def test_powermin_sweep_writes_outputs(self, tmp_path, capsys):
         code = cli.main(
             [

@@ -289,10 +289,13 @@ class TestRobustness:
             patch.setattr(np.linalg, "inv", singular)
             with pytest.raises(RuntimeError, match="refactor after pivot 1"):
                 solve(lp)
+        # the refined solves run when the vertex is first read
+        sol = solve(lp)
         monkeypatch.setattr(np.linalg, "solve", singular)
-        with pytest.raises(RuntimeError, match="refined solve") as info:
-            solve(lp)
-        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+        for read in ("x", "duals"):
+            with pytest.raises(RuntimeError, match="refined solve") as info:
+                getattr(sol, read)
+            assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
     def test_zero_cost_dual_run_keeps_the_basis_regular(self):
         # step 1 of Dinkelbach's max-min iteration at seed 17, drop 0, M=100:

@@ -7,7 +7,8 @@ import pytest
 from conftest import random_drop, single_cell
 from oracles import max_min_sinr
 
-from mimopower import maxmin, power_assoc
+from mimopower import harness, maxmin, power_assoc
+from mimopower import lp as lp_module
 from mimopower.channel import ChannelStats
 from mimopower.harness import (
     DEFAULT_NUM_USERS,
@@ -184,6 +185,110 @@ def count_lp_solves(monkeypatch) -> list:
 
     monkeypatch.setattr(power_assoc, "lp_solve", counting)
     return calls
+
+
+def count_vertex_reads(monkeypatch) -> list:
+    """Patch the refined solve behind every vertex readout; the returned list
+    grows by one entry per refined solve, two per vertex (x, then the duals)."""
+    calls = []
+    real = lp_module._refined_solve
+
+    def counting(mat, rhs):
+        calls.append(rhs)
+        return real(mat, rhs)
+
+    monkeypatch.setattr(lp_module, "_refined_solve", counting)
+    return calls
+
+
+def record_lp_solutions(monkeypatch) -> list:
+    """Patch the LP solve behind every power-min solve; the returned list
+    grows by each solve's LpSolution."""
+    solutions = []
+    real = power_assoc.lp_solve
+
+    def recording(lp, basis=None):
+        solutions.append(real(lp, basis=basis))
+        return solutions[-1]
+
+    monkeypatch.setattr(power_assoc, "lp_solve", recording)
+    return solutions
+
+
+class TestVertexReadout:
+    """A probe pays for its verdict only: no probe reads a vertex."""
+
+    def test_a_bisection_reads_only_its_published_vertex(self, monkeypatch):
+        """Every bisection of a small sweep, both masks, through ``solve_cell``:
+        the probes read no vertex, and the cell's checks read exactly one per
+        published allocation, that of the last OPTIMAL LP (the last feasible
+        probe, or the re-solve at a level the bracket answered)."""
+        reads = count_vertex_reads(monkeypatch)
+        solutions = record_lp_solutions(monkeypatch)
+        answers = []  # the bracket's answer to each probe, None for an LP
+        real_lookup = DropLp.lookup
+
+        def lookup(lp, s):
+            answers.append(real_lookup(lp, s))
+            return answers[-1]
+
+        monkeypatch.setattr(DropLp, "lookup", lookup)
+        published = feasible_lps = resolves = 0
+        real_max_min = maxmin.solve_max_min
+
+        def bisection(lp, scenario, weights=None, delta=DEFAULT_DELTA):
+            nonlocal published, feasible_lps, resolves
+            first, answered = len(solutions), len(answers)
+            res = real_max_min(lp, scenario, weights, delta)
+            assert reads == []  # no probe read its vertex
+            optimal = [sol for sol in solutions[first:] if sol.status == LpStatus.OPTIMAL]
+            feasible_lps += len(optimal)
+            if res.last_feasible is not None:
+                published += 1
+                assert res.last_feasible.solution is optimal[-1]
+                last = max(i for i, p in enumerate(res.trace) if p.feasible)
+                resolves += answers[answered + last] is True
+            return res
+
+        monkeypatch.setattr(harness, "solve_max_min", bisection)
+        base = default_scenario(50, DEFAULT_NUM_USERS, rng_seed=17)
+        for d, scn0, stats in iter_drops(base, 17, 3):
+            lps = drop_lps(stats)
+            for m in (50, 100, 150, 200):
+                before = published
+                solve_cell(lps, replace(scn0, num_antennas=m), "maxmin", d, None, DEFAULT_DELTA)
+                assert len(reads) == 2 * (published - before)  # the checks read each one vertex
+                reads.clear()
+        # every cell published both allocations, some from a re-solve, and
+        # some feasible LP's vertex went unread
+        assert published == 2 * 3 * 4 and resolves and feasible_lps > published
+
+    def test_a_level_zero_bisection_reads_no_vertex(self, monkeypatch):
+        # at M = 10 this drop's max-min level is below half its upper bound,
+        # so the one probe a delta of 0.6 times the bound makes is infeasible
+        _, scn, stats = next(iter_drops(default_scenario(10, rng_seed=17), 17, 1))
+        reads = count_vertex_reads(monkeypatch)
+        solves = count_lp_solves(monkeypatch)
+        bound = auto_upper_bound(stats, scn, np.ones(scn.num_users))
+        res = solve_max_min(DropLp(stats), scn, delta=0.6 * bound)
+        assert res.last_feasible is None and res.xi_lower == 0.0
+        assert len(solves) == 1 and reads == []
+
+    def test_a_powermin_cell_reads_one_vertex_per_feasible_solve(self, monkeypatch):
+        reads = count_vertex_reads(monkeypatch)
+        base = default_scenario(50, DEFAULT_NUM_USERS, rng_seed=17)
+        targets = QosTargets.uniform(1.0, base)
+        feasible = infeasible = 0
+        for d, scn0, stats in iter_drops(base, 17, 4):
+            lps = drop_lps(stats)
+            for m in (50, 200):
+                results = solve_cell(lps, replace(scn0, num_antennas=m), "powermin", d, targets, DEFAULT_DELTA)
+                n = sum(res.feasible for res in results)
+                assert len(reads) == 2 * n
+                reads.clear()
+                feasible += n
+                infeasible += len(results) - n
+        assert feasible and infeasible
 
 
 def assert_same_result(a, b):

@@ -311,6 +311,26 @@ class TestSolutionContracts:
         assert res.to_json_dict()["serving_sets"] == [[0], [1, 2]]
         assert res.joint_fraction == 0.5
 
+    def test_infeasible_result_keeps_its_farkas_certificate(self):
+        """An infeasible solve's certificate proves ``build_lp``'s program
+        empty; the JSON record stays the bare status, and a feasible solve
+        has no certificate."""
+        base = default_scenario(50, DEFAULT_NUM_USERS, rng_seed=17)
+        targets = QosTargets.uniform(1.0, base)
+        infeasible = feasible = 0
+        for _, scn, stats in iter_drops(base, 17, 6):
+            for mask in (None, max_snr_mask(stats.beta)):
+                res = solve_power_min(DropLp(stats, mask), targets, scn)
+                if res.feasible:
+                    feasible += 1
+                    assert res.infeasibility_certificate is None
+                    continue
+                infeasible += 1
+                program = build_lp(DropLp(stats, mask), targets, scn)
+                assert_farkas_certificate(program.a_ub, program.b_ub, res.infeasibility_certificate)
+                assert res.to_json_dict() == {"status": "infeasible"}
+        assert feasible and infeasible
+
 
 def assert_same_solution(lp, a, b):
     """Bit-equal optima; infeasible solves need only valid certificates,
