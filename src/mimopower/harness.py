@@ -8,8 +8,13 @@ sequences of 2e-7 J total energy (0.2 W per symbol at 20 MHz).
 
 Per-drop randomness comes from a stream seeded by (sweep seed, drop index),
 so results are independent of evaluation order; antenna sweeps reuse the
-same drops, which makes the monotone-in-M trends hold drop by drop. A cell
-keeps only the scalars its outputs read: no solver result outlives it.
+same drops, which makes the monotone-in-M trends hold drop by drop.
+
+A drop is one pipeline, ``solve_drop``, which the sweeps and ``drop`` share:
+it solves every (antenna count, mask) cell of the drop, reads every published
+vertex in one stacked readout and checks all of them in one vectorized
+``check_solution_invariants`` call. A cell then keeps only the scalars its
+outputs read: no solver result outlives its drop.
 """
 
 from __future__ import annotations
@@ -33,7 +38,8 @@ from .channel import (
 )
 from .maxmin import DEFAULT_DELTA, check_delta, solve_max_min
 from .mc_oracle import McConfig, estimate_sinr_terms
-from .power_assoc import DropLp, PowerMinResult, association_rule_check, max_snr_mask, solve_power_min
+from .lp import read_vertices
+from .power_assoc import DropLp, association_rule_check, max_snr_mask, solve_power_min
 from .se import PowerAllocation, QosTargets, sinr_mrt_all, spectral_efficiency
 
 DEFAULT_BANDWIDTH_HZ = 20e6
@@ -57,7 +63,23 @@ CAP_GATE_W = 1e-9
 
 
 class HarnessInvariantError(RuntimeError):
-    """A per-drop consistency check failed; indicates a solver or model bug."""
+    """A consistency check failed; indicates a solver or model bug.
+
+    ``drop``, ``num_antennas``, ``mode`` and ``mask`` ("joint" or "max_snr")
+    say where, each None when not known; the message starts with those that
+    are known, so a failure in a long sweep can be replayed from them."""
+
+    def __init__(self, problem: str, drop=None, num_antennas=None, mode=None, mask=None):
+        self.problem, self.drop, self.num_antennas, self.mode, self.mask = problem, drop, num_antennas, mode, mask
+        super().__init__(_located(problem, drop, num_antennas, mode, mask))
+
+
+def _located(problem: str, drop=None, num_antennas=None, mode=None, mask=None) -> str:
+    """``problem`` after the parts of its place that are known."""
+    where = [f"drop {drop}"] if drop is not None else []
+    where += [f"M={num_antennas}"] if num_antennas is not None else []
+    where += [part for part in (mode, mask) if part is not None]
+    return ", ".join(where) + ": " + problem if where else problem
 
 
 def default_scenario(
@@ -137,41 +159,61 @@ class SweepResult:
     traces: list
 
 
-def check_solution_invariants(
-    stats: ChannelStats, scenario: NetworkScenario, result: PowerMinResult
-) -> None:
-    """Re-assert the optimality contracts on a feasible solve at the targets
-    it was solved at, ``result.targets`` (raises HarnessInvariantError):
+def check_solution_invariants(stats: ChannelStats, published) -> None:
+    """Re-assert the optimality contracts on a drop's published solves, all
+    at once: ``published`` holds (scenario, mask, result) triples of feasible
+    solves of the drop ``stats``, whose scenarios differ only in the antenna
+    count, ``mask`` naming the association ("joint" or "max_snr"). Each
+    result is checked at the targets it was solved at, ``result.targets``:
     per-BS caps to CAP_GATE_W, every SE within 1e-9 of its target, every QoS
     row binding to 1e-8 relative, the dual association rule, and (exactly)
     joint transmission only where a cap binds: nonbasic powers are exact
     zeros and each user needs a basic one, so the users served by two or
     more BSs are at most the nonbasic cap slacks, and the serving pairs at
-    most the basic powers."""
-    alloc, targets = result.allocation, result.targets
-    cap = alloc.per_bs_power() - scenario.pmax
-    if (cap > CAP_GATE_W).any():
-        raise HarnessInvariantError(f"per-BS power cap violated by {cap.max():.3e} W")
-    sinr = sinr_mrt_all(stats, alloc, scenario)
-    se = spectral_efficiency(sinr, scenario.coherence_length, scenario.pilot_length)
-    if (se < targets.xi - 1e-9).any():
-        raise HarnessInvariantError("achieved SE fell below its target")
-    binding = np.abs(sinr / targets.xi_hat - 1.0)
-    if binding.max() > 1e-8:
-        raise HarnessInvariantError(
-            f"a QoS constraint is not binding (rel. residual {binding.max():.3e})"
+    most the basic powers. The first failing solve raises
+    HarnessInvariantError with its antenna count and mask, naming the first
+    of those checks it fails."""
+    if not published:
+        return
+    scenarios, masks, results = zip(*published)
+    scn = scenarios[0]
+    m = np.array([s.num_antennas for s in scenarios])
+    alloc = PowerAllocation(np.stack([res.allocation.rho for res in results]))  # (n, L, K)
+    xi = np.stack([res.targets.xi for res in results])
+    xi_hat = np.stack([res.targets.xi_hat for res in results])
+    cap = alloc.per_bs_power() - scn.pmax
+    cap_bad = (cap > CAP_GATE_W).any(axis=1)
+    # the SINR is linear in M: M times its value at one antenna
+    sinr = m[:, None] * sinr_mrt_all(stats, alloc, replace(scn, num_antennas=1))
+    se = spectral_efficiency(sinr, scn.coherence_length, scn.pilot_length)
+    se_bad = (se < xi - 1e-9).any(axis=1)
+    binding = np.abs(sinr / xi_hat - 1.0).max(axis=1)
+    bases = np.stack([res.basis for res in results])
+    serving = np.stack([res.serving for res in results])
+    # the basis indexes n powers, then K QoS and L cap slacks
+    n = np.stack([res.allowed for res in results]).sum(axis=(1, 2))
+    tight_caps = scn.num_bs - np.count_nonzero(bases >= (n + scn.num_users)[:, None], axis=1)
+    joint = np.count_nonzero(serving.sum(axis=1) >= 2, axis=1)
+    joint_bad = (joint > tight_caps) | (serving.sum(axis=(1, 2)) > np.count_nonzero(bases < n[:, None], axis=1))
+    violations = association_rule_check(stats, [(s, res) for s, _, res in published])
+    failed = cap_bad | se_bad | (binding > 1e-8) | joint_bad | np.array([bool(v) for v in violations])
+    if not failed.any():
+        return
+    j = int(np.argmax(failed))
+    if cap_bad[j]:
+        problem = f"per-BS power cap violated by {cap[j].max():.3e} W"
+    elif se_bad[j]:
+        problem = "achieved SE fell below its target"
+    elif binding[j] > 1e-8:
+        problem = f"a QoS constraint is not binding (rel. residual {binding[j]:.3e})"
+    elif joint_bad[j]:
+        problem = (
+            f"joint transmission beyond the binding caps: {joint[j]} joint users, "
+            f"{tight_caps[j]} cap slacks nonbasic, basis {bases[j].tolist()}"
         )
-    n = result.allowed.sum()  # the basis indexes n powers, then K QoS and L cap slacks
-    tight_caps = scenario.num_bs - np.count_nonzero(result.basis >= n + scenario.num_users)
-    joint = np.count_nonzero(result.serving.sum(axis=0) >= 2)
-    if joint > tight_caps or result.serving.sum() > np.count_nonzero(result.basis < n):
-        raise HarnessInvariantError(
-            f"joint transmission beyond the binding caps: {joint} joint users, "
-            f"{tight_caps} cap slacks nonbasic, basis {result.basis.tolist()}"
-        )
-    violations = association_rule_check(stats, scenario, result)
-    if violations:
-        raise HarnessInvariantError(f"association rule violated: {violations[:5]}")
+    else:
+        problem = f"association rule violated: {violations[j][:5]}"
+    raise HarnessInvariantError(problem, num_antennas=scenarios[j].num_antennas, mask=masks[j])
 
 
 def iter_drops(base: NetworkScenario, seed: int, num_drops: int):
@@ -186,54 +228,81 @@ def iter_drops(base: NetworkScenario, seed: int, num_drops: int):
         yield d, scn0, channel_stats(scn0, rng)
 
 
+# The association masks of a drop's solves, in the order of ``drop_lps``.
+MASKS = ("joint", "max_snr")
+
+
 def drop_lps(stats: ChannelStats) -> tuple:
-    """The (joint, max-SNR) ``DropLp`` pair that every cell of the drop solves."""
-    return DropLp(stats), DropLp(stats, max_snr_mask(stats.beta))
+    """The (joint, max-SNR) ``DropLp`` pair that every cell of the drop
+    solves, the max-SNR one linked within the joint one, so that their max-min
+    probes share one bracket (see ``DropLp``)."""
+    joint = DropLp(stats)
+    return joint, DropLp(stats, max_snr_mask(stats.beta), within=joint)
 
 
-def solve_cell(
-    lps: tuple,
-    scenario: NetworkScenario,
+def solve_drop(
+    stats: ChannelStats,
+    scn0: NetworkScenario,
+    antenna_counts,
     mode: str,
     drop_index: int,
     targets: QosTargets | None,
     delta: float,
-) -> tuple:
-    """Solve one (drop, antenna count) cell with both association methods,
-    the drop's ``drop_lps`` pair, and check every per-cell invariant.
+) -> list:
+    """Solve and check every cell of one drop: each antenna count of
+    ``antenna_counts`` on the drop's scenario ``scn0``, with both association
+    methods, the drop's ``drop_lps`` pair.
 
-    Returns (joint result, max-SNR result): PowerMinResults in powermin
-    mode, MaxMinResults in maxmin mode. Power-min solves at ``targets``,
-    which depend on the SE target, K, tau_c and tau_p alone, so the caller
-    builds them once for all its cells; maxmin ignores them. The published
-    allocations, the feasible power-min pair or each bisection's
-    ``last_feasible``, all go through ``check_solution_invariants`` at their
-    own targets. A failed check raises HarnessInvariantError, and any
-    RuntimeError is re-raised with its type and a message naming the cell.
-    Each solve starts from its ``DropLp``'s basis, max-SNR association until
-    a max-min probe moves it; bisections also use and extend probe outcomes.
+    Returns one (joint result, max-SNR result) pair per antenna count, in
+    order: PowerMinResults in powermin mode, MaxMinResults in maxmin mode.
+    Power-min solves at ``targets``, which depend on the SE target, K, tau_c
+    and tau_p alone, so the caller builds them once for all its drops;
+    maxmin ignores them. The joint bisection of a cell runs before the
+    max-SNR one, which its infeasible probes can then answer.
+
+    Once every cell is solved, the published allocations (the feasible
+    power-min solves, or each bisection's ``last_feasible``) have their
+    vertices read in one stacked readout (``lp.read_vertices``), the power-min
+    objectives are compared, and one ``check_solution_invariants`` call checks
+    them all. A failed check raises HarnessInvariantError naming the drop,
+    the mode and, when known, the antenna count and mask; any other
+    RuntimeError is re-raised with its type and a message naming the drop,
+    the mode and the antenna count being solved, if any.
     """
+    lps = drop_lps(stats)
+    cells, published = [], []
+    m = None  # the antenna count being solved or compared
     try:
+        for m in antenna_counts:
+            scn = replace(scn0, num_antennas=m)
+            if mode == "powermin":
+                opt, snr = (solve_power_min(lp, targets, scn) for lp in lps)
+                if snr.feasible and not opt.feasible:
+                    raise HarnessInvariantError("max-SNR feasible but joint optimization infeasible")
+                solves = (opt, snr)
+            elif mode == "maxmin":
+                opt, snr = (solve_max_min(lp, scn, delta=delta) for lp in lps)
+                if opt.xi_lower < snr.xi_lower - delta - 1e-12:
+                    raise HarnessInvariantError("joint max-min level fell below the max-SNR level")
+                solves = (opt.last_feasible, snr.last_feasible)
+            else:
+                raise ValueError(f"unknown mode {mode!r}")
+            cells.append((opt, snr))
+            published += [(scn, mask, res) for mask, res in zip(MASKS, solves) if res is not None and res.feasible]
+        m = None
+        if published:
+            read_vertices([res.solution for _, _, res in published])
         if mode == "powermin":
-            opt, snr = (solve_power_min(lp, targets, scenario) for lp in lps)
-            if snr.feasible and not opt.feasible:
-                raise HarnessInvariantError("max-SNR feasible but joint optimization infeasible")
-            if snr.feasible and opt.objective > snr.objective * (1.0 + 1e-9):
-                raise HarnessInvariantError("optimal objective exceeds the max-SNR objective")
-            published = (opt, snr)
-        elif mode == "maxmin":
-            opt, snr = (solve_max_min(lp, scenario, delta=delta) for lp in lps)
-            if opt.xi_lower < snr.xi_lower - delta - 1e-12:
-                raise HarnessInvariantError("joint max-min level fell below the max-SNR level")
-            published = (opt.last_feasible, snr.last_feasible)
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
-        for res in published:
-            if res is not None and res.feasible:
-                check_solution_invariants(lps[0].stats, scenario, res)
+            for m, (opt, snr) in zip(antenna_counts, cells):
+                if snr.feasible and opt.objective > snr.objective * (1.0 + 1e-9):
+                    raise HarnessInvariantError("optimal objective exceeds the max-SNR objective")
+            m = None
+        check_solution_invariants(stats, published)
+    except HarnessInvariantError as e:
+        raise HarnessInvariantError(e.problem, drop_index, e.num_antennas or m, mode, e.mask) from e
     except RuntimeError as e:
-        raise type(e)(f"drop {drop_index}, M={scenario.num_antennas}, {mode}: {e}") from e
-    return opt, snr
+        raise type(e)(_located(str(e), drop_index, m, mode)) from e
+    return cells
 
 
 def checked_targets(scenario: NetworkScenario, target_se: float, delta: float) -> QosTargets:
@@ -246,10 +315,10 @@ def checked_targets(scenario: NetworkScenario, target_se: float, delta: float) -
 
 def run_sweep(spec: SweepSpec, traces: bool = False) -> SweepResult:
     """Run the sweep: per drop, sample users and shadowing once, then solve
-    every antenna count on the same realization with the drop's one
-    ``DropLp`` per association mask. A cell leaves only its table row and,
-    traced in maxmin mode, its traces.jsonl line. Both settings are checked
-    before the first drop (``checked_targets``), as config.json records them."""
+    and check every antenna count on the same realization (``solve_drop``).
+    A cell leaves only its table row and, traced in maxmin mode, its
+    traces.jsonl line. Both settings are checked before the first drop
+    (``checked_targets``), as config.json records them."""
     if spec.scenario_path is not None:
         base = load_scenario(spec.scenario_path)
     else:
@@ -258,9 +327,8 @@ def run_sweep(spec: SweepSpec, traces: bool = False) -> SweepResult:
     rows: dict[int, list[tuple]] = {m: [] for m in spec.antenna_counts}
     lines = []
     for d, scn0, stats in iter_drops(base, spec.rng_seed, spec.num_drops):
-        lps = drop_lps(stats)
-        for m in spec.antenna_counts:
-            opt, snr = solve_cell(lps, replace(scn0, num_antennas=m), spec.mode, d, targets, spec.delta)
+        cells = solve_drop(stats, scn0, spec.antenna_counts, spec.mode, d, targets, spec.delta)
+        for m, (opt, snr) in zip(spec.antenna_counts, cells):
             if spec.mode == "powermin":
                 rows[m].append((opt.objective, snr.objective, opt.joint_fraction if opt.feasible else None))
             else:
@@ -355,7 +423,7 @@ def run_drop(scenario: NetworkScenario, mode: str = "powermin", target_se: float
     both settings checked in either mode. Returns the JSON record; in maxmin
     mode its top level is the joint bisection and ``max_snr`` the max-SNR one."""
     targets = checked_targets(scenario, target_se, delta)
-    opt, snr = solve_cell(drop_lps(channel_stats(scenario)), scenario, mode, 0, targets, delta)
+    [(opt, snr)] = solve_drop(channel_stats(scenario), scenario, (scenario.num_antennas,), mode, 0, targets, delta)
     if mode == "powermin":
         return {
             "mode": mode,

@@ -19,8 +19,12 @@ optimal basis gives the same bits as a cold solve. That vertex is read on
 first use: an optimal ``LpSolution`` holds the equilibrated data and its
 own copy of the basis, and reads x, the objective and the duals together
 when one of them is first asked for, so a caller that needs only the
-status and the basis pays for no readout. Rows are equilibrated by their
-largest absolute entry before solving; duals are in the original scaling.
+status and the basis pays for no readout. One kernel, ``read_vertices``,
+does every readout: it reads a stack of solutions with equal row counts in
+one stacked refined solve for x and one for the duals, with the bits each
+would get alone, and a first read is a stack of one. Rows are equilibrated
+by their largest absolute entry before solving; duals are in the original
+scaling.
 """
 
 from __future__ import annotations
@@ -82,10 +86,16 @@ class OnFirstRead:
         # only reached while the field is unset: a stored value shadows it
         if obj is None:
             return None  # the dataclass default
+        OnFirstRead.store(obj, self.derive(obj))
+        return obj.__dict__[self.name]
+
+    @staticmethod
+    def store(obj, values):
+        """Set each field of ``obj`` that ``values`` names and that holds no
+        value yet, as its first read would."""
         fields = obj.__dict__
-        for name, value in self.derive(obj).items():
+        for name, value in values.items():
             fields.setdefault(name, value)
-        return fields[self.name]
 
     @staticmethod
     def unset(obj, names):
@@ -100,21 +110,37 @@ _VERTEX_FIELDS = ("x", "objective", "duals")
 
 
 def _read_vertex(sol) -> dict:
-    """x, the objective and the duals of an optimal solve's vertex (None
-    when the solution holds none): a fresh factorization of the basis in
-    canonical (sorted) order plus iterative refinement, since binding-row
-    residuals at the reported vertex must sit at machine level, not at
-    cond(B) * eps."""
+    """The vertex fields of one solve: ``read_vertices`` on a stack of one,
+    or None when the solution holds no vertex."""
     if sol._vertex is None:
         return dict.fromkeys(_VERTEX_FIELDS)
-    a2, basis, b_s, cost, scale, c = sol._vertex
-    b_mat = a2[:, basis]
-    xb = _refined_solve(b_mat, b_s)
-    y_eq = _refined_solve(b_mat.T, cost[basis])
-    x_full = np.zeros(a2.shape[1])
-    x_full[basis] = np.maximum(xb, 0.0)
-    x = x_full[: c.size]
-    return {"x": x, "objective": float(c @ x), "duals": -y_eq / scale}
+    return read_vertices([sol])[0]
+
+
+def read_vertices(sols) -> list:
+    """x, the objective and the duals of optimal solves ``sols`` with equal
+    row counts, as one dict per solve, each stored on its solution as its
+    first read (a field already set keeps its value).
+
+    Each vertex is a fresh factorization of its basis in canonical (sorted)
+    order plus iterative refinement, since binding-row residuals at the
+    reported vertex must sit at machine level, not at cond(B) * eps. The
+    bases are stacked into one (k, m, m) array, so the k vertices take one
+    ``_refined_solve`` for x and one for the duals; LAPACK solves each matrix
+    of a stack as it solves that matrix alone, so the bits do not depend on
+    the stack."""
+    a2s, bases, rhs, costs, scales, cs = zip(*(sol._vertex for sol in sols))
+    b_mat = np.stack([a2[:, basis] for a2, basis in zip(a2s, bases)])
+    xb = _refined_solve(b_mat, np.stack(rhs))
+    y_eq = _refined_solve(b_mat.transpose(0, 2, 1), np.stack([cost[basis] for cost, basis in zip(costs, bases)]))
+    vertices = []
+    for sol, a2, basis, xb_k, y_k, scale, c in zip(sols, a2s, bases, xb, y_eq, scales, cs):
+        x_full = np.zeros(a2.shape[1])
+        x_full[basis] = np.maximum(xb_k, 0.0)
+        x = x_full[: c.size]
+        vertices.append({"x": x, "objective": float(c @ x), "duals": -y_k / scale})
+        OnFirstRead.store(sol, vertices[-1])
+    return vertices
 
 
 @dataclass
@@ -299,7 +325,7 @@ def solve(lp: LinearProgram, basis=None) -> LpSolution:
     if status == "unbounded":
         return LpSolution(status=LpStatus.UNBOUNDED, iterations=total_iters)
 
-    # The vertex is read on first use (_read_vertex).
+    # The vertex is read on first use, or with others (read_vertices).
     basis = np.sort(basis)
     sol = LpSolution(status=LpStatus.OPTIMAL, iterations=total_iters, basis=basis)
     sol._vertex = (a2, basis.copy(), b_s, cost, scale, lp.c)
@@ -326,13 +352,16 @@ def _invert_hint(a2, basis):
 
 
 def _refined_solve(mat, rhs):
+    """Solve each (m, m) matrix of the stack ``mat`` against its row of
+    ``rhs`` (k, m), with two steps of iterative refinement."""
+    rhs = rhs[..., None]  # (k, m, 1): numpy 2 reads a 2-D b as one matrix
     try:
         x = np.linalg.solve(mat, rhs)
         for _ in range(2):
             x = x + np.linalg.solve(mat, rhs - mat @ x)
     except np.linalg.LinAlgError as e:
         raise RuntimeError("singular optimal basis in the final refined solve") from e
-    return x
+    return x[..., 0]
 
 
 def verify(lp: LinearProgram, sol: LpSolution) -> LpVerification:

@@ -21,6 +21,14 @@ bisection it never answers, since every candidate lies strictly inside
 (lower, upper). When the last feasible level was answered that way, its LP
 is solved once at exactly that candidate for the allocation and the duals.
 
+The two masks of a drop share one bracket. The max-SNR feasible set is a
+subset of the joint one, so a level the joint LP proved infeasible is
+infeasible under max-SNR, and a level feasible under max-SNR is feasible
+for the joint LP. The sweep links the drop's two ``DropLp``s (``within``),
+each answers probes from the other's entries on that side, and the joint
+bisection of a cell runs first, so its infeasible probes answer the
+max-SNR bisection's.
+
 Every probe (and that re-solve) starts the simplex from ``DropLp.basis``,
 and a feasible probe writes its optimal basis back: it is usually a few
 pivots from the next probe's optimal basis, and the result depends only on
@@ -31,7 +39,8 @@ A probe pays only for its verdict. It computes xi_hat and s, and builds
 ``PowerMinResult`` reads its allocation and duals from the LP solution
 when first used (see ``power_assoc``). So a bisection that publishes an
 allocation reads one vertex, that of ``last_feasible``, when its caller
-first reads it, and a bisection that ends at level zero reads none.
+reads it (the sweep reads those of a whole drop in one stack), and a
+bisection that ends at level zero reads none.
 """
 
 from __future__ import annotations

@@ -43,12 +43,20 @@ proves optimality or infeasibility (the dual simplex's Farkas certificate).
 A ``PowerMinResult`` holds its ``LpSolution`` and derives the allocation,
 the ``serving`` mask, the duals and the objective from it when they are
 first read, so a solve whose caller reads only its status and basis (a
-max-min probe) reads no vertex. An infeasible result keeps the solve's
-Farkas certificate.
+max-min probe) reads no vertex; a caller with many results reads their
+vertices in one stack first (``lp.read_vertices``). An infeasible result
+keeps the solve's Farkas certificate.
+
+A drop's two ``DropLp``s can share one max-min bracket: the max-SNR one,
+built ``within`` the joint one, answers the joint probes it proved feasible,
+and the joint one the max-SNR probes it proved infeasible (see ``maxmin``).
+``association_rule_check`` checks all the published solves of a drop as
+one stack.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,9 +102,16 @@ class DropLp:
     s-vectors are kept; with uniform weights every s has equal entries, so
     each list holds at most one vector. Entries never contradict: a probe
     the stored ones decide is answered, not recorded.
+
+    ``within`` links this object to the ``DropLp`` of the same drop under
+    a mask that grants every pair this one grants (ValueError otherwise):
+    its feasible set holds this one's, so its infeasible entries answer
+    this object's probes and this object's feasible entries answer its
+    probes. Each holds the other by weak reference, so the link keeps
+    neither alive and forms no reference cycle.
     """
 
-    def __init__(self, stats: ChannelStats, allowed=None):
+    def __init__(self, stats: ChannelStats, allowed=None, within: DropLp | None = None):
         L, K = stats.beta.shape
         if allowed is None:
             allowed = np.ones((L, K), dtype=bool)
@@ -116,13 +131,20 @@ class DropLp:
         strongest = max_snr_mask(np.where(self.mask, stats.beta, 0.0))
         self.basis = np.r_[np.flatnonzero(strongest.T[self.mask.T]), users.size + K + np.arange(L)]
         self.feasible, self.infeasible = [], []
+        self._inner = self._outer = _unlinked  # the linked DropLps within and around this one
+        if within is not None:
+            if within.stats is not stats or (self.mask & ~within.mask).any():
+                raise ValueError("within must be a DropLp of the same drop whose mask grants every pair this one grants")
+            self._outer, within._inner = weakref.ref(within), weakref.ref(self)
 
     def lookup(self, s: np.ndarray) -> bool | None:
-        """True if s dominates a feasible entry, False if an infeasible entry
-        dominates s, None if no entry decides it."""
-        if any((s >= f).all() for f in self.feasible):
+        """True if s dominates a feasible entry of this object or of the
+        linked one within it, False if an infeasible entry of this object or
+        of the linked one around it dominates s, None if no entry decides it."""
+        inner, outer = self._inner(), self._outer()
+        if any((s >= f).all() for lp in (self, inner) if lp is not None for f in lp.feasible):
             return True
-        if any((s <= g).all() for g in self.infeasible):
+        if any((s <= g).all() for lp in (self, outer) if lp is not None for g in lp.infeasible):
             return False
         return None
 
@@ -131,6 +153,10 @@ class DropLp:
             self.feasible = [f for f in self.feasible if not (f >= s).all()] + [s]
         else:
             self.infeasible = [g for g in self.infeasible if not (g <= s).all()] + [s]
+
+
+def _unlinked():
+    return None
 
 
 def build_lp(lp: DropLp, targets: QosTargets, scenario: NetworkScenario) -> LinearProgram:
@@ -249,12 +275,11 @@ def solve_max_snr(
     return solve_power_min(DropLp(stats, max_snr_mask(stats.beta)), targets, scenario)
 
 
-def association_rule_check(
-    stats: ChannelStats, scenario: NetworkScenario, result: PowerMinResult
-) -> list:
-    """Check each served user of a feasible solve against the dual association
-    rule at the targets it was solved at, ``result.targets``, and return the
-    violations; an empty list is a pass.
+def association_rule_check(stats: ChannelStats, published) -> list:
+    """Check each served user of the feasible solves ``published``, the
+    (scenario, result) pairs of one drop (``stats``), against the dual
+    association rule at the targets each was solved at, ``result.targets``.
+    Returns one list of violations per pair; an empty list is a pass.
 
     For user t, every BS with positive power must attain (within relative
     ASSOCIATION_RULE_TOL) the minimum of (1 + sum_k lambda_k beta[i,k] + mu_i)
@@ -262,20 +287,23 @@ def association_rule_check(
     minimum must equal lambda_t. A serving BS i off the minimum is listed as
     (t, i, relative gap), a minimum off lambda_t as (t, -1, relative gap).
     Disallowed pairs have ratio inf, and every user has a finite minimum
-    because the mask grants it a BS.
+    because the mask grants it a BS. The pairs are checked as one stack.
     """
-    b_mat = _b_mat(stats, result.targets, scenario)
-    lam = result.qos_duals
-    price = 1.0 + stats.beta @ lam + result.power_duals  # per BS
-    ratio = np.where(result.allowed, price[:, None] / b_mat.T, np.inf)  # (L, K)
-    rmin = ratio.min(axis=0)
-    gap = (ratio - rmin) / rmin
+    results = [res for _, res in published]
+    b_t = np.stack([_b_mat(stats, res.targets, scn).T for scn, res in published])  # (n, L, K)
+    lam = np.stack([res.qos_duals for res in results])  # (n, K)
+    mu = np.stack([res.power_duals for res in results])  # (n, L)
+    price = 1.0 + lam @ stats.beta.T + mu  # per BS
+    allowed = np.stack([res.allowed for res in results])
+    ratio = np.where(allowed, price[:, :, None] / b_t, np.inf)  # (n, L, K)
+    rmin = ratio.min(axis=1)  # (n, K)
+    gap = (ratio - rmin[:, None, :]) / rmin[:, None, :]
     lam_gap = np.abs(rmin - lam) / np.maximum(lam, rmin)
-    bad_bs = result.serving & (gap > ASSOCIATION_RULE_TOL)
+    bad_bs = np.stack([res.serving for res in results]) & (gap > ASSOCIATION_RULE_TOL)
     bad_lam = lam_gap > ASSOCIATION_RULE_TOL
-    violations = []
-    for t in np.flatnonzero(bad_bs.any(axis=0) | bad_lam):
-        violations += [(int(t), int(i), float(gap[i, t])) for i in np.flatnonzero(bad_bs[:, t])]
-        if bad_lam[t]:
-            violations.append((int(t), -1, float(lam_gap[t])))
+    violations = [[] for _ in results]
+    for j, t in zip(*np.nonzero(bad_bs.any(axis=1) | bad_lam)):
+        violations[j] += [(int(t), int(i), float(gap[j, i, t])) for i in np.flatnonzero(bad_bs[j, :, t])]
+        if bad_lam[j, t]:
+            violations[j].append((int(t), -1, float(lam_gap[j, t])))
     return violations

@@ -25,20 +25,21 @@ _LN2 = np.log(2.0)
 
 @dataclass(frozen=True)
 class PowerAllocation:
-    """Per-BS per-user downlink transmit powers rho, an (L, K) matrix in W."""
+    """Per-BS per-user downlink transmit powers rho, an (L, K) matrix in W,
+    or a stack (..., L, K) of them."""
 
     rho: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "rho", np.asarray(self.rho, dtype=float))
-        if self.rho.ndim != 2:
-            raise ValueError("rho must be an (L, K) matrix")
+        if self.rho.ndim < 2:
+            raise ValueError("rho must be an (L, K) matrix or a stack of them")
         if (self.rho < 0.0).any():
             raise ValueError("rho must be nonnegative elementwise")
 
     def per_bs_power(self) -> np.ndarray:
-        """Transmit power of each BS, sum_t rho[i, t]."""
-        return self.rho.sum(axis=1)
+        """Transmit power of each BS, sum_t rho[..., i, t]."""
+        return self.rho.sum(axis=-1)
 
 
 def spectral_efficiency(sinr, tau_c, tau_p):
@@ -89,11 +90,12 @@ def sinr_threshold(xi: np.ndarray, tau_c, tau_p) -> np.ndarray:
 
 
 def sinr_mrt_all(stats: ChannelStats, alloc: PowerAllocation, scenario: NetworkScenario) -> np.ndarray:
-    """Vector of closed-form SINRs for all users."""
+    """Vector of closed-form SINRs for all users; for a stack of
+    allocations, a stack (..., K) of them."""
     shape = (scenario.num_bs, scenario.num_users)
-    if stats.beta.shape != shape or alloc.rho.shape != shape:
+    if stats.beta.shape != shape or alloc.rho.shape[-2:] != shape:
         raise ValueError(f"stats/alloc shape mismatch, expected {shape}")
-    num = scenario.num_antennas * np.einsum("ik,ik->k", alloc.rho, stats.gamma)
+    num = scenario.num_antennas * np.einsum("...ik,ik->...k", alloc.rho, stats.gamma)
     den = alloc.per_bs_power() @ stats.beta + scenario.noise_dl
     return num / den
 

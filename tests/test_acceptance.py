@@ -39,7 +39,7 @@ def report(num, desc, passed, detail=""):
 def drops_200():
     """200 default drops at every antenna count through the sweep pipeline.
 
-    harness.solve_cell checks every cell for criteria 4-6 (association rule,
+    harness.solve_drop checks every cell for criteria 4-6 (association rule,
     SE margin, binding QoS rows, power caps, feasible-set inclusion) and
     raises HarnessInvariantError naming the first cell that fails.
     """

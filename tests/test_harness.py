@@ -26,7 +26,7 @@ from mimopower.lp import LpStatus
 from mimopower.maxmin import DEFAULT_DELTA
 from mimopower.mc_oracle import McConfig
 from mimopower.power_assoc import DropLp, PowerMinResult, max_snr_mask, solve_power_min
-from mimopower.se import QosTargets
+from mimopower.se import PowerAllocation, QosTargets
 
 
 # Small sizes for a row of the CLI error table whose check must fire before any solve.
@@ -87,18 +87,19 @@ class TestDefaults:
 
 
 def recorded_sweep(monkeypatch, spec, traces=False):
-    """``run_sweep(spec, traces)`` and the (joint, max-SNR) pair of each of its
-    ``solve_cell`` calls, as {M: [pair, ...]} in drop order."""
+    """``run_sweep(spec, traces)`` and the (joint, max-SNR) pair of each cell
+    its ``solve_drop`` calls return, as {M: [pair, ...]} in drop order."""
     cells = {m: [] for m in spec.antenna_counts}
-    solve_cell = harness.solve_cell
+    solve_drop = harness.solve_drop
 
-    def recording(lps, scenario, mode, drop_index, targets, delta):
-        pair = solve_cell(lps, scenario, mode, drop_index, targets, delta)
-        assert drop_index == len(cells[scenario.num_antennas])
-        cells[scenario.num_antennas].append(pair)
-        return pair
+    def recording(stats, scn0, antenna_counts, mode, drop_index, targets, delta):
+        pairs = solve_drop(stats, scn0, antenna_counts, mode, drop_index, targets, delta)
+        for m, pair in zip(antenna_counts, pairs, strict=True):
+            assert drop_index == len(cells[m])
+            cells[m].append(pair)
+        return pairs
 
-    monkeypatch.setattr(harness, "solve_cell", recording)
+    monkeypatch.setattr(harness, "solve_drop", recording)
     return run_sweep(spec, traces=traces), cells
 
 
@@ -211,7 +212,7 @@ class TestSweeps:
     )
     def test_sweep_checks_both_settings_before_solving(self, mode, setting, message, tmp_path, monkeypatch):
         # config.json records both settings, so neither mode may leave one unchecked
-        monkeypatch.setattr(harness, "solve_cell", lambda *args: pytest.fail("a cell was solved"))
+        monkeypatch.setattr(harness, "solve_drop", lambda *args: pytest.fail("a drop was solved"))
         spec = SweepSpec((50,), mode=mode, num_drops=1, **setting)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             emit_results(run_sweep(spec), tmp_path / "out")
@@ -254,7 +255,7 @@ class TestSweeps:
 
         monkeypatch.setattr(harness, "check_solution_invariants", broken)
         spec = SweepSpec(antenna_counts=(100,), num_drops=1, rng_seed=3, num_users=6, target_se=0.5)
-        with pytest.raises(HarnessInvariantError, match=r"^drop 0, M=100, powermin: injected$"):
+        with pytest.raises(HarnessInvariantError, match=r"^drop 0, powermin: injected$"):
             run_sweep(spec)
 
     def test_maxmin_invariant_error_names_its_cell(self, monkeypatch):
@@ -263,8 +264,34 @@ class TestSweeps:
 
         monkeypatch.setattr(harness, "check_solution_invariants", broken)
         spec = SweepSpec(antenna_counts=(100,), mode="maxmin", num_drops=1, rng_seed=3, num_users=6)
-        with pytest.raises(HarnessInvariantError, match=r"^drop 0, M=100, maxmin: injected$"):
+        with pytest.raises(HarnessInvariantError, match=r"^drop 0, maxmin: injected$"):
             run_sweep(spec)
+
+    @pytest.mark.parametrize("mode", ["powermin", "maxmin"])
+    def test_invariant_error_names_its_drop_count_mode_and_mask(self, mode, monkeypatch):
+        """One published allocation of one cell, edited to miss its SE targets
+        by about 4e-8, fails the per-drop check with the four values that
+        replay it: drop, antenna count, mode and mask."""
+        check = harness.check_solution_invariants
+        drops = []
+
+        def edit_one(stats, published):
+            drops.append(published)
+            if len(drops) == 2:  # drop 1
+                [j] = [j for j, (scn, mask, _) in enumerate(published) if (scn.num_antennas, mask) == (100, "max_snr")]
+                scn, mask, res = published[j]
+                edited = dataclasses.replace(res, allocation=PowerAllocation(res.allocation.rho * (1.0 - 1e-7)))
+                published = published[:j] + [(scn, mask, edited)] + published[j + 1 :]
+            return check(stats, published)
+
+        monkeypatch.setattr(harness, "check_solution_invariants", edit_one)
+        spec = SweepSpec((50, 100, 150), mode, num_drops=3, rng_seed=3, num_users=6, target_se=0.5)
+        message = f"drop 1, M=100, {mode}, max_snr: achieved SE fell below its target"
+        with pytest.raises(HarnessInvariantError, match=f"^{re.escape(message)}$") as info:
+            run_sweep(spec)
+        err = info.value
+        assert (err.drop, err.num_antennas, err.mode, err.mask) == (1, 100, mode, "max_snr")
+        assert len(drops) == 2 and len(drops[1]) == 6  # every solve of drop 1 published
 
     def test_lp_error_names_its_cell(self, monkeypatch):
         def broken(lp, basis=None):
@@ -285,7 +312,7 @@ class TestSweeps:
         monkeypatch.setattr(np.linalg, "inv", singular)
         with pytest.raises(RuntimeError, match=r"^drop 0, M=64, powermin: singular basis") as info:
             targets = QosTargets.uniform(0.5, small_scenario)
-            harness.solve_cell(harness.drop_lps(small_stats), small_scenario, "powermin", 0, targets, 0.01)
+            harness.solve_drop(small_stats, small_scenario, (64,), "powermin", 0, targets, 0.01)
         assert type(info.value) is RuntimeError
 
     def test_level_zero_sweep_publishes_single_bs_service(self, tmp_path, small_scenario, monkeypatch):
@@ -399,8 +426,7 @@ class TestRunDrop:
     def test_maxmin_level_zero_cell(self, small_scenario, small_stats):
         # 1e-12 W per BS puts the SE upper bound below delta: no probe runs
         scn = dataclasses.replace(small_scenario, pmax=np.full(4, 1e-12))
-        lps = harness.drop_lps(small_stats)
-        opt, snr = harness.solve_cell(lps, scn, "maxmin", 0, None, 0.01)
+        [(opt, snr)] = harness.solve_drop(small_stats, scn, (64,), "maxmin", 0, None, 0.01)
         assert opt.iterations == snr.iterations == 0
         assert opt.last_feasible is None and snr.last_feasible is None
         assert opt.xi_lower == 0.0
@@ -793,3 +819,45 @@ def test_sweep_outputs_match_reference_digests(sweep, tmp_path, capsys):
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ref["sha256"]
     }
     assert digests == ref["sha256"]
+
+
+@pytest.mark.parametrize(
+    "mode, seed, digests",
+    [
+        ("powermin", 1, {
+            "results.csv": "360465d9f78bbcfd02d4a0a3cc765e344f17dad31d12e8ecd402cedf6bc0e087",
+            "config.json": "da46b8eb69f3f8235a6e70e94cdfd0dc4f6470b48634a97eb1062f9f95265062",
+        }),
+        ("powermin", 2, {
+            "results.csv": "00dadbde3a55d384d20bf59a713d33b9724da3aacf0171227c2fc5f42a6ffb9a",
+            "config.json": "f75ec9791875db2d7df593caafb5ba00ea76548b46c570965717154e75444ffb",
+        }),
+        ("powermin", 3, {
+            "results.csv": "545ff37c6d736c3dcd16e8b88cbc7fb26f0389a968be77e41985581c3556d29b",
+            "config.json": "294b0eb91023f82a2da2fdbb93ba42f4cfcfac5cea8c5eb265f89c00a11c8128",
+        }),
+        ("maxmin", 1, {
+            "results.csv": "80178ab12d78529c7cc916a98dd02cc470969ccc055ebb2134f1a47d624ce868",
+            "config.json": "dc1db6b617efd16af9b9f3bea15906002d134773994eb75751aafd0a9193202a",
+            "traces.jsonl": "d7360a3c04de535188f5948985c7167ae06e1d6f2f52d2672c4703c20e21d461",
+        }),
+        ("maxmin", 2, {
+            "results.csv": "996b097f664367e2ad9a7c5ce659d1e89584ff96c0352e1ff9f110322122047e",
+            "config.json": "d7fb933184d4624965d3a4e038728c01bc6187de57e0ce6d36facad9cb4e99aa",
+            "traces.jsonl": "cab44bb700fa376c470a889bd7b0e30b4c2d958c16b7690fa3924ef4b88c58f4",
+        }),
+        ("maxmin", 3, {
+            "results.csv": "712b8e7b91cd398fa85f84432ac98ccc6d307ddd80647da4c8ae262dbe22a6f3",
+            "config.json": "2b6283ef6443eb2516509bab0c7460a86d6763bb043c133eedf217a92db02b65",
+            "traces.jsonl": "cae56e1d7429f06738650f4b7613402aef81e2227a2ef5efdc8d17ab040ec254",
+        }),
+    ],
+)
+def test_sweep_output_bytes_are_pinned(mode, seed, digests, tmp_path):
+    """Every output file of a 10-drop sweep at seeds 1-3, both modes with
+    maxmin traced, keeps its sha256."""
+    argv = [mode, "--drops", "10", "--antennas", "50,100,150,200", "--seed", str(seed), "--out", str(tmp_path)]
+    argv += ["--trace"] if mode == "maxmin" else []
+    assert cli.main(argv) == 0
+    assert sorted(os.listdir(tmp_path)) == sorted(digests)
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in digests} == digests

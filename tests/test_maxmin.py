@@ -12,11 +12,12 @@ from mimopower import lp as lp_module
 from mimopower.channel import ChannelStats
 from mimopower.harness import (
     DEFAULT_NUM_USERS,
+    SweepSpec,
     check_solution_invariants,
     default_scenario,
-    drop_lps,
     iter_drops,
-    solve_cell,
+    run_sweep,
+    solve_drop,
 )
 from mimopower.lp import LpSolution, LpStatus
 from mimopower.maxmin import DEFAULT_DELTA, MIN_DELTA, auto_upper_bound, expected_iterations, solve_max_min
@@ -139,11 +140,11 @@ class TestBisection:
         targets w * xi_lower, which it carries, under both masks."""
         scn, stats = random_drop(5, num_antennas=100, num_users=DEFAULT_NUM_USERS)
         weights = np.linspace(0.5, 2.0, scn.num_users)
-        for mask in (None, max_snr_mask(stats.beta)):
+        for name, mask in (("joint", None), ("max_snr", max_snr_mask(stats.beta))):
             res = solve_max_min(DropLp(stats, mask), scn, weights=weights)
             assert res.last_feasible is not None
             assert np.array_equal(res.last_feasible.targets.xi, weights * res.xi_lower)
-            check_solution_invariants(stats, scn, res.last_feasible)
+            check_solution_invariants(stats, [(scn, name, res.last_feasible)])
 
     def test_trace_is_json_lines_ready(self):
         scn, stats = random_drop(15, num_antennas=64, num_users=4)
@@ -189,12 +190,13 @@ def count_lp_solves(monkeypatch) -> list:
 
 def count_vertex_reads(monkeypatch) -> list:
     """Patch the refined solve behind every vertex readout; the returned list
-    grows by one entry per refined solve, two per vertex (x, then the duals)."""
+    grows by the number of vertices of each stacked refined solve, two
+    entries per readout (x, then the duals)."""
     calls = []
     real = lp_module._refined_solve
 
     def counting(mat, rhs):
-        calls.append(rhs)
+        calls.append(len(rhs))
         return real(mat, rhs)
 
     monkeypatch.setattr(lp_module, "_refined_solve", counting)
@@ -219,10 +221,11 @@ class TestVertexReadout:
     """A probe pays for its verdict only: no probe reads a vertex."""
 
     def test_a_bisection_reads_only_its_published_vertex(self, monkeypatch):
-        """Every bisection of a small sweep, both masks, through ``solve_cell``:
-        the probes read no vertex, and the cell's checks read exactly one per
+        """Every bisection of a small sweep, both masks, through ``solve_drop``:
+        the probes read no vertex, and each drop reads exactly one per
         published allocation, that of the last OPTIMAL LP (the last feasible
-        probe, or the re-solve at a level the bracket answered)."""
+        probe, or the re-solve at a level the bracket answered), all in one
+        stacked readout."""
         reads = count_vertex_reads(monkeypatch)
         solutions = record_lp_solutions(monkeypatch)
         answers = []  # the bracket's answer to each probe, None for an LP
@@ -253,12 +256,10 @@ class TestVertexReadout:
         monkeypatch.setattr(harness, "solve_max_min", bisection)
         base = default_scenario(50, DEFAULT_NUM_USERS, rng_seed=17)
         for d, scn0, stats in iter_drops(base, 17, 3):
-            lps = drop_lps(stats)
-            for m in (50, 100, 150, 200):
-                before = published
-                solve_cell(lps, replace(scn0, num_antennas=m), "maxmin", d, None, DEFAULT_DELTA)
-                assert len(reads) == 2 * (published - before)  # the checks read each one vertex
-                reads.clear()
+            before = published
+            solve_drop(stats, scn0, (50, 100, 150, 200), "maxmin", d, None, DEFAULT_DELTA)
+            assert reads == [published - before] * 2  # one stack: x, then the duals
+            reads.clear()
         # every cell published both allocations, some from a re-solve, and
         # some feasible LP's vertex went unread
         assert published == 2 * 3 * 4 and resolves and feasible_lps > published
@@ -275,20 +276,52 @@ class TestVertexReadout:
         assert len(solves) == 1 and reads == []
 
     def test_a_powermin_cell_reads_one_vertex_per_feasible_solve(self, monkeypatch):
+        """Each drop reads the vertices of its feasible power-min solves, and
+        only those, in one stacked readout."""
         reads = count_vertex_reads(monkeypatch)
         base = default_scenario(50, DEFAULT_NUM_USERS, rng_seed=17)
         targets = QosTargets.uniform(1.0, base)
         feasible = infeasible = 0
         for d, scn0, stats in iter_drops(base, 17, 4):
-            lps = drop_lps(stats)
-            for m in (50, 200):
-                results = solve_cell(lps, replace(scn0, num_antennas=m), "powermin", d, targets, DEFAULT_DELTA)
-                n = sum(res.feasible for res in results)
-                assert len(reads) == 2 * n
-                reads.clear()
-                feasible += n
-                infeasible += len(results) - n
+            cells = solve_drop(stats, scn0, (50, 200), "powermin", d, targets, DEFAULT_DELTA)
+            n = sum(res.feasible for pair in cells for res in pair)
+            assert reads == [n] * 2 * (n > 0)  # one stack of the drop's feasible solves, if any
+            reads.clear()
+            feasible += n
+            infeasible += 2 * len(cells) - n
         assert feasible and infeasible
+
+
+def test_stacked_readout_has_the_bits_of_the_first_read(monkeypatch):
+    """Every optimal solve of a small seed-17 sweep, both modes, read in
+    stacks of 1, 2 and 8 by ``lp.read_vertices`` (joint and max-SNR LPs
+    mixed): x, the duals and the objective have the bits of the solution's
+    first read on its own, and the stack stores them as that read."""
+    solves = []
+    real = power_assoc.lp_solve
+
+    def recording(program, basis=None):
+        solves.append((program, None if basis is None else np.array(basis)))
+        return real(program, basis=basis)
+
+    monkeypatch.setattr(power_assoc, "lp_solve", recording)
+    for mode in ("powermin", "maxmin"):
+        run_sweep(SweepSpec((50, 100, 150, 200), mode, num_drops=5, rng_seed=17))
+    monkeypatch.undo()
+
+    def fresh():
+        sols = (lp_module.solve(program, basis=basis) for program, basis in solves)
+        return [sol for sol in sols if sol.status == LpStatus.OPTIMAL]
+
+    first = [(sol.x, sol.duals, sol.objective) for sol in fresh()]
+    assert len(first) > 80
+    for k in (1, 2, 8):
+        sols = fresh()
+        vertices = [v for i in range(0, len(sols), k) for v in lp_module.read_vertices(sols[i : i + k])]
+        for (x, duals, objective), vertex, sol in zip(first, vertices, sols, strict=True):
+            assert np.array_equal(vertex["x"], x) and np.array_equal(vertex["duals"], duals)
+            assert vertex["objective"] == objective
+            assert (sol.x, sol.duals, sol.objective) == (vertex["x"], vertex["duals"], objective)
 
 
 def assert_same_result(a, b):
@@ -341,6 +374,56 @@ class TestProbeOutcomes:
                     assert_same_result(shared, solve_max_min(DropLp(stats, allowed), scn, w))
         # the shared brackets answered some probes without an LP
         assert shared_solves < probes
+
+    def test_linked_bracket_answers_agree_with_lp_solves(self, monkeypatch):
+        """A small seed-17 maxmin sweep through ``solve_drop``, whose joint
+        and max-SNR DropLps answer probes from each other's entries: every
+        probe answered without an LP, by either, has the verdict of an LP
+        solve of a fresh DropLp; the sweep's traces are those of unlinked
+        DropLps, and the link saves LPs."""
+        antennas = (50, 100, 150, 200)
+        base = default_scenario(antennas[0], DEFAULT_NUM_USERS, rng_seed=17)
+        verdicts = []  # each probe's lookup answer, None for an LP
+        real_lookup = DropLp.lookup
+
+        def lookup(lp, s):
+            verdicts.append(real_lookup(lp, s))
+            return verdicts[-1]
+
+        bisections = []  # (lp, scenario, result, lookup answers)
+        real_max_min = maxmin.solve_max_min
+
+        def bisection(lp, scenario, weights=None, delta=DEFAULT_DELTA):
+            first = len(verdicts)
+            res = real_max_min(lp, scenario, weights, delta)
+            bisections.append((lp, scenario, res, verdicts[first:]))
+            return res
+
+        def sweep_traces():
+            solves = count_lp_solves(monkeypatch)
+            traces = [
+                cell
+                for d, scn0, stats in iter_drops(base, 17, 4)
+                for pair in solve_drop(stats, scn0, antennas, "maxmin", d, None, DEFAULT_DELTA)
+                for cell in (pair[0].trace, pair[1].trace)
+            ]
+            return traces, len(solves)
+
+        monkeypatch.setattr(DropLp, "lookup", lookup)
+        monkeypatch.setattr(harness, "solve_max_min", bisection)
+        linked, linked_solves = sweep_traces()
+        answered = 0
+        for lp, scn, res, answers in bisections:
+            assert len(answers) == res.iterations
+            for p, answer in zip(res.trace, answers):
+                if answer is not None:
+                    answered += 1
+                    targets = QosTargets.from_se(p.candidate * np.ones(scn.num_users), scn.coherence_length, scn.pilot_length)
+                    assert solve_power_min(DropLp(lp.stats, lp.mask), targets, scn).feasible == answer == p.feasible
+        monkeypatch.setattr(harness, "drop_lps", lambda stats: (DropLp(stats), DropLp(stats, max_snr_mask(stats.beta))))
+        unlinked, unlinked_solves = sweep_traces()
+        assert linked == unlinked
+        assert answered and linked_solves < unlinked_solves
 
     def test_carried_basis_hints_match_cold_solves(self, monkeypatch):
         """Every probe LP of three drops, joint and max-SNR, with a DropLp
@@ -431,11 +514,11 @@ def test_sweep_cells_agree_with_the_exact_max_min_level():
     for d, scn0, stats in iter_drops(base, 17, 8):
         masks = (None, max_snr_mask(stats.beta))
         c_star = [max_min_sinr(stats, replace(scn0, num_antennas=1), mask) for mask in masks]
-        maxmin_lps, powermin_lps = drop_lps(stats), drop_lps(stats)
-        for m in (50, 100, 150, 200):
+        antennas = (50, 100, 150, 200)
+        maxmin_cells = solve_drop(stats, scn0, antennas, "maxmin", d, None, DEFAULT_DELTA)
+        powermin_cells = solve_drop(stats, scn0, antennas, "powermin", d, targets, DEFAULT_DELTA)
+        for m, bisections, verdicts in zip(antennas, maxmin_cells, powermin_cells):
             scn = replace(scn0, num_antennas=m)
-            bisections = solve_cell(maxmin_lps, scn, "maxmin", d, None, DEFAULT_DELTA)
-            verdicts = solve_cell(powermin_lps, scn, "powermin", d, targets, DEFAULT_DELTA)
             for c, mm, pm in zip(c_star, bisections, verdicts):
                 se = float(spectral_efficiency(m * c, scn.coherence_length, scn.pilot_length))
                 assert mm.xi_lower - 1e-9 <= se <= mm.xi_upper + 1e-9, (d, m)
