@@ -269,9 +269,10 @@ class TestSweeps:
 
     @pytest.mark.parametrize("mode", ["powermin", "maxmin"])
     def test_invariant_error_names_its_drop_count_mode_and_mask(self, mode, monkeypatch):
-        """One published allocation of one cell, edited to miss its SE targets
-        by about 4e-8, fails the per-drop check with the four values that
-        replay it: drop, antenna count, mode and mask."""
+        """One published allocation of one cell, its powers scaled by
+        1 - 1e-7 so that it misses its SE targets, fails the per-drop check
+        with the four values that replay it: drop, antenna count, mode and
+        mask."""
         check = harness.check_solution_invariants
         drops = []
 

@@ -321,7 +321,7 @@ def test_stacked_readout_has_the_bits_of_the_first_read(monkeypatch):
         for (x, duals, objective), vertex, sol in zip(first, vertices, sols, strict=True):
             assert np.array_equal(vertex["x"], x) and np.array_equal(vertex["duals"], duals)
             assert vertex["objective"] == objective
-            assert (sol.x, sol.duals, sol.objective) == (vertex["x"], vertex["duals"], objective)
+            assert sol.x is vertex["x"] and sol.duals is vertex["duals"] and sol.objective == objective
 
 
 def assert_same_result(a, b):
@@ -511,10 +511,10 @@ def test_sweep_cells_agree_with_the_exact_max_min_level():
     base = default_scenario(50, DEFAULT_NUM_USERS, rng_seed=17)
     targets = QosTargets.uniform(1.0, base)
     feasible = infeasible = 0
+    antennas = (50, 100, 150, 200)
     for d, scn0, stats in iter_drops(base, 17, 8):
         masks = (None, max_snr_mask(stats.beta))
         c_star = [max_min_sinr(stats, replace(scn0, num_antennas=1), mask) for mask in masks]
-        antennas = (50, 100, 150, 200)
         maxmin_cells = solve_drop(stats, scn0, antennas, "maxmin", d, None, DEFAULT_DELTA)
         powermin_cells = solve_drop(stats, scn0, antennas, "powermin", d, targets, DEFAULT_DELTA)
         for m, bisections, verdicts in zip(antennas, maxmin_cells, powermin_cells):
