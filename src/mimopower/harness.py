@@ -159,43 +159,41 @@ class SweepResult:
     traces: list
 
 
-def check_solution_invariants(stats: ChannelStats, published) -> None:
+def check_solution_invariants(stats: ChannelStats, scenario: NetworkScenario, published) -> None:
     """Re-assert the optimality contracts on a drop's published solves, all
-    at once: ``published`` holds (scenario, mask, result) triples of feasible
-    solves of the drop ``stats``, whose scenarios differ only in the antenna
-    count, ``mask`` naming the association ("joint" or "max_snr"). Each
-    result is checked at the targets it was solved at, ``result.targets``:
-    per-BS caps to CAP_GATE_W, every SE within 1e-9 of its target, every QoS
-    row binding to 1e-8 relative, the dual association rule, and (exactly)
-    joint transmission only where a cap binds: nonbasic powers are exact
-    zeros and each user needs a basic one, so the users served by two or
-    more BSs are at most the nonbasic cap slacks, and the serving pairs at
-    most the basic powers. The first failing solve raises
+    at once: ``published`` holds (antenna count, mask, result) triples of
+    feasible solves of the drop ``stats`` on ``scenario`` (whose own antenna
+    count is not read), ``mask`` naming the association ("joint" or
+    "max_snr"). Each result is checked at the targets it was solved at,
+    ``result.targets``: per-BS caps to CAP_GATE_W, every SE within 1e-9 of
+    its target, every QoS row binding to 1e-8 relative, the dual
+    association rule, and (exactly) joint transmission only where a cap
+    binds: nonbasic powers are exact zeros and each user needs a basic one,
+    so the users served by two or more BSs are at most the nonbasic cap
+    slacks, and the serving pairs at most the basic powers. The first
+    failing solve raises
     HarnessInvariantError with its antenna count and mask, naming the first
     of those checks it fails."""
     if not published:
         return
-    scenarios, masks, results = zip(*published)
-    scn = scenarios[0]
-    m = np.array([s.num_antennas for s in scenarios])
+    m, masks, results = zip(*published)
     alloc = PowerAllocation(np.stack([res.allocation.rho for res in results]))  # (n, L, K)
     xi = np.stack([res.targets.xi for res in results])
     xi_hat = np.stack([res.targets.xi_hat for res in results])
-    cap = alloc.per_bs_power() - scn.pmax
+    cap = alloc.per_bs_power() - scenario.pmax
     cap_bad = (cap > CAP_GATE_W).any(axis=1)
-    # the SINR is linear in M: M times its value at one antenna
-    sinr = m[:, None] * sinr_mrt_all(stats, alloc, replace(scn, num_antennas=1))
-    se = spectral_efficiency(sinr, scn.coherence_length, scn.pilot_length)
+    sinr = sinr_mrt_all(stats, alloc, scenario, num_antennas=m)
+    se = spectral_efficiency(sinr, scenario.coherence_length, scenario.pilot_length)
     se_bad = (se < xi - 1e-9).any(axis=1)
     binding = np.abs(sinr / xi_hat - 1.0).max(axis=1)
     bases = np.stack([res.basis for res in results])
     serving = np.stack([res.serving for res in results])
     # the basis indexes n powers, then K QoS and L cap slacks
     n = np.stack([res.allowed for res in results]).sum(axis=(1, 2))
-    tight_caps = scn.num_bs - np.count_nonzero(bases >= (n + scn.num_users)[:, None], axis=1)
+    tight_caps = scenario.num_bs - np.count_nonzero(bases >= (n + scenario.num_users)[:, None], axis=1)
     joint = np.count_nonzero(serving.sum(axis=1) >= 2, axis=1)
     joint_bad = (joint > tight_caps) | (serving.sum(axis=(1, 2)) > np.count_nonzero(bases < n[:, None], axis=1))
-    violations = association_rule_check(stats, [(s, res) for s, _, res in published])
+    violations = association_rule_check(stats, list(zip(m, results)))
     failed = cap_bad | se_bad | (binding > 1e-8) | joint_bad | np.array([bool(v) for v in violations])
     if not failed.any():
         return
@@ -213,7 +211,7 @@ def check_solution_invariants(stats: ChannelStats, published) -> None:
         )
     else:
         problem = f"association rule violated: {violations[j][:5]}"
-    raise HarnessInvariantError(problem, num_antennas=scenarios[j].num_antennas, mask=masks[j])
+    raise HarnessInvariantError(problem, num_antennas=m[j], mask=masks[j])
 
 
 def iter_drops(base: NetworkScenario, seed: int, num_drops: int):
@@ -234,8 +232,9 @@ MASKS = ("joint", "max_snr")
 
 def drop_lps(stats: ChannelStats) -> tuple:
     """The (joint, max-SNR) ``DropLp`` pair that every cell of the drop
-    solves, the max-SNR one linked within the joint one, so that their max-min
-    probes share one bracket (see ``DropLp``)."""
+    solves, the max-SNR one built ``within`` the joint one, so that the
+    joint max-min probes proved infeasible answer max-SNR ones (see
+    ``DropLp``)."""
     joint = DropLp(stats)
     return joint, DropLp(stats, max_snr_mask(stats.beta), within=joint)
 
@@ -258,7 +257,13 @@ def solve_drop(
     Power-min solves at ``targets``, which depend on the SE target, K, tau_c
     and tau_p alone, so the caller builds them once for all its drops;
     maxmin ignores them. The joint bisection of a cell runs before the
-    max-SNR one, which its infeasible probes can then answer.
+    max-SNR one, which its infeasible probes can then answer. So the maxmin
+    check that the joint level is not below the max-SNR one compares no
+    independent bisections: a max-SNR probe at or above the joint upper
+    bound is answered infeasible by the joint entries, and the check fires
+    only when the entries contradict, a max-SNR LP having proved feasible an
+    s-vector that a joint LP proved infeasible. The tests re-solve the
+    probes the joint entries answer.
 
     Once every cell is solved, the published allocations (the feasible
     power-min solves, or each bisection's ``last_feasible``) have their
@@ -282,13 +287,13 @@ def solve_drop(
                 solves = (opt, snr)
             elif mode == "maxmin":
                 opt, snr = (solve_max_min(lp, scn, delta=delta) for lp in lps)
-                if opt.xi_lower < snr.xi_lower - delta - 1e-12:
+                if opt.xi_lower < snr.xi_lower - delta - 1e-12:  # contradicting entries (see above)
                     raise HarnessInvariantError("joint max-min level fell below the max-SNR level")
                 solves = (opt.last_feasible, snr.last_feasible)
             else:
                 raise ValueError(f"unknown mode {mode!r}")
             cells.append((opt, snr))
-            published += [(scn, mask, res) for mask, res in zip(MASKS, solves) if res is not None and res.feasible]
+            published += [(m, mask, res) for mask, res in zip(MASKS, solves) if res is not None and res.feasible]
         m = None
         if published:
             read_vertices([res.solution for _, _, res in published])
@@ -297,7 +302,7 @@ def solve_drop(
                 if snr.feasible and opt.objective > snr.objective * (1.0 + 1e-9):
                     raise HarnessInvariantError("optimal objective exceeds the max-SNR objective")
             m = None
-        check_solution_invariants(stats, published)
+        check_solution_invariants(stats, scn0, published)
     except HarnessInvariantError as e:
         raise HarnessInvariantError(e.problem, drop_index, e.num_antennas or m, mode, e.mask) from e
     except RuntimeError as e:

@@ -22,9 +22,9 @@ when one of them is first asked for, so a caller that needs only the
 status and the basis pays for no readout. One kernel, ``read_vertices``,
 does every readout: it reads a stack of solutions with equal row counts in
 one stacked refined solve for x and one for the duals, with the bits each
-would get alone, and a first read is a stack of one. Rows are equilibrated
-by their largest absolute entry before solving; duals are in the original
-scaling.
+would get alone; a first read is a stack of one, and a vertex already read
+is not read again. Rows are equilibrated by their largest absolute entry
+before solving; duals are in the original scaling.
 """
 
 from __future__ import annotations
@@ -110,17 +110,18 @@ _VERTEX_FIELDS = ("x", "objective", "duals")
 
 
 def _read_vertex(sol) -> dict:
-    """The vertex fields of one solve: ``read_vertices`` on a stack of one,
-    or None when the solution holds no vertex."""
-    if sol._vertex is None:
-        return dict.fromkeys(_VERTEX_FIELDS)
-    return read_vertices([sol])[0]
+    """The vertex fields of one solve, read by ``read_vertices`` as a stack
+    of one; None when the solution holds no vertex."""
+    if sol._vertex is not None:
+        read_vertices([sol])
+    return {name: sol.__dict__.get(name) for name in _VERTEX_FIELDS}
 
 
-def read_vertices(sols) -> list:
-    """x, the objective and the duals of optimal solves ``sols`` with equal
-    row counts, as one dict per solve, each stored on its solution as its
-    first read (a field already set keeps its value).
+def read_vertices(sols) -> None:
+    """Read x, the objective and the duals of the optimal solves ``sols``
+    with equal row counts that have not been read yet, and store them on
+    each solution as its first read would; a vertex read once is never
+    solved again.
 
     Each vertex is a fresh factorization of its basis in canonical (sorted)
     order plus iterative refinement, since binding-row residuals at the
@@ -129,18 +130,18 @@ def read_vertices(sols) -> list:
     ``_refined_solve`` for x and one for the duals; LAPACK solves each matrix
     of a stack as it solves that matrix alone, so the bits do not depend on
     the stack."""
+    sols = [sol for sol in sols if "x" not in sol.__dict__]
+    if not sols:
+        return
     a2s, bases, rhs, costs, scales, cs = zip(*(sol._vertex for sol in sols))
     b_mat = np.stack([a2[:, basis] for a2, basis in zip(a2s, bases)])
     xb = _refined_solve(b_mat, np.stack(rhs))
     y_eq = _refined_solve(b_mat.transpose(0, 2, 1), np.stack([cost[basis] for cost, basis in zip(costs, bases)]))
-    vertices = []
     for sol, a2, basis, xb_k, y_k, scale, c in zip(sols, a2s, bases, xb, y_eq, scales, cs):
         x_full = np.zeros(a2.shape[1])
         x_full[basis] = np.maximum(xb_k, 0.0)
         x = x_full[: c.size]
-        vertices.append({"x": x, "objective": float(c @ x), "duals": -y_k / scale})
-        OnFirstRead.store(sol, vertices[-1])
-    return vertices
+        OnFirstRead.store(sol, {"x": x, "objective": float(c @ x), "duals": -y_k / scale})
 
 
 @dataclass

@@ -23,11 +23,12 @@ is solved once at exactly that candidate for the allocation and the duals.
 
 The two masks of a drop share one bracket. The max-SNR feasible set is a
 subset of the joint one, so a level the joint LP proved infeasible is
-infeasible under max-SNR, and a level feasible under max-SNR is feasible
-for the joint LP. The sweep links the drop's two ``DropLp``s (``within``),
-each answers probes from the other's entries on that side, and the joint
-bisection of a cell runs first, so its infeasible probes answer the
-max-SNR bisection's.
+infeasible under max-SNR. The sweep builds the drop's max-SNR ``DropLp``
+``within`` the joint one, which answers max-SNR probes from the joint
+infeasible entries too, and runs the joint bisection of a cell first. The
+converse (max-SNR feasible entries answering joint probes) would decide
+nothing: with uniform weights the joint ``DropLp`` already holds a
+feasible entry below every max-SNR one.
 
 Every probe (and that re-solve) starts the simplex from ``DropLp.basis``,
 and a feasible probe writes its optimal basis back: it is usually a few

@@ -48,15 +48,13 @@ vertices in one stack first (``lp.read_vertices``). An infeasible result
 keeps the solve's Farkas certificate.
 
 A drop's two ``DropLp``s can share one max-min bracket: the max-SNR one,
-built ``within`` the joint one, answers the joint probes it proved feasible,
-and the joint one the max-SNR probes it proved infeasible (see ``maxmin``).
-``association_rule_check`` checks all the published solves of a drop as
-one stack.
+built ``within`` the joint one, answers its probes from the joint one's
+infeasible entries too (see ``maxmin``). ``association_rule_check`` checks
+all the published solves of a drop as one stack.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,9 +71,9 @@ SERVING_THRESHOLD_SCALE = 1e-6
 ASSOCIATION_RULE_TOL = 1e-6
 
 
-def _b_mat(stats: ChannelStats, targets: QosTargets, scenario: NetworkScenario) -> np.ndarray:
+def _b_mat(stats: ChannelStats, targets: QosTargets, num_antennas: int) -> np.ndarray:
     """(K, L) matrix whose row k is b_k."""
-    return scenario.num_antennas * stats.gamma.T / targets.xi_hat[:, None]
+    return num_antennas * stats.gamma.T / targets.xi_hat[:, None]
 
 
 class DropLp:
@@ -103,12 +101,14 @@ class DropLp:
     each list holds at most one vector. Entries never contradict: a probe
     the stored ones decide is answered, not recorded.
 
-    ``within`` links this object to the ``DropLp`` of the same drop under
-    a mask that grants every pair this one grants (ValueError otherwise):
-    its feasible set holds this one's, so its infeasible entries answer
-    this object's probes and this object's feasible entries answer its
-    probes. Each holds the other by weak reference, so the link keeps
-    neither alive and forms no reference cycle.
+    ``within`` is the ``DropLp`` of the same drop under a mask that grants
+    every pair this one grants (ValueError otherwise), or None: its
+    feasible set holds this one's, so its infeasible entries answer this
+    object's probes too. The link runs one way only, so it forms no
+    reference cycle. The other way, this object's feasible entries would
+    answer its probes, but with uniform weights and its bisection of each
+    antenna count run first it already holds a feasible entry below each of
+    them.
     """
 
     def __init__(self, stats: ChannelStats, allowed=None, within: DropLp | None = None):
@@ -131,20 +131,17 @@ class DropLp:
         strongest = max_snr_mask(np.where(self.mask, stats.beta, 0.0))
         self.basis = np.r_[np.flatnonzero(strongest.T[self.mask.T]), users.size + K + np.arange(L)]
         self.feasible, self.infeasible = [], []
-        self._inner = self._outer = _unlinked  # the linked DropLps within and around this one
-        if within is not None:
-            if within.stats is not stats or (self.mask & ~within.mask).any():
-                raise ValueError("within must be a DropLp of the same drop whose mask grants every pair this one grants")
-            self._outer, within._inner = weakref.ref(within), weakref.ref(self)
+        if within is not None and (within.stats is not stats or (self.mask & ~within.mask).any()):
+            raise ValueError("within must be a DropLp of the same drop whose mask grants every pair this one grants")
+        self.within = within
 
     def lookup(self, s: np.ndarray) -> bool | None:
-        """True if s dominates a feasible entry of this object or of the
-        linked one within it, False if an infeasible entry of this object or
-        of the linked one around it dominates s, None if no entry decides it."""
-        inner, outer = self._inner(), self._outer()
-        if any((s >= f).all() for lp in (self, inner) if lp is not None for f in lp.feasible):
+        """True if s dominates a feasible entry, False if an infeasible entry
+        of this object or of ``within`` dominates s, None if no entry decides it."""
+        if any((s >= f).all() for f in self.feasible):
             return True
-        if any((s <= g).all() for lp in (self, outer) if lp is not None for g in lp.infeasible):
+        outer = self.infeasible if self.within is None else self.infeasible + self.within.infeasible
+        if any((s <= g).all() for g in outer):
             return False
         return None
 
@@ -153,10 +150,6 @@ class DropLp:
             self.feasible = [f for f in self.feasible if not (f >= s).all()] + [s]
         else:
             self.infeasible = [g for g in self.infeasible if not (g <= s).all()] + [s]
-
-
-def _unlinked():
-    return None
 
 
 def build_lp(lp: DropLp, targets: QosTargets, scenario: NetworkScenario) -> LinearProgram:
@@ -277,7 +270,7 @@ def solve_max_snr(
 
 def association_rule_check(stats: ChannelStats, published) -> list:
     """Check each served user of the feasible solves ``published``, the
-    (scenario, result) pairs of one drop (``stats``), against the dual
+    (antenna count, result) pairs of one drop (``stats``), against the dual
     association rule at the targets each was solved at, ``result.targets``.
     Returns one list of violations per pair; an empty list is a pass.
 
@@ -290,7 +283,7 @@ def association_rule_check(stats: ChannelStats, published) -> list:
     because the mask grants it a BS. The pairs are checked as one stack.
     """
     results = [res for _, res in published]
-    b_t = np.stack([_b_mat(stats, res.targets, scn).T for scn, res in published])  # (n, L, K)
+    b_t = np.stack([_b_mat(stats, res.targets, m).T for m, res in published])  # (n, L, K)
     lam = np.stack([res.qos_duals for res in results])  # (n, K)
     mu = np.stack([res.power_duals for res in results])  # (n, L)
     price = 1.0 + lam @ stats.beta.T + mu  # per BS

@@ -89,13 +89,18 @@ def sinr_threshold(xi: np.ndarray, tau_c, tau_p) -> np.ndarray:
     return np.expm1(xi * (tau_c / (tau_c - tau_p)) * _LN2)
 
 
-def sinr_mrt_all(stats: ChannelStats, alloc: PowerAllocation, scenario: NetworkScenario) -> np.ndarray:
+def sinr_mrt_all(
+    stats: ChannelStats, alloc: PowerAllocation, scenario: NetworkScenario, num_antennas=None
+) -> np.ndarray:
     """Vector of closed-form SINRs for all users; for a stack of
-    allocations, a stack (..., K) of them."""
+    allocations, a stack (..., K) of them. ``num_antennas``, if given,
+    replaces ``scenario.num_antennas``: one count, or one per allocation of
+    the stack, an array of its leading shape (...)."""
     shape = (scenario.num_bs, scenario.num_users)
     if stats.beta.shape != shape or alloc.rho.shape[-2:] != shape:
         raise ValueError(f"stats/alloc shape mismatch, expected {shape}")
-    num = scenario.num_antennas * np.einsum("...ik,ik->...k", alloc.rho, stats.gamma)
+    m = scenario.num_antennas if num_antennas is None else np.asarray(num_antennas)[..., None]
+    num = m * np.einsum("...ik,ik->...k", alloc.rho, stats.gamma)
     den = alloc.per_bs_power() @ stats.beta + scenario.noise_dl
     return num / den
 

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import single_cell
+from conftest import linked_answers_disagreeing_with_lp, record_linked_answers, single_cell
 from oracles import brute_force_lp_min, random_feasible_lp
 
 from mimopower.harness import (
@@ -60,11 +60,20 @@ def table_metric(result, name):
 
 
 @pytest.fixture(scope="module")
-def maxmin_500():
+def maxmin_500_run():
+    """The 500-drop maxmin sweep and the max-SNR probes that only the joint
+    DropLp's entries answered (``record_linked_answers``)."""
     spec = SweepSpec(
         antenna_counts=ANTENNAS, mode="maxmin", num_drops=500, rng_seed=17, num_users=20
     )
-    return run_sweep(spec)
+    with pytest.MonkeyPatch.context() as mp:
+        linked = record_linked_answers(mp)
+        return run_sweep(spec), linked
+
+
+@pytest.fixture(scope="module")
+def maxmin_500(maxmin_500_run):
+    return maxmin_500_run[0]
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +168,20 @@ def test_criterion_6_feasible_set_inclusion(drops_200, powermin_500):
         "no drop anywhere has max-SNR feasible but joint optimization infeasible",
         feasible > 0,
         f"{feasible} feasible solves",
+    )
+
+
+def test_criterion_6_linked_bracket_on_maxmin_sweep(maxmin_500_run):
+    """The sweep's maxmin inclusion check compares no independent
+    bisections (see ``harness.solve_drop``); this re-solves, as LPs, the
+    max-SNR probes that the joint entries answered."""
+    _, linked = maxmin_500_run
+    bad = linked_answers_disagreeing_with_lp(linked)
+    report(
+        6,
+        "every max-SNR probe answered by a joint infeasible entry is infeasible as an LP",
+        bool(linked) and not bad,
+        f"{len(linked)} answered, {len(bad)} disagree {bad[:3]}",
     )
 
 

@@ -276,14 +276,14 @@ class TestSweeps:
         check = harness.check_solution_invariants
         drops = []
 
-        def edit_one(stats, published):
+        def edit_one(stats, scenario, published):
             drops.append(published)
             if len(drops) == 2:  # drop 1
-                [j] = [j for j, (scn, mask, _) in enumerate(published) if (scn.num_antennas, mask) == (100, "max_snr")]
-                scn, mask, res = published[j]
+                j = [(m, mask) for m, mask, _ in published].index((100, "max_snr"))
+                m, mask, res = published[j]
                 edited = dataclasses.replace(res, allocation=PowerAllocation(res.allocation.rho * (1.0 - 1e-7)))
-                published = published[:j] + [(scn, mask, edited)] + published[j + 1 :]
-            return check(stats, published)
+                published = published[:j] + [(m, mask, edited)] + published[j + 1 :]
+            return check(stats, scenario, published)
 
         monkeypatch.setattr(harness, "check_solution_invariants", edit_one)
         spec = SweepSpec((50, 100, 150), mode, num_drops=3, rng_seed=3, num_users=6, target_se=0.5)

@@ -4,7 +4,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from conftest import random_drop, single_cell
+from conftest import linked_answers_disagreeing_with_lp, random_drop, record_linked_answers, single_cell
 from oracles import max_min_sinr
 
 from mimopower import harness, maxmin, power_assoc
@@ -144,7 +144,7 @@ class TestBisection:
             res = solve_max_min(DropLp(stats, mask), scn, weights=weights)
             assert res.last_feasible is not None
             assert np.array_equal(res.last_feasible.targets.xi, weights * res.xi_lower)
-            check_solution_invariants(stats, [(scn, name, res.last_feasible)])
+            check_solution_invariants(stats, scn, [(scn.num_antennas, name, res.last_feasible)])
 
     def test_trace_is_json_lines_ready(self):
         scn, stats = random_drop(15, num_antennas=64, num_users=4)
@@ -296,7 +296,8 @@ def test_stacked_readout_has_the_bits_of_the_first_read(monkeypatch):
     """Every optimal solve of a small seed-17 sweep, both modes, read in
     stacks of 1, 2 and 8 by ``lp.read_vertices`` (joint and max-SNR LPs
     mixed): x, the duals and the objective have the bits of the solution's
-    first read on its own, and the stack stores them as that read."""
+    first read on its own, and the stack stores them as that read. A
+    vertex read once is not solved again."""
     solves = []
     real = power_assoc.lp_solve
 
@@ -317,11 +318,15 @@ def test_stacked_readout_has_the_bits_of_the_first_read(monkeypatch):
     assert len(first) > 80
     for k in (1, 2, 8):
         sols = fresh()
-        vertices = [v for i in range(0, len(sols), k) for v in lp_module.read_vertices(sols[i : i + k])]
-        for (x, duals, objective), vertex, sol in zip(first, vertices, sols, strict=True):
-            assert np.array_equal(vertex["x"], x) and np.array_equal(vertex["duals"], duals)
-            assert vertex["objective"] == objective
-            assert sol.x is vertex["x"] and sol.duals is vertex["duals"] and sol.objective == objective
+        for i in range(0, len(sols), k):
+            lp_module.read_vertices(sols[i : i + k])
+        for (x, duals, objective), sol in zip(first, sols, strict=True):
+            assert np.array_equal(sol.x, x) and np.array_equal(sol.duals, duals)
+            assert sol.objective == objective
+    reads = count_vertex_reads(monkeypatch)
+    stored = [(sol.x, sol.duals) for sol in sols]
+    lp_module.read_vertices(sols[:8])
+    assert reads == [] and all(sol.x is x and sol.duals is y for sol, (x, y) in zip(sols, stored))
 
 
 def assert_same_result(a, b):
@@ -376,28 +381,13 @@ class TestProbeOutcomes:
         assert shared_solves < probes
 
     def test_linked_bracket_answers_agree_with_lp_solves(self, monkeypatch):
-        """A small seed-17 maxmin sweep through ``solve_drop``, whose joint
-        and max-SNR DropLps answer probes from each other's entries: every
-        probe answered without an LP, by either, has the verdict of an LP
-        solve of a fresh DropLp; the sweep's traces are those of unlinked
-        DropLps, and the link saves LPs."""
+        """A small seed-17 maxmin sweep through ``solve_drop``, whose max-SNR
+        DropLp also reads the joint one's infeasible entries: every probe
+        that only those entries answered has the verdict of an LP solve of
+        a fresh DropLp; the sweep's traces are those of unlinked DropLps,
+        and the link saves LPs."""
         antennas = (50, 100, 150, 200)
         base = default_scenario(antennas[0], DEFAULT_NUM_USERS, rng_seed=17)
-        verdicts = []  # each probe's lookup answer, None for an LP
-        real_lookup = DropLp.lookup
-
-        def lookup(lp, s):
-            verdicts.append(real_lookup(lp, s))
-            return verdicts[-1]
-
-        bisections = []  # (lp, scenario, result, lookup answers)
-        real_max_min = maxmin.solve_max_min
-
-        def bisection(lp, scenario, weights=None, delta=DEFAULT_DELTA):
-            first = len(verdicts)
-            res = real_max_min(lp, scenario, weights, delta)
-            bisections.append((lp, scenario, res, verdicts[first:]))
-            return res
 
         def sweep_traces():
             solves = count_lp_solves(monkeypatch)
@@ -409,21 +399,14 @@ class TestProbeOutcomes:
             ]
             return traces, len(solves)
 
-        monkeypatch.setattr(DropLp, "lookup", lookup)
-        monkeypatch.setattr(harness, "solve_max_min", bisection)
+        linked_answers = record_linked_answers(monkeypatch)
         linked, linked_solves = sweep_traces()
-        answered = 0
-        for lp, scn, res, answers in bisections:
-            assert len(answers) == res.iterations
-            for p, answer in zip(res.trace, answers):
-                if answer is not None:
-                    answered += 1
-                    targets = QosTargets.from_se(p.candidate * np.ones(scn.num_users), scn.coherence_length, scn.pilot_length)
-                    assert solve_power_min(DropLp(lp.stats, lp.mask), targets, scn).feasible == answer == p.feasible
+        assert linked_answers and all(lp_mask.sum() == DEFAULT_NUM_USERS for _, lp_mask, *_ in linked_answers)
+        assert linked_answers_disagreeing_with_lp(linked_answers) == []
         monkeypatch.setattr(harness, "drop_lps", lambda stats: (DropLp(stats), DropLp(stats, max_snr_mask(stats.beta))))
         unlinked, unlinked_solves = sweep_traces()
         assert linked == unlinked
-        assert answered and linked_solves < unlinked_solves
+        assert linked_solves < unlinked_solves
 
     def test_carried_basis_hints_match_cold_solves(self, monkeypatch):
         """Every probe LP of three drops, joint and max-SNR, with a DropLp

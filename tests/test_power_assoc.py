@@ -51,7 +51,7 @@ class TestBuildLp:
 
     def test_b_vector_ties_to_estimation_quality(self, small_scenario, small_stats):
         targets = targets_for(small_scenario, 1.3)
-        b_mat = _b_mat(small_stats, targets, small_scenario)
+        b_mat = _b_mat(small_stats, targets, small_scenario.num_antennas)
         np.testing.assert_allclose(
             b_mat * targets.xi_hat[:, None],
             small_scenario.num_antennas * small_stats.gamma.T,
@@ -161,7 +161,7 @@ class TestSingleUserAnalytic:
         targets = targets_for(scn, 1.2)
         res = solve_power_min(DropLp(stats), targets, scn)
         monkeypatch.setattr(power_assoc, "ASSOCIATION_RULE_TOL", 1e-12)
-        assert association_rule_check(stats, [(scn, res)]) == [[]]
+        assert association_rule_check(stats, [(scn.num_antennas, res)]) == [[]]
 
 
 class TestDegenerateSplit:
@@ -219,9 +219,9 @@ class TestMaxSnr:
         targets = targets_for(scn, 1.0)
         snr = solve_power_min(DropLp(stats, max_snr_mask(stats.beta)), targets, scn)
         assert snr.feasible
-        assert association_rule_check(stats, [(scn, snr)]) == [[]]
+        assert association_rule_check(stats, [(scn.num_antennas, snr)]) == [[]]
         snr.qos_duals[2] *= 1.0 + 1e-3
-        [violations] = association_rule_check(stats, [(scn, snr)])
+        [violations] = association_rule_check(stats, [(scn.num_antennas, snr)])
         assert (2, -1) in {(t, i) for t, i, _ in violations}
 
     def test_serving_bs_off_the_minimum_is_listed(self):
@@ -229,15 +229,15 @@ class TestMaxSnr:
         targets = targets_for(scn, 1.0)
         res = solve_power_min(DropLp(stats), targets, scn)
         assert res.feasible
-        assert association_rule_check(stats, [(scn, res)]) == [[]]
+        assert association_rule_check(stats, [(scn.num_antennas, res)]) == [[]]
         price = 1.0 + stats.beta @ res.qos_duals + res.power_duals
-        ratio = price[:, None] / _b_mat(stats, targets, scn).T
+        ratio = price[:, None] / _b_mat(stats, targets, scn.num_antennas).T
         gap = ratio / ratio.min(axis=0) - 1.0
         # the runner-up pair: the smallest gap of a BS that serves nobody
         i, t = np.unravel_index(np.argmin(np.where(res.serving, np.inf, gap)), gap.shape)
         assert not res.serving[i, t] and gap[i, t] > power_assoc.ASSOCIATION_RULE_TOL
         res.serving[i, t] = True
-        [violations] = association_rule_check(stats, [(scn, res)])
+        [violations] = association_rule_check(stats, [(scn.num_antennas, res)])
         assert [(u, b) for u, b, _ in violations] == [(t, i)]
         assert violations[0][2] == pytest.approx(gap[i, t], rel=1e-9)
 
@@ -252,8 +252,8 @@ class TestSolutionContracts:
             pytest.skip("infeasible drop")
         # power caps, QoS attainment and binding, association rule over the mask
         snr = solve_power_min(DropLp(stats, max_snr_mask(stats.beta)), targets, scn)
-        published = [(scn, mask, solved) for mask, solved in (("joint", res), ("max_snr", snr)) if solved.feasible]
-        check_solution_invariants(stats, published)
+        published = [(scn.num_antennas, mask, solved) for mask, solved in (("joint", res), ("max_snr", snr)) if solved.feasible]
+        check_solution_invariants(stats, scn, published)
         for _, _, solved in published:
             # duals are sign-correct
             assert np.all(solved.qos_duals >= -1e-12)
@@ -264,14 +264,14 @@ class TestSolutionContracts:
         # 4.1e-8: the SE floor, not the binding check, names the fault
         res = solve_power_min(DropLp(small_stats), targets_for(small_scenario, 0.5), small_scenario)
         assert res.feasible
-        check_solution_invariants(small_stats, [(small_scenario, "joint", res)])
+        check_solution_invariants(small_stats, small_scenario, [(small_scenario.num_antennas, "joint", res)])
         short = dataclasses.replace(
             res, allocation=PowerAllocation(res.allocation.rho * (1.0 - 1e-7))
         )
         se = se_mrt_all(small_stats, short.allocation, small_scenario)
         assert 1e-9 < (res.targets.xi - se).max() < 1e-7
         with pytest.raises(HarnessInvariantError, match="^M=64, joint: achieved SE fell below its target$"):
-            check_solution_invariants(small_stats, [(small_scenario, "joint", short)])
+            check_solution_invariants(small_stats, small_scenario, [(small_scenario.num_antennas, "joint", short)])
 
     def test_joint_user_without_a_binding_cap_is_caught(self, small_scenario, small_stats):
         # at SE 0.5 every cap slack is basic, so each user has one serving BS;
@@ -280,7 +280,7 @@ class TestSolutionContracts:
         res = solve_power_min(DropLp(small_stats), targets_for(small_scenario, 0.5), small_scenario)
         assert res.feasible and np.isin(24 + 6 + np.arange(4), res.basis).all()
         assert (res.serving.sum(axis=0) == 1).all()
-        check_solution_invariants(small_stats, [(small_scenario, "joint", res)])
+        check_solution_invariants(small_stats, small_scenario, [(small_scenario.num_antennas, "joint", res)])
         second = np.flatnonzero(~res.serving[:, 0])[0]
         added = res.serving.copy()
         added[second, 0] = True
@@ -289,7 +289,7 @@ class TestSolutionContracts:
         for serving in (added, moved):
             edited = dataclasses.replace(res, serving=serving)
             with pytest.raises(HarnessInvariantError, match="^M=64, joint: joint transmission beyond the binding caps"):
-                check_solution_invariants(small_stats, [(small_scenario, "joint", edited)])
+                check_solution_invariants(small_stats, small_scenario, [(small_scenario.num_antennas, "joint", edited)])
 
     def test_result_record_is_json_ready(self, small_scenario, small_stats):
         targets = targets_for(small_scenario, 1.0)
