@@ -36,9 +36,9 @@ from .channel import (
     sample_user_positions,
     scenario_to_json_dict,
 )
-from .maxmin import DEFAULT_DELTA, check_delta, solve_max_min
+from .maxmin import DEFAULT_DELTA, check_delta, max_snr_scale, solve_max_min
 from .mc_oracle import McConfig, estimate_sinr_terms
-from .lp import read_vertices
+from .lp import FEAS_TOL, read_vertices
 from .power_assoc import DropLp, association_rule_check, max_snr_mask, solve_power_min
 from .se import PowerAllocation, QosTargets, sinr_mrt_all, spectral_efficiency
 
@@ -226,17 +226,8 @@ def iter_drops(base: NetworkScenario, seed: int, num_drops: int):
         yield d, scn0, channel_stats(scn0, rng)
 
 
-# The association masks of a drop's solves, in the order of ``drop_lps``.
+# The association masks of a drop's solves, in the order of each cell's pair.
 MASKS = ("joint", "max_snr")
-
-
-def drop_lps(stats: ChannelStats) -> tuple:
-    """The (joint, max-SNR) ``DropLp`` pair that every cell of the drop
-    solves, the max-SNR one built ``within`` the joint one, so that the
-    joint max-min probes proved infeasible answer max-SNR ones (see
-    ``DropLp``)."""
-    joint = DropLp(stats)
-    return joint, DropLp(stats, max_snr_mask(stats.beta), within=joint)
 
 
 def solve_drop(
@@ -250,20 +241,16 @@ def solve_drop(
 ) -> list:
     """Solve and check every cell of one drop: each antenna count of
     ``antenna_counts`` on the drop's scenario ``scn0``, with both association
-    methods, the drop's ``drop_lps`` pair.
+    methods, one (joint, max-SNR) ``DropLp`` pair for all of them.
 
     Returns one (joint result, max-SNR result) pair per antenna count, in
     order: PowerMinResults in powermin mode, MaxMinResults in maxmin mode.
     Power-min solves at ``targets``, which depend on the SE target, K, tau_c
     and tau_p alone, so the caller builds them once for all its drops;
-    maxmin ignores them. The joint bisection of a cell runs before the
-    max-SNR one, which its infeasible probes can then answer. So the maxmin
-    check that the joint level is not below the max-SNR one compares no
-    independent bisections: a max-SNR probe at or above the joint upper
-    bound is answered infeasible by the joint entries, and the check fires
-    only when the entries contradict, a max-SNR LP having proved feasible an
-    s-vector that a joint LP proved infeasible. The tests re-solve the
-    probes the joint entries answer.
+    maxmin ignores them. In maxmin mode the max-SNR ``DropLp`` starts with
+    the entries ``maxmin.max_snr_scale`` gives, s* (1 + lp.FEAS_TOL) feasible
+    and s* (1 - lp.FEAS_TOL) infeasible, so its probes outside that band
+    take no LP; each published max-SNR level is still re-solved as an LP.
 
     Once every cell is solved, the published allocations (the feasible
     power-min solves, or each bisection's ``last_feasible``) have their
@@ -274,7 +261,11 @@ def solve_drop(
     RuntimeError is re-raised with its type and a message naming the drop,
     the mode and the antenna count being solved, if any.
     """
-    lps = drop_lps(stats)
+    lps = DropLp(stats), DropLp(stats, max_snr_mask(stats.beta))
+    if mode == "maxmin":
+        s_star = np.full(scn0.num_users, max_snr_scale(stats, scn0))
+        lps[1].record(s_star * (1.0 + FEAS_TOL), True)
+        lps[1].record(s_star * (1.0 - FEAS_TOL), False)
     cells, published = [], []
     m = None  # the antenna count being solved or compared
     try:
@@ -287,7 +278,7 @@ def solve_drop(
                 solves = (opt, snr)
             elif mode == "maxmin":
                 opt, snr = (solve_max_min(lp, scn, delta=delta) for lp in lps)
-                if opt.xi_lower < snr.xi_lower - delta - 1e-12:  # contradicting entries (see above)
+                if opt.xi_lower < snr.xi_lower - delta - 1e-12:
                     raise HarnessInvariantError("joint max-min level fell below the max-SNR level")
                 solves = (opt.last_feasible, snr.last_feasible)
             else:

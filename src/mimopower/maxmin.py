@@ -16,19 +16,17 @@ With rho >= 0, a larger s_k only loosens row k, so feasibility is monotone
 in s componentwise. The ``DropLp`` a bisection probes keeps the probed
 s-vectors of its drop and mask and answers a probe without an LP when its s
 dominates a feasible one or is dominated by an infeasible one; the antenna
-counts of a drop share it, which skips most LPs of a sweep. Inside one
-bisection it never answers, since every candidate lies strictly inside
-(lower, upper). When the last feasible level was answered that way, its LP
-is solved once at exactly that candidate for the allocation and the duals.
+counts of a drop share it, which skips most LPs of a sweep. A bisection's
+own probes never answer each other, since every candidate lies strictly
+inside (lower, upper). When the last feasible level was answered without
+an LP, its LP is solved once at exactly that candidate for the allocation
+and the duals.
 
-The two masks of a drop share one bracket. The max-SNR feasible set is a
-subset of the joint one, so a level the joint LP proved infeasible is
-infeasible under max-SNR. The sweep builds the drop's max-SNR ``DropLp``
-``within`` the joint one, which answers max-SNR probes from the joint
-infeasible entries too, and runs the joint bisection of a cell first. The
-converse (max-SNR feasible entries answering joint probes) would decide
-nothing: with uniform weights the joint ``DropLp`` already holds a
-feasible entry below every max-SNR one.
+Under the one-hot max-SNR mask the feasible scales have a closed form:
+with uniform weights, a probe is feasible exactly when s >= ``max_snr_scale``,
+the largest of L Perron roots. The sweep records that root, widened by
+``lp.FEAS_TOL`` either way, on the max-SNR ``DropLp`` of a drop, so only the
+probes inside that band and the final re-solve take an LP.
 
 Every probe (and that re-solve) starts the simplex from ``DropLp.basis``,
 and a feasible probe writes its optimal basis back: it is usually a few
@@ -52,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelStats, NetworkScenario
-from .power_assoc import DropLp, PowerMinResult, solve_power_min
+from .power_assoc import DropLp, PowerMinResult, max_snr_mask, solve_power_min
 from .se import QosTargets, sinr_threshold, spectral_efficiency
 
 DEFAULT_DELTA = 0.01  # bisection accuracy in bit/symbol
@@ -87,6 +85,26 @@ def auto_upper_bound(stats: ChannelStats, scenario: NetworkScenario, weights) ->
     snr_cap = scenario.num_antennas * (scenario.pmax @ stats.gamma) / scenario.noise_dl
     se_cap = spectral_efficiency(snr_cap, scenario.coherence_length, scenario.pilot_length)
     return float((se_cap / weights).min() * (1.0 + 1e-6))
+
+
+def max_snr_scale(stats: ChannelStats, scenario: NetworkScenario) -> float:
+    """The least scale s = M / xi_hat at which every user of the drop
+    ``stats`` can meet one SINR target xi_hat under ``max_snr_mask``.
+
+    User k, served only by its max-SNR BS b(k) at power p_k, meets it when
+    s p_k >= (F p)_k + v_k, with F[k, t] = beta[b(t), k] / gamma[b(k), k]
+    and v_k = noise_dl / gamma[b(k), k], and BS l's cap is a_l^T p <= pmax_l,
+    a_l marking its users. The least such s is max_l rho(F + v a_l^T / pmax_l),
+    the largest Perron root (Tan, Chiang and Srikant, IEEE TSP 2011), here
+    from one stacked eigenvalue solve of the L matrices.
+    """
+    mask = max_snr_mask(stats.beta)
+    b = np.argmax(mask, axis=0)
+    gamma = stats.gamma[b, np.arange(b.size)]
+    f = stats.beta[b].T / gamma[:, None]
+    v = scenario.noise_dl / gamma
+    stacked = f + v[:, None] * (mask / scenario.pmax[:, None])[:, None, :]  # (L, K, K)
+    return float(np.abs(np.linalg.eigvals(stacked)).max())
 
 
 @dataclass

@@ -47,10 +47,8 @@ max-min probe) reads no vertex; a caller with many results reads their
 vertices in one stack first (``lp.read_vertices``). An infeasible result
 keeps the solve's Farkas certificate.
 
-A drop's two ``DropLp``s can share one max-min bracket: the max-SNR one,
-built ``within`` the joint one, answers its probes from the joint one's
-infeasible entries too (see ``maxmin``). ``association_rule_check`` checks
-all the published solves of a drop as one stack.
+``association_rule_check`` checks all the published solves of a drop as
+one stack.
 """
 
 from __future__ import annotations
@@ -99,19 +97,12 @@ class DropLp:
     ``maxmin``). Only the minimal feasible and the maximal infeasible
     s-vectors are kept; with uniform weights every s has equal entries, so
     each list holds at most one vector. Entries never contradict: a probe
-    the stored ones decide is answered, not recorded.
-
-    ``within`` is the ``DropLp`` of the same drop under a mask that grants
-    every pair this one grants (ValueError otherwise), or None: its
-    feasible set holds this one's, so its infeasible entries answer this
-    object's probes too. The link runs one way only, so it forms no
-    reference cycle. The other way, this object's feasible entries would
-    answer its probes, but with uniform weights and its bisection of each
-    antenna count run first it already holds a feasible entry below each of
-    them.
+    the stored ones decide is answered, not recorded. A caller that knows
+    part of the bracket in advance records it (the sweep records the
+    max-SNR one, see ``maxmin.max_snr_scale``).
     """
 
-    def __init__(self, stats: ChannelStats, allowed=None, within: DropLp | None = None):
+    def __init__(self, stats: ChannelStats, allowed=None):
         L, K = stats.beta.shape
         if allowed is None:
             allowed = np.ones((L, K), dtype=bool)
@@ -131,17 +122,13 @@ class DropLp:
         strongest = max_snr_mask(np.where(self.mask, stats.beta, 0.0))
         self.basis = np.r_[np.flatnonzero(strongest.T[self.mask.T]), users.size + K + np.arange(L)]
         self.feasible, self.infeasible = [], []
-        if within is not None and (within.stats is not stats or (self.mask & ~within.mask).any()):
-            raise ValueError("within must be a DropLp of the same drop whose mask grants every pair this one grants")
-        self.within = within
 
     def lookup(self, s: np.ndarray) -> bool | None:
         """True if s dominates a feasible entry, False if an infeasible entry
-        of this object or of ``within`` dominates s, None if no entry decides it."""
+        dominates s, None if no entry decides it."""
         if any((s >= f).all() for f in self.feasible):
             return True
-        outer = self.infeasible if self.within is None else self.infeasible + self.within.infeasible
-        if any((s <= g).all() for g in outer):
+        if any((s <= g).all() for g in self.infeasible):
             return False
         return None
 

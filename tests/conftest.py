@@ -7,7 +7,7 @@ import pytest
 from mimopower import harness
 from mimopower.channel import ChannelStats, channel_stats, estimation_quality
 from mimopower.harness import default_scenario
-from mimopower.power_assoc import DropLp, solve_power_min
+from mimopower.power_assoc import DropLp, max_snr_mask, solve_power_min
 from mimopower.se import QosTargets
 
 hypothesis.settings.register_profile("default", max_examples=25, deadline=None)
@@ -42,38 +42,35 @@ def single_cell(num_antennas=100, beta=2e-13, gamma=None, num_users=1, pmax=40.0
     return scn, ChannelStats(beta=beta_m, gamma=gamma_m)
 
 
-def record_linked_answers(monkeypatch) -> list:
+def record_max_snr_bisections(monkeypatch) -> list:
     """Patch the sweep's max-min bisections; the returned list grows by
-    (stats, mask, scenario, candidate, verdict) for each probe that only the
-    entries of its DropLp's ``within`` answered (see ``DropLp.lookup``)."""
-    linked, only_linked = [], []
+    (stats, scenario, entries, answered) per max-SNR bisection: ``entries``
+    are the (feasible, infeasible) s-vectors its DropLp held when it began,
+    and ``answered`` the (candidate, verdict) of each probe that its DropLp
+    answered without an LP (see ``DropLp.lookup``)."""
+    records, answers = [], []
     real_lookup, real_max_min = DropLp.lookup, harness.solve_max_min
 
     def lookup(lp, s):
-        answer = real_lookup(lp, s)
-        within, lp.within = lp.within, None
-        only_linked.append(answer is not None and real_lookup(lp, s) is None)
-        lp.within = within
-        return answer
+        answers.append(real_lookup(lp, s))
+        return answers[-1]
 
     def bisection(lp, scenario, *args, **kwargs):
-        only_linked.clear()
+        entries = (list(lp.feasible), list(lp.infeasible))
+        answers.clear()
         res = real_max_min(lp, scenario, *args, **kwargs)
-        assert len(only_linked) == res.iterations
-        linked.extend((lp.stats, lp.mask, scenario, p.candidate, p.feasible) for p, only in zip(res.trace, only_linked) if only)
+        if not lp.mask.all():  # the joint mask grants every pair
+            answered = [(p.candidate, p.feasible) for p, a in zip(res.trace, answers, strict=True) if a is not None]
+            records.append((lp.stats, scenario, entries, answered))
         return res
 
     monkeypatch.setattr(DropLp, "lookup", lookup)
     monkeypatch.setattr(harness, "solve_max_min", bisection)
-    return linked
+    return records
 
 
-def linked_answers_disagreeing_with_lp(linked) -> list:
-    """The ``record_linked_answers`` records whose verdict an LP solve of a
-    fresh DropLp at the probe's uniform level does not give."""
-    bad = []
-    for stats, mask, scn, candidate, verdict in linked:
-        targets = QosTargets.from_se(np.full(scn.num_users, candidate), scn.coherence_length, scn.pilot_length)
-        if solve_power_min(DropLp(stats, mask), targets, scn).feasible != verdict:
-            bad.append((scn.num_antennas, candidate, verdict))
-    return bad
+def max_snr_lp_feasible(stats, scn, candidate) -> bool:
+    """Whether an LP solve of a fresh max-SNR DropLp proves the uniform SE
+    level ``candidate`` feasible on ``scn``."""
+    targets = QosTargets.from_se(np.full(scn.num_users, candidate), scn.coherence_length, scn.pilot_length)
+    return solve_power_min(DropLp(stats, max_snr_mask(stats.beta)), targets, scn).feasible

@@ -5,11 +5,12 @@ stays well inside its runtime targets.
 """
 
 import dataclasses
+import json
 import time
 
 import numpy as np
 import pytest
-from conftest import linked_answers_disagreeing_with_lp, record_linked_answers, single_cell
+from conftest import max_snr_lp_feasible, single_cell
 from oracles import brute_force_lp_min, random_feasible_lp
 
 from mimopower.harness import (
@@ -19,10 +20,10 @@ from mimopower.harness import (
     run_sweep,
     validate_closed_form,
 )
-from mimopower.lp import LinearProgram, LpStatus, solve, verify
-from mimopower.maxmin import auto_upper_bound, expected_iterations, solve_max_min
+from mimopower.lp import FEAS_TOL, LinearProgram, LpStatus, solve, verify
+from mimopower.maxmin import auto_upper_bound, expected_iterations, max_snr_scale, solve_max_min
 from mimopower.power_assoc import DropLp, solve_power_min
-from mimopower.se import QosTargets
+from mimopower.se import QosTargets, sinr_threshold
 
 ANTENNAS = (50, 100, 150, 200)
 
@@ -60,20 +61,11 @@ def table_metric(result, name):
 
 
 @pytest.fixture(scope="module")
-def maxmin_500_run():
-    """The 500-drop maxmin sweep and the max-SNR probes that only the joint
-    DropLp's entries answered (``record_linked_answers``)."""
+def maxmin_500():
     spec = SweepSpec(
         antenna_counts=ANTENNAS, mode="maxmin", num_drops=500, rng_seed=17, num_users=20
     )
-    with pytest.MonkeyPatch.context() as mp:
-        linked = record_linked_answers(mp)
-        return run_sweep(spec), linked
-
-
-@pytest.fixture(scope="module")
-def maxmin_500(maxmin_500_run):
-    return maxmin_500_run[0]
+    return run_sweep(spec, traces=True)
 
 
 @pytest.fixture(scope="module")
@@ -171,17 +163,35 @@ def test_criterion_6_feasible_set_inclusion(drops_200, powermin_500):
     )
 
 
-def test_criterion_6_linked_bracket_on_maxmin_sweep(maxmin_500_run):
-    """The sweep's maxmin inclusion check compares no independent
-    bisections (see ``harness.solve_drop``); this re-solves, as LPs, the
-    max-SNR probes that the joint entries answered."""
-    _, linked = maxmin_500_run
-    bad = linked_answers_disagreeing_with_lp(linked)
+def test_criterion_6_seeded_bracket_on_maxmin_sweep(maxmin_500):
+    """The max-SNR bisections of the sweep start from the Perron root s*
+    (``max_snr_scale``), so their probes outside s* (1 +- lp.FEAS_TOL) take
+    no LP. Per drop, the traced probe of that kind nearest s* on each side is
+    re-solved as an LP of a fresh DropLp, which must give its verdict."""
+    traces = {}
+    for line in maxmin_500.traces:
+        rec = json.loads(line)
+        traces.setdefault(rec["drop"], []).append((rec["num_antennas"], rec["max_snr"]))
+    base = default_scenario(ANTENNAS[0], 20, rng_seed=17)
+    resolved, closest, bad = 0, np.inf, []
+    for d, scn0, stats in iter_drops(base, 17, 500):
+        s_star = max_snr_scale(stats, scn0)
+        probes = [(m, p["candidate"], p["feasible"]) for m, trace in traces[d] for p in trace]
+        m, c, _ = np.array(probes).T
+        dist = m / sinr_threshold(c, scn0.coherence_length, scn0.pilot_length) / s_star - 1.0
+        closest = min(closest, np.abs(dist).min())
+        for side in (dist >= FEAS_TOL, dist <= -FEAS_TOL):
+            if side.any():
+                i = np.flatnonzero(side)[np.argmin(np.abs(dist[side]))]
+                m, c, verdict = probes[i]
+                resolved += 1
+                if max_snr_lp_feasible(stats, dataclasses.replace(scn0, num_antennas=m), c) != verdict:
+                    bad.append((d, m, c, verdict))
     report(
         6,
-        "every max-SNR probe answered by a joint infeasible entry is infeasible as an LP",
-        bool(linked) and not bad,
-        f"{len(linked)} answered, {len(bad)} disagree {bad[:3]}",
+        "the max-SNR probes the Perron seed answered nearest s* agree with LP solves",
+        resolved > 0 and not bad,
+        f"{resolved} re-solved, closest probe {closest:.1e} from s* relative, {len(bad)} disagree {bad[:3]}",
     )
 
 

@@ -233,6 +233,18 @@ class TestSweeps:
         assert len(built) == 2 * spec.num_drops
 
     @pytest.mark.parametrize("mode", ["powermin", "maxmin"])
+    def test_only_maxmin_computes_the_max_snr_root(self, mode, monkeypatch, capsys):
+        """The Perron root seeds max-min bisections only: a powermin sweep
+        and ``drop --mode powermin`` never compute it, while a maxmin sweep
+        and drop compute it once per drop."""
+        roots = []
+        real = harness.max_snr_scale
+        monkeypatch.setattr(harness, "max_snr_scale", lambda *args: roots.append(args) or real(*args))
+        run_sweep(SweepSpec((50, 100), mode, num_drops=3, rng_seed=2, num_users=6))
+        assert cli.main(["drop", "--mode", mode, "--antennas", "64", "--users", "5", "--seed", "3"]) == 0
+        assert len(roots) == (3 + 1 if mode == "maxmin" else 0)
+
+    @pytest.mark.parametrize("mode", ["powermin", "maxmin"])
     def test_every_lp_solve_is_built_by_build_lp(self, mode, monkeypatch):
         """Sweeps take the one build-and-solve path: each LP they solve comes
         from ``power_assoc.build_lp``."""

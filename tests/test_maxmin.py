@@ -4,7 +4,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from conftest import linked_answers_disagreeing_with_lp, random_drop, record_linked_answers, single_cell
+from conftest import max_snr_lp_feasible, random_drop, record_max_snr_bisections, single_cell
 from oracles import max_min_sinr
 
 from mimopower import harness, maxmin, power_assoc
@@ -20,7 +20,14 @@ from mimopower.harness import (
     solve_drop,
 )
 from mimopower.lp import LpSolution, LpStatus
-from mimopower.maxmin import DEFAULT_DELTA, MIN_DELTA, auto_upper_bound, expected_iterations, solve_max_min
+from mimopower.maxmin import (
+    DEFAULT_DELTA,
+    MIN_DELTA,
+    auto_upper_bound,
+    expected_iterations,
+    max_snr_scale,
+    solve_max_min,
+)
 from mimopower.power_assoc import DropLp, max_snr_mask, solve_power_min
 from mimopower.se import QosTargets, se_mrt_all, spectral_efficiency
 
@@ -380,33 +387,31 @@ class TestProbeOutcomes:
         # the shared brackets answered some probes without an LP
         assert shared_solves < probes
 
-    def test_linked_bracket_answers_agree_with_lp_solves(self, monkeypatch):
-        """A small seed-17 maxmin sweep through ``solve_drop``, whose max-SNR
-        DropLp also reads the joint one's infeasible entries: every probe
-        that only those entries answered has the verdict of an LP solve of
-        a fresh DropLp; the sweep's traces are those of unlinked DropLps,
-        and the link saves LPs."""
+    def test_seeded_max_snr_answers_agree_with_lp_solves(self, monkeypatch):
+        """A small seed-17 maxmin sweep through ``solve_drop``: the max-SNR
+        DropLp of each drop starts with one feasible and one infeasible
+        entry, both within lp.FEAS_TOL + 1e-9 relative of 1 / c*, where c*
+        is its max-min SINR at M = 1 (``oracles.max_min_sinr``, Dinkelbach's
+        method), and ``max_snr_scale`` is 1 / c* to 1e-9. Every probe its
+        DropLp answered without an LP, on either side, has the verdict of an
+        LP solve of a fresh DropLp."""
         antennas = (50, 100, 150, 200)
         base = default_scenario(antennas[0], DEFAULT_NUM_USERS, rng_seed=17)
-
-        def sweep_traces():
-            solves = count_lp_solves(monkeypatch)
-            traces = [
-                cell
-                for d, scn0, stats in iter_drops(base, 17, 4)
-                for pair in solve_drop(stats, scn0, antennas, "maxmin", d, None, DEFAULT_DELTA)
-                for cell in (pair[0].trace, pair[1].trace)
-            ]
-            return traces, len(solves)
-
-        linked_answers = record_linked_answers(monkeypatch)
-        linked, linked_solves = sweep_traces()
-        assert linked_answers and all(lp_mask.sum() == DEFAULT_NUM_USERS for _, lp_mask, *_ in linked_answers)
-        assert linked_answers_disagreeing_with_lp(linked_answers) == []
-        monkeypatch.setattr(harness, "drop_lps", lambda stats: (DropLp(stats), DropLp(stats, max_snr_mask(stats.beta))))
-        unlinked, unlinked_solves = sweep_traces()
-        assert linked == unlinked
-        assert linked_solves < unlinked_solves
+        bisections = record_max_snr_bisections(monkeypatch)
+        for d, scn0, stats in iter_drops(base, 17, 4):
+            solve_drop(stats, scn0, antennas, "maxmin", d, None, DEFAULT_DELTA)
+        monkeypatch.undo()
+        assert len(bisections) == 4 * len(antennas)
+        verdicts, bad = [], []
+        for i, (stats, scn, (feasible, infeasible), answered) in enumerate(bisections):
+            if i % len(antennas) == 0:  # the drop's first max-SNR bisection sees only the seed
+                s_star = 1.0 / max_min_sinr(stats, replace(scn, num_antennas=1), max_snr_mask(stats.beta))
+                assert max_snr_scale(stats, scn) == pytest.approx(s_star, rel=1e-9)
+                assert len(feasible) == len(infeasible) == 1 and (infeasible[0] < feasible[0]).all()
+                np.testing.assert_allclose(np.r_[feasible, infeasible], s_star, rtol=lp_module.FEAS_TOL + 1e-9)
+            verdicts += [verdict for _, verdict in answered]
+            bad += [(i, c, v) for c, v in answered if max_snr_lp_feasible(stats, scn, c) != v]
+        assert bad == [] and True in verdicts and False in verdicts
 
     def test_carried_basis_hints_match_cold_solves(self, monkeypatch):
         """Every probe LP of three drops, joint and max-SNR, with a DropLp
