@@ -177,8 +177,8 @@ def test_criterion_6_seeded_bracket_on_maxmin_sweep(maxmin_500):
     for d, scn0, stats in iter_drops(base, 17, 500):
         s_star = max_snr_scale(stats, scn0)
         probes = [(m, p["candidate"], p["feasible"]) for m, trace in traces[d] for p in trace]
-        m, c, _ = np.array(probes).T
-        dist = m / sinr_threshold(c, scn0.coherence_length, scn0.pilot_length) / s_star - 1.0
+        ms, cs, _ = np.array(probes).T
+        dist = ms / sinr_threshold(cs, scn0.coherence_length, scn0.pilot_length) / s_star - 1.0
         closest = min(closest, np.abs(dist).min())
         for side in (dist >= FEAS_TOL, dist <= -FEAS_TOL):
             if side.any():
