@@ -17,20 +17,22 @@ basis read in sorted column order, so they depend on the optimal basis set
 and not on the pivot path that reached it; a hint that leads to the same
 optimal basis gives the same bits as a cold solve. That vertex is read on
 first use: an optimal ``LpSolution`` holds the equilibrated data and its
-own copy of the basis, and reads x, the objective and the duals together
-when one of them is first asked for, so a caller that needs only the
-status and the basis pays for no readout. One kernel, ``read_vertices``,
-does every readout: it reads a stack of solutions with equal row counts in
-one stacked refined solve for x and one for the duals, with the bits each
-would get alone; a first read is a stack of one, and a vertex already read
-is not read again. Rows are equilibrated by their largest absolute entry
-before solving; duals are in the original scaling.
+own copy of the basis, and x, the objective and the duals are
+``functools.cached_property``s whose first read stores all three, so a
+caller that needs only the status and the basis pays for no readout. One
+kernel, ``read_vertices``, does every readout: it reads a stack of
+solutions with equal row counts in one stacked refined solve for x and one
+for the duals, with the bits each would get alone; a first read is a stack
+of one, and a vertex already read is not read again. Rows are equilibrated
+by their largest absolute entry before solving; duals are in the original
+scaling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -68,55 +70,6 @@ class LinearProgram:
             raise ValueError("LP data must be finite")
 
 
-class OnFirstRead:
-    """A dataclass field derived on first read, with every field that shares
-    its ``derive``: ``derive(obj)`` returns all their values by name, and the
-    first read of any one of them stores those not set already. Its default
-    is None, and the class's ``__post_init__`` passes its fields to
-    ``unset``, so those the constructor left None are derived when first
-    read; a value passed in, or assigned later, is kept as given."""
-
-    def __init__(self, derive):
-        self.derive = derive
-
-    def __set_name__(self, cls, name):
-        self.name = name
-
-    def __get__(self, obj, cls=None):
-        # only reached while the field is unset: a stored value shadows it
-        if obj is None:
-            return None  # the dataclass default
-        OnFirstRead.store(obj, self.derive(obj))
-        return obj.__dict__[self.name]
-
-    @staticmethod
-    def store(obj, values):
-        """Set each field of ``obj`` that ``values`` names and that holds no
-        value yet, as its first read would."""
-        fields = obj.__dict__
-        for name, value in values.items():
-            fields.setdefault(name, value)
-
-    @staticmethod
-    def unset(obj, names):
-        """Unset the fields ``names`` of ``obj`` that hold None."""
-        fields = obj.__dict__
-        for name in names:
-            if fields[name] is None:
-                del fields[name]
-
-
-_VERTEX_FIELDS = ("x", "objective", "duals")
-
-
-def _read_vertex(sol) -> dict:
-    """The vertex fields of one solve, read by ``read_vertices`` as a stack
-    of one; None when the solution holds no vertex."""
-    if sol._vertex is not None:
-        read_vertices([sol])
-    return {name: sol.__dict__.get(name) for name in _VERTEX_FIELDS}
-
-
 def read_vertices(sols) -> None:
     """Read x, the objective and the duals of the optimal solves ``sols``
     with equal row counts that have not been read yet, and store them on
@@ -141,15 +94,12 @@ def read_vertices(sols) -> None:
         x_full = np.zeros(a2.shape[1])
         x_full[basis] = np.maximum(xb_k, 0.0)
         x = x_full[: c.size]
-        OnFirstRead.store(sol, {"x": x, "objective": float(c @ x), "duals": -y_k / scale})
+        sol.__dict__.update(x=x, objective=float(c @ x), duals=-y_k / scale)
 
 
 @dataclass
 class LpSolution:
     status: LpStatus
-    x: np.ndarray | None = OnFirstRead(_read_vertex)
-    objective: float | None = OnFirstRead(_read_vertex)
-    duals: np.ndarray | None = OnFirstRead(_read_vertex)
     iterations: int = 0
     # For infeasible problems: y >= 0 with A^T y >= 0 and b^T y < 0.
     infeasibility_certificate: np.ndarray | None = None
@@ -161,8 +111,24 @@ class LpSolution:
     # right-hand side, the costs, the row scales and the LP's c.
     _vertex = None
 
-    def __post_init__(self):
-        OnFirstRead.unset(self, _VERTEX_FIELDS)
+    # The vertex: the first read of any of x, the objective and the duals
+    # stores all three (``read_vertices``); None unless the solve is OPTIMAL.
+    @cached_property
+    def x(self) -> np.ndarray | None:
+        return self._read("x")
+
+    @cached_property
+    def objective(self) -> float | None:
+        return self._read("objective")
+
+    @cached_property
+    def duals(self) -> np.ndarray | None:
+        return self._read("duals")
+
+    def _read(self, name):
+        if self._vertex is not None:
+            read_vertices([self])
+        return self.__dict__.get(name)
 
 
 @dataclass

@@ -40,12 +40,12 @@ the dual simplex first pivots back inside the caps. Only max-min probes
 move it (see ``maxmin``). A guess never decides anything: only the simplex
 proves optimality or infeasibility (the dual simplex's Farkas certificate).
 
-A ``PowerMinResult`` holds its ``LpSolution`` and derives the allocation,
-the ``serving`` mask, the duals and the objective from it when they are
-first read, so a solve whose caller reads only its status and basis (a
-max-min probe) reads no vertex; a caller with many results reads their
-vertices in one stack first (``lp.read_vertices``). An infeasible result
-keeps the solve's Farkas certificate.
+A ``PowerMinResult`` reads through its ``LpSolution``: the duals, the
+objective and the basis are the solution's, and the allocation and the
+``serving`` mask are ``functools.cached_property``s of its x, so a solve
+whose caller reads only its status and basis (a max-min probe) reads no
+vertex; a caller with many results reads their vertices in one stack first
+(``lp.read_vertices``). An infeasible result keeps its Farkas certificate.
 
 ``association_rule_check`` checks all the published solves of a drop as
 one stack.
@@ -54,11 +54,12 @@ one stack.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .channel import ChannelStats, NetworkScenario
-from .lp import LinearProgram, LpSolution, LpStatus, OnFirstRead
+from .lp import LinearProgram, LpSolution, LpStatus
 from .lp import solve as lp_solve
 from .se import PowerAllocation, QosTargets
 
@@ -150,48 +151,48 @@ def build_lp(lp: DropLp, targets: QosTargets, scenario: NetworkScenario) -> Line
     return LinearProgram(c=lp.c, a_ub=a, b_ub=b)
 
 
-_SOLUTION_FIELDS = ("allocation", "serving", "qos_duals", "power_duals", "objective")
-
-
-def _from_solution(res) -> dict:
-    """The fields a PowerMinResult reads from its LP solution; None unless
-    the solve is OPTIMAL."""
-    if not res.feasible:
-        return dict.fromkeys(_SOLUTION_FIELDS)
-    sol, K = res.solution, res.allowed.shape[1]
-    rho = np.zeros(res.allowed.shape)
-    rho.T[res.allowed.T] = sol.x
-    return {
-        "allocation": PowerAllocation(rho),
-        "serving": rho > SERVING_THRESHOLD_SCALE * res.pmax[:, None],
-        "qos_duals": sol.duals[:K].copy(),
-        "power_duals": sol.duals[K:].copy(),
-        "objective": sol.objective,
-    }
-
-
 @dataclass
 class PowerMinResult:
     """Outcome of one power-minimization solve; infeasibility is a status, not an error.
 
-    The fields from ``allocation`` to ``objective`` are read from
-    ``solution`` when first used (see the module docstring); a value passed
-    in is kept instead."""
+    The allocation, the ``serving`` mask, the duals, the objective and the
+    basis read through ``solution`` (see the module docstring); all are None
+    unless the solve is OPTIMAL. The duals are views of ``solution.duals``,
+    which the package never writes through."""
 
     status: LpStatus
     allowed: np.ndarray  # the (L, K) bool mask the solve was restricted to
     targets: QosTargets  # the targets solved at; the checks read them, the JSON does not
-    allocation: PowerAllocation | None = OnFirstRead(_from_solution)
-    serving: np.ndarray | None = OnFirstRead(_from_solution)  # (L, K) bool: BS i serves user t
-    qos_duals: np.ndarray | None = OnFirstRead(_from_solution)  # lambda, one per user
-    power_duals: np.ndarray | None = OnFirstRead(_from_solution)  # mu, one per BS
-    objective: float | None = OnFirstRead(_from_solution)
-    basis: np.ndarray | None = None  # the LP's optimal basis, sorted (see lp.solve)
     solution: LpSolution | None = None  # the LP solve of build_lp's program
     pmax: np.ndarray | None = None  # the per-BS caps, which set the serving threshold
 
-    def __post_init__(self):
-        OnFirstRead.unset(self, _SOLUTION_FIELDS)
+    @cached_property
+    def allocation(self) -> PowerAllocation | None:
+        if not self.feasible:
+            return None
+        rho = np.zeros(self.allowed.shape)
+        rho.T[self.allowed.T] = self.solution.x
+        return PowerAllocation(rho)
+
+    @cached_property
+    def serving(self) -> np.ndarray | None:  # (L, K) bool: BS i serves user t
+        return self.allocation.rho > SERVING_THRESHOLD_SCALE * self.pmax[:, None] if self.feasible else None
+
+    @property
+    def qos_duals(self) -> np.ndarray | None:  # lambda, one per user
+        return self.solution.duals[: self.allowed.shape[1]] if self.feasible else None
+
+    @property
+    def power_duals(self) -> np.ndarray | None:  # mu, one per BS
+        return self.solution.duals[self.allowed.shape[1] :] if self.feasible else None
+
+    @property
+    def objective(self) -> float | None:
+        return self.solution.objective if self.feasible else None
+
+    @property
+    def basis(self) -> np.ndarray | None:  # the LP's optimal basis, sorted (see lp.solve)
+        return self.solution.basis if self.feasible else None
 
     @property
     def infeasibility_certificate(self) -> np.ndarray | None:
@@ -234,7 +235,6 @@ def solve_power_min(lp: DropLp, targets: QosTargets, scenario: NetworkScenario) 
         status=sol.status,
         allowed=lp.mask,
         targets=targets,
-        basis=sol.basis,
         solution=sol,
         pmax=scenario.pmax,
     )

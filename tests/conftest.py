@@ -1,3 +1,4 @@
+import copy
 from dataclasses import replace
 
 import hypothesis
@@ -40,6 +41,15 @@ def single_cell(num_antennas=100, beta=2e-13, gamma=None, num_users=1, pmax=40.0
     beta_m = np.full((1, num_users), beta)
     gamma_m = np.full((1, num_users), gamma) if gamma is not None else estimation_quality(scn, beta_m)
     return scn, ChannelStats(beta=beta_m, gamma=gamma_m)
+
+
+def with_fields(obj, **fields):
+    """A shallow copy of ``obj`` with ``fields`` stored in its instance
+    ``__dict__``, where they shadow a lazy field's ``cached_property`` as
+    its first read would: injects a result or solution field."""
+    edited = copy.copy(obj)
+    edited.__dict__.update(fields)
+    return edited
 
 
 def record_max_snr_bisections(monkeypatch) -> list:

@@ -16,6 +16,9 @@ dinkelbach_lp writes one step LP of Dinkelbach's max-min SINR iteration,
 whose costs are zero but for the level variable's, and max_min_sinr runs
 that iteration to the max-min SINR of a drop and association mask.
 
+max_snr_power_min solves the max-SNR power-min cell as the least fixed
+point of its SINR constraints, with no LP.
+
 assert_farkas_certificate checks an infeasibility proof from the LP data
 alone, and row_excess a point's feasibility on the equilibrated rows.
 
@@ -177,6 +180,32 @@ def max_min_sinr(stats, scenario, mask=None):
             return float(sinr_mrt_all(stats, PowerAllocation(rho), scenario).min())
         x = sol.x
     raise AssertionError("Dinkelbach's iteration did not converge")
+
+
+def max_snr_power_min(stats, scenario, targets):
+    """The max-SNR power-min cell by its fixed point (Yates, IEEE JSAC 1995):
+    user k draws p_k from its strongest BS b(k) (``max_snr_mask``'s pick),
+    and its QoS row reads p >= D (F p + v) with F[k, t] = beta[b(t), k] /
+    (M gamma[b(k), k]), v_k = noise / (M gamma[b(k), k]) and D =
+    diag(xi_hat). The least fixed point p* = (I - DF)^-1 D v exists exactly
+    when rho(DF) < 1, and the cell is feasible exactly when p* also keeps
+    every BS load within its cap.
+
+    Returns (p*, margin): p* one power per user (None when rho(DF) >= 1),
+    and margin the cell's signed relative distance from its boundary,
+    min(1 - rho(DF), min_l (1 - load_l / pmax_l)) (only 1 - rho(DF) when
+    that is not positive); the cell is feasible exactly when p* is not None
+    and margin >= 0."""
+    K = stats.beta.shape[1]
+    b = np.argmax(stats.beta, axis=0)
+    own = scenario.num_antennas * stats.gamma[b, np.arange(K)]
+    df = targets.xi_hat[:, None] * stats.beta[b].T / own[:, None]
+    radius = float(np.abs(np.linalg.eigvals(df)).max())
+    if radius >= 1.0:
+        return None, 1.0 - radius
+    p = np.linalg.solve(np.eye(K) - df, targets.xi_hat * scenario.noise_dl / own)
+    load = np.bincount(b, weights=p, minlength=stats.beta.shape[0])
+    return p, min(1.0 - radius, float((1.0 - load / scenario.pmax).min()))
 
 
 def assert_farkas_certificate(a_ub, b_ub, y, rtol=1e-12):

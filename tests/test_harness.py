@@ -9,6 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import with_fields
 
 from mimopower import cli, harness, lp, power_assoc
 from mimopower.channel import dbm_to_watt, save_scenario, scenario_to_json_dict
@@ -293,7 +294,7 @@ class TestSweeps:
             if len(drops) == 2:  # drop 1
                 j = [(m, mask) for m, mask, _ in published].index((100, "max_snr"))
                 m, mask, res = published[j]
-                edited = dataclasses.replace(res, allocation=PowerAllocation(res.allocation.rho * (1.0 - 1e-7)))
+                edited = with_fields(res, allocation=PowerAllocation(res.allocation.rho * (1.0 - 1e-7)))
                 published = published[:j] + [(m, mask, edited)] + published[j + 1 :]
             return check(stats, scenario, published)
 

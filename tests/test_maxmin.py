@@ -4,7 +4,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from conftest import max_snr_lp_feasible, random_drop, record_max_snr_bisections, single_cell
+from conftest import max_snr_lp_feasible, random_drop, record_max_snr_bisections, single_cell, with_fields
 from oracles import max_min_sinr
 
 from mimopower import harness, maxmin, power_assoc
@@ -28,8 +28,8 @@ from mimopower.maxmin import (
     max_snr_scale,
     solve_max_min,
 )
-from mimopower.power_assoc import DropLp, max_snr_mask, solve_power_min
-from mimopower.se import QosTargets, se_mrt_all, spectral_efficiency
+from mimopower.power_assoc import DropLp, PowerMinResult, max_snr_mask, solve_power_min
+from mimopower.se import PowerAllocation, QosTargets, se_mrt_all, spectral_efficiency
 
 
 class TestAutoUpperBound:
@@ -334,6 +334,56 @@ def test_stacked_readout_has_the_bits_of_the_first_read(monkeypatch):
     stored = [(sol.x, sol.duals) for sol in sols]
     lp_module.read_vertices(sols[:8])
     assert reads == [] and all(sol.x is x and sol.duals is y for sol, (x, y) in zip(sols, stored))
+
+
+def test_lazy_fields_are_cached_and_keep_what_is_set(monkeypatch):
+    """The lazy fields, each a ``functools.cached_property``: a result read
+    twice gives the same ``allocation`` and ``serving`` objects and only the
+    first read solves; a field set before the first read is kept, by
+    ``read_vertices`` too; an infeasible result reads None for every vertex
+    field. ``qos_duals`` and ``power_duals`` are views of
+    ``solution.duals``, and the package never writes through them: with
+    every vertex read-only, sweeps in both modes run."""
+    base = default_scenario(200, DEFAULT_NUM_USERS, rng_seed=17)
+    _, scn, stats = next(iter_drops(base, 17, 1))
+    lp, targets = DropLp(stats), QosTargets.uniform(1.0, base)
+    reads = count_vertex_reads(monkeypatch)
+    res = solve_power_min(lp, targets, scn)
+    assert res.feasible and reads == []
+    allocation, serving = res.allocation, res.serving
+    assert reads == [1, 1]
+    assert res.allocation is allocation and res.serving is serving and reads == [1, 1]
+    assert np.shares_memory(res.qos_duals, res.solution.duals)
+    assert np.shares_memory(res.power_duals, res.solution.duals)
+
+    injected = PowerAllocation(np.zeros_like(allocation.rho))
+    edited = with_fields(solve_power_min(lp, targets, scn), allocation=injected)
+    lp_module.read_vertices([edited.solution])
+    assert edited.allocation is injected and np.array_equal(edited.solution.x, res.solution.x)
+    x = np.ones_like(res.solution.x)
+    kept = with_fields(solve_power_min(lp, targets, scn).solution, x=x)
+    reads.clear()
+    lp_module.read_vertices([kept])
+    assert kept.x is x and reads == []
+
+    infeasible = solve_power_min(lp, QosTargets.uniform(8.0, base), scn)
+    for bad in (infeasible, PowerMinResult(LpStatus.INFEASIBLE, lp.mask, targets)):
+        assert bad.status == LpStatus.INFEASIBLE
+        assert [bad.allocation, bad.serving, bad.qos_duals, bad.power_duals, bad.objective, bad.basis] == [None] * 6
+    sol = infeasible.solution
+    assert [sol.x, sol.objective, sol.duals] == [None] * 3 and reads == []
+
+    real = lp_module.read_vertices
+
+    def read_only(sols):
+        real(sols)
+        for sol in sols:
+            sol.x.flags.writeable = sol.duals.flags.writeable = False
+
+    monkeypatch.setattr(lp_module, "read_vertices", read_only)
+    monkeypatch.setattr(harness, "read_vertices", read_only)
+    for mode in ("powermin", "maxmin"):
+        run_sweep(SweepSpec((50, 200), mode, num_drops=3, rng_seed=17))
 
 
 def assert_same_result(a, b):

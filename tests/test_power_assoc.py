@@ -3,8 +3,8 @@ import json
 
 import numpy as np
 import pytest
-from conftest import random_drop, single_cell
-from oracles import assert_farkas_certificate, power_min_lp_rows
+from conftest import random_drop, single_cell, with_fields
+from oracles import assert_farkas_certificate, max_snr_power_min, power_min_lp_rows
 
 from mimopower import power_assoc
 from mimopower.channel import ChannelStats
@@ -14,10 +14,11 @@ from mimopower.harness import (
     check_solution_invariants,
     default_scenario,
     iter_drops,
+    solve_drop,
 )
 from mimopower.lp import LpSolution, LpStatus
 from mimopower.lp import solve as lp_solve
-from mimopower.maxmin import solve_max_min
+from mimopower.maxmin import DEFAULT_DELTA, solve_max_min
 from mimopower.power_assoc import (
     DropLp,
     _b_mat,
@@ -193,6 +194,29 @@ class TestMaxSnr:
         beta = np.array([[2.0, 1.0], [2.0, 3.0]])
         np.testing.assert_array_equal(max_snr_mask(beta), [[True, False], [False, True]])
 
+    def test_fixed_point_oracle_agrees_with_every_max_snr_cell(self):
+        """Every max-SNR power-min cell ``solve_drop`` solves on 30 seed-17
+        drops at M 50..200: the LP's verdict is the fixed point's
+        (``oracles.max_snr_power_min``), and each feasible objective is
+        sum(p*) to 1e-12 relative. It prints how far the cell closest to its
+        feasibility boundary is from it."""
+        base = default_scenario(50, DEFAULT_NUM_USERS, rng_seed=17)
+        targets = QosTargets.uniform(1.0, base)
+        antennas = (50, 100, 150, 200)
+        verdicts, worst, closest = [], 0.0, np.inf
+        for d, scn0, stats in iter_drops(base, 17, 30):
+            cells = solve_drop(stats, scn0, antennas, "powermin", d, targets, DEFAULT_DELTA)
+            for m, (_, snr) in zip(antennas, cells):
+                p, margin = max_snr_power_min(stats, dataclasses.replace(scn0, num_antennas=m), targets)
+                verdicts.append((snr.feasible, p is not None and margin >= 0.0))
+                closest = min(closest, abs(margin))
+                if snr.feasible:
+                    worst = max(worst, abs(snr.objective - p.sum()) / p.sum())
+        feasible = sum(lp for lp, _ in verdicts)
+        print(f"max-SNR fixed point: {len(verdicts)} cells, {feasible} feasible, objectives to {worst:.1e}, closest cell {closest:.1%} from its boundary")
+        assert all(lp == fixed for lp, fixed in verdicts)
+        assert 0 < feasible < len(verdicts) and worst <= 1e-12
+
     def test_single_bs_equals_optimal(self):
         scn, stats = single_cell(num_antennas=100, num_users=3, rng_seed=4)
         targets = targets_for(scn, 0.8)
@@ -265,9 +289,7 @@ class TestSolutionContracts:
         res = solve_power_min(DropLp(small_stats), targets_for(small_scenario, 0.5), small_scenario)
         assert res.feasible
         check_solution_invariants(small_stats, small_scenario, [(small_scenario.num_antennas, "joint", res)])
-        short = dataclasses.replace(
-            res, allocation=PowerAllocation(res.allocation.rho * (1.0 - 1e-7))
-        )
+        short = with_fields(res, allocation=PowerAllocation(res.allocation.rho * (1.0 - 1e-7)))
         se = se_mrt_all(small_stats, short.allocation, small_scenario)
         assert 1e-9 < (res.targets.xi - se).max() < 1e-7
         with pytest.raises(HarnessInvariantError, match="^M=64, joint: achieved SE fell below its target$"):
@@ -287,7 +309,7 @@ class TestSolutionContracts:
         moved = added.copy()
         moved[:, 1] = False
         for serving in (added, moved):
-            edited = dataclasses.replace(res, serving=serving)
+            edited = with_fields(res, serving=serving)
             with pytest.raises(HarnessInvariantError, match="^M=64, joint: joint transmission beyond the binding caps"):
                 check_solution_invariants(small_stats, small_scenario, [(small_scenario.num_antennas, "joint", edited)])
 
@@ -305,7 +327,7 @@ class TestSolutionContracts:
         # user-major powers: user 0 gets 1 W from BS 0; user 1 gets 1e-9 W
         # from BS 0, which against its 40 W cap is dust, and real power from BSs 1, 2
         x = np.array([1.0, 0.0, 0.0, 0.0, 1e-9, 0.5, 1e-3, 0.0])
-        sol = LpSolution(LpStatus.OPTIMAL, x=x, objective=float(x.sum()), duals=np.zeros(6))
+        sol = with_fields(LpSolution(LpStatus.OPTIMAL), x=x, objective=float(x.sum()), duals=np.zeros(6))
         monkeypatch.setattr(power_assoc, "lp_solve", lambda lp, basis=None: sol)
         res = solve_power_min(DropLp(stats), targets_for(scn), scn)
         assert np.array_equal(res.serving, [[True, False], [False, True], [False, True], [False, False]])
