@@ -12,9 +12,14 @@ same drops, which makes the monotone-in-M trends hold drop by drop.
 
 A drop is one pipeline, ``solve_drop``, which the sweeps and ``drop`` share:
 it solves every (antenna count, mask) cell of the drop, reads every published
-vertex in one stacked readout and checks all of them in one vectorized
-``check_solution_invariants`` call. A cell then keeps only the scalars its
-outputs read: no solver result outlives its drop.
+vertex in stacked readouts and checks all of them in one vectorized
+``check_solution_invariants`` call. A cell is an antenna count passed beside
+the drop's scenario, not a copy of it. In powermin mode the max-SNR basis
+decides most cells with no simplex: one stacked readout of the drop's
+max-SNR cells settles each of them by the sign of its basic solution, and
+the association rule at their duals settles the joint cells whose optimum
+is that basis; the simplex solves the rest. A cell then keeps only the
+scalars its outputs read: no solver result outlives its drop.
 """
 
 from __future__ import annotations
@@ -38,8 +43,16 @@ from .channel import (
 )
 from .maxmin import DEFAULT_DELTA, check_delta, max_snr_scale, solve_max_min
 from .mc_oracle import McConfig, estimate_sinr_terms
-from .lp import FEAS_TOL, read_vertices
-from .power_assoc import DropLp, association_rule_check, max_snr_mask, solve_power_min
+from .lp import FEAS_TOL, LpStatus, read_vertices
+from .power_assoc import (
+    DropLp,
+    PowerMinResult,
+    association_rule_check,
+    max_snr_mask,
+    power_min_at_basis,
+    rule_reduced_costs,
+    solve_power_min,
+)
 from .se import PowerAllocation, QosTargets, sinr_mrt_all, spectral_efficiency
 
 DEFAULT_BANDWIDTH_HZ = 20e6
@@ -60,6 +73,14 @@ MIN_BS_USER_DIST_KM = 0.01
 # this gate. maxmin.MIN_DELTA exists for this: a finer bisection converges
 # onto that tolerance.
 CAP_GATE_W = 1e-9
+
+# A power-min cell is decided at its max-SNR basis without the simplex only
+# when every basic value of the readout clears zero by this much (in W: the
+# basic variables are powers and cap slacks) and every reduced cost clears
+# it times 1 + |c|. Inside the band the simplex's own tolerances (FEAS_TOL
+# on basic values, FEAS_TOL (1 + |c|) on reduced costs) or its roundoff
+# could decide otherwise, so the simplex decides.
+DECIDE_BAND = 100 * FEAS_TOL
 
 
 class HarnessInvariantError(RuntimeError):
@@ -247,19 +268,22 @@ def solve_drop(
     order: PowerMinResults in powermin mode, MaxMinResults in maxmin mode.
     Power-min solves at ``targets``, which depend on the SE target, K, tau_c
     and tau_p alone, so the caller builds them once for all its drops;
-    maxmin ignores them. In maxmin mode the max-SNR ``DropLp`` starts with
+    maxmin ignores them. In powermin mode the max-SNR basis decides most
+    cells before any simplex runs (``_decided_at_max_snr``); the simplex
+    solves the rest. In maxmin mode the max-SNR ``DropLp`` starts with
     the entries ``maxmin.max_snr_scale`` gives, s* (1 + lp.FEAS_TOL) feasible
     and s* (1 - lp.FEAS_TOL) infeasible, so its probes outside that band
     take no LP; each published max-SNR level is still re-solved as an LP.
 
     Once every cell is solved, the published allocations (the feasible
-    power-min solves, or each bisection's ``last_feasible``) have their
-    vertices read in one stacked readout (``lp.read_vertices``), the power-min
-    objectives are compared, and one ``check_solution_invariants`` call checks
-    them all. A failed check raises HarnessInvariantError naming the drop,
-    the mode and, when known, the antenna count and mask; any other
-    RuntimeError is re-raised with its type and a message naming the drop,
-    the mode and the antenna count being solved, if any.
+    power-min results, or each bisection's ``last_feasible``) that are not
+    read yet have their vertices read in one stacked readout
+    (``lp.read_vertices``), the power-min objectives are compared, and one
+    ``check_solution_invariants`` call checks them all. A failed check
+    raises HarnessInvariantError naming the drop, the mode and, when known,
+    the antenna count and mask; any other RuntimeError is re-raised with its
+    type and a message naming the drop, the mode and the antenna count
+    being solved, if any.
     """
     lps = DropLp(stats), DropLp(stats, max_snr_mask(stats.beta))
     if mode == "maxmin":
@@ -269,15 +293,15 @@ def solve_drop(
     cells, published = [], []
     m = None  # the antenna count being solved or compared
     try:
+        decided = _decided_at_max_snr(lps, targets, scn0, antenna_counts) if mode == "powermin" else {}
         for m in antenna_counts:
-            scn = replace(scn0, num_antennas=m)
             if mode == "powermin":
-                opt, snr = (solve_power_min(lp, targets, scn) for lp in lps)
+                opt, snr = (res or solve_power_min(lp, targets, scn0, m) for res, lp in zip(decided[m], lps))
                 if snr.feasible and not opt.feasible:
                     raise HarnessInvariantError("max-SNR feasible but joint optimization infeasible")
                 solves = (opt, snr)
             elif mode == "maxmin":
-                opt, snr = (solve_max_min(lp, scn, delta=delta) for lp in lps)
+                opt, snr = (solve_max_min(lp, scn0, delta=delta, num_antennas=m) for lp in lps)
                 if opt.xi_lower < snr.xi_lower - delta - 1e-12:
                     raise HarnessInvariantError("joint max-min level fell below the max-SNR level")
                 solves = (opt.last_feasible, snr.last_feasible)
@@ -286,8 +310,7 @@ def solve_drop(
             cells.append((opt, snr))
             published += [(m, mask, res) for mask, res in zip(MASKS, solves) if res is not None and res.feasible]
         m = None
-        if published:
-            read_vertices([res.solution for _, _, res in published])
+        read_vertices([res.solution for _, _, res in published])
         if mode == "powermin":
             for m, (opt, snr) in zip(antenna_counts, cells):
                 if snr.feasible and opt.objective > snr.objective * (1.0 + 1e-9):
@@ -299,6 +322,46 @@ def solve_drop(
     except RuntimeError as e:
         raise type(e)(_located(str(e), drop_index, m, mode)) from e
     return cells
+
+
+def _decided_at_max_snr(lps, targets: QosTargets, scn0: NetworkScenario, antenna_counts) -> dict:
+    """The power-min results of a drop that its max-SNR basis decides, as a
+    (joint, max-SNR) pair per antenna count, None where the simplex must
+    decide. ``lps`` is the drop's (joint, max-SNR) ``DropLp`` pair, whose
+    bases both hold max-SNR association: each user's strongest power column
+    and every cap slack.
+
+    The max-SNR cells are read at that basis in one stacked readout
+    (``lp.read_vertices``). There the QoS rows read p = D (F p + v) (see
+    ``maxmin.max_snr_scale``), so the basic solution is the least fixed
+    point p* = (I - D F)^-1 D v and the caps' slacks at it. If every basic
+    value is positive, rho(DF) < 1 and lambda > 0, so the basis is optimal
+    and the cell is OPTIMAL at the vertex that readout stored. If one is
+    negative, either rho(DF) >= 1 or p* exceeds a cap, which every feasible
+    p dominates: the cell is INFEASIBLE, with no Farkas certificate. The
+    joint LP has the same basic columns, so its basic values and duals are
+    the max-SNR cell's; when the rule's reduced costs at those duals
+    (``power_assoc.rule_reduced_costs``) are positive at every off-max-SNR
+    pair, the joint cell is OPTIMAL at that basis too, its vertex read from
+    its own program. Every such result has the bits the simplex gives,
+    which stops there with no pivot. A cell inside ``DECIDE_BAND``, a joint
+    cell whose max-SNR cell is not decided OPTIMAL, and one whose rule fails
+    are left to the simplex."""
+    joint_lp, snr_lp = lps
+    claims = [power_min_at_basis(snr_lp, targets, scn0, m) for m in antenna_counts]
+    lows = np.min(read_vertices([res.solution for res in claims]), axis=1)
+    reduced = rule_reduced_costs(snr_lp.stats, list(zip(antenna_counts, claims)))[:, ~snr_lp.mask]
+    # the band times 1 + |c|: every power column costs 1
+    rule_holds = (reduced >= 2.0 * DECIDE_BAND).all(axis=1)
+    decided = {}
+    for m, res, low, holds in zip(antenna_counts, claims, lows, rule_holds):
+        if low >= DECIDE_BAND:
+            decided[m] = (power_min_at_basis(joint_lp, targets, scn0, m) if holds else None, res)
+        elif low <= -DECIDE_BAND:
+            decided[m] = (None, PowerMinResult(LpStatus.INFEASIBLE, snr_lp.mask, targets, pmax=scn0.pmax))
+        else:
+            decided[m] = (None, None)
+    return decided
 
 
 def checked_targets(scenario: NetworkScenario, target_se: float, delta: float) -> QosTargets:

@@ -23,9 +23,13 @@ caller that needs only the status and the basis pays for no readout. One
 kernel, ``read_vertices``, does every readout: it reads a stack of
 solutions with equal row counts in one stacked refined solve for x and one
 for the duals, with the bits each would get alone; a first read is a stack
-of one, and a vertex already read is not read again. Rows are equilibrated
-by their largest absolute entry before solving; duals are in the original
-scaling.
+of one, and a vertex already read is not read again. It also returns each
+basic solution before x clips it at zero, which lets a caller test a basis
+without the simplex: ``at_basis`` is the solution ``solve`` returns when
+the simplex stops at its hint with no pivot, and since the vertex depends
+on the basis alone, it has the same bits whenever that claim holds. Rows
+are equilibrated by their largest absolute entry before solving; duals are
+in the original scaling.
 """
 
 from __future__ import annotations
@@ -70,11 +74,14 @@ class LinearProgram:
             raise ValueError("LP data must be finite")
 
 
-def read_vertices(sols) -> None:
+def read_vertices(sols):
     """Read x, the objective and the duals of the optimal solves ``sols``
     with equal row counts that have not been read yet, and store them on
     each solution as its first read would; a vertex read once is never
-    solved again.
+    solved again. Returns the basic values of the solutions read, one row
+    each in basis order, before x clips them at zero: a row with a
+    negative entry is not a feasible vertex, which is how a caller tests
+    a basis that ``at_basis`` claims.
 
     Each vertex is a fresh factorization of its basis in canonical (sorted)
     order plus iterative refinement, since binding-row residuals at the
@@ -85,7 +92,7 @@ def read_vertices(sols) -> None:
     the stack."""
     sols = [sol for sol in sols if "x" not in sol.__dict__]
     if not sols:
-        return
+        return []
     a2s, bases, rhs, costs, scales, cs = zip(*(sol._vertex for sol in sols))
     b_mat = np.stack([a2[:, basis] for a2, basis in zip(a2s, bases)])
     xb = _refined_solve(b_mat, np.stack(rhs))
@@ -95,6 +102,7 @@ def read_vertices(sols) -> None:
         x_full[basis] = np.maximum(xb_k, 0.0)
         x = x_full[: c.size]
         sol.__dict__.update(x=x, objective=float(c @ x), duals=-y_k / scale)
+    return xb
 
 
 @dataclass
@@ -259,17 +267,7 @@ def solve(lp: LinearProgram, basis=None) -> LpSolution:
     basis that turns singular mid-solve raises RuntimeError.
     """
     m, n = lp.a_ub.shape
-    # Row equilibration by the largest |entry|; all-zero rows keep scale 1.
-    scale = np.abs(lp.a_ub).max(axis=1, initial=0.0)
-    scale = np.where(scale == 0.0, 1.0, scale)
-    b_s = lp.b_ub / scale
-
-    # Columns: n structural, then m row slacks.
-    a2 = np.zeros((m, n + m))
-    np.divide(lp.a_ub, scale[:, None], out=a2[:, :n])
-    a2.ravel()[n :: n + m + 1] = 1.0  # the slack identity: a2[i, n + i]
-    cost = np.zeros(n + m)
-    cost[:n] = lp.c
+    a2, b_s, cost, scale = _equilibrated(lp)
     start = None if basis is None else _invert_hint(a2, basis)
     basis, b_inv = start or (n + np.arange(m), np.eye(m))
     # Costs raised to their prices at the start basis make it dual feasible.
@@ -292,11 +290,41 @@ def solve(lp: LinearProgram, basis=None) -> LpSolution:
     if status == "unbounded":
         return LpSolution(status=LpStatus.UNBOUNDED, iterations=total_iters)
 
-    # The vertex is read on first use, or with others (read_vertices).
+    return _optimal(lp, basis, total_iters, a2, b_s, cost, scale)
+
+
+def at_basis(lp: LinearProgram, basis) -> LpSolution:
+    """The solution ``solve(lp, basis=basis)`` returns when the simplex stops
+    at the hint with no pivot: OPTIMAL at the sorted ``basis``, its vertex
+    unread. That is a claim, not a solve: it holds when the basic values
+    ``read_vertices`` returns for it clear zero and no nonbasic reduced cost
+    is negative, each by more than the simplex's tolerance, and the caller
+    tests both."""
+    return _optimal(lp, basis, 0, *_equilibrated(lp))
+
+
+def _optimal(lp, basis, iterations, a2, b_s, cost, scale):
+    """An OPTIMAL solution at ``basis`` whose vertex is read on first use,
+    or with others (``read_vertices``), from ``lp``'s equilibrated data."""
     basis = np.sort(basis)
-    sol = LpSolution(status=LpStatus.OPTIMAL, iterations=total_iters, basis=basis)
+    sol = LpSolution(status=LpStatus.OPTIMAL, iterations=iterations, basis=basis)
     sol._vertex = (a2, basis.copy(), b_s, cost, scale, lp.c)
     return sol
+
+
+def _equilibrated(lp):
+    """(a2, b_s, cost, scale): the rows of ``lp`` divided by their largest
+    |entry| (an all-zero row keeps scale 1), with the n structural columns
+    then the m row slacks in a2, and the costs of both in cost."""
+    m, n = lp.a_ub.shape
+    scale = np.abs(lp.a_ub).max(axis=1, initial=0.0)
+    scale = np.where(scale == 0.0, 1.0, scale)
+    a2 = np.zeros((m, n + m))
+    np.divide(lp.a_ub, scale[:, None], out=a2[:, :n])
+    a2.ravel()[n :: n + m + 1] = 1.0  # the slack identity: a2[i, n + i]
+    cost = np.zeros(n + m)
+    cost[:n] = lp.c
+    return a2, lp.b_ub / scale, cost, scale
 
 
 def _invert_hint(a2, basis):

@@ -74,15 +74,17 @@ def check_delta(delta: float) -> None:
         raise ValueError("delta must be finite")
 
 
-def auto_upper_bound(stats: ChannelStats, scenario: NetworkScenario, weights) -> float:
+def auto_upper_bound(stats: ChannelStats, scenario: NetworkScenario, weights, num_antennas=None) -> float:
     """A provably infeasible-or-boundary SE level.
 
     Grants every user full power from every BS and drops all interference,
     which upper-bounds any achievable weighted SE; the result is nudged up
     by 1e-6 relative so the bisection starts outside the feasible range.
+    ``num_antennas``, if given, replaces ``scenario.num_antennas``.
     """
     weights = np.asarray(weights, dtype=float)
-    snr_cap = scenario.num_antennas * (scenario.pmax @ stats.gamma) / scenario.noise_dl
+    m = scenario.num_antennas if num_antennas is None else num_antennas
+    snr_cap = m * (scenario.pmax @ stats.gamma) / scenario.noise_dl
     se_cap = spectral_efficiency(snr_cap, scenario.coherence_length, scenario.pilot_length)
     return float((se_cap / weights).min() * (1.0 + 1e-6))
 
@@ -130,12 +132,14 @@ def solve_max_min(
     scenario: NetworkScenario,
     weights=None,
     delta: float = DEFAULT_DELTA,
+    num_antennas=None,
 ) -> MaxMinResult:
     """Maximize the minimum weighted SE over users, to accuracy ``delta`` in
     bit/symbol, probing the drop and association mask of ``lp``.
 
     ``lp`` holds earlier probe outcomes of its drop and mask, at any antenna
-    count (see the module docstring), and gains this call's. ``weights``
+    count (see the module docstring), and gains this call's.
+    ``num_antennas``, if given, replaces ``scenario.num_antennas``. ``weights``
     must be positive and ``delta`` finite and at least MIN_DELTA (ValueError
     otherwise, NaN included); the weights default to ones. The bisection
     makes exactly ``expected_iterations(auto_upper_bound(...), delta)``
@@ -151,7 +155,8 @@ def solve_max_min(
         raise ValueError("weights must be strictly positive")
     check_delta(delta)
 
-    upper0 = auto_upper_bound(lp.stats, scenario, weights)
+    m = scenario.num_antennas if num_antennas is None else num_antennas
+    upper0 = auto_upper_bound(lp.stats, scenario, weights, m)
     tau_c, tau_p = scenario.coherence_length, scenario.pilot_length
     lower = 0.0
     width = upper0
@@ -162,11 +167,11 @@ def solve_max_min(
         candidate = lower + width / 2.0
         xi = weights * candidate
         xi_hat = sinr_threshold(xi, tau_c, tau_p)
-        s = scenario.num_antennas / xi_hat
+        s = m / xi_hat
         res = None
         feasible = lp.lookup(s)
         if feasible is None:
-            res = _probe(lp, QosTargets(xi, xi_hat), scenario)
+            res = _probe(lp, QosTargets(xi, xi_hat), scenario, m)
             feasible = res.feasible
             lp.record(s, feasible)
         if feasible:
@@ -183,7 +188,7 @@ def solve_max_min(
         )
 
     if best is None and best_level is not None:
-        best = _probe(lp, QosTargets(*best_level), scenario)
+        best = _probe(lp, QosTargets(*best_level), scenario, m)
         if not best.feasible:
             raise RuntimeError(
                 f"max-min level {lower!r} is feasible by earlier probes, but its re-solve is "
@@ -198,9 +203,9 @@ def solve_max_min(
     )
 
 
-def _probe(lp: DropLp, targets, scenario) -> PowerMinResult:
+def _probe(lp: DropLp, targets, scenario, num_antennas) -> PowerMinResult:
     """A solve from ``lp.basis``; a feasible result writes its own back."""
-    res = solve_power_min(lp, targets, scenario)
+    res = solve_power_min(lp, targets, scenario, num_antennas)
     if res.feasible:
         lp.basis = res.basis
     return res

@@ -30,25 +30,34 @@ into those entries of a copy per solve, so one ``DropLp`` serves every
 power-min solve and max-min probe of a drop.
 ``build_lp`` and ``solve_power_min`` take it as their first argument and
 are the only LP builder and the only solve: sweeps, ``drop`` and max-min
-probes all call them.
+probes all call them, with the antenna count beside the drop's scenario
+rather than in a copy of it.
 
 ``solve_power_min`` starts the simplex from ``DropLp.basis``. A new
 ``DropLp`` sets it to max-SNR association within the mask; at that basis
 the duals are the rule's lambda with mu = 0, so the primal simplex's pivots
 are the moves to the optimal association. From a guess that exceeds a cap,
 the dual simplex first pivots back inside the caps. Only max-min probes
-move it (see ``maxmin``). A guess never decides anything: only the simplex
-proves optimality or infeasibility (the dual simplex's Farkas certificate).
+move it (see ``maxmin``). ``power_min_at_basis`` claims the result that
+the simplex gives when it stops at ``DropLp.basis`` with no pivot, without
+running it; a claim decides nothing until its caller tests it. The sweep
+tests it at the max-SNR basis: the sign of the basic solution decides a
+max-SNR cell, and ``rule_reduced_costs``, the rule multiplied out into the
+joint LP's reduced costs at the max-SNR duals, decides whether the joint
+optimum is that same basis (see ``harness.solve_drop``). Every other
+verdict is the simplex's: an optimum, or infeasibility with the dual
+simplex's Farkas certificate.
 
 A ``PowerMinResult`` reads through its ``LpSolution``: the duals, the
 objective and the basis are the solution's, and the allocation and the
 ``serving`` mask are ``functools.cached_property``s of its x, so a solve
 whose caller reads only its status and basis (a max-min probe) reads no
 vertex; a caller with many results reads their vertices in one stack first
-(``lp.read_vertices``). An infeasible result keeps its Farkas certificate.
+(``lp.read_vertices``). An infeasible simplex result keeps its Farkas
+certificate; one decided at the max-SNR basis has none and no solution.
 
 ``association_rule_check`` checks all the published solves of a drop as
-one stack.
+one stack, with the terms ``rule_reduced_costs`` shares.
 """
 
 from __future__ import annotations
@@ -59,7 +68,7 @@ from functools import cached_property
 import numpy as np
 
 from .channel import ChannelStats, NetworkScenario
-from .lp import LinearProgram, LpSolution, LpStatus
+from .lp import LinearProgram, LpSolution, LpStatus, at_basis
 from .lp import solve as lp_solve
 from .se import PowerAllocation, QosTargets
 
@@ -140,13 +149,15 @@ class DropLp:
             self.infeasible = [g for g in self.infeasible if not (g <= s).all()] + [s]
 
 
-def build_lp(lp: DropLp, targets: QosTargets, scenario: NetworkScenario) -> LinearProgram:
+def build_lp(lp: DropLp, targets: QosTargets, scenario: NetworkScenario, num_antennas=None) -> LinearProgram:
     """The K + L row LP of ``lp``'s drop and mask over its masked user-major
     power variables, with the own-power entries and the right-hand side of
-    ``targets`` and ``scenario`` written into a copy of its template."""
+    ``targets`` and ``scenario`` written into a copy of its template.
+    ``num_antennas``, if given, replaces ``scenario.num_antennas``."""
     K = lp.stats.beta.shape[1]
+    m = scenario.num_antennas if num_antennas is None else num_antennas
     a = lp.a.copy()
-    a[lp._own] -= scenario.num_antennas * lp._gamma / targets.xi_hat[lp._own[0]]
+    a[lp._own] -= m * lp._gamma / targets.xi_hat[lp._own[0]]
     b = np.concatenate([np.full(K, -scenario.noise_dl), scenario.pmax])
     return LinearProgram(c=lp.c, a_ub=a, b_ub=b)
 
@@ -163,7 +174,7 @@ class PowerMinResult:
     status: LpStatus
     allowed: np.ndarray  # the (L, K) bool mask the solve was restricted to
     targets: QosTargets  # the targets solved at; the checks read them, the JSON does not
-    solution: LpSolution | None = None  # the LP solve of build_lp's program
+    solution: LpSolution | None = None  # build_lp's program solved, or read at a basis
     pmax: np.ndarray | None = None  # the per-BS caps, which set the serving threshold
 
     @cached_property
@@ -224,20 +235,22 @@ class PowerMinResult:
         return out
 
 
-def solve_power_min(lp: DropLp, targets: QosTargets, scenario: NetworkScenario) -> PowerMinResult:
+def solve_power_min(lp: DropLp, targets: QosTargets, scenario: NetworkScenario, num_antennas=None) -> PowerMinResult:
     """Minimum-power allocation and association for fixed SE targets on
     ``lp``'s drop, each user drawing power only from the BSs its mask grants.
+    ``num_antennas``, if given, replaces ``scenario.num_antennas``.
 
     The simplex starts from ``lp.basis`` (see ``lp.solve``)."""
-    program = build_lp(lp, targets, scenario)
-    sol = lp_solve(program, basis=lp.basis)
-    return PowerMinResult(
-        status=sol.status,
-        allowed=lp.mask,
-        targets=targets,
-        solution=sol,
-        pmax=scenario.pmax,
-    )
+    sol = lp_solve(build_lp(lp, targets, scenario, num_antennas), basis=lp.basis)
+    return PowerMinResult(sol.status, lp.mask, targets, sol, scenario.pmax)
+
+
+def power_min_at_basis(lp: DropLp, targets: QosTargets, scenario: NetworkScenario, num_antennas=None) -> PowerMinResult:
+    """The result ``solve_power_min`` returns when the simplex stops at
+    ``lp.basis`` with no pivot (``lp.at_basis``), its vertex unread: a claim
+    that the caller tests on that vertex before it keeps it."""
+    sol = at_basis(build_lp(lp, targets, scenario, num_antennas), lp.basis)
+    return PowerMinResult(sol.status, lp.mask, targets, sol, scenario.pmax)
 
 
 def max_snr_mask(beta: np.ndarray) -> np.ndarray:
@@ -270,10 +283,7 @@ def association_rule_check(stats: ChannelStats, published) -> list:
     because the mask grants it a BS. The pairs are checked as one stack.
     """
     results = [res for _, res in published]
-    b_t = np.stack([_b_mat(stats, res.targets, m).T for m, res in published])  # (n, L, K)
-    lam = np.stack([res.qos_duals for res in results])  # (n, K)
-    mu = np.stack([res.power_duals for res in results])  # (n, L)
-    price = 1.0 + lam @ stats.beta.T + mu  # per BS
+    price, b_t, lam = _rule_terms(stats, published)
     allowed = np.stack([res.allowed for res in results])
     ratio = np.where(allowed, price[:, :, None] / b_t, np.inf)  # (n, L, K)
     rmin = ratio.min(axis=1)  # (n, K)
@@ -287,3 +297,26 @@ def association_rule_check(stats: ChannelStats, published) -> list:
         if bad_lam[j, t]:
             violations[j].append((int(t), -1, float(lam_gap[j, t])))
     return violations
+
+
+def rule_reduced_costs(stats: ChannelStats, published) -> np.ndarray:
+    """(n, L, K): the association rule multiplied out at the duals of each
+    feasible (antenna count, result) pair of ``published`` on the drop
+    ``stats``, r[i, t] = 1 + sum_k lambda_k beta[i, k] + mu_i - lambda_t
+    b_t[i] at the targets the result was solved at. That is the reduced
+    cost of the power column (i, t) of the drop's joint LP at those duals,
+    so a basis whose duals leave every nonbasic r nonnegative is optimal for
+    the joint LP too: the rule holds at every (BS, user) pair, not only
+    at those the result's mask allows."""
+    price, b_t, lam = _rule_terms(stats, published)
+    return price[:, :, None] - lam[:, None, :] * b_t
+
+
+def _rule_terms(stats: ChannelStats, published):
+    """The stacked terms of the rule at the (antenna count, result) pairs
+    ``published``: each BS's price 1 + sum_k lambda_k beta[i, k] + mu_i
+    (n, L), b_t[i] (n, L, K) and lambda (n, K)."""
+    b_t = np.stack([_b_mat(stats, res.targets, m).T for m, res in published])
+    lam = np.stack([res.qos_duals for _, res in published])
+    mu = np.stack([res.power_duals for _, res in published])
+    return 1.0 + lam @ stats.beta.T + mu, b_t, lam

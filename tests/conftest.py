@@ -54,7 +54,8 @@ def with_fields(obj, **fields):
 
 def record_max_snr_bisections(monkeypatch) -> list:
     """Patch the sweep's max-min bisections; the returned list grows by
-    (stats, scenario, entries, answered) per max-SNR bisection: ``entries``
+    (stats, scenario, entries, answered) per max-SNR bisection, the scenario
+    at the bisection's antenna count: ``entries``
     are the (feasible, infeasible) s-vectors its DropLp held when it began,
     and ``answered`` the (candidate, verdict) of each probe that its DropLp
     answered without an LP (see ``DropLp.lookup``)."""
@@ -71,7 +72,8 @@ def record_max_snr_bisections(monkeypatch) -> list:
         res = real_max_min(lp, scenario, *args, **kwargs)
         if not lp.mask.all():  # the joint mask grants every pair
             answered = [(p.candidate, p.feasible) for p, a in zip(res.trace, answers, strict=True) if a is not None]
-            records.append((lp.stats, scenario, entries, answered))
+            scn = replace(scenario, num_antennas=kwargs.get("num_antennas", scenario.num_antennas))
+            records.append((lp.stats, scn, entries, answered))
         return res
 
     monkeypatch.setattr(DropLp, "lookup", lookup)

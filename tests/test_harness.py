@@ -12,7 +12,7 @@ import pytest
 from conftest import with_fields
 
 from mimopower import cli, harness, lp, power_assoc
-from mimopower.channel import dbm_to_watt, save_scenario, scenario_to_json_dict
+from mimopower.channel import NetworkScenario, dbm_to_watt, save_scenario, scenario_to_json_dict
 from mimopower.harness import (
     DEFAULT_TARGET_SE,
     HarnessInvariantError,
@@ -247,20 +247,63 @@ class TestSweeps:
 
     @pytest.mark.parametrize("mode", ["powermin", "maxmin"])
     def test_every_lp_solve_is_built_by_build_lp(self, mode, monkeypatch):
-        """Sweeps take the one build-and-solve path: each LP they solve comes
-        from ``power_assoc.build_lp``."""
-        calls = {"build_lp": 0, "lp_solve": 0}
-        for name in calls:
-            real = getattr(power_assoc, name)
+        """Sweeps take the one build-and-solve path: each LP they solve, and
+        each LP a power-min cell is read at without the simplex, comes from
+        ``power_assoc.build_lp``."""
+        built, used = [], []
+        real_build, real_solve, real_at_basis = power_assoc.build_lp, power_assoc.lp_solve, power_assoc.at_basis
 
-            def counting(*args, _real=real, _name=name, **kwargs):
-                calls[_name] += 1
-                return _real(*args, **kwargs)
+        def building(*args, **kwargs):
+            built.append(real_build(*args, **kwargs))
+            return built[-1]
 
-            monkeypatch.setattr(power_assoc, name, counting)
+        def solving(program, basis=None):
+            used.append(program)
+            return real_solve(program, basis=basis)
+
+        def reading(program, basis):
+            used.append(program)
+            return real_at_basis(program, basis)
+
+        monkeypatch.setattr(power_assoc, "build_lp", building)
+        monkeypatch.setattr(power_assoc, "lp_solve", solving)
+        monkeypatch.setattr(power_assoc, "at_basis", reading)
         run_sweep(SweepSpec((50, 100), mode, num_drops=2, rng_seed=2, num_users=6))
-        assert calls["lp_solve"] > 0
-        assert calls["build_lp"] == calls["lp_solve"]
+        assert used and all(any(program is b for b in built) for program in used)
+
+    def test_the_benchmark_powermin_pass_runs_69_simplex_solves(self, monkeypatch):
+        """The seed-17, 50-drop powermin sweep at M 50..200 (a pass of the
+        benchmark's powermin workload) has 400 power-min LPs. The max-SNR
+        basis decides 331 of them, and the simplex solves 69 in 113 pivots,
+        the pivots of solving all 400: every LP it skips stops at that basis
+        with no pivot. Solving every cell again shows here."""
+        pivots = []
+        real = power_assoc.lp_solve
+
+        def counting(program, basis=None):
+            sol = real(program, basis=basis)
+            pivots.append(sol.iterations)
+            return sol
+
+        monkeypatch.setattr(power_assoc, "lp_solve", counting)
+        run_sweep(SweepSpec((50, 100, 150, 200), num_drops=50, rng_seed=17))
+        assert (len(pivots), sum(pivots)) == (69, 113)
+
+    @pytest.mark.parametrize("mode", ["powermin", "maxmin"])
+    def test_a_cell_is_an_antenna_count_not_a_scenario(self, mode, monkeypatch):
+        """A cell passes its antenna count beside the drop's scenario: a
+        sweep builds at most one ``NetworkScenario`` per drop, plus its base."""
+        built = []
+        init = NetworkScenario.__post_init__
+
+        def counting(self):
+            built.append(self)
+            init(self)
+
+        monkeypatch.setattr(NetworkScenario, "__post_init__", counting)
+        spec = SweepSpec((50, 100, 150, 200), mode, num_drops=3, rng_seed=2, num_users=6)
+        run_sweep(spec)
+        assert 0 < len(built) <= spec.num_drops + 1
 
     def test_invariant_error_names_its_cell(self, monkeypatch):
         def broken(*args, **kwargs):
@@ -318,14 +361,16 @@ class TestSweeps:
         assert type(info.value) is RuntimeError
 
     def test_singular_refactor_names_its_cell(self, monkeypatch, small_scenario, small_stats):
-        # numpy's LinAlgError is a ValueError: it must reach the cell as a RuntimeError
+        # numpy's LinAlgError is a ValueError: it must reach the cell as a
+        # RuntimeError. At SE 2.5 this drop's max-SNR cell is infeasible at
+        # its basis, so the simplex solves the joint cell and refactors.
         def singular(*args):
             raise np.linalg.LinAlgError("Singular matrix")
 
         monkeypatch.setattr(lp, "_REFRESH_EVERY", 1)
         monkeypatch.setattr(np.linalg, "inv", singular)
         with pytest.raises(RuntimeError, match=r"^drop 0, M=64, powermin: singular basis") as info:
-            targets = QosTargets.uniform(0.5, small_scenario)
+            targets = QosTargets.uniform(2.5, small_scenario)
             harness.solve_drop(small_stats, small_scenario, (64,), "powermin", 0, targets, 0.01)
         assert type(info.value) is RuntimeError
 
@@ -417,18 +462,26 @@ class TestRunDrop:
             assert np.all(rho >= 0)
 
     def test_powermin_checks_feasible_set_inclusion(self, small_scenario, small_stats, monkeypatch):
+        """A joint INFEASIBLE verdict where max-SNR is feasible fails the drop,
+        injected where this cell's joint verdict is made: at the max-SNR
+        basis, since the rule settles it there."""
         targets = QosTargets.uniform(0.5, small_scenario)
         max_snr = DropLp(small_stats, max_snr_mask(small_stats.beta))
         assert solve_power_min(max_snr, targets, small_scenario).feasible
+        real = harness.power_min_at_basis
+        joint_verdicts = []
 
-        def joint_infeasible(lp, targets, scenario):
+        def joint_infeasible(lp, targets, scenario, num_antennas=None):
             if not lp.mask.all():
-                return solve_power_min(lp, targets, scenario)
+                return real(lp, targets, scenario, num_antennas)
+            joint_verdicts.append(num_antennas)
             return PowerMinResult(LpStatus.INFEASIBLE, lp.mask, targets)
 
-        monkeypatch.setattr(harness, "solve_power_min", joint_infeasible)
+        monkeypatch.setattr(harness, "power_min_at_basis", joint_infeasible)
+        monkeypatch.setattr(harness, "solve_power_min", lambda *args: pytest.fail("the simplex ran"))
         with pytest.raises(HarnessInvariantError, match="max-SNR feasible"):
             run_drop(small_scenario, mode="powermin", target_se=0.5)
+        assert joint_verdicts == [small_scenario.num_antennas]
 
     def test_maxmin_record(self, small_scenario):
         rec = run_drop(small_scenario, mode="maxmin", delta=0.2)

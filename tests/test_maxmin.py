@@ -246,10 +246,10 @@ class TestVertexReadout:
         published = feasible_lps = resolves = 0
         real_max_min = maxmin.solve_max_min
 
-        def bisection(lp, scenario, weights=None, delta=DEFAULT_DELTA):
+        def bisection(lp, scenario, weights=None, delta=DEFAULT_DELTA, num_antennas=None):
             nonlocal published, feasible_lps, resolves
             first, answered = len(solutions), len(answers)
-            res = real_max_min(lp, scenario, weights, delta)
+            res = real_max_min(lp, scenario, weights, delta, num_antennas)
             assert reads == []  # no probe read its vertex
             optimal = [sol for sol in solutions[first:] if sol.status == LpStatus.OPTIMAL]
             feasible_lps += len(optimal)
@@ -283,36 +283,48 @@ class TestVertexReadout:
         assert len(solves) == 1 and reads == []
 
     def test_a_powermin_cell_reads_one_vertex_per_feasible_solve(self, monkeypatch):
-        """Each drop reads the vertices of its feasible power-min solves, and
-        only those, in one stacked readout."""
+        """Each drop reads its max-SNR cells at their basis in one stacked
+        readout, which decides them, then the vertices of its other feasible
+        results, and only those, in one more: the first stack's OPTIMAL
+        verdicts are not read again."""
         reads = count_vertex_reads(monkeypatch)
+        solutions = record_lp_solutions(monkeypatch)
         base = default_scenario(50, DEFAULT_NUM_USERS, rng_seed=17)
         targets = QosTargets.uniform(1.0, base)
-        feasible = infeasible = 0
+        feasible = infeasible = read_again = 0
         for d, scn0, stats in iter_drops(base, 17, 4):
             cells = solve_drop(stats, scn0, (50, 200), "powermin", d, targets, DEFAULT_DELTA)
             n = sum(res.feasible for pair in cells for res in pair)
-            assert reads == [n] * 2 * (n > 0)  # one stack of the drop's feasible solves, if any
+            decided = [snr for _, snr in cells if snr.feasible and not any(snr.solution is s for s in solutions)]
+            rest = n - len(decided)
+            assert reads == [len(cells)] * 2 + [rest] * 2 * (rest > 0)
             reads.clear()
             feasible += n
             infeasible += 2 * len(cells) - n
-        assert feasible and infeasible
+            read_again += rest
+        assert feasible and infeasible and read_again
 
 
 def test_stacked_readout_has_the_bits_of_the_first_read(monkeypatch):
-    """Every optimal solve of a small seed-17 sweep, both modes, read in
-    stacks of 1, 2 and 8 by ``lp.read_vertices`` (joint and max-SNR LPs
-    mixed): x, the duals and the objective have the bits of the solution's
-    first read on its own, and the stack stores them as that read. A
-    vertex read once is not solved again."""
+    """Every optimal solve of a small seed-17 sweep, both modes, and every
+    program a power-min cell was read at without the simplex, solved from
+    its hint and read in stacks of 1, 2 and 8 by ``lp.read_vertices``
+    (joint and max-SNR LPs mixed): x, the duals and the objective have the
+    bits of the solution's first read on its own, and the stack stores them
+    as that read. A vertex read once is not solved again."""
     solves = []
-    real = power_assoc.lp_solve
+    real, real_at_basis = power_assoc.lp_solve, power_assoc.at_basis
 
     def recording(program, basis=None):
         solves.append((program, None if basis is None else np.array(basis)))
         return real(program, basis=basis)
 
+    def recording_at_basis(program, basis):
+        solves.append((program, np.array(basis)))
+        return real_at_basis(program, basis)
+
     monkeypatch.setattr(power_assoc, "lp_solve", recording)
+    monkeypatch.setattr(power_assoc, "at_basis", recording_at_basis)
     for mode in ("powermin", "maxmin"):
         run_sweep(SweepSpec((50, 100, 150, 200), mode, num_drops=5, rng_seed=17))
     monkeypatch.undo()
@@ -376,9 +388,10 @@ def test_lazy_fields_are_cached_and_keep_what_is_set(monkeypatch):
     real = lp_module.read_vertices
 
     def read_only(sols):
-        real(sols)
+        basic = real(sols)
         for sol in sols:
             sol.x.flags.writeable = sol.duals.flags.writeable = False
+        return basic
 
     monkeypatch.setattr(lp_module, "read_vertices", read_only)
     monkeypatch.setattr(harness, "read_vertices", read_only)
@@ -479,9 +492,9 @@ class TestProbeOutcomes:
 
         probes = []
 
-        def recording(lp, targets, scenario):
-            res = solve_power_min(lp, targets, scenario)
-            args = (DropLp(lp.stats, lp.mask), targets, scenario)
+        def recording(lp, targets, scenario, num_antennas=None):
+            res = solve_power_min(lp, targets, scenario, num_antennas)
+            args = (DropLp(lp.stats, lp.mask), targets, scenario, num_antennas)
             probes.append((args, lp.basis, res, pivots[-1]))
             return res
 

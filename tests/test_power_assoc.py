@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 
@@ -6,9 +7,11 @@ import pytest
 from conftest import random_drop, single_cell, with_fields
 from oracles import assert_farkas_certificate, max_snr_power_min, power_min_lp_rows
 
+from mimopower import lp as lp_module
 from mimopower import power_assoc
 from mimopower.channel import ChannelStats
 from mimopower.harness import (
+    DECIDE_BAND,
     DEFAULT_NUM_USERS,
     HarnessInvariantError,
     check_solution_invariants,
@@ -25,6 +28,7 @@ from mimopower.power_assoc import (
     association_rule_check,
     build_lp,
     max_snr_mask,
+    rule_reduced_costs,
     solve_power_min,
 )
 from mimopower.se import PowerAllocation, QosTargets, se_mrt_all
@@ -265,6 +269,121 @@ class TestMaxSnr:
         assert [(u, b) for u, b, _ in violations] == [(t, i)]
         assert violations[0][2] == pytest.approx(gap[i, t], rel=1e-9)
 
+
+def record_simplex_solutions(monkeypatch) -> list:
+    """Patch the simplex behind every power-min solve; the returned list
+    grows by each solve's LpSolution."""
+    solutions = []
+    real = power_assoc.lp_solve
+
+    def recording(program, basis=None):
+        solutions.append(real(program, basis=basis))
+        return solutions[-1]
+
+    monkeypatch.setattr(power_assoc, "lp_solve", recording)
+    return solutions
+
+
+def basis_decisions(stats, scn0, antennas, cells, targets, simplex) -> list:
+    """How ``solve_drop`` settled each (joint, max-SNR) pair of ``cells``:
+    "simplex", or the status a cell was decided at its max-SNR basis. Each
+    decided cell is checked against ``lp.solve`` of the same program from
+    the same hint, with no pivot: the same status and, when OPTIMAL, the
+    bits of the sorted basis, x, the duals and the objective."""
+    solved = {id(sol) for sol in simplex}
+    decisions = []
+    for m, pair in zip(antennas, cells):
+        how = []
+        for mask, res in zip((None, max_snr_mask(stats.beta)), pair):
+            if id(res.solution) in solved:
+                how.append("simplex")
+                continue
+            how.append(res.status.value)
+            drop_lp = DropLp(stats, mask)
+            ref = lp_module.solve(build_lp(drop_lp, targets, scn0, m), basis=drop_lp.basis)
+            assert ref.status == res.status, (m, mask is None)
+            if ref.status == LpStatus.OPTIMAL:
+                assert ref.iterations == 0 and np.array_equal(ref.basis, res.basis)
+                assert np.array_equal(ref.x, res.solution.x) and np.array_equal(ref.duals, res.solution.duals)
+                assert ref.objective == res.objective
+        decisions.append(tuple(how))
+    return decisions
+
+
+class TestMaxSnrBasisDecisions:
+    """``solve_drop`` decides power-min cells at the max-SNR basis where the
+    sign of the basic solution and the association rule settle them; each
+    such verdict must be the simplex's, bit for bit."""
+
+    def test_rule_reduced_costs_are_the_joint_lp_reduced_costs(self):
+        """r[i, t] of ``rule_reduced_costs`` at a joint optimum's duals is
+        c + A^T y of ``build_lp``'s program at column (i, t), to roundoff:
+        nonnegative, and zero where the power is basic."""
+        base = default_scenario(100, DEFAULT_NUM_USERS, rng_seed=17)
+        targets = QosTargets.uniform(1.0, base)
+        checked = 0
+        for _, scn, stats in iter_drops(base, 17, 5):
+            res = solve_power_min(DropLp(stats), targets, scn)
+            if not res.feasible:
+                continue
+            program = build_lp(DropLp(stats), targets, scn)
+            expected = program.c + program.a_ub.T @ res.solution.duals  # user-major columns
+            reduced = rule_reduced_costs(stats, [(scn.num_antennas, res)])[0]
+            np.testing.assert_allclose(reduced.T.ravel(), expected, rtol=0.0, atol=1e-9)
+            assert reduced.min() >= -1e-9 and np.abs(reduced.T.ravel()[res.basis[res.basis < reduced.size]]).max() <= 1e-9
+            checked += 1
+        assert checked
+
+    @pytest.mark.parametrize("target_se", [1.0, 2.0])
+    def test_basis_decisions_are_the_simplex_verdicts(self, target_se, monkeypatch):
+        """30 seed-17 drops and 10 drops each of seeds 1-3, M 50..200: every
+        cell decided without the simplex matches ``lp.solve`` (see
+        ``basis_decisions``), every max-SNR verdict is the fixed point's
+        (``oracles.max_snr_power_min``), and the sweep holds rule-decided
+        joint cells, rule failures and infeasible max-SNR cells."""
+        antennas = (50, 100, 150, 200)
+        simplex = record_simplex_solutions(monkeypatch)
+        decisions = collections.Counter()
+        for seed, num_drops in ((17, 30), (1, 10), (2, 10), (3, 10)):
+            base = default_scenario(antennas[0], DEFAULT_NUM_USERS, rng_seed=seed)
+            targets = QosTargets.uniform(target_se, base)
+            for d, scn0, stats in iter_drops(base, seed, num_drops):
+                simplex.clear()
+                cells = solve_drop(stats, scn0, antennas, "powermin", d, targets, DEFAULT_DELTA)
+                decisions.update(basis_decisions(stats, scn0, antennas, cells, targets, simplex))
+                for m, (_, snr) in zip(antennas, cells):
+                    p, margin = max_snr_power_min(stats, dataclasses.replace(scn0, num_antennas=m), targets)
+                    assert snr.feasible == (p is not None and margin >= 0.0)
+        print(f"SE {target_se}: (joint, max-SNR) decisions {dict(decisions)}")
+        assert decisions[("optimal", "optimal")] and decisions[("simplex", "optimal")]
+        assert decisions[("simplex", "infeasible")]
+
+    @pytest.mark.parametrize("slack", [-1e-4, -5e-10, 5e-10, 1e-4])
+    def test_a_cell_at_its_cap_is_left_to_the_simplex(self, slack, monkeypatch):
+        """A feasible max-SNR cell (seed 17, M = 100) whose most loaded BS
+        has its cap moved to that BS's load at p* plus ``slack``: a slack
+        inside ``DECIDE_BAND`` leaves both cells to the simplex, which
+        accepts a cap slack down to -lp.FEAS_TOL; outside it the sign of the
+        slack decides the max-SNR cell, as ``lp.solve`` does."""
+        base = default_scenario(100, DEFAULT_NUM_USERS, rng_seed=17)
+        targets = QosTargets.uniform(1.0, base)
+        d, scn, stats = next(
+            (d, scn, stats)
+            for d, scn, stats in iter_drops(base, 17, 30)
+            if max_snr_power_min(stats, scn, targets)[1] > 0.05
+        )
+        p, _ = max_snr_power_min(stats, scn, targets)
+        load = np.bincount(np.argmax(stats.beta, axis=0), weights=p, minlength=scn.num_bs)
+        pmax = scn.pmax.copy()
+        pmax[np.argmax(load)] = load.max() + slack
+        scn = dataclasses.replace(scn, pmax=pmax)
+        simplex = record_simplex_solutions(monkeypatch)
+        cells = solve_drop(stats, scn, (100,), "powermin", d, targets, DEFAULT_DELTA)
+        [(joint, snr)] = basis_decisions(stats, scn, (100,), cells, targets, simplex)
+        if abs(slack) < DECIDE_BAND:
+            assert (joint, snr) == ("simplex", "simplex")
+        else:
+            assert snr == ("optimal" if slack > 0 else "infeasible")
 
 class TestSolutionContracts:
     @pytest.mark.parametrize("seed", range(6))
