@@ -13,8 +13,8 @@ same drops, which makes the monotone-in-M trends hold drop by drop.
 A drop is one pipeline, ``solve_drop``, which the sweeps and ``drop`` share:
 it solves every (antenna count, mask) cell of the drop, reads every published
 vertex in stacked readouts and checks all of them in one vectorized
-``check_solution_invariants`` call. A cell is an antenna count passed beside
-the drop's scenario, not a copy of it. In powermin mode the max-SNR basis
+``check_solution_invariants`` call. A cell is an antenna count passed with
+the drop's ``DropLp``, not a copy of its scenario. In powermin mode the max-SNR basis
 decides most cells with no simplex: one stacked readout of the drop's
 max-SNR cells settles each of them by the sign of its basic solution, and
 the association rule at their duals settles the joint cells whose optimum
@@ -182,11 +182,11 @@ class SweepResult:
 
 def check_solution_invariants(stats: ChannelStats, scenario: NetworkScenario, published) -> None:
     """Re-assert the optimality contracts on a drop's published solves, all
-    at once: ``published`` holds (antenna count, mask, result) triples of
-    feasible solves of the drop ``stats`` on ``scenario`` (whose own antenna
-    count is not read), ``mask`` naming the association ("joint" or
-    "max_snr"). Each result is checked at the targets it was solved at,
-    ``result.targets``: per-BS caps to CAP_GATE_W, every SE within 1e-9 of
+    at once: ``published`` holds (mask, result) pairs of feasible solves of
+    the drop ``stats`` on ``scenario`` (whose own antenna count is not
+    read), ``mask`` naming the association ("joint" or "max_snr"). Each
+    result is checked at the targets and the antenna count it was solved
+    at: per-BS caps to CAP_GATE_W, every SE within 1e-9 of
     its target, every QoS row binding to 1e-8 relative, the dual
     association rule, and (exactly) joint transmission only where a cap
     binds: nonbasic powers are exact zeros and each user needs a basic one,
@@ -197,7 +197,8 @@ def check_solution_invariants(stats: ChannelStats, scenario: NetworkScenario, pu
     of those checks it fails."""
     if not published:
         return
-    m, masks, results = zip(*published)
+    masks, results = zip(*published)
+    m = tuple(res.num_antennas for res in results)
     alloc = PowerAllocation(np.stack([res.allocation.rho for res in results]))  # (n, L, K)
     xi = np.stack([res.targets.xi for res in results])
     xi_hat = np.stack([res.targets.xi_hat for res in results])
@@ -214,7 +215,7 @@ def check_solution_invariants(stats: ChannelStats, scenario: NetworkScenario, pu
     tight_caps = scenario.num_bs - np.count_nonzero(bases >= (n + scenario.num_users)[:, None], axis=1)
     joint = np.count_nonzero(serving.sum(axis=1) >= 2, axis=1)
     joint_bad = (joint > tight_caps) | (serving.sum(axis=(1, 2)) > np.count_nonzero(bases < n[:, None], axis=1))
-    violations = association_rule_check(stats, list(zip(m, results)))
+    violations = association_rule_check(stats, results)
     failed = cap_bad | se_bad | (binding > 1e-8) | joint_bad | np.array([bool(v) for v in violations])
     if not failed.any():
         return
@@ -285,32 +286,32 @@ def solve_drop(
     type and a message naming the drop, the mode and the antenna count
     being solved, if any.
     """
-    lps = DropLp(stats), DropLp(stats, max_snr_mask(stats.beta))
+    lps = DropLp(stats, scn0), DropLp(stats, scn0, max_snr_mask(stats.beta))
     if mode == "maxmin":
-        s_star = np.full(scn0.num_users, max_snr_scale(stats, scn0))
+        s_star = np.full(scn0.num_users, max_snr_scale(lps[1]))
         lps[1].record(s_star * (1.0 + FEAS_TOL), True)
         lps[1].record(s_star * (1.0 - FEAS_TOL), False)
     cells, published = [], []
     m = None  # the antenna count being solved or compared
     try:
-        decided = _decided_at_max_snr(lps, targets, scn0, antenna_counts) if mode == "powermin" else {}
+        decided = _decided_at_max_snr(lps, targets, antenna_counts) if mode == "powermin" else {}
         for m in antenna_counts:
             if mode == "powermin":
-                opt, snr = (res or solve_power_min(lp, targets, scn0, m) for res, lp in zip(decided[m], lps))
+                opt, snr = (res or solve_power_min(lp, targets, m) for res, lp in zip(decided[m], lps))
                 if snr.feasible and not opt.feasible:
                     raise HarnessInvariantError("max-SNR feasible but joint optimization infeasible")
                 solves = (opt, snr)
             elif mode == "maxmin":
-                opt, snr = (solve_max_min(lp, scn0, delta=delta, num_antennas=m) for lp in lps)
+                opt, snr = (solve_max_min(lp, m, delta=delta) for lp in lps)
                 if opt.xi_lower < snr.xi_lower - delta - 1e-12:
                     raise HarnessInvariantError("joint max-min level fell below the max-SNR level")
                 solves = (opt.last_feasible, snr.last_feasible)
             else:
                 raise ValueError(f"unknown mode {mode!r}")
             cells.append((opt, snr))
-            published += [(m, mask, res) for mask, res in zip(MASKS, solves) if res is not None and res.feasible]
+            published += [(mask, res) for mask, res in zip(MASKS, solves) if res is not None and res.feasible]
         m = None
-        read_vertices([res.solution for _, _, res in published])
+        read_vertices([res.solution for _, res in published])
         if mode == "powermin":
             for m, (opt, snr) in zip(antenna_counts, cells):
                 if snr.feasible and opt.objective > snr.objective * (1.0 + 1e-9):
@@ -324,7 +325,7 @@ def solve_drop(
     return cells
 
 
-def _decided_at_max_snr(lps, targets: QosTargets, scn0: NetworkScenario, antenna_counts) -> dict:
+def _decided_at_max_snr(lps, targets: QosTargets, antenna_counts) -> dict:
     """The power-min results of a drop that its max-SNR basis decides, as a
     (joint, max-SNR) pair per antenna count, None where the simplex must
     decide. ``lps`` is the drop's (joint, max-SNR) ``DropLp`` pair, whose
@@ -348,17 +349,17 @@ def _decided_at_max_snr(lps, targets: QosTargets, scn0: NetworkScenario, antenna
     cell whose max-SNR cell is not decided OPTIMAL, and one whose rule fails
     are left to the simplex."""
     joint_lp, snr_lp = lps
-    claims = [power_min_at_basis(snr_lp, targets, scn0, m) for m in antenna_counts]
+    claims = [power_min_at_basis(snr_lp, targets, m) for m in antenna_counts]
     lows = np.min(read_vertices([res.solution for res in claims]), axis=1)
-    reduced = rule_reduced_costs(snr_lp.stats, list(zip(antenna_counts, claims)))[:, ~snr_lp.mask]
+    reduced = rule_reduced_costs(snr_lp.stats, claims)[:, ~snr_lp.mask]
     # the band times 1 + |c|: every power column costs 1
     rule_holds = (reduced >= 2.0 * DECIDE_BAND).all(axis=1)
     decided = {}
     for m, res, low, holds in zip(antenna_counts, claims, lows, rule_holds):
         if low >= DECIDE_BAND:
-            decided[m] = (power_min_at_basis(joint_lp, targets, scn0, m) if holds else None, res)
+            decided[m] = (power_min_at_basis(joint_lp, targets, m) if holds else None, res)
         elif low <= -DECIDE_BAND:
-            decided[m] = (None, PowerMinResult(LpStatus.INFEASIBLE, snr_lp.mask, targets, pmax=scn0.pmax))
+            decided[m] = (None, PowerMinResult(LpStatus.INFEASIBLE, snr_lp.mask, targets, m))
         else:
             decided[m] = (None, None)
     return decided

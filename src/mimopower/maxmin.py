@@ -49,8 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelStats, NetworkScenario
-from .power_assoc import DropLp, PowerMinResult, max_snr_mask, solve_power_min
+from .power_assoc import DropLp, PowerMinResult, solve_power_min
 from .se import QosTargets, sinr_threshold, spectral_efficiency
 
 DEFAULT_DELTA = 0.01  # bisection accuracy in bit/symbol
@@ -74,38 +73,41 @@ def check_delta(delta: float) -> None:
         raise ValueError("delta must be finite")
 
 
-def auto_upper_bound(stats: ChannelStats, scenario: NetworkScenario, weights, num_antennas=None) -> float:
-    """A provably infeasible-or-boundary SE level.
+def auto_upper_bound(lp: DropLp, weights, num_antennas: int) -> float:
+    """A provably infeasible-or-boundary SE level of ``lp``'s drop at
+    ``num_antennas`` antennas.
 
     Grants every user full power from every BS and drops all interference,
     which upper-bounds any achievable weighted SE; the result is nudged up
     by 1e-6 relative so the bisection starts outside the feasible range.
-    ``num_antennas``, if given, replaces ``scenario.num_antennas``.
     """
     weights = np.asarray(weights, dtype=float)
-    m = scenario.num_antennas if num_antennas is None else num_antennas
-    snr_cap = m * (scenario.pmax @ stats.gamma) / scenario.noise_dl
-    se_cap = spectral_efficiency(snr_cap, scenario.coherence_length, scenario.pilot_length)
+    scn = lp.scenario
+    snr_cap = num_antennas * (scn.pmax @ lp.stats.gamma) / scn.noise_dl
+    se_cap = spectral_efficiency(snr_cap, scn.coherence_length, scn.pilot_length)
     return float((se_cap / weights).min() * (1.0 + 1e-6))
 
 
-def max_snr_scale(stats: ChannelStats, scenario: NetworkScenario) -> float:
-    """The least scale s = M / xi_hat at which every user of the drop
-    ``stats`` can meet one SINR target xi_hat under ``max_snr_mask``.
+def max_snr_scale(lp: DropLp) -> float:
+    """The least scale s = M / xi_hat at which every user of ``lp``'s drop
+    can meet one SINR target xi_hat under its one-hot mask, the sweep's
+    ``max_snr_mask``; any other mask raises ValueError.
 
-    User k, served only by its max-SNR BS b(k) at power p_k, meets it when
+    User k, served only by its BS b(k) at power p_k, meets it when
     s p_k >= (F p)_k + v_k, with F[k, t] = beta[b(t), k] / gamma[b(k), k]
     and v_k = noise_dl / gamma[b(k), k], and BS l's cap is a_l^T p <= pmax_l,
     a_l marking its users. The least such s is max_l rho(F + v a_l^T / pmax_l),
     the largest Perron root (Tan, Chiang and Srikant, IEEE TSP 2011), here
     from one stacked eigenvalue solve of the L matrices.
     """
-    mask = max_snr_mask(stats.beta)
+    mask, stats = lp.mask, lp.stats
+    if (mask.sum(axis=0) != 1).any():
+        raise ValueError("max_snr_scale needs a one-hot mask")
     b = np.argmax(mask, axis=0)
     gamma = stats.gamma[b, np.arange(b.size)]
     f = stats.beta[b].T / gamma[:, None]
-    v = scenario.noise_dl / gamma
-    stacked = f + v[:, None] * (mask / scenario.pmax[:, None])[:, None, :]  # (L, K, K)
+    v = lp.scenario.noise_dl / gamma
+    stacked = f + v[:, None] * (mask / lp.scenario.pmax[:, None])[:, None, :]  # (L, K, K)
     return float(np.abs(np.linalg.eigvals(stacked)).max())
 
 
@@ -127,37 +129,31 @@ class MaxMinResult:
     last_feasible: PowerMinResult | None = None
 
 
-def solve_max_min(
-    lp: DropLp,
-    scenario: NetworkScenario,
-    weights=None,
-    delta: float = DEFAULT_DELTA,
-    num_antennas=None,
-) -> MaxMinResult:
+def solve_max_min(lp: DropLp, num_antennas: int, weights=None, delta: float = DEFAULT_DELTA) -> MaxMinResult:
     """Maximize the minimum weighted SE over users, to accuracy ``delta`` in
-    bit/symbol, probing the drop and association mask of ``lp``.
+    bit/symbol, probing the drop and association mask of ``lp`` at
+    ``num_antennas`` antennas.
 
     ``lp`` holds earlier probe outcomes of its drop and mask, at any antenna
-    count (see the module docstring), and gains this call's.
-    ``num_antennas``, if given, replaces ``scenario.num_antennas``. ``weights``
-    must be positive and ``delta`` finite and at least MIN_DELTA (ValueError
-    otherwise, NaN included); the weights default to ones. The bisection
-    makes exactly ``expected_iterations(auto_upper_bound(...), delta)``
-    probes, so ``iterations == len(trace)`` and none is made when delta is
-    at least the bound. A zero level is feasible by construction (zero
-    powers), so the final interval always holds the optimum. A re-solve at
-    a final level ``lp`` answered that is not OPTIMAL raises RuntimeError.
+    count (see the module docstring), and gains this call's. ``weights``
+    must be positive, one per user, and ``delta`` finite and at least
+    MIN_DELTA (ValueError otherwise, NaN included); the weights default to
+    ones. The bisection makes exactly ``expected_iterations(bound, delta)``
+    probes, ``bound`` from ``auto_upper_bound``, so ``iterations ==
+    len(trace)`` and none is made when delta is at least the bound. A zero
+    level is feasible by construction (zero powers), so the final interval
+    always holds the optimum. A re-solve at a final level ``lp`` answered
+    that is not OPTIMAL raises RuntimeError.
     """
     if weights is None:
-        weights = np.ones(scenario.num_users)
+        weights = np.ones(lp.scenario.num_users)
     weights = np.asarray(weights, dtype=float)
-    if not (weights > 0.0).all():
-        raise ValueError("weights must be strictly positive")
+    if weights.shape != (lp.scenario.num_users,) or not (weights > 0.0).all():
+        raise ValueError(f"weights must be strictly positive, one per user ({lp.scenario.num_users})")
     check_delta(delta)
 
-    m = scenario.num_antennas if num_antennas is None else num_antennas
-    upper0 = auto_upper_bound(lp.stats, scenario, weights, m)
-    tau_c, tau_p = scenario.coherence_length, scenario.pilot_length
+    upper0 = auto_upper_bound(lp, weights, num_antennas)
+    tau_c, tau_p = lp.scenario.coherence_length, lp.scenario.pilot_length
     lower = 0.0
     width = upper0
     best: PowerMinResult | None = None
@@ -167,11 +163,11 @@ def solve_max_min(
         candidate = lower + width / 2.0
         xi = weights * candidate
         xi_hat = sinr_threshold(xi, tau_c, tau_p)
-        s = m / xi_hat
+        s = num_antennas / xi_hat
         res = None
         feasible = lp.lookup(s)
         if feasible is None:
-            res = _probe(lp, QosTargets(xi, xi_hat), scenario, m)
+            res = _probe(lp, QosTargets(xi, xi_hat), num_antennas)
             feasible = res.feasible
             lp.record(s, feasible)
         if feasible:
@@ -188,7 +184,7 @@ def solve_max_min(
         )
 
     if best is None and best_level is not None:
-        best = _probe(lp, QosTargets(*best_level), scenario, m)
+        best = _probe(lp, QosTargets(*best_level), num_antennas)
         if not best.feasible:
             raise RuntimeError(
                 f"max-min level {lower!r} is feasible by earlier probes, but its re-solve is "
@@ -203,9 +199,9 @@ def solve_max_min(
     )
 
 
-def _probe(lp: DropLp, targets, scenario, num_antennas) -> PowerMinResult:
+def _probe(lp: DropLp, targets, num_antennas) -> PowerMinResult:
     """A solve from ``lp.basis``; a feasible result writes its own back."""
-    res = solve_power_min(lp, targets, scenario, num_antennas)
+    res = solve_power_min(lp, targets, num_antennas)
     if res.feasible:
         lp.basis = res.basis
     return res

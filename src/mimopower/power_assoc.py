@@ -22,16 +22,13 @@ for any mask, with the minimum taken over the BSs it allows. A solve
 reports the association it found as a second (L, K) mask, ``serving``: the
 pairs whose power exceeds SERVING_THRESHOLD_SCALE times the BS's cap.
 
-Only the own-power entries beta - b_k and the right-hand side depend on the
-targets and the antenna count. A ``DropLp`` holds the rest of the LP for
-one drop and mask, with the gamma[i, k] of each own-power entry as a vector
-over its columns, and ``build_lp`` writes (M * gamma[i, k]) / xi_hat[k]
-into those entries of a copy per solve, so one ``DropLp`` serves every
-power-min solve and max-min probe of a drop.
-``build_lp`` and ``solve_power_min`` take it as their first argument and
-are the only LP builder and the only solve: sweeps, ``drop`` and max-min
-probes all call them, with the antenna count beside the drop's scenario
-rather than in a copy of it.
+The drop fixes beta, gamma, the noise and the caps; a cell adds only the
+targets and the antenna count M, through the own-power entries beta - b_k.
+A ``DropLp`` holds the rest of the LP of one drop and mask, and
+``build_lp`` writes those entries into a copy per solve. ``build_lp`` and
+``solve_power_min`` take a ``DropLp``, the targets and M, and are the only
+LP builder and the only solve: sweeps, ``drop`` and max-min probes all call
+them.
 
 ``solve_power_min`` starts the simplex from ``DropLp.basis``. A new
 ``DropLp`` sets it to max-SNR association within the mask; at that basis
@@ -85,17 +82,18 @@ def _b_mat(stats: ChannelStats, targets: QosTargets, num_antennas: int) -> np.nd
 
 
 class DropLp:
-    """The power-min LP of one drop (``stats``) under one (L, K) mask
-    ``allowed``, with the max-min probe outcomes and the basis they carry.
+    """The power-min LP of one drop, ``stats`` on ``scenario`` (whose
+    antenna count is not read), under one (L, K) mask ``allowed``, with the
+    max-min probe outcomes and the basis they carry.
 
-    The LP is held less the parts the targets and the scenario set: the K
-    own-power entries beta[i, k] - b_k[i] of the QoS rows, which hold
-    beta[i, k] here (with gamma[i, k] kept as one vector over those
-    columns), and the right-hand side. ``build_lp`` writes them into
-    a copy, so one object serves any targets and antenna count. The columns
-    of disallowed (BS, user) pairs are deleted and the rest keep their
-    user-major order; None allows every pair, and a mask of any other shape,
-    or one that leaves some user without a BS, raises ValueError.
+    The K own-power entries beta[i, k] - b_k[i] of the QoS rows hold
+    beta[i, k] here, with gamma[i, k] kept as one vector over those columns;
+    ``build_lp`` writes them into a copy, so one object serves any targets
+    and antenna count. The right-hand side ``b`` (-noise_dl per QoS row,
+    then the caps) is read-only. The columns of disallowed (BS, user) pairs
+    are deleted and the rest keep their user-major order; None allows every
+    pair. A scenario of another (L, K) than ``stats``, a mask of any other
+    shape, or one that leaves some user without a BS, raises ValueError.
 
     ``basis`` is where every solve of this object starts the simplex. It
     starts as max-SNR association within the mask: each user's strongest
@@ -112,13 +110,15 @@ class DropLp:
     max-SNR one, see ``maxmin.max_snr_scale``).
     """
 
-    def __init__(self, stats: ChannelStats, allowed=None):
+    def __init__(self, stats: ChannelStats, scenario: NetworkScenario, allowed=None):
         L, K = stats.beta.shape
+        if (scenario.num_bs, scenario.num_users) != (L, K):
+            raise ValueError(f"the scenario's (L, K) = {(scenario.num_bs, scenario.num_users)} is not the stats' {(L, K)}")
         if allowed is None:
             allowed = np.ones((L, K), dtype=bool)
         elif np.shape(allowed) != (L, K):
             raise ValueError(f"allowed must be an (L, K) = {(L, K)} mask, got {np.shape(allowed)}")
-        self.stats = stats
+        self.stats, self.scenario = stats, scenario
         self.mask = np.array(allowed, dtype=bool)
         if not self.mask.any(axis=0).all():
             raise ValueError("allowed must grant every user at least one BS")
@@ -129,6 +129,8 @@ class DropLp:
         self._own = (users, np.arange(users.size))  # its own-power entry in a
         self._gamma = stats.gamma[bss, users]  # and gamma[i, k] there
         self.c = np.ones(users.size)
+        self.b = np.concatenate([np.full(K, -scenario.noise_dl), scenario.pmax])
+        self.b.flags.writeable = False
         strongest = max_snr_mask(np.where(self.mask, stats.beta, 0.0))
         self.basis = np.r_[np.flatnonzero(strongest.T[self.mask.T]), users.size + K + np.arange(L)]
         self.feasible, self.infeasible = [], []
@@ -149,17 +151,16 @@ class DropLp:
             self.infeasible = [g for g in self.infeasible if not (g <= s).all()] + [s]
 
 
-def build_lp(lp: DropLp, targets: QosTargets, scenario: NetworkScenario, num_antennas=None) -> LinearProgram:
+def build_lp(lp: DropLp, targets: QosTargets, num_antennas: int) -> LinearProgram:
     """The K + L row LP of ``lp``'s drop and mask over its masked user-major
-    power variables, with the own-power entries and the right-hand side of
-    ``targets`` and ``scenario`` written into a copy of its template.
-    ``num_antennas``, if given, replaces ``scenario.num_antennas``."""
-    K = lp.stats.beta.shape[1]
-    m = scenario.num_antennas if num_antennas is None else num_antennas
+    power variables, with the own-power entries of ``targets`` and
+    ``num_antennas`` written into a copy of its template. Targets not of
+    length K raise ValueError."""
+    if targets.xi_hat.shape != lp.stats.beta.shape[1:]:
+        raise ValueError(f"targets must be one per user, {lp.stats.beta.shape[1:]}, got {targets.xi_hat.shape}")
     a = lp.a.copy()
-    a[lp._own] -= m * lp._gamma / targets.xi_hat[lp._own[0]]
-    b = np.concatenate([np.full(K, -scenario.noise_dl), scenario.pmax])
-    return LinearProgram(c=lp.c, a_ub=a, b_ub=b)
+    a[lp._own] -= num_antennas * lp._gamma / targets.xi_hat[lp._own[0]]
+    return LinearProgram(c=lp.c, a_ub=a, b_ub=lp.b)
 
 
 @dataclass
@@ -173,7 +174,8 @@ class PowerMinResult:
 
     status: LpStatus
     allowed: np.ndarray  # the (L, K) bool mask the solve was restricted to
-    targets: QosTargets  # the targets solved at; the checks read them, the JSON does not
+    targets: QosTargets  # the targets and the antenna count solved at;
+    num_antennas: int  # the checks read them, the JSON does not
     solution: LpSolution | None = None  # build_lp's program solved, or read at a basis
     pmax: np.ndarray | None = None  # the per-BS caps, which set the serving threshold
 
@@ -235,22 +237,22 @@ class PowerMinResult:
         return out
 
 
-def solve_power_min(lp: DropLp, targets: QosTargets, scenario: NetworkScenario, num_antennas=None) -> PowerMinResult:
-    """Minimum-power allocation and association for fixed SE targets on
-    ``lp``'s drop, each user drawing power only from the BSs its mask grants.
-    ``num_antennas``, if given, replaces ``scenario.num_antennas``.
+def solve_power_min(lp: DropLp, targets: QosTargets, num_antennas: int) -> PowerMinResult:
+    """Minimum-power allocation and association for fixed SE targets and
+    antenna count on ``lp``'s drop, each user drawing power only from the
+    BSs its mask grants.
 
     The simplex starts from ``lp.basis`` (see ``lp.solve``)."""
-    sol = lp_solve(build_lp(lp, targets, scenario, num_antennas), basis=lp.basis)
-    return PowerMinResult(sol.status, lp.mask, targets, sol, scenario.pmax)
+    sol = lp_solve(build_lp(lp, targets, num_antennas), basis=lp.basis)
+    return PowerMinResult(sol.status, lp.mask, targets, num_antennas, sol, lp.scenario.pmax)
 
 
-def power_min_at_basis(lp: DropLp, targets: QosTargets, scenario: NetworkScenario, num_antennas=None) -> PowerMinResult:
+def power_min_at_basis(lp: DropLp, targets: QosTargets, num_antennas: int) -> PowerMinResult:
     """The result ``solve_power_min`` returns when the simplex stops at
     ``lp.basis`` with no pivot (``lp.at_basis``), its vertex unread: a claim
     that the caller tests on that vertex before it keeps it."""
-    sol = at_basis(build_lp(lp, targets, scenario, num_antennas), lp.basis)
-    return PowerMinResult(sol.status, lp.mask, targets, sol, scenario.pmax)
+    sol = at_basis(build_lp(lp, targets, num_antennas), lp.basis)
+    return PowerMinResult(sol.status, lp.mask, targets, num_antennas, sol, lp.scenario.pmax)
 
 
 def max_snr_mask(beta: np.ndarray) -> np.ndarray:
@@ -265,14 +267,14 @@ def solve_max_snr(
 ) -> PowerMinResult:
     """Baseline: each user may only buy power from its strongest BS, so its
     feasible set is a subset of the joint problem's."""
-    return solve_power_min(DropLp(stats, max_snr_mask(stats.beta)), targets, scenario)
+    return solve_power_min(DropLp(stats, scenario, max_snr_mask(stats.beta)), targets, scenario.num_antennas)
 
 
-def association_rule_check(stats: ChannelStats, published) -> list:
-    """Check each served user of the feasible solves ``published``, the
-    (antenna count, result) pairs of one drop (``stats``), against the dual
-    association rule at the targets each was solved at, ``result.targets``.
-    Returns one list of violations per pair; an empty list is a pass.
+def association_rule_check(stats: ChannelStats, results) -> list:
+    """Check each served user of the feasible solves ``results`` of one drop
+    (``stats``) against the dual association rule at the targets and the
+    antenna count each was solved at. Returns one list of violations per
+    result; an empty list is a pass.
 
     For user t, every BS with positive power must attain (within relative
     ASSOCIATION_RULE_TOL) the minimum of (1 + sum_k lambda_k beta[i,k] + mu_i)
@@ -280,10 +282,9 @@ def association_rule_check(stats: ChannelStats, published) -> list:
     minimum must equal lambda_t. A serving BS i off the minimum is listed as
     (t, i, relative gap), a minimum off lambda_t as (t, -1, relative gap).
     Disallowed pairs have ratio inf, and every user has a finite minimum
-    because the mask grants it a BS. The pairs are checked as one stack.
+    because the mask grants it a BS. The results are checked as one stack.
     """
-    results = [res for _, res in published]
-    price, b_t, lam = _rule_terms(stats, published)
+    price, b_t, lam = _rule_terms(stats, results)
     allowed = np.stack([res.allowed for res in results])
     ratio = np.where(allowed, price[:, :, None] / b_t, np.inf)  # (n, L, K)
     rmin = ratio.min(axis=1)  # (n, K)
@@ -299,24 +300,24 @@ def association_rule_check(stats: ChannelStats, published) -> list:
     return violations
 
 
-def rule_reduced_costs(stats: ChannelStats, published) -> np.ndarray:
+def rule_reduced_costs(stats: ChannelStats, results) -> np.ndarray:
     """(n, L, K): the association rule multiplied out at the duals of each
-    feasible (antenna count, result) pair of ``published`` on the drop
-    ``stats``, r[i, t] = 1 + sum_k lambda_k beta[i, k] + mu_i - lambda_t
-    b_t[i] at the targets the result was solved at. That is the reduced
+    feasible result of ``results`` on the drop ``stats``, r[i, t] =
+    1 + sum_k lambda_k beta[i, k] + mu_i - lambda_t b_t[i] at the targets
+    and the antenna count the result was solved at. That is the reduced
     cost of the power column (i, t) of the drop's joint LP at those duals,
     so a basis whose duals leave every nonbasic r nonnegative is optimal for
     the joint LP too: the rule holds at every (BS, user) pair, not only
     at those the result's mask allows."""
-    price, b_t, lam = _rule_terms(stats, published)
+    price, b_t, lam = _rule_terms(stats, results)
     return price[:, :, None] - lam[:, None, :] * b_t
 
 
-def _rule_terms(stats: ChannelStats, published):
-    """The stacked terms of the rule at the (antenna count, result) pairs
-    ``published``: each BS's price 1 + sum_k lambda_k beta[i, k] + mu_i
-    (n, L), b_t[i] (n, L, K) and lambda (n, K)."""
-    b_t = np.stack([_b_mat(stats, res.targets, m).T for m, res in published])
-    lam = np.stack([res.qos_duals for _, res in published])
-    mu = np.stack([res.power_duals for _, res in published])
+def _rule_terms(stats: ChannelStats, results):
+    """The stacked terms of the rule at ``results``: each BS's price
+    1 + sum_k lambda_k beta[i, k] + mu_i (n, L), b_t[i] (n, L, K) and
+    lambda (n, K)."""
+    b_t = np.stack([_b_mat(stats, res.targets, res.num_antennas).T for res in results])
+    lam = np.stack([res.qos_duals for res in results])
+    mu = np.stack([res.power_duals for res in results])
     return 1.0 + lam @ stats.beta.T + mu, b_t, lam

@@ -66,14 +66,13 @@ def record_max_snr_bisections(monkeypatch) -> list:
         answers.append(real_lookup(lp, s))
         return answers[-1]
 
-    def bisection(lp, scenario, *args, **kwargs):
+    def bisection(lp, num_antennas, *args, **kwargs):
         entries = (list(lp.feasible), list(lp.infeasible))
         answers.clear()
-        res = real_max_min(lp, scenario, *args, **kwargs)
+        res = real_max_min(lp, num_antennas, *args, **kwargs)
         if not lp.mask.all():  # the joint mask grants every pair
             answered = [(p.candidate, p.feasible) for p, a in zip(res.trace, answers, strict=True) if a is not None]
-            scn = replace(scenario, num_antennas=kwargs.get("num_antennas", scenario.num_antennas))
-            records.append((lp.stats, scn, entries, answered))
+            records.append((lp.stats, replace(lp.scenario, num_antennas=num_antennas), entries, answered))
         return res
 
     monkeypatch.setattr(DropLp, "lookup", lookup)
@@ -85,4 +84,4 @@ def max_snr_lp_feasible(stats, scn, candidate) -> bool:
     """Whether an LP solve of a fresh max-SNR DropLp proves the uniform SE
     level ``candidate`` feasible on ``scn``."""
     targets = QosTargets.from_se(np.full(scn.num_users, candidate), scn.coherence_length, scn.pilot_length)
-    return solve_power_min(DropLp(stats, max_snr_mask(stats.beta)), targets, scn).feasible
+    return solve_power_min(DropLp(stats, scn, max_snr_mask(stats.beta)), targets, scn.num_antennas).feasible

@@ -22,7 +22,7 @@ from mimopower.harness import (
 )
 from mimopower.lp import FEAS_TOL, LinearProgram, LpStatus, solve, verify
 from mimopower.maxmin import auto_upper_bound, expected_iterations, max_snr_scale, solve_max_min
-from mimopower.power_assoc import DropLp, solve_power_min
+from mimopower.power_assoc import DropLp, max_snr_mask, solve_power_min
 from mimopower.se import QosTargets, sinr_threshold
 
 ANTENNAS = (50, 100, 150, 200)
@@ -120,7 +120,7 @@ def test_criterion_2_lp_vs_brute_force():
 def test_criterion_3_analytic_single_user():
     scn, stats = single_cell(num_antennas=150, beta=2.5e-13)
     targets = QosTargets.uniform(1.5, scn)
-    res = solve_power_min(DropLp(stats), targets, scn)
+    res = solve_power_min(DropLp(stats, scn), targets, 150)
     b = 150 * stats.gamma[0, 0] / targets.xi_hat[0]
     beta = stats.beta[0, 0]
     rho_err = abs(res.allocation.rho[0, 0] - scn.noise_dl / (b - beta)) / (scn.noise_dl / (b - beta))
@@ -175,7 +175,7 @@ def test_criterion_6_seeded_bracket_on_maxmin_sweep(maxmin_500):
     base = default_scenario(ANTENNAS[0], 20, rng_seed=17)
     resolved, closest, bad = 0, np.inf, []
     for d, scn0, stats in iter_drops(base, 17, 500):
-        s_star = max_snr_scale(stats, scn0)
+        s_star = max_snr_scale(DropLp(stats, scn0, max_snr_mask(stats.beta)))
         probes = [(m, p["candidate"], p["feasible"]) for m, trace in traces[d] for p in trace]
         ms, cs, _ = np.array(probes).T
         dist = ms / sinr_threshold(cs, scn0.coherence_length, scn0.pilot_length) / s_star - 1.0
@@ -247,9 +247,9 @@ def test_criterion_8_bisection_contract():
     mismatches = []
     base = default_scenario(ANTENNAS[0], 20, rng_seed=23)
     for d, scn0, stats in iter_drops(base, 23, 50):
-        scn = dataclasses.replace(scn0, num_antennas=100)
-        res = solve_max_min(DropLp(stats), scn)
-        bound = auto_upper_bound(stats, scn, np.ones(scn.num_users))
+        lp = DropLp(stats, scn0)
+        res = solve_max_min(lp, 100)
+        bound = auto_upper_bound(lp, np.ones(scn0.num_users), 100)
         expected = expected_iterations(bound, 0.01)
         lowers = [p.lower for p in res.trace]
         uppers = [p.upper for p in res.trace]

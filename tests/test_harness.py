@@ -10,11 +10,24 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import with_fields
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import max_snr_power_min
 
 from mimopower import cli, harness, lp, power_assoc
-from mimopower.channel import NetworkScenario, dbm_to_watt, save_scenario, scenario_to_json_dict
+from mimopower.channel import (
+    NetworkScenario,
+    channel_stats,
+    dbm_to_watt,
+    pairwise_distances_km,
+    save_scenario,
+    scenario_to_json_dict,
+)
 from mimopower.harness import (
+    CAP_GATE_W,
+    DEFAULT_COHERENCE_LENGTH,
     DEFAULT_TARGET_SE,
+    MIN_BS_USER_DIST_KM,
     HarnessInvariantError,
     SweepSpec,
     default_scenario,
@@ -27,7 +40,7 @@ from mimopower.lp import LpStatus
 from mimopower.maxmin import DEFAULT_DELTA
 from mimopower.mc_oracle import McConfig
 from mimopower.power_assoc import DropLp, PowerMinResult, max_snr_mask, solve_power_min
-from mimopower.se import PowerAllocation, QosTargets
+from mimopower.se import PowerAllocation, QosTargets, se_mrt_all
 
 
 # Small sizes for a row of the CLI error table whose check must fire before any solve.
@@ -180,11 +193,10 @@ class TestSweeps:
         base = default_scenario(spec.antenna_counts[0], spec.num_users, rng_seed=spec.rng_seed)
         feasible = 0
         for d, scn0, stats in iter_drops(base, spec.rng_seed, spec.num_drops):
+            targets = QosTargets.uniform(spec.target_se, scn0)
             for m in spec.antenna_counts:
-                scn = dataclasses.replace(scn0, num_antennas=m)
-                targets = QosTargets.uniform(spec.target_se, scn)
                 for cell, mask in zip(cells[m][d], (None, max_snr_mask(stats.beta))):
-                    res = solve_power_min(DropLp(stats, mask), targets, scn)
+                    res = solve_power_min(DropLp(stats, scn0, mask), targets, m)
                     assert res.status == cell.status and res.objective == cell.objective
                     if res.feasible:
                         feasible += 1
@@ -335,10 +347,10 @@ class TestSweeps:
         def edit_one(stats, scenario, published):
             drops.append(published)
             if len(drops) == 2:  # drop 1
-                j = [(m, mask) for m, mask, _ in published].index((100, "max_snr"))
-                m, mask, res = published[j]
+                j = [(res.num_antennas, mask) for mask, res in published].index((100, "max_snr"))
+                mask, res = published[j]
                 edited = with_fields(res, allocation=PowerAllocation(res.allocation.rho * (1.0 - 1e-7)))
-                published = published[:j] + [(m, mask, edited)] + published[j + 1 :]
+                published = published[:j] + [(mask, edited)] + published[j + 1 :]
             return check(stats, scenario, published)
 
         monkeypatch.setattr(harness, "check_solution_invariants", edit_one)
@@ -466,16 +478,16 @@ class TestRunDrop:
         injected where this cell's joint verdict is made: at the max-SNR
         basis, since the rule settles it there."""
         targets = QosTargets.uniform(0.5, small_scenario)
-        max_snr = DropLp(small_stats, max_snr_mask(small_stats.beta))
-        assert solve_power_min(max_snr, targets, small_scenario).feasible
+        max_snr = DropLp(small_stats, small_scenario, max_snr_mask(small_stats.beta))
+        assert solve_power_min(max_snr, targets, 64).feasible
         real = harness.power_min_at_basis
         joint_verdicts = []
 
-        def joint_infeasible(lp, targets, scenario, num_antennas=None):
+        def joint_infeasible(lp, targets, num_antennas):
             if not lp.mask.all():
-                return real(lp, targets, scenario, num_antennas)
+                return real(lp, targets, num_antennas)
             joint_verdicts.append(num_antennas)
-            return PowerMinResult(LpStatus.INFEASIBLE, lp.mask, targets)
+            return PowerMinResult(LpStatus.INFEASIBLE, lp.mask, targets, num_antennas)
 
         monkeypatch.setattr(harness, "power_min_at_basis", joint_infeasible)
         monkeypatch.setattr(harness, "solve_power_min", lambda *args: pytest.fail("the simplex ran"))
@@ -501,6 +513,67 @@ class TestRunDrop:
     def test_unknown_mode(self, small_scenario):
         with pytest.raises(ValueError):
             run_drop(small_scenario, mode="other")
+
+    @given(data=st.data(), target_se=st.sampled_from((0.25, 1.0, 2.0)))
+    @settings(max_examples=150)
+    def test_heterogeneous_drops_pass_in_both_modes(self, data, target_se):
+        """Drops unlike every reference workload (see
+        ``heterogeneous_scenario``) run in both modes, and every published
+        allocation of the records meets the scenario's own caps and its SE
+        target at the scenario's downlink noise. Each max-SNR power-min
+        verdict is the fixed point's (``oracles.max_snr_power_min``) unless
+        the cell is within 1e-6 of its boundary, and a feasible one has its
+        objective to 1e-9 relative."""
+        scn = heterogeneous_scenario(data.draw)
+        stats = channel_stats(scn)
+        published = []
+        rec = run_drop(scn, "powermin", target_se)
+        p, margin = max_snr_power_min(stats, scn, QosTargets.uniform(target_se, scn))
+        snr = rec["max_snr"]
+        if abs(margin) > 1e-6:
+            assert (snr["status"] == "optimal") == (p is not None and margin > 0.0)
+        if snr["status"] == "optimal" and p is not None:
+            assert snr["objective_w"] == pytest.approx(p.sum(), rel=1e-9)
+        published += [(cell, target_se) for cell in (rec["optimal"], snr)]
+        rec = run_drop(scn, "maxmin")
+        for bisection in (rec, rec["max_snr"]):
+            assert bisection["xi_upper"] - bisection["xi_lower"] <= DEFAULT_DELTA
+            published.append((bisection["solution"], bisection["xi_lower"]))
+        for cell, xi in published:
+            if cell["status"] == "optimal":
+                alloc = PowerAllocation(np.array(cell["rho"]))
+                assert (alloc.per_bs_power() <= scn.pmax + CAP_GATE_W).all()
+                assert (se_mrt_all(stats, alloc, scn) >= xi - 1e-9).all()
+
+
+def heterogeneous_scenario(draw) -> NetworkScenario:
+    """A drop unlike every reference workload, which all have four 40 W BSs,
+    equal pilot powers and one noise level: L 1-9 BSs and K 1-12 users at
+    random in a 1 km square (users at least MIN_BS_USER_DIST_KM from every
+    BS), distinct caps of 5-60 W, distinct pilot powers of 0.05-0.5 W, 0-12
+    dB shadowing, uplink and downlink noise drawn apart from -101 to -91 dBm,
+    and M in {8, 32, 100, 400}."""
+    L, K = draw(st.integers(1, 9)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bs, users = rng.uniform(0.0, 1.0, (L, 2)), rng.uniform(0.0, 1.0, (K, 2))
+    while (near := pairwise_distances_km(bs, users).min(axis=0) < MIN_BS_USER_DIST_KM).any():
+        users[near] = rng.uniform(0.0, 1.0, (int(near.sum()), 2))
+    noise_ul, noise_dl = dbm_to_watt(np.array(draw(st.lists(st.floats(-101.0, -91.0), min_size=2, max_size=2, unique=True))))
+    return NetworkScenario(
+        num_bs=L,
+        num_users=K,
+        num_antennas=draw(st.sampled_from((8, 32, 100, 400))),
+        bs_positions=bs,
+        user_positions=users,
+        coherence_length=DEFAULT_COHERENCE_LENGTH,
+        pilot_length=K,
+        pilot_power=draw(st.lists(st.floats(0.05, 0.5), min_size=K, max_size=K, unique=True)),
+        noise_ul=float(noise_ul),
+        noise_dl=float(noise_dl),
+        pmax=draw(st.lists(st.floats(5.0, 60.0), min_size=L, max_size=L, unique=True)),
+        shadow_std_db=draw(st.floats(0.0, 12.0)),
+        rng_seed=draw(st.integers(0, 2**31 - 1)),
+    )
 
 
 class TestCli:

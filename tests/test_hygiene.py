@@ -2,8 +2,9 @@
 no unused imports, no module-level private name of the package that nothing
 in ``src/`` uses, no function in ``src/`` with a parameter its body never
 reads, no random draw in ``src/`` outside a seeded generator, no file opened
-outside ``harness.py`` and ``channel.py``, and no JSON write in ``src/``
-that allows NaN. One more check imports the
+outside ``harness.py`` and ``channel.py``, no JSON write in ``src/``
+that allows NaN, and no DropLp solve in ``power_assoc.py`` or ``maxmin.py``
+that takes a scenario or an optional antenna count. One more check imports the
 package: every dotted name README.md gives of it resolves."""
 
 import ast
@@ -109,6 +110,61 @@ def test_every_parameter_is_read():
         for func, param in _unread_parameters(_tree(path))
     ]
     assert not unread, f"parameters their functions never read: {unread}"
+
+
+# The modules whose solves take a DropLp, which holds its drop's scenario,
+# and the cell's antenna count beside it.
+DROP_LP_MODULES = ("power_assoc.py", "maxmin.py")
+
+
+def _drop_lp_signature_faults(tree):
+    """(function, fault) of each function that gives ``num_antennas`` a
+    default, or that takes both a DropLp and a NetworkScenario: a parameter
+    counts as one when so annotated, or when named ``lp`` or ``scenario``."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        positional = (*args.posonlyargs, *args.args)
+        defaults = dict(zip(reversed(positional), reversed(args.defaults)))
+        defaults.update((a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+        kinds = set()
+        for a in (*positional, *args.kwonlyargs):
+            if a.arg == "num_antennas" and a in defaults:
+                yield node.name, "num_antennas has a default"
+            kinds.add({"lp": "DropLp", "scenario": "NetworkScenario"}.get(a.arg))
+            kinds.add(ast.unparse(a.annotation).strip("'\"") if a.annotation else None)
+        if {"DropLp", "NetworkScenario"} <= kinds:
+            yield node.name, "takes a DropLp and a NetworkScenario"
+
+
+def test_drop_lp_solves_take_no_scenario_and_a_required_antenna_count():
+    """A DropLp holds its drop, so a solve of one takes no scenario beside
+    it, and the cell's antenna count is always passed: no optional count
+    can fall back on a scenario's."""
+    faults = [
+        f"{path.name}: {func}: {fault}"
+        for path in _files("src")
+        if path.name in DROP_LP_MODULES
+        for func, fault in _drop_lp_signature_faults(_tree(path))
+    ]
+    assert not faults, f"DropLp signature faults: {faults}"
+
+
+def test_drop_lp_check_sees_each_fault():
+    tree = ast.parse(
+        "def solve(lp, targets, num_antennas=None): ...\n"
+        "def bound(lp: 'DropLp', *, num_antennas=1): ...\n"
+        "def probe(drop: DropLp, scn: NetworkScenario, num_antennas): ...\n"
+        "def scale(lp, scenario): ...\n"
+        "def fine(lp: DropLp, num_antennas: int, weights=None): ...\n"
+    )
+    assert list(_drop_lp_signature_faults(tree)) == [
+        ("solve", "num_antennas has a default"),
+        ("bound", "num_antennas has a default"),
+        ("probe", "takes a DropLp and a NetworkScenario"),
+        ("scale", "takes a DropLp and a NetworkScenario"),
+    ]
 
 
 # numpy.random names that build or seed an explicit generator; every other

@@ -272,8 +272,8 @@ class TestRobustness:
         scn = dict(edge_scenarios())["10 m"]
         stats = channel_stats(scn, np.random.default_rng(5))
         targets = QosTargets.uniform(1.0, scn)
-        drop_lp = DropLp(stats)
-        lp = build_lp(drop_lp, targets, scn)
+        drop_lp = DropLp(stats, scn)
+        lp = build_lp(drop_lp, targets, scn.num_antennas)
         cold, warm = solve(lp), solve(lp, basis=drop_lp.basis)
         assert row_excess(lp, cold.x) <= 1e-12
         assert cold.objective == pytest.approx(warm.objective, rel=1e-9)

@@ -78,13 +78,12 @@ def test_simplex_agrees_with_highs_on_a_sweep():
     seen = {status: 0 for status in LpStatus}
     for _, scn0, stats in iter_drops(default_scenario(50, k, rng_seed=4), 4, 2):
         for mask in (np.ones(stats.beta.shape, dtype=bool), max_snr_mask(stats.beta)):
-            fresh, shared = DropLp(stats, mask), DropLp(stats, mask)
+            fresh, shared = DropLp(stats, scn0, mask), DropLp(stats, scn0, mask)
             for m in (50, 100, 150, 200):
-                scn = dataclasses.replace(scn0, num_antennas=m)
-                probes = solve_max_min(shared, scn).trace
+                probes = solve_max_min(shared, m).trace
                 for xi in [1.0] + [p.candidate for p in probes]:
-                    targets = QosTargets.uniform(xi, scn)
-                    lp = build_lp(shared, targets, scn)
+                    targets = QosTargets.uniform(xi, scn0)
+                    lp = build_lp(shared, targets, m)
                     status, objective, _ = highs(lp)
                     seen[status] += 1
                     for hint in (None, fresh.basis, shared.basis):
@@ -124,13 +123,13 @@ def test_simplex_agrees_with_highs_on_power_min_edge_cases():
     for name, scn in edge_scenarios():
         stats = channel_stats(scn, np.random.default_rng(5))
         K = scn.num_users
-        top = solve_max_min(DropLp(stats), scn, delta=1e-6).xi_lower
-        bound = auto_upper_bound(stats, scn, np.ones(K))
+        top = solve_max_min(DropLp(stats, scn), scn.num_antennas, delta=1e-6).xi_lower
+        bound = auto_upper_bound(DropLp(stats, scn), np.ones(K), scn.num_antennas)
         for xi in (1.0, top, 0.999 * bound, 1.001 * bound):
             targets = QosTargets.uniform(xi, scn)
             for mask in (np.ones(stats.beta.shape, dtype=bool), max_snr_mask(stats.beta)):
-                drop_lp = DropLp(stats, mask)
-                lp = build_lp(drop_lp, targets, scn)
+                drop_lp = DropLp(stats, scn, mask)
+                lp = build_lp(drop_lp, targets, scn.num_antennas)
                 status, objective, excess = highs(lp)
                 seen[status] += 1
                 for hint in (None, drop_lp.basis):

@@ -36,17 +36,17 @@ class TestAutoUpperBound:
     def test_vanishing_estimation_quality_gives_zero(self):
         scn, stats = single_cell(num_antennas=100)
         dead = ChannelStats(beta=stats.beta, gamma=np.full_like(stats.beta, 1e-300))
-        assert auto_upper_bound(dead, scn, np.ones(1)) < 1e-250
+        assert auto_upper_bound(DropLp(dead, scn), np.ones(1), 100) < 1e-250
 
     def test_doubling_weights_halves_bound(self, small_scenario, small_stats):
         w = np.ones(6)
-        b1 = auto_upper_bound(small_stats, small_scenario, w)
-        b2 = auto_upper_bound(small_stats, small_scenario, 2 * w)
+        b1 = auto_upper_bound(DropLp(small_stats, small_scenario), w, 64)
+        b2 = auto_upper_bound(DropLp(small_stats, small_scenario), 2 * w, 64)
         assert b2 == pytest.approx(b1 / 2.0, rel=1e-12)
 
     def test_bound_exceeds_achievable_level(self, small_scenario, small_stats):
-        bound = auto_upper_bound(small_stats, small_scenario, np.ones(6))
-        res = solve_max_min(DropLp(small_stats), small_scenario)
+        lp = DropLp(small_stats, small_scenario)
+        bound, res = auto_upper_bound(lp, np.ones(6), 64), solve_max_min(lp, 64)
         assert bound > res.xi_lower
 
     def test_noise_dominated_single_user_is_tight(self):
@@ -56,10 +56,10 @@ class TestAutoUpperBound:
         m, beta, gamma = 64, stats.beta[0, 0], stats.gamma[0, 0]
         sinr_full = m * 40.0 * gamma / (40.0 * beta + scn.noise_dl)
         xi_star = float(spectral_efficiency(sinr_full, scn.coherence_length, scn.pilot_length))
-        bound = auto_upper_bound(stats, scn, np.ones(1))
+        bound = auto_upper_bound(DropLp(stats, scn), np.ones(1), m)
         assert bound == pytest.approx(xi_star, rel=5e-3)
         assert bound > xi_star  # still a strict upper bound
-        res = solve_max_min(DropLp(stats), scn, delta=1e-6)
+        res = solve_max_min(DropLp(stats, scn), m, delta=1e-6)
         assert res.xi_lower <= xi_star <= res.xi_upper
 
 
@@ -67,25 +67,25 @@ class TestBisection:
     def test_iteration_count_matches_formula(self):
         for seed in range(5):
             scn, stats = random_drop(seed, num_antennas=100, num_users=6)
-            res = solve_max_min(DropLp(stats), scn)
-            bound = auto_upper_bound(stats, scn, np.ones(6))
+            res = solve_max_min(DropLp(stats, scn), 100)
+            bound = auto_upper_bound(DropLp(stats, scn), np.ones(6), 100)
             assert res.iterations == expected_iterations(bound, 0.01)
             assert res.xi_upper - res.xi_lower <= 0.01
 
     @pytest.mark.parametrize("delta", [1.0, 0.1, 0.01, 1e-4])
     def test_probe_count_is_expected_iterations(self, delta):
         scn, stats = random_drop(3, num_antennas=100, num_users=6)
-        upper0 = auto_upper_bound(stats, scn, np.ones(6))
-        res = solve_max_min(DropLp(stats), scn, delta=delta)
+        upper0 = auto_upper_bound(DropLp(stats, scn), np.ones(6), 100)
+        res = solve_max_min(DropLp(stats, scn), 100, delta=delta)
         assert res.iterations == len(res.trace) == expected_iterations(upper0, delta) > 0
         assert res.xi_upper - res.xi_lower <= delta
 
     def test_delta_at_or_above_the_bound_probes_nothing(self, monkeypatch):
         scn, stats = random_drop(3, num_antennas=100, num_users=6)
-        upper0 = auto_upper_bound(stats, scn, np.ones(6))
+        upper0 = auto_upper_bound(DropLp(stats, scn), np.ones(6), 100)
         solves = count_lp_solves(monkeypatch)
         for delta in (upper0, 2.0 * upper0):
-            res = solve_max_min(DropLp(stats), scn, delta=delta)
+            res = solve_max_min(DropLp(stats, scn), 100, delta=delta)
             assert res.iterations == 0 and res.trace == []
             assert res.xi_lower == 0.0 and res.xi_upper == upper0
             assert res.last_feasible is None
@@ -93,7 +93,7 @@ class TestBisection:
 
     def test_interval_monotone_and_consistent(self):
         scn, stats = random_drop(11, num_antennas=100, num_users=6)
-        res = solve_max_min(DropLp(stats), scn)
+        res = solve_max_min(DropLp(stats, scn), 100)
         lowers = [p.lower for p in res.trace]
         uppers = [p.upper for p in res.trace]
         assert all(a <= b + 1e-15 for a, b in zip(lowers, lowers[1:]))
@@ -106,7 +106,7 @@ class TestBisection:
 
     def test_returned_allocation_meets_lower_bound(self):
         scn, stats = random_drop(12, num_antennas=100, num_users=6)
-        res = solve_max_min(DropLp(stats), scn)
+        res = solve_max_min(DropLp(stats, scn), 100)
         se = se_mrt_all(stats, res.last_feasible.allocation, scn)
         assert np.all(se >= res.xi_lower - 1e-9)
         # with unit weights the worst user sits inside the final interval
@@ -114,7 +114,7 @@ class TestBisection:
 
     def test_single_user_power_constraint_binds(self):
         scn, stats = single_cell(num_antennas=64, beta=2e-13)
-        res = solve_max_min(DropLp(stats), scn, delta=0.01)
+        res = solve_max_min(DropLp(stats, scn), 64, delta=0.01)
         m, beta, gamma = 64, stats.beta[0, 0], stats.gamma[0, 0]
         sinr_full = m * 40.0 * gamma / (40.0 * beta + scn.noise_dl)
         xi_star = float(
@@ -137,8 +137,8 @@ class TestBisection:
 
     def test_max_snr_probe_mode(self):
         scn, stats = random_drop(14, num_antennas=100, num_users=6)
-        opt = solve_max_min(DropLp(stats), scn)
-        snr = solve_max_min(DropLp(stats, max_snr_mask(stats.beta)), scn)
+        opt = solve_max_min(DropLp(stats, scn), 100)
+        snr = solve_max_min(DropLp(stats, scn, max_snr_mask(stats.beta)), 100)
         assert opt.xi_lower >= snr.xi_lower - 0.01 - 1e-12
         assert np.array_equal(snr.last_feasible.allowed, max_snr_mask(stats.beta))
 
@@ -148,31 +148,31 @@ class TestBisection:
         scn, stats = random_drop(5, num_antennas=100, num_users=DEFAULT_NUM_USERS)
         weights = np.linspace(0.5, 2.0, scn.num_users)
         for name, mask in (("joint", None), ("max_snr", max_snr_mask(stats.beta))):
-            res = solve_max_min(DropLp(stats, mask), scn, weights=weights)
+            res = solve_max_min(DropLp(stats, scn, mask), 100, weights=weights)
             assert res.last_feasible is not None
             assert np.array_equal(res.last_feasible.targets.xi, weights * res.xi_lower)
-            check_solution_invariants(stats, scn, [(scn.num_antennas, name, res.last_feasible)])
+            check_solution_invariants(stats, scn, [(name, res.last_feasible)])
 
     def test_trace_is_json_lines_ready(self):
         scn, stats = random_drop(15, num_antennas=64, num_users=4)
-        res = solve_max_min(DropLp(stats), scn, delta=0.2)
+        res = solve_max_min(DropLp(stats, scn), 64, delta=0.2)
         lines = [json.dumps(asdict(p)) for p in res.trace]
         assert len(lines) == res.iterations
         parsed = json.loads(lines[0])
         assert {"iteration", "candidate", "feasible", "lower", "upper"} <= parsed.keys()
 
     def test_config_validation(self, small_scenario, small_stats):
-        lp = DropLp(small_stats)
+        lp = DropLp(small_stats, small_scenario)
         for delta in (0.0, np.nan):
             with pytest.raises(ValueError, match="delta must be positive"):
-                solve_max_min(lp, small_scenario, delta=delta)
+                solve_max_min(lp, 64, delta=delta)
         with pytest.raises(ValueError, match="delta must be finite"):
-            solve_max_min(lp, small_scenario, delta=np.inf)
+            solve_max_min(lp, 64, delta=np.inf)
         with pytest.raises(ValueError, match="delta must be at least 1e-09 bit/symbol"):
-            solve_max_min(lp, small_scenario, delta=0.5 * MIN_DELTA)
-        for weights in (np.zeros(6), np.r_[np.ones(5), np.nan]):
-            with pytest.raises(ValueError, match="weights must be strictly positive"):
-                solve_max_min(lp, small_scenario, weights=weights)
+            solve_max_min(lp, 64, delta=0.5 * MIN_DELTA)
+        for weights in (np.zeros(6), np.r_[np.ones(5), np.nan], np.ones(8), np.ones(1)):
+            with pytest.raises(ValueError, match=r"^weights must be strictly positive, one per user \(6\)$"):
+                solve_max_min(lp, 64, weights=weights)
 
     def test_expected_iterations_formula(self):
         assert expected_iterations(1.0, 2.0) == 0
@@ -246,10 +246,10 @@ class TestVertexReadout:
         published = feasible_lps = resolves = 0
         real_max_min = maxmin.solve_max_min
 
-        def bisection(lp, scenario, weights=None, delta=DEFAULT_DELTA, num_antennas=None):
+        def bisection(lp, num_antennas, weights=None, delta=DEFAULT_DELTA):
             nonlocal published, feasible_lps, resolves
             first, answered = len(solutions), len(answers)
-            res = real_max_min(lp, scenario, weights, delta, num_antennas)
+            res = real_max_min(lp, num_antennas, weights, delta)
             assert reads == []  # no probe read its vertex
             optimal = [sol for sol in solutions[first:] if sol.status == LpStatus.OPTIMAL]
             feasible_lps += len(optimal)
@@ -277,8 +277,8 @@ class TestVertexReadout:
         _, scn, stats = next(iter_drops(default_scenario(10, rng_seed=17), 17, 1))
         reads = count_vertex_reads(monkeypatch)
         solves = count_lp_solves(monkeypatch)
-        bound = auto_upper_bound(stats, scn, np.ones(scn.num_users))
-        res = solve_max_min(DropLp(stats), scn, delta=0.6 * bound)
+        lp = DropLp(stats, scn)
+        res = solve_max_min(lp, 10, delta=0.6 * auto_upper_bound(lp, np.ones(scn.num_users), 10))
         assert res.last_feasible is None and res.xi_lower == 0.0
         assert len(solves) == 1 and reads == []
 
@@ -358,9 +358,9 @@ def test_lazy_fields_are_cached_and_keep_what_is_set(monkeypatch):
     every vertex read-only, sweeps in both modes run."""
     base = default_scenario(200, DEFAULT_NUM_USERS, rng_seed=17)
     _, scn, stats = next(iter_drops(base, 17, 1))
-    lp, targets = DropLp(stats), QosTargets.uniform(1.0, base)
+    lp, targets = DropLp(stats, scn), QosTargets.uniform(1.0, base)
     reads = count_vertex_reads(monkeypatch)
-    res = solve_power_min(lp, targets, scn)
+    res = solve_power_min(lp, targets, 200)
     assert res.feasible and reads == []
     allocation, serving = res.allocation, res.serving
     assert reads == [1, 1]
@@ -369,17 +369,17 @@ def test_lazy_fields_are_cached_and_keep_what_is_set(monkeypatch):
     assert np.shares_memory(res.power_duals, res.solution.duals)
 
     injected = PowerAllocation(np.zeros_like(allocation.rho))
-    edited = with_fields(solve_power_min(lp, targets, scn), allocation=injected)
+    edited = with_fields(solve_power_min(lp, targets, 200), allocation=injected)
     lp_module.read_vertices([edited.solution])
     assert edited.allocation is injected and np.array_equal(edited.solution.x, res.solution.x)
     x = np.ones_like(res.solution.x)
-    kept = with_fields(solve_power_min(lp, targets, scn).solution, x=x)
+    kept = with_fields(solve_power_min(lp, targets, 200).solution, x=x)
     reads.clear()
     lp_module.read_vertices([kept])
     assert kept.x is x and reads == []
 
-    infeasible = solve_power_min(lp, QosTargets.uniform(8.0, base), scn)
-    for bad in (infeasible, PowerMinResult(LpStatus.INFEASIBLE, lp.mask, targets)):
+    infeasible = solve_power_min(lp, QosTargets.uniform(8.0, base), 200)
+    for bad in (infeasible, PowerMinResult(LpStatus.INFEASIBLE, lp.mask, targets, 200)):
         assert bad.status == LpStatus.INFEASIBLE
         assert [bad.allocation, bad.serving, bad.qos_duals, bad.power_duals, bad.objective, bad.basis] == [None] * 6
     sol = infeasible.solution
@@ -412,8 +412,8 @@ def assert_same_result(a, b):
 class TestProbeOutcomes:
     """The probe outcomes and carried basis a DropLp keeps for its bisections."""
 
-    def test_componentwise_dominance(self, small_stats):
-        lp = DropLp(small_stats)
+    def test_componentwise_dominance(self, small_scenario, small_stats):
+        lp = DropLp(small_stats, small_scenario)
         assert lp.lookup(np.array([1.0, 1.0])) is None
         lp.record(np.array([2.0, 1.0]), True)
         lp.record(np.array([1.0, 0.5]), False)
@@ -434,19 +434,18 @@ class TestProbeOutcomes:
         base = default_scenario(antennas[0], k, rng_seed=5)
         for _, scn0, stats in iter_drops(base, 5, 3):
             for allowed in (None, max_snr_mask(stats.beta)):
-                lp = DropLp(stats, allowed)
+                lp = DropLp(stats, scn0, allowed)
                 for m in antennas:
-                    scn = replace(scn0, num_antennas=m)
                     before = len(calls)
-                    shared = solve_max_min(lp, scn, w)
+                    shared = solve_max_min(lp, m, w)
                     shared_solves += len(calls) - before
                     probes += shared.iterations
                     for p in shared.trace:
                         targets = QosTargets.from_se(
-                            w * p.candidate, scn.coherence_length, scn.pilot_length
+                            w * p.candidate, scn0.coherence_length, scn0.pilot_length
                         )
-                        assert solve_power_min(DropLp(stats, allowed), targets, scn).feasible == p.feasible
-                    assert_same_result(shared, solve_max_min(DropLp(stats, allowed), scn, w))
+                        assert solve_power_min(DropLp(stats, scn0, allowed), targets, m).feasible == p.feasible
+                    assert_same_result(shared, solve_max_min(DropLp(stats, scn0, allowed), m, w))
         # the shared brackets answered some probes without an LP
         assert shared_solves < probes
 
@@ -469,12 +468,16 @@ class TestProbeOutcomes:
         for i, (stats, scn, (feasible, infeasible), answered) in enumerate(bisections):
             if i % len(antennas) == 0:  # the drop's first max-SNR bisection sees only the seed
                 s_star = 1.0 / max_min_sinr(stats, replace(scn, num_antennas=1), max_snr_mask(stats.beta))
-                assert max_snr_scale(stats, scn) == pytest.approx(s_star, rel=1e-9)
+                assert max_snr_scale(DropLp(stats, scn, max_snr_mask(stats.beta))) == pytest.approx(s_star, rel=1e-9)
                 assert len(feasible) == len(infeasible) == 1 and (infeasible[0] < feasible[0]).all()
                 np.testing.assert_allclose(np.r_[feasible, infeasible], s_star, rtol=lp_module.FEAS_TOL + 1e-9)
             verdicts += [verdict for _, verdict in answered]
             bad += [(i, c, v) for c, v in answered if max_snr_lp_feasible(stats, scn, c) != v]
         assert bad == [] and True in verdicts and False in verdicts
+
+    def test_max_snr_scale_needs_a_one_hot_mask(self, small_scenario, small_stats):
+        with pytest.raises(ValueError, match="^max_snr_scale needs a one-hot mask$"):
+            max_snr_scale(DropLp(small_stats, small_scenario))
 
     def test_carried_basis_hints_match_cold_solves(self, monkeypatch):
         """Every probe LP of three drops, joint and max-SNR, with a DropLp
@@ -492,9 +495,9 @@ class TestProbeOutcomes:
 
         probes = []
 
-        def recording(lp, targets, scenario, num_antennas=None):
-            res = solve_power_min(lp, targets, scenario, num_antennas)
-            args = (DropLp(lp.stats, lp.mask), targets, scenario, num_antennas)
+        def recording(lp, targets, num_antennas):
+            res = solve_power_min(lp, targets, num_antennas)
+            args = (DropLp(lp.stats, lp.scenario, lp.mask), targets, num_antennas)
             probes.append((args, lp.basis, res, pivots[-1]))
             return res
 
@@ -503,9 +506,9 @@ class TestProbeOutcomes:
         k = DEFAULT_NUM_USERS
         for _, scn0, stats in iter_drops(default_scenario(50, k, rng_seed=8), 8, 3):
             for allowed in (None, max_snr_mask(stats.beta)):
-                lp = DropLp(stats, allowed)
+                lp = DropLp(stats, scn0, allowed)
                 for m in (50, 100, 150, 200):
-                    solve_max_min(lp, replace(scn0, num_antennas=m))
+                    solve_max_min(lp, m)
         hinted_pivots = cold_pivots = hinted = infeasible = 0
         for args, basis, res, used in probes:
             cold = solve_power_min(*args)
@@ -525,31 +528,31 @@ class TestProbeOutcomes:
 
     def test_int_mask_is_the_bool_mask(self, small_scenario, small_stats):
         mask = max_snr_mask(small_stats.beta)
-        by_int = DropLp(small_stats, mask.astype(int))
+        by_int = DropLp(small_stats, small_scenario, mask.astype(int))
         assert by_int.mask.dtype == bool and np.array_equal(by_int.mask, mask)
-        first = solve_max_min(DropLp(small_stats, mask), small_scenario)
-        assert_same_result(first, solve_max_min(by_int, small_scenario))
-        joint = DropLp(small_stats, np.ones(mask.shape, int))
-        assert np.array_equal(joint.mask, DropLp(small_stats).mask)
+        first = solve_max_min(DropLp(small_stats, small_scenario, mask), 64)
+        assert_same_result(first, solve_max_min(by_int, 64))
+        joint = DropLp(small_stats, small_scenario, np.ones(mask.shape, int))
+        assert np.array_equal(joint.mask, DropLp(small_stats, small_scenario).mask)
 
     def test_repeat_call_solves_one_lp(self, monkeypatch):
         scn, stats = random_drop(21, num_antennas=100, num_users=6)
-        lp = DropLp(stats)
-        first = solve_max_min(lp, scn)
+        lp = DropLp(stats, scn)
+        first = solve_max_min(lp, 100)
         assert first.last_feasible is not None
         calls = count_lp_solves(monkeypatch)
-        second = solve_max_min(lp, scn)
+        second = solve_max_min(lp, 100)
         assert len(calls) == 1  # only the re-solve at the final lower level
         assert_same_result(first, second)
 
     def test_infeasible_resolve_raises(self, monkeypatch):
         scn, stats = random_drop(21, num_antennas=100, num_users=6)
-        lp = DropLp(stats)
-        level = solve_max_min(lp, scn).xi_lower
+        lp = DropLp(stats, scn)
+        level = solve_max_min(lp, 100).xi_lower
         monkeypatch.setattr(power_assoc, "lp_solve", lambda lp, basis=None: LpSolution(LpStatus.INFEASIBLE))
         pattern = rf"^max-min level {re.escape(repr(level))} .* infeasible$"
         with pytest.raises(RuntimeError, match=pattern):
-            solve_max_min(lp, scn)
+            solve_max_min(lp, 100)
 
 
 def test_sweep_cells_agree_with_the_exact_max_min_level():

@@ -40,14 +40,14 @@ def targets_for(scenario, xi=1.0):
 
 class TestBuildLp:
     def test_shape_contract(self, small_scenario, small_stats):
-        lp = build_lp(DropLp(small_stats), targets_for(small_scenario), small_scenario)
+        lp = build_lp(DropLp(small_stats, small_scenario), targets_for(small_scenario), 64)
         assert lp.a_ub.shape == (6 + 4, 4 * 6)
         np.testing.assert_array_equal(lp.c, np.ones(24))
 
     def test_single_cell_specialization(self):
         scn, stats = single_cell(num_antennas=100)
         targets = targets_for(scn, 1.0)
-        lp = build_lp(DropLp(stats), targets, scn)
+        lp = build_lp(DropLp(stats, scn), targets, 100)
         b_expect = 100 * stats.gamma[0, 0] / targets.xi_hat[0]
         assert lp.a_ub.shape == (2, 1)
         assert lp.a_ub[0, 0] == pytest.approx(stats.beta[0, 0] - b_expect, rel=1e-15)
@@ -76,41 +76,58 @@ class TestBuildLp:
         rng = np.random.default_rng(seed)
         xi = rng.uniform(0.2, 2.0, scn.num_users)
         targets = QosTargets.from_se(xi, scn.coherence_length, scn.pilot_length)
-        full = build_lp(DropLp(stats), targets, scn)
+        full = build_lp(DropLp(stats, scn), targets, scn.num_antennas)
         a_ref, b_ref = power_min_lp_rows(
             stats.beta, stats.gamma, targets.xi_hat, scn.num_antennas, scn.noise_dl, scn.pmax
         )
         assert np.array_equal(full.a_ub, a_ref) and np.array_equal(full.b_ub, b_ref)
         one_hot = max_snr_mask(stats.beta)
         for mask in (one_hot, (rng.random(stats.beta.shape) < 0.5) | one_hot, np.ones_like(one_hot)):
-            lp = build_lp(DropLp(stats, mask), targets, scn)
+            lp = build_lp(DropLp(stats, scn, mask), targets, scn.num_antennas)
             assert np.array_equal(lp.a_ub, full.a_ub[:, mask.T.ravel()])
             assert np.array_equal(lp.b_ub, full.b_ub)
             assert np.array_equal(lp.c, full.c[mask.T.ravel()])
 
-    def test_mask_must_be_l_by_k(self, small_stats):
+    def test_mask_must_be_l_by_k(self, small_scenario, small_stats):
         every_user_on_bs0 = np.zeros((6, 4), dtype=bool)
         every_user_on_bs0[:, 0] = True
         for mask in (every_user_on_bs0, np.ones((4, 5), dtype=bool)):
             with pytest.raises(ValueError, match=r"\(L, K\) = \(4, 6\)"):
-                DropLp(small_stats, mask)
+                DropLp(small_stats, small_scenario, mask)
         user_3_unserved = np.ones((4, 6), dtype=bool)
         user_3_unserved[:, 3] = False
         with pytest.raises(ValueError, match="^allowed must grant every user at least one BS$"):
-            DropLp(small_stats, user_3_unserved)
+            DropLp(small_stats, small_scenario, user_3_unserved)
+
+    def test_lp_and_targets_must_fit_the_drop(self, small_scenario, small_stats):
+        """A scenario of another (L, K) than the stats, 8 users or 3 BSs
+        against a 4-BS, 6-user drop, raises ValueError naming both shapes, and
+        so do 8 users' targets on the drop's LP, whichever solve builds it.
+        The right-hand side every LP of the drop shares is read-only."""
+        eight_users = default_scenario(64, num_users=8, rng_seed=7)
+        bs = small_scenario.bs_positions
+        three_bs = dataclasses.replace(small_scenario, num_bs=3, bs_positions=bs[:3], pmax=small_scenario.pmax[:3])
+        for scn, shape in ((eight_users, r"\(4, 8\)"), (three_bs, r"\(3, 6\)")):
+            with pytest.raises(ValueError, match=rf"^the scenario's \(L, K\) = {shape} is not the stats' \(4, 6\)$"):
+                DropLp(small_stats, scn)
+        lp, targets = DropLp(small_stats, small_scenario), targets_for(eight_users)
+        assert not lp.b.flags.writeable and build_lp(lp, targets_for(small_scenario), 64).b_ub is lp.b
+        for solve in (build_lp, solve_power_min, power_assoc.power_min_at_basis):
+            with pytest.raises(ValueError, match=r"^targets must be one per user, \(6,\), got \(8,\)$"):
+                solve(lp, targets, 64)
 
     def test_int_mask_equals_bool_mask(self, small_scenario, small_stats):
         targets = targets_for(small_scenario, 0.5)
         mask = max_snr_mask(small_stats.beta)
-        by_bool = solve_power_min(DropLp(small_stats, mask), targets, small_scenario)
-        by_int = solve_power_min(DropLp(small_stats, mask.astype(int)), targets, small_scenario)
+        by_bool = solve_power_min(DropLp(small_stats, small_scenario, mask), targets, 64)
+        by_int = solve_power_min(DropLp(small_stats, small_scenario, mask.astype(int)), targets, 64)
         assert by_bool.feasible and by_int.allowed.dtype == bool
         assert np.array_equal(by_int.allocation.rho, by_bool.allocation.rho)
         assert np.array_equal(by_int.qos_duals, by_bool.qos_duals)
 
-    def test_all_false_mask(self, small_stats):
+    def test_all_false_mask(self, small_scenario, small_stats):
         with pytest.raises(ValueError, match="^allowed must grant every user at least one BS$"):
-            DropLp(small_stats, np.zeros((4, 6), dtype=bool))
+            DropLp(small_stats, small_scenario, np.zeros((4, 6), dtype=bool))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_reused_template_matches_loop_oracle(self, seed):
@@ -123,18 +140,17 @@ class TestBuildLp:
         shape = stats.beta.shape
         one_hot = max_snr_mask(stats.beta)
         masks = (None, one_hot, (rng.random(shape) < 0.5) | one_hot)
-        templates = [DropLp(stats, mask) for mask in masks]
+        templates = [DropLp(stats, base, mask) for mask in masks]
         sequence = (rng.uniform(0.2, 2.0, shape[1]), rng.uniform(0.2, 2.0, shape[1]), np.ones(shape[1]))
         for m in (50, 100, 150, 200):
-            scn = dataclasses.replace(base, num_antennas=m)
             for xi in sequence:
-                targets = QosTargets.from_se(xi, scn.coherence_length, scn.pilot_length)
+                targets = QosTargets.from_se(xi, base.coherence_length, base.pilot_length)
                 a_ref, b_ref = power_min_lp_rows(
-                    stats.beta, stats.gamma, targets.xi_hat, m, scn.noise_dl, scn.pmax
+                    stats.beta, stats.gamma, targets.xi_hat, m, base.noise_dl, base.pmax
                 )
                 for mask, template in zip(masks, templates):
                     cols = np.ones(a_ref.shape[1], bool) if mask is None else mask.T.ravel()
-                    lp = build_lp(template, targets, scn)
+                    lp = build_lp(template, targets, m)
                     assert np.array_equal(lp.c, np.ones(cols.sum()))
                     assert np.array_equal(lp.a_ub, a_ref[:, cols])
                     assert np.array_equal(lp.b_ub, b_ref)
@@ -144,7 +160,7 @@ class TestSingleUserAnalytic:
     def test_interior_optimum_matches_stationarity(self):
         scn, stats = single_cell(num_antennas=120, beta=3e-13)
         targets = targets_for(scn, 1.2)
-        res = solve_power_min(DropLp(stats), targets, scn)
+        res = solve_power_min(DropLp(stats, scn), targets, 120)
         b = 120 * stats.gamma[0, 0] / targets.xi_hat[0]
         beta = stats.beta[0, 0]
         assert res.feasible
@@ -157,16 +173,16 @@ class TestSingleUserAnalytic:
         scn, stats = single_cell(num_antennas=1, gamma=1e-14, beta=2e-13)
         targets = targets_for(scn, 1.0)
         assert 1 * stats.gamma[0, 0] / targets.xi_hat[0] <= stats.beta[0, 0]
-        res = solve_power_min(DropLp(stats), targets, scn)
+        res = solve_power_min(DropLp(stats, scn), targets, 1)
         assert res.status == LpStatus.INFEASIBLE
         assert not res.feasible
 
     def test_association_rule_identity(self, monkeypatch):
         scn, stats = single_cell(num_antennas=120, beta=3e-13)
         targets = targets_for(scn, 1.2)
-        res = solve_power_min(DropLp(stats), targets, scn)
+        res = solve_power_min(DropLp(stats, scn), targets, 120)
         monkeypatch.setattr(power_assoc, "ASSOCIATION_RULE_TOL", 1e-12)
-        assert association_rule_check(stats, [(scn.num_antennas, res)]) == [[]]
+        assert association_rule_check(stats, [res]) == [[]]
 
 
 class TestDegenerateSplit:
@@ -184,7 +200,7 @@ class TestDegenerateSplit:
             beta=np.vstack([stats.beta, stats.beta]), gamma=np.vstack([stats.gamma, stats.gamma])
         )
         targets = targets_for(scn2, 1.0)
-        res = solve_power_min(DropLp(stats2), targets, scn2)
+        res = solve_power_min(DropLp(stats2, scn2), targets, 100)
         assert res.feasible
         positive = res.allocation.rho[:, 0] > 0
         assert positive.sum() == 1  # a vertex, not an interior split
@@ -224,8 +240,8 @@ class TestMaxSnr:
     def test_single_bs_equals_optimal(self):
         scn, stats = single_cell(num_antennas=100, num_users=3, rng_seed=4)
         targets = targets_for(scn, 0.8)
-        a = solve_power_min(DropLp(stats), targets, scn)
-        b = solve_power_min(DropLp(stats, max_snr_mask(stats.beta)), targets, scn)
+        a = solve_power_min(DropLp(stats, scn), targets, 100)
+        b = solve_power_min(DropLp(stats, scn, max_snr_mask(stats.beta)), targets, 100)
         assert a.feasible and b.feasible
         assert a.objective == pytest.approx(b.objective, rel=1e-9)
 
@@ -233,8 +249,8 @@ class TestMaxSnr:
         for seed in range(8):
             scn, stats = random_drop(seed, num_antennas=100, num_users=8)
             targets = targets_for(scn, 1.0)
-            opt = solve_power_min(DropLp(stats), targets, scn)
-            snr = solve_power_min(DropLp(stats, max_snr_mask(stats.beta)), targets, scn)
+            opt = solve_power_min(DropLp(stats, scn), targets, 100)
+            snr = solve_power_min(DropLp(stats, scn, max_snr_mask(stats.beta)), targets, 100)
             if snr.feasible:
                 assert opt.feasible  # feasible-set inclusion
                 assert opt.objective <= snr.objective * (1 + 1e-9)
@@ -245,19 +261,19 @@ class TestMaxSnr:
     def test_rule_checked_over_the_mask(self):
         scn, stats = random_drop(3, num_antennas=100, num_users=8)
         targets = targets_for(scn, 1.0)
-        snr = solve_power_min(DropLp(stats, max_snr_mask(stats.beta)), targets, scn)
+        snr = solve_power_min(DropLp(stats, scn, max_snr_mask(stats.beta)), targets, 100)
         assert snr.feasible
-        assert association_rule_check(stats, [(scn.num_antennas, snr)]) == [[]]
+        assert association_rule_check(stats, [snr]) == [[]]
         snr.qos_duals[2] *= 1.0 + 1e-3
-        [violations] = association_rule_check(stats, [(scn.num_antennas, snr)])
+        [violations] = association_rule_check(stats, [snr])
         assert (2, -1) in {(t, i) for t, i, _ in violations}
 
     def test_serving_bs_off_the_minimum_is_listed(self):
         scn, stats = random_drop(3, num_antennas=100, num_users=8)
         targets = targets_for(scn, 1.0)
-        res = solve_power_min(DropLp(stats), targets, scn)
+        res = solve_power_min(DropLp(stats, scn), targets, 100)
         assert res.feasible
-        assert association_rule_check(stats, [(scn.num_antennas, res)]) == [[]]
+        assert association_rule_check(stats, [res]) == [[]]
         price = 1.0 + stats.beta @ res.qos_duals + res.power_duals
         ratio = price[:, None] / _b_mat(stats, targets, scn.num_antennas).T
         gap = ratio / ratio.min(axis=0) - 1.0
@@ -265,7 +281,7 @@ class TestMaxSnr:
         i, t = np.unravel_index(np.argmin(np.where(res.serving, np.inf, gap)), gap.shape)
         assert not res.serving[i, t] and gap[i, t] > power_assoc.ASSOCIATION_RULE_TOL
         res.serving[i, t] = True
-        [violations] = association_rule_check(stats, [(scn.num_antennas, res)])
+        [violations] = association_rule_check(stats, [res])
         assert [(u, b) for u, b, _ in violations] == [(t, i)]
         assert violations[0][2] == pytest.approx(gap[i, t], rel=1e-9)
 
@@ -299,8 +315,8 @@ def basis_decisions(stats, scn0, antennas, cells, targets, simplex) -> list:
                 how.append("simplex")
                 continue
             how.append(res.status.value)
-            drop_lp = DropLp(stats, mask)
-            ref = lp_module.solve(build_lp(drop_lp, targets, scn0, m), basis=drop_lp.basis)
+            drop_lp = DropLp(stats, scn0, mask)
+            ref = lp_module.solve(build_lp(drop_lp, targets, m), basis=drop_lp.basis)
             assert ref.status == res.status, (m, mask is None)
             if ref.status == LpStatus.OPTIMAL:
                 assert ref.iterations == 0 and np.array_equal(ref.basis, res.basis)
@@ -323,12 +339,12 @@ class TestMaxSnrBasisDecisions:
         targets = QosTargets.uniform(1.0, base)
         checked = 0
         for _, scn, stats in iter_drops(base, 17, 5):
-            res = solve_power_min(DropLp(stats), targets, scn)
+            res = solve_power_min(DropLp(stats, scn), targets, 100)
             if not res.feasible:
                 continue
-            program = build_lp(DropLp(stats), targets, scn)
+            program = build_lp(DropLp(stats, scn), targets, 100)
             expected = program.c + program.a_ub.T @ res.solution.duals  # user-major columns
-            reduced = rule_reduced_costs(stats, [(scn.num_antennas, res)])[0]
+            reduced = rule_reduced_costs(stats, [res])[0]
             np.testing.assert_allclose(reduced.T.ravel(), expected, rtol=0.0, atol=1e-9)
             assert reduced.min() >= -1e-9 and np.abs(reduced.T.ravel()[res.basis[res.basis < reduced.size]]).max() <= 1e-9
             checked += 1
@@ -390,14 +406,14 @@ class TestSolutionContracts:
     def test_feasible_drops_meet_all_invariants(self, seed):
         scn, stats = random_drop(seed, num_antennas=120, num_users=10)
         targets = targets_for(scn, 1.0)
-        res = solve_power_min(DropLp(stats), targets, scn)
+        res = solve_power_min(DropLp(stats, scn), targets, 120)
         if not res.feasible:
             pytest.skip("infeasible drop")
         # power caps, QoS attainment and binding, association rule over the mask
-        snr = solve_power_min(DropLp(stats, max_snr_mask(stats.beta)), targets, scn)
-        published = [(scn.num_antennas, mask, solved) for mask, solved in (("joint", res), ("max_snr", snr)) if solved.feasible]
+        snr = solve_power_min(DropLp(stats, scn, max_snr_mask(stats.beta)), targets, 120)
+        published = [(mask, solved) for mask, solved in (("joint", res), ("max_snr", snr)) if solved.feasible]
         check_solution_invariants(stats, scn, published)
-        for _, _, solved in published:
+        for _, solved in published:
             # duals are sign-correct
             assert np.all(solved.qos_duals >= -1e-12)
             assert np.all(solved.power_duals >= -1e-12)
@@ -405,23 +421,23 @@ class TestSolutionContracts:
     def test_se_shortfall_above_1e9_is_caught(self, small_scenario, small_stats):
         # powers scaled by 1 - 1e-7 keep the caps and miss the SE targets by
         # 4.1e-8: the SE floor, not the binding check, names the fault
-        res = solve_power_min(DropLp(small_stats), targets_for(small_scenario, 0.5), small_scenario)
+        res = solve_power_min(DropLp(small_stats, small_scenario), targets_for(small_scenario, 0.5), 64)
         assert res.feasible
-        check_solution_invariants(small_stats, small_scenario, [(small_scenario.num_antennas, "joint", res)])
+        check_solution_invariants(small_stats, small_scenario, [("joint", res)])
         short = with_fields(res, allocation=PowerAllocation(res.allocation.rho * (1.0 - 1e-7)))
         se = se_mrt_all(small_stats, short.allocation, small_scenario)
         assert 1e-9 < (res.targets.xi - se).max() < 1e-7
         with pytest.raises(HarnessInvariantError, match="^M=64, joint: achieved SE fell below its target$"):
-            check_solution_invariants(small_stats, small_scenario, [(small_scenario.num_antennas, "joint", short)])
+            check_solution_invariants(small_stats, small_scenario, [("joint", short)])
 
     def test_joint_user_without_a_binding_cap_is_caught(self, small_scenario, small_stats):
         # at SE 0.5 every cap slack is basic, so each user has one serving BS;
         # a second one for user 0 breaks both basis bounds, and moving user
         # 1's BS to user 0 keeps the pair count and breaks the joint bound
-        res = solve_power_min(DropLp(small_stats), targets_for(small_scenario, 0.5), small_scenario)
+        res = solve_power_min(DropLp(small_stats, small_scenario), targets_for(small_scenario, 0.5), 64)
         assert res.feasible and np.isin(24 + 6 + np.arange(4), res.basis).all()
         assert (res.serving.sum(axis=0) == 1).all()
-        check_solution_invariants(small_stats, small_scenario, [(small_scenario.num_antennas, "joint", res)])
+        check_solution_invariants(small_stats, small_scenario, [("joint", res)])
         second = np.flatnonzero(~res.serving[:, 0])[0]
         added = res.serving.copy()
         added[second, 0] = True
@@ -430,11 +446,11 @@ class TestSolutionContracts:
         for serving in (added, moved):
             edited = with_fields(res, serving=serving)
             with pytest.raises(HarnessInvariantError, match="^M=64, joint: joint transmission beyond the binding caps"):
-                check_solution_invariants(small_stats, small_scenario, [(small_scenario.num_antennas, "joint", edited)])
+                check_solution_invariants(small_stats, small_scenario, [("joint", edited)])
 
     def test_result_record_is_json_ready(self, small_scenario, small_stats):
         targets = targets_for(small_scenario, 1.0)
-        res = solve_power_min(DropLp(small_stats), targets, small_scenario)
+        res = solve_power_min(DropLp(small_stats, small_scenario), targets, 64)
         record = json.loads(json.dumps(res.to_json_dict()))
         assert record["status"] == "optimal"
         assert len(record["rho"]) == 4 and len(record["rho"][0]) == 6
@@ -448,7 +464,7 @@ class TestSolutionContracts:
         x = np.array([1.0, 0.0, 0.0, 0.0, 1e-9, 0.5, 1e-3, 0.0])
         sol = with_fields(LpSolution(LpStatus.OPTIMAL), x=x, objective=float(x.sum()), duals=np.zeros(6))
         monkeypatch.setattr(power_assoc, "lp_solve", lambda lp, basis=None: sol)
-        res = solve_power_min(DropLp(stats), targets_for(scn), scn)
+        res = solve_power_min(DropLp(stats, scn), targets_for(scn), 100)
         assert np.array_equal(res.serving, [[True, False], [False, True], [False, True], [False, False]])
         assert res.to_json_dict()["serving_sets"] == [[0], [1, 2]]
         assert res.joint_fraction == 0.5
@@ -462,13 +478,13 @@ class TestSolutionContracts:
         infeasible = feasible = 0
         for _, scn, stats in iter_drops(base, 17, 6):
             for mask in (None, max_snr_mask(stats.beta)):
-                res = solve_power_min(DropLp(stats, mask), targets, scn)
+                res = solve_power_min(DropLp(stats, scn, mask), targets, 50)
                 if res.feasible:
                     feasible += 1
                     assert res.infeasibility_certificate is None
                     continue
                 infeasible += 1
-                program = build_lp(DropLp(stats, mask), targets, scn)
+                program = build_lp(DropLp(stats, scn, mask), targets, 50)
                 assert_farkas_certificate(program.a_ub, program.b_ub, res.infeasibility_certificate)
                 assert res.to_json_dict() == {"status": "infeasible"}
         assert feasible and infeasible
@@ -501,15 +517,14 @@ class TestStartBasis:
         for _, scn0, stats in iter_drops(default_scenario(antennas[0], k, rng_seed=3), 3, 3):
             best = max_snr_mask(stats.beta)
             masks = (np.ones(stats.beta.shape, dtype=bool), best)
-            shared_lps = tuple(DropLp(stats, mask) for mask in masks)
+            shared_lps = tuple(DropLp(stats, scn0, mask) for mask in masks)
             for m in antennas:
-                scn = dataclasses.replace(scn0, num_antennas=m)
                 for mask, shared in zip(masks, shared_lps):
-                    probes = solve_max_min(shared, scn).trace
+                    probes = solve_max_min(shared, m).trace
                     for xi in [1.0] + [p.candidate for p in probes]:
-                        targets = QosTargets.uniform(xi, scn)
-                        lp = build_lp(DropLp(stats, mask), targets, scn)
-                        guess = DropLp(stats, mask).basis
+                        targets = QosTargets.uniform(xi, scn0)
+                        lp = build_lp(DropLp(stats, scn0, mask), targets, m)
+                        guess = DropLp(stats, scn0, mask).basis
                         # (user, BS) of each structural column of the guess
                         pairs = np.argwhere(mask.T)[guess[:k]]
                         assert np.array_equal(pairs, np.argwhere(best.T))
@@ -523,7 +538,7 @@ class TestStartBasis:
                             infeasible += 1
                             continue
                         optimal += 1
-                        serving = solve_power_min(DropLp(stats, mask), targets, scn).serving
+                        serving = solve_power_min(DropLp(stats, scn0, mask), targets, m).serving
                         moved += not np.array_equal(serving, best)
                         for hint in (cold.basis, rng.permutation(cold.basis)):
                             again = lp_solve(lp, basis=hint)
@@ -546,15 +561,14 @@ class TestStartBasis:
         feasible = moved = 0
         for _, scn0, stats in iter_drops(default_scenario(50, k, rng_seed=3), 3, 3):
             for mask in (None, max_snr_mask(stats.beta)):
-                shared = DropLp(stats, mask)
+                shared = DropLp(stats, scn0, mask)
                 for m in (50, 100, 150, 200):
-                    scn = dataclasses.replace(scn0, num_antennas=m)
-                    solve_max_min(shared, scn)
-                    fresh = DropLp(stats, mask)
+                    solve_max_min(shared, m)
+                    fresh = DropLp(stats, scn0, mask)
                     moved += not np.array_equal(shared.basis, fresh.basis)
-                    targets = QosTargets.uniform(1.0, scn)
-                    after = solve_power_min(shared, targets, scn)
-                    clean = solve_power_min(fresh, targets, scn)
+                    targets = QosTargets.uniform(1.0, scn0)
+                    after = solve_power_min(shared, targets, m)
+                    clean = solve_power_min(fresh, targets, m)
                     assert after.status == clean.status
                     if not clean.feasible:
                         continue
@@ -571,15 +585,15 @@ class TestStartBasis:
         target or a user with no allowed BS is rejected before any solve."""
         targets = targets_for(small_scenario)
         mask = np.ones(small_stats.beta.shape, dtype=bool)
-        start = DropLp(small_stats, mask).basis
+        start = DropLp(small_stats, small_scenario, mask).basis
         assert np.array_equal(start[6:], 24 + 6 + np.arange(4))  # every cap slack
         with pytest.raises(ValueError, match="^SE targets must be positive$"):
             QosTargets(xi=np.r_[0.0, targets.xi[1:]], xi_hat=np.r_[0.0, targets.xi_hat[1:]])
         # banning user 0's strongest BS puts it on its second strongest
         strongest, second = np.argsort(small_stats.beta[:, 0])[[-1, -2]]
         mask[strongest, 0] = False
-        start = DropLp(small_stats, mask).basis
+        start = DropLp(small_stats, small_scenario, mask).basis
         assert tuple(np.argwhere(mask.T)[start[0]]) == (0, second)
         mask[:, 0] = False
         with pytest.raises(ValueError, match="^allowed must grant every user at least one BS$"):
-            DropLp(small_stats, mask)
+            DropLp(small_stats, small_scenario, mask)
